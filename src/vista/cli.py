@@ -21,6 +21,7 @@ import numpy as np
 from .config import Config, format_config, load_config
 from .data import (
     ScenarioSpec,
+    atomic_write,
     load_raster,
     load_trajectories,
     save_raster,
@@ -49,6 +50,7 @@ from .render import render_scene_svg, render_trace_svg, write_svg
 from .tpm import (
     PredictionSet,
     load_prediction_txt,
+    prediction_array,
     save_prediction_txt,
     save_trace_json,
 )
@@ -204,11 +206,7 @@ def _write_manifest(out_dir, command, args, cfg, seed, inputs, outputs, t0):
         "timings": {"wall_s": time.monotonic() - t0},
     }
     path = os.path.join(out_dir, f"manifest_{command}.json")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def _load_scenes(args, cfg: Config, data_attr="data"):
@@ -407,12 +405,7 @@ def _eval_inputs_from_files(scenes, pred_dir, t_obs):
                 f"{path}: prediction/ground-truth mismatch at (sample, frame, agent) = {diff[0]}",
                 first_mismatch=diff[0],
             )
-        n, t = len(agents), len(frames)
-        traj = np.empty((n, k, t, 2))
-        for i, a in enumerate(agents):
-            for j in range(k):
-                for s, f in enumerate(frames):
-                    traj[i, j, s] = records[(j, f, a)]
+        traj = prediction_array(records, agents, frames, k)
         unit = "meters" if scenes[0].unit_scale else "pixels"
         evals.append(
             EvalInput(
@@ -468,12 +461,7 @@ def cmd_render(args) -> int:
             continue
         records = load_prediction_txt(path)
         k = len({j for j, _, _ in records})
-        frames = [int(f) for f in scene.frame_ids[cfg.model.t_obs :]]
-        traj = np.empty((scene.n_agents, k, len(frames), 2))
-        for i, a in enumerate(scene.agent_ids):
-            for j in range(k):
-                for s, f in enumerate(frames):
-                    traj[i, j, s] = records[(j, f, a)]
+        traj = prediction_array(records, scene.agent_ids, scene.frame_ids[cfg.model.t_obs :], k)
         pred = PredictionSet(
             agent_ids=list(scene.agent_ids),
             trajectories=traj,

@@ -47,6 +47,8 @@ class ModelConfig:
             raise ConfigError(f"grid side {self.grid} must be divisible by 4")
         if self.softargmax_temperature <= 0:
             raise ConfigError("softargmax_temperature must be positive")
+        if self.kmeans_iters < 1:
+            raise ConfigError("kmeans_iters must be a positive count")
 
 
 @dataclass

@@ -216,13 +216,14 @@ def save_trajectories(path, scene: Scene):
     for t in scene.tracks:
         for f, (x, y) in zip(t.frame_ids, t.positions):
             lines.append(f"{int(f)} {int(t.agent_id)} {float(x)!r} {float(y)!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _atomic_write(path, text):
+def atomic_write(path, content):
+    """Write text or bytes to a sibling temp file, then rename it over ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    with open(tmp, "wb" if isinstance(content, (bytes, bytearray)) else "w") as fh:
+        fh.write(content)
     os.replace(tmp, path)
 
 
@@ -245,7 +246,7 @@ def load_raster(path) -> SceneRaster:
 def save_raster(path, raster: SceneRaster):
     h, w, d = raster.scores.shape
     body = " ".join(repr(float(v)) for v in raster.scores.reshape(-1))
-    _atomic_write(path, f"{h} {w} {d}\n{body}\n")
+    atomic_write(path, f"{h} {w} {d}\n{body}\n")
 
 
 def uniform_raster(side: int, n_classes: int = 1) -> SceneRaster:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .data import SceneRaster, rasterize_gaussian, uniform_raster
+from .data import SceneRaster, atomic_write, rasterize_gaussian, uniform_raster
 from .errors import ConfigError, DataError
 from .params import ParamStore, glorot_uniform
 from .tensor import (
@@ -207,9 +207,12 @@ def softargmax(heatmap: GoalHeatmap, temperature: float) -> np.ndarray:
     return softargmax_tensor(constant(logits), temperature).data.copy()
 
 
-def ttst_sample(heatmap: GoalHeatmap, n_raw: int, k: int, seed: int) -> GoalSample:
-    """Large-scale categorical sampling over cells, reduced to k goals by
-    K-means with farthest-point seeding; deterministic given the seed."""
+def ttst_sample(
+    heatmap: GoalHeatmap, n_raw: int, k: int, seed: int, kmeans_iters: int = 50
+) -> GoalSample:
+    """Large-scale categorical sampling over cells, reduced to k goals by at
+    most ``kmeans_iters`` K-means iterations with farthest-point seeding;
+    deterministic given the seed."""
     if not n_raw >= k >= 1:
         raise ConfigError(f"need n_raw >= k >= 1, got n_raw={n_raw}, k={k}")
     mass = heatmap.grid.astype(np.float64)
@@ -223,7 +226,7 @@ def ttst_sample(heatmap: GoalHeatmap, n_raw: int, k: int, seed: int) -> GoalSamp
     jitter = rng.uniform(-0.5, 0.5, size=(n_raw, 2))
     points = np.stack([cols + jitter[:, 0], rows + jitter[:, 1]], axis=1)
 
-    centers, labels = _kmeans(points, k, rng, max_iters=50)
+    centers, labels = _kmeans(points, k, rng, max_iters=kmeans_iters)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     weights = counts / n_raw
     order = np.lexsort((centers[:, 1], centers[:, 0], -weights))
@@ -295,7 +298,7 @@ def save_heatmap_txt(path, heatmap: GoalHeatmap):
     """Raster text format with D=1."""
     h, w = heatmap.grid.shape
     body = " ".join(repr(float(v)) for v in heatmap.grid.reshape(-1))
-    _write(path, f"{h} {w} 1\n{body}\n")
+    atomic_write(path, f"{h} {w} 1\n{body}\n")
 
 
 def load_heatmap_txt(path) -> np.ndarray:
@@ -316,13 +319,4 @@ def save_heatmap_pgm(path, heatmap: GoalHeatmap):
     ).astype(np.int64)
     h, w = grid.shape
     rows = "\n".join(" ".join(str(v) for v in row) for row in levels)
-    _write(path, f"P2\n{w} {h}\n255\n{rows}\n")
-
-
-def _write(path, text):
-    import os
-
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, f"P2\n{w} {h}\n255\n{rows}\n")

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .data import Scene
+from .data import Scene, atomic_write
 from .errors import DataError
 
 
@@ -277,7 +276,7 @@ def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0, cr_mode
 
 
 def save_report_json(path, report: dict):
-    _atomic(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    atomic_write(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
 
 
 def save_report_csv(path, report: dict):
@@ -285,14 +284,7 @@ def save_report_csv(path, report: dict):
     header = ",".join(keys)
     row = ",".join(repr(report[k]) if isinstance(report[k], float) else str(report[k]) for k in keys)
     curve = ",".join(repr(v) for v in report.get("auc_curve", []))
-    _atomic(path, f"{header}\n{row}\nauc_curve,{curve}\n")
-
-
-def _atomic(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, f"{header}\n{row}\nauc_curve,{curve}\n")
 
 
 def eval_from_scene(scene: Scene, predictions: np.ndarray, t_obs: int, unit: str = "pixels") -> EvalInput:

@@ -84,7 +84,9 @@ class Model:
         samples = []
         for heatmap in self.heatmaps(scene):
             agent_seed = stable_seed(seed, scene.key(), heatmap.agent_id)
-            gs = ttst_sample(heatmap, self.config.n_raw_samples, k, agent_seed)
+            gs = ttst_sample(
+                heatmap, self.config.n_raw_samples, k, agent_seed, self.config.kmeans_iters
+            )
             samples.append(
                 GoalSample(goals=self.to_scene(gs.goals), weights=gs.weights)
             )

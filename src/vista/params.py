@@ -8,11 +8,11 @@ are bit-exact.
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import CheckpointError
 from .tensor import Tensor
 
@@ -79,10 +79,7 @@ class ParamStore:
             for extent in arr.shape:
                 blob += struct.pack("<Q", extent)
             blob += arr.astype("<f8").tobytes()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
+        atomic_write(path, blob)
 
     @classmethod
     def load(cls, path) -> "ParamStore":

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .data import Scene
+from .data import Scene, atomic_write
 from .tpm import PredictionSet
 
 
@@ -95,7 +93,4 @@ def render_trace_svg(matrix: np.ndarray, agent_ids, step: int) -> str:
 
 
 def write_svg(path, text: str):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, text + "\n")

@@ -2,17 +2,22 @@
 cross-attention fusion, social attention across agents, and displacement
 decoding with attention-trace capture.
 
-At every prediction step the full sequence so far (observations plus own
-predictions) is re-embedded, so gradients flow through the model's own
-feedback. Agents are processed in a canonical order (sorted by agent_id)
-internally and restored to input order on output, which makes permutation
-equivariance exact at the bit level. When ``anchor_coordinates`` is on,
-positions and goals are embedded relative to the mean of the agents' last
-observed positions, making predictions translation-equivariant.
+``rollout`` is the one recursion. It decodes a scene's N agents under B goal
+sets at once, as a (B, N) batch in one stacked graph: training and
+validation roll out one goal set (B=1), and best-of-k prediction rolls out
+all k goal samples as B=k. At every prediction step the full sequence so far
+(observations plus own predictions) is re-embedded, so gradients flow
+through the model's own feedback. Agents are processed in a canonical order
+(sorted by agent_id) internally and restored to input order on output, which
+makes permutation equivariance exact at the bit level. When
+``anchor_coordinates`` is on, positions and goals are embedded relative to
+the mean of the agents' last observed positions, making predictions
+translation-equivariant.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -20,8 +25,8 @@ import numpy as np
 
 from .attention import init_mha_params, multi_head_attention
 from .config import ModelConfig
-from .data import Scene
-from .errors import ConfigError, DataError, DivergenceError
+from .data import Scene, atomic_write
+from .errors import AlignmentError, ConfigError, DataError, DivergenceError
 from .params import ParamStore, glorot_uniform
 from .tensor import (
     Tensor,
@@ -73,10 +78,15 @@ class PredictionSet:
 
 @dataclass
 class RolloutResult:
-    trajectories: np.ndarray  # (N, T_fut, 2), input agent order
-    trace: AttentionTrace | None
-    step_tensors: list  # (N, 2) tensors per step, canonical agent order
+    trajectories: np.ndarray  # ([B,] N, T_fut, 2), input agent order
+    traces: list | None  # one AttentionTrace per batch row
+    step_tensors: list  # ([B,] N, 2) tensors per step, canonical agent order
     canonical_order: np.ndarray  # input index -> canonical row
+
+    @property
+    def trace(self) -> AttentionTrace | None:
+        """The trace of an unbatched rollout (the first batch row's otherwise)."""
+        return self.traces[0] if self.traces else None
 
 
 # -- parameters -----------------------------------------------------------
@@ -183,13 +193,14 @@ def _fusion_batch(tokens: Tensor, goal_tokens: Tensor | None, params, config) ->
 def social_attention(features, params: ParamStore, config: ModelConfig):
     """Multi-head self-attention across agent tokens.
 
-    Returns the updated (N, d) features and the head-averaged (N, N)
+    ``features`` is (N, d) or (B, N, d); agents attend within their batch
+    row. Returns the updated features and the head-averaged ([B,] N, N)
     attention matrix of the last social layer.
     """
     feats = as_tensor(features)
-    n = feats.shape[0]
+    n = feats.shape[-2]
     if not config.use_social:
-        return feats, np.eye(n)
+        return feats, np.broadcast_to(np.eye(n), feats.shape[:-1] + (n,))
     attn = None
     for layer in range(config.social_depth):
         feats, heads = multi_head_attention(
@@ -233,12 +244,17 @@ def rollout(
 ) -> RolloutResult:
     """Recursive decoding of T_fut steps for all agents of one scene window.
 
-    ``goals`` is one (x, y) per agent in scene units (ignored when the model
-    is configured without goal conditioning). The observation window is the
-    first t_obs frames of the scene. ``n_steps`` truncates the recursion
-    (default T_fut); because step t+1 re-encodes exactly the observations
-    plus the predictions of steps <= t, a truncated rollout is a bit-exact
-    prefix of the full one.
+    ``goals`` is one (x, y) per agent in scene units, shape (N, 2), or a
+    stack of B such goal sets, shape (B, N, 2); each batch row is one joint
+    rollout of the same observations and the result gains a leading B axis.
+    Goals are ignored when the model is configured without goal
+    conditioning. The observation window is the first t_obs frames of the
+    scene. ``n_steps`` truncates the recursion (default T_fut); because step
+    t+1 re-encodes exactly the observations plus the predictions of steps
+    <= t, a truncated rollout is a bit-exact prefix of the full one.
+
+    All B*N agent rows run as one stacked graph; only social attention sees
+    the batch axis, so agents interact within their own row.
     """
     obs_all = scene.positions()
     if obs_all.shape[1] < config.t_obs:
@@ -246,35 +262,42 @@ def rollout(
             f"scene {scene.key()}: {obs_all.shape[1]} frames < t_obs {config.t_obs}"
         )
     agent_ids = np.asarray(scene.agent_ids)
+    n = len(agent_ids)
     obs = obs_all[:, : config.t_obs, :]
     goals_arr = None
+    lead = ()  # (B,) for batched goals
     if config.use_goal:
         if goals is None:
             raise DataError("rollout needs one goal per agent when goal conditioning is on")
         goals_arr = np.asarray(goals, dtype=np.float64)
-        if goals_arr.shape != (len(agent_ids), 2):
-            raise DataError(f"goals must be (N, 2), got {goals_arr.shape}")
+        if goals_arr.shape[-2:] != (n, 2) or goals_arr.ndim not in (2, 3):
+            raise DataError(f"goals must be (N, 2) or (B, N, 2), got {goals_arr.shape}")
         if not np.isfinite(goals_arr).all():
             raise DataError("goals must be finite")
+        lead = goals_arr.shape[:-2]
+    b = lead[0] if lead else 1
+    rows = b * n
 
     order = _canonical_order(agent_ids)
     inverse = np.argsort(order)
     obs_c = obs[order]
-    goals_c = goals_arr[order] if goals_arr is not None else None
-
-    n = len(agent_ids)
     anchor = shared_anchor(obs_c) if config.anchor_coordinates else np.zeros(2)
     anchor_c = constant(anchor)
 
+    # Every matmul keeps the per-row operand shape of an unbatched rollout
+    # (numpy runs stacked matmuls one inner matrix at a time), so batch row
+    # j repeats the arithmetic of an unbatched rollout of goals[j], and an
+    # unbatched rollout records the same graph as before batching existed.
     goal_tokens = None
-    if goals_c is not None:
-        goal_tok = embed_positions(constant(goals_c - anchor), params, config)
-        goal_tok = goal_tok.reshape((n, 1, config.d_model))
+    if goals_arr is not None:
+        goal_tok = embed_positions(constant(goals_arr[..., order, :] - anchor), params, config)
+        goal_tok = goal_tok.reshape((rows, 1, config.d_model))
         goal_tokens = _apply_hpe_batch(
             goal_tok, np.array([config.t_total]), params, config
         )
 
-    parts = [constant(obs_c)]
+    obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
+    parts = [constant(obs_rows)]
     step_tensors = []
     trace_steps = [] if capture_trace else None
     for step in range(1, (n_steps or config.t_fut) + 1):
@@ -284,6 +307,8 @@ def rollout(
         tokens = embed_positions(rel, params, config)
         tokens = _apply_hpe_batch(tokens, np.arange(length), params, config)
         fused = _fusion_batch(tokens, goal_tokens, params, config)
+        if lead:
+            fused = fused.reshape(lead + (n, config.d_model))
         social, attn = social_attention(fused, params, config)
         last = narrow(seq, (slice(None), length - 1))
         nxt = decode_step(social, last, params)
@@ -292,87 +317,28 @@ def rollout(
                 f"non-finite prediction at step {step} of scene {scene.key()}",
                 step=step,
             )
-        parts.append(nxt.reshape((n, 1, 2)))
+        parts.append(nxt.reshape((rows, 1, 2)))
         step_tensors.append(nxt)
         if capture_trace:
-            trace_steps.append(np.asarray(attn)[inverse][:, inverse].copy())
+            trace_steps.append(np.asarray(attn).reshape(b, n, n))
 
-    trajectories = np.stack([t.data for t in step_tensors], axis=1)[inverse]
-    trace = None
+    trajectories = np.stack([t.data for t in step_tensors], axis=-2)
+    trajectories = np.take(trajectories, inverse, axis=-3)
+    traces = None
     if capture_trace:
-        trace = AttentionTrace(agent_ids=list(agent_ids), steps=trace_steps)
+        traces = [
+            AttentionTrace(
+                agent_ids=list(agent_ids),
+                steps=[attn[row][inverse][:, inverse] for attn in trace_steps],
+            )
+            for row in range(b)
+        ]
     return RolloutResult(
         trajectories=trajectories,
-        trace=trace,
+        traces=traces,
         step_tensors=step_tensors,
         canonical_order=order,
     )
-
-
-@dataclass
-class BatchRolloutResult:
-    trajectories: np.ndarray  # (B, N, T_fut, 2), input agent order
-    step_tensors: list  # (B, N, 2) tensors per step
-
-
-def rollout_batch(
-    obs: np.ndarray,
-    goals,
-    params: ParamStore,
-    config: ModelConfig,
-) -> BatchRolloutResult:
-    """Recursive decoding over a stack of same-shape windows.
-
-    ``obs`` is (B, N, t_obs, 2); ``goals`` is (B, N, 2) or None. Social
-    attention runs within each window (the window axis is a batch dim for
-    the attention blocks). Agent order is kept as given; the per-scene
-    ``rollout`` remains the canonical-order, trace-capturing path.
-    """
-    b, n, t_obs, _ = obs.shape
-    if t_obs != config.t_obs:
-        raise DataError(f"batch obs must have t_obs={config.t_obs}, got {t_obs}")
-    if config.anchor_coordinates:
-        anchor = obs[:, :, -1, :].mean(axis=1).reshape(b, 1, 1, 2)
-    else:
-        anchor = np.zeros((b, 1, 1, 2))
-    anchor_c = constant(anchor)
-
-    goal_tokens = None
-    if config.use_goal:
-        goals_arr = np.asarray(goals, dtype=np.float64).reshape(b, n, 2)
-        rel_goals = (goals_arr - anchor.reshape(b, 1, 2)).reshape(b * n, 1, 2)
-        goal_tok = embed_positions(constant(rel_goals), params, config)
-        goal_tokens = _apply_hpe_batch(
-            goal_tok, np.array([config.t_total]), params, config
-        )
-
-    parts = [constant(obs)]
-    step_tensors = []
-    for step in range(1, config.t_fut + 1):
-        seq = parts[0] if len(parts) == 1 else concat(parts, axis=2)
-        length = config.t_obs + step - 1
-        rel = seq - anchor_c
-        tokens = embed_positions(rel, params, config).reshape((b * n, length, config.d_model))
-        tokens = _apply_hpe_batch(tokens, np.arange(length), params, config)
-        fused = _fusion_batch(tokens, goal_tokens, params, config)  # (b*n, d)
-        feats = fused.reshape((b, n, config.d_model))
-        if config.use_social:
-            for layer in range(config.social_depth):
-                feats, _ = multi_head_attention(
-                    feats, feats, feats, config.n_heads, params, f"tpm.social{layer}"
-                )
-        last = narrow(seq, (slice(None), slice(None), length - 1))
-        delta_in = feats.reshape((b * n, config.d_model))
-        hidden = relu(delta_in @ params["tpm.dec.w1"] + params["tpm.dec.b1"])
-        delta = hidden @ params["tpm.dec.w2"] + params["tpm.dec.b2"]
-        nxt = last + delta.reshape((b, n, 2))
-        if not np.isfinite(nxt.data).all():
-            raise DivergenceError(f"non-finite prediction at step {step}", step=step)
-        parts.append(nxt.reshape((b, n, 1, 2)))
-        step_tensors.append(nxt)
-
-    trajectories = np.stack([t.data for t in step_tensors], axis=2)
-    return BatchRolloutResult(trajectories=trajectories, step_tensors=step_tensors)
 
 
 def predict_multimodal(
@@ -384,32 +350,28 @@ def predict_multimodal(
     k: int | None = None,
 ) -> PredictionSet:
     """One joint rollout per sample index: sample j pairs the j-th goal of
-    every agent, giving k rollouts total (not k^N)."""
+    every agent, giving k rollouts total (not k^N), run as one batch of k.
+    Without goal conditioning the k samples coincide, so one rollout is
+    repeated k times."""
     n = scene.n_agents
     if config.use_goal:
         ks = {gs.k for gs in goal_samples}
         if len(goal_samples) != n or len(ks) != 1:
             raise DataError(f"need one GoalSample with a common k per agent, got k's {ks}")
         k = ks.pop()
+        goals = np.stack([gs.goals for gs in goal_samples], axis=1)  # (k, N, 2)
+        result = rollout(scene, goals, params, config, capture_trace=capture_trace)
+        trajs = result.trajectories.transpose(1, 0, 2, 3)
+        traces = result.traces
     else:
         k = k or 1
-    trajs = np.empty((n, k, config.t_fut, 2))
-    traces = [] if capture_trace else None
-    for j in range(k):
-        goals = (
-            np.stack([gs.goals[j] for gs in goal_samples], axis=0)
-            if config.use_goal
-            else None
-        )
-        result = rollout(scene, goals, params, config, capture_trace=capture_trace)
-        trajs[:, j] = result.trajectories
-        if capture_trace:
-            traces.append(result.trace)
-    goal_indices = np.tile(np.arange(k), (n, 1))
+        result = rollout(scene, None, params, config, capture_trace=capture_trace)
+        trajs = np.repeat(result.trajectories[:, None], k, axis=1)
+        traces = result.traces * k if capture_trace else None
     return PredictionSet(
         agent_ids=list(scene.agent_ids),
         trajectories=trajs,
-        goal_indices=goal_indices,
+        goal_indices=np.tile(np.arange(k), (n, 1)),
         traces=traces,
     )
 
@@ -419,7 +381,7 @@ def predict_multimodal(
 
 def save_trace_json(path, trace: AttentionTrace, scene_id: str, sample_index: int, t_obs: int):
     obj = trace.to_json_obj(scene_id, sample_index, t_obs)
-    _write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    atomic_write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def save_prediction_txt(path, scene: Scene, pred: PredictionSet, t_obs: int):
@@ -430,7 +392,7 @@ def save_prediction_txt(path, scene: Scene, pred: PredictionSet, t_obs: int):
         for i, agent in enumerate(pred.agent_ids):
             for f, (x, y) in zip(future_frames, pred.trajectories[i, j]):
                 lines.append(f"{j} {int(f)} {int(agent)} {float(x)!r} {float(y)!r}")
-    _write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_prediction_txt(path):
@@ -449,10 +411,25 @@ def load_prediction_txt(path):
     return records
 
 
-def _write(path, text):
-    import os
-
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def prediction_array(records, agent_ids, frames, k: int) -> np.ndarray:
+    """(N, k, T, 2) trajectories from ``load_prediction_txt`` records; the
+    records must hold exactly the window's k x T x N (sample, frame, agent) keys."""
+    agents = np.asarray(agent_ids, dtype=np.int64)
+    frames = np.asarray(frames, dtype=np.int64)
+    n, t = len(agents), len(frames)
+    flat = itertools.chain.from_iterable
+    keys = np.fromiter(flat(records), np.int64, count=3 * len(records)).reshape(-1, 3)
+    by_id = np.argsort(agents)
+    rows = by_id[np.minimum(np.searchsorted(agents, keys[:, 2], sorter=by_id), n - 1)]
+    steps = np.minimum(np.searchsorted(frames, keys[:, 1]), t - 1)
+    known = (agents[rows] == keys[:, 2]) & (frames[steps] == keys[:, 1])
+    known &= (keys[:, 0] >= 0) & (keys[:, 0] < k)
+    if len(keys) != n * k * t or not known.all():
+        raise AlignmentError(
+            f"prediction records do not form {k} samples x {t} frames x {n} agents"
+        )
+    traj = np.empty((n, k, t, 2))
+    traj[rows, keys[:, 0], steps] = np.fromiter(
+        flat(records.values()), np.float64, count=2 * len(records)
+    ).reshape(-1, 2)
+    return traj

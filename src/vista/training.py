@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config, ModelConfig, TrainConfig
-from .data import Scene
+from .data import Scene, atomic_write
 from .errors import DataError, DivergenceError
 from .gpm import bce_mean, encode_gpm_input, goal_target, gpm_forward_batch
 from .model import Model, init_params, stable_seed
@@ -75,74 +75,6 @@ def _cached_gpm_channels(scene: Scene, obs_cells, model_cfg: ModelConfig):
         scene._gpm_channels = (key, channels)
         return channels
     return cached[1]
-
-
-def batch_loss_graph(params: ParamStore, model_cfg: ModelConfig, train_cfg: TrainConfig, scenes):
-    """Differentiable mean over same-shape windows of the per-window total.
-
-    All scenes must share (n_agents, n_frames) and raster shape so the whole
-    group evaluates as one stacked graph; gradients equal accumulating the
-    per-window graphs up to float summation order. Returns
-    (mean total Tensor, goal parts (B,), traj parts (B,)).
-    """
-    b = len(scenes)
-    n = scenes[0].n_agents
-    positions = np.stack([s.positions() for s in scenes], axis=0)  # (B, N, T, 2)
-    gt_goals = positions[:, :, -1, :]
-    gt_future = positions[:, :, model_cfg.t_obs :, :]
-
-    goal_sum = None
-    goal_parts = np.zeros(b)
-    if model_cfg.use_goal and train_cfg.lambda_goal != 0.0:
-        ds = model_cfg.raster_downsample
-        obs_cells = positions[:, :, : model_cfg.t_obs, :] / ds
-        channels = np.concatenate(
-            [
-                _cached_gpm_channels(s, obs_cells[i], model_cfg)
-                for i, s in enumerate(scenes)
-            ],
-            axis=0,
-        )
-        logits = gpm_forward_batch(
-            obs_cells.reshape(b * n, model_cfg.t_obs, 2),
-            scenes[0].raster, params, model_cfg, channels=channels,
-        )
-        targets = np.stack(
-            [
-                goal_target(g / ds, logits.shape[1:], model_cfg.goal_sigma)
-                for g in gt_goals.reshape(b * n, 2)
-            ]
-        )
-        per_cell = sub(softplus(logits), mul(constant(targets), logits))
-        per_agent = reduce_mean(per_cell, axis=(1, 2))  # (B*N,)
-        goal_sum = per_agent.sum()
-        goal_parts = per_agent.data.reshape(b, n).mean(axis=1)
-
-    result = rollout_batch(
-        positions[:, :, : model_cfg.t_obs, :],
-        gt_goals if model_cfg.use_goal else None,
-        params, model_cfg,
-    )
-    stacked = concat([t.reshape((b, n, 1, 2)) for t in result.step_tensors], axis=2)
-    diff = stacked - constant(gt_future)
-    sq = (diff * diff).sum(axis=3)  # (B, N, T_fut)
-    per_agent_traj = sq.mean(axis=2)  # (B, N)
-    traj_sum = per_agent_traj.sum()
-    traj_parts = per_agent_traj.data.mean(axis=1)
-
-    total = scale(traj_sum, train_cfg.lambda_traj / b)
-    if goal_sum is not None:
-        total = total + scale(goal_sum, train_cfg.lambda_goal / b)
-    return total, goal_parts, traj_parts
-
-
-def _shape_groups(scenes):
-    """Group indices of windows that can share one stacked graph."""
-    groups = {}
-    for i, s in enumerate(scenes):
-        raster_key = None if s.raster is None else s.raster.scores.shape
-        groups.setdefault((s.n_agents, s.n_frames, raster_key), []).append(i)
-    return list(groups.values())
 
 
 def window_loss_graph(params: ParamStore, model_cfg: ModelConfig, train_cfg: TrainConfig, scene: Scene):
@@ -281,8 +213,6 @@ class TrainReport:
     best_val_minade: float = math.inf
 
     def to_csv(self, path):
-        import os
-
         lines = ["epoch,goal_loss,traj_loss,total,val_ade,val_minade,lr"]
         for r in self.records:
             minade = "" if math.isnan(r.val_minade) else repr(r.val_minade)
@@ -290,10 +220,7 @@ class TrainReport:
                 f"{r.epoch},{r.goal_loss!r},{r.traj_loss!r},{r.total!r},"
                 f"{r.val_ade!r},{minade},{r.lr!r}"
             )
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        atomic_write(path, "\n".join(lines) + "\n")
 
     def summary(self) -> str:
         last = self.records[-1] if self.records else None

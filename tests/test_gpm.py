@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from vista.gpm import (
     softargmax_tensor,
     ttst_sample,
 )
-from vista.model import init_params
+from vista.model import Model, init_params
 from vista.params import ParamStore
 from vista.tensor import constant
 
@@ -182,6 +183,28 @@ class TestTTST:
     def test_bad_counts(self):
         with pytest.raises(ConfigError):
             ttst_sample(heatmap_from_grid(np.ones((4, 4))), 5, 10, seed=0)
+
+    def test_kmeans_iters_bounds_lloyd_iterations(self):
+        # On a flat heatmap the centres keep moving after the first Lloyd
+        # update, so stopping after one iteration gives other goals.
+        grid = heatmap_from_grid(np.ones((16, 16)))
+        one = ttst_sample(grid, 400, 6, seed=5, kmeans_iters=1)
+        default = ttst_sample(grid, 400, 6, seed=5)
+        assert np.abs(one.goals - default.goals).max() > 1e-3
+        np.testing.assert_array_equal(
+            ttst_sample(grid, 400, 6, seed=5, kmeans_iters=50).goals, default.goals
+        )
+
+    def test_model_config_kmeans_iters_reaches_sampler(self, tiny_scene):
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)
+        model = Model.create(cfg, seed=0)
+        short = Model(replace(cfg, kmeans_iters=1), model.params)
+        full_goals = model.sample_goals(tiny_scene, 6, seed=2)
+        short_goals = short.sample_goals(tiny_scene, 6, seed=2)
+        for a, b in zip(full_goals, short_goals):
+            assert np.abs(a.goals - b.goals).max() > 1e-3
+        with pytest.raises(ConfigError, match="kmeans_iters"):
+            replace(cfg, kmeans_iters=0).validate()
 
 
 class TestGoalLoss:

@@ -6,7 +6,7 @@ import pytest
 from vista.attention import multi_head_attention
 from vista.config import ModelConfig
 from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
-from vista.errors import ConfigError, DataError, DivergenceError
+from vista.errors import AlignmentError, ConfigError, DataError, DivergenceError
 from vista.model import Model, init_params
 from vista.params import ParamStore
 from vista.tensor import backward, constant, layer_norm, no_grad, reduce_sum, sinusoidal_table
@@ -18,6 +18,7 @@ from vista.tpm import (
     hybrid_positional_encoding,
     load_prediction_txt,
     predict_multimodal,
+    prediction_array,
     rollout,
     save_prediction_txt,
     save_trace_json,
@@ -248,6 +249,19 @@ class TestRollout:
         for a, b in zip(base.trace.steps, permuted.trace.steps):
             np.testing.assert_array_equal(b, a[perm][:, perm])
 
+        batch_goals = goals + rng.normal(scale=0.5, size=(3, 5, 2))
+        base = rollout(scene_from_positions(pos, ids), batch_goals, params, cfg, capture_trace=True)
+        permuted = rollout(
+            scene_from_positions(pos[perm], [ids[i] for i in perm]),
+            batch_goals[:, perm], params, cfg, capture_trace=True,
+        )
+        assert base.trajectories.shape == (3, 5, cfg.t_fut, 2)
+        np.testing.assert_array_equal(permuted.trajectories, base.trajectories[:, perm])
+        assert len(base.traces) == len(permuted.traces) == 3
+        for row_a, row_b in zip(base.traces, permuted.traces):
+            for a, b in zip(row_a.steps, row_b.steps):
+                np.testing.assert_array_equal(b, a[perm][:, perm])
+
     def test_trace_shape_and_row_sums(self, cfg, params, tiny_scene):
         goals = tiny_scene.positions()[:, -1, :]
         result = rollout(tiny_scene, goals, params, cfg, capture_trace=True)
@@ -278,6 +292,10 @@ class TestRollout:
     def test_missing_goals_rejected(self, cfg, params, tiny_scene):
         with pytest.raises(DataError, match="goal"):
             rollout(tiny_scene, None, params, cfg)
+
+    def test_goal_shape_rejected(self, cfg, params, tiny_scene):
+        with pytest.raises(DataError, match="goals must be"):
+            rollout(tiny_scene, np.zeros((2, 3, 2)), params, cfg)
 
 
 class TestPredictMultimodal:
@@ -315,6 +333,36 @@ class TestPredictMultimodal:
         with pytest.raises(DataError, match="common k"):
             predict_multimodal(tiny_scene, samples, params, cfg)
 
+    def test_batched_matches_serial_rollouts(self, cfg, params, three_agent_scene):
+        scene = three_agent_scene
+        k = 20
+        rng = np.random.default_rng(11)
+        samples = self.make_samples(scene, k)
+        for gs in samples:
+            gs.goals = gs.goals + rng.normal(scale=1.5, size=gs.goals.shape)
+        pred = predict_multimodal(scene, samples, params, cfg, capture_trace=True)
+        assert pred.trajectories.shape == (scene.n_agents, k, cfg.t_fut, 2)
+        assert len(pred.traces) == k
+        for j in range(k):
+            goals = np.stack([gs.goals[j] for gs in samples])
+            one = rollout(scene, goals, params, cfg, capture_trace=True)
+            np.testing.assert_allclose(
+                pred.trajectories[:, j], one.trajectories, rtol=0, atol=1e-12
+            )
+            assert len(pred.traces[j].steps) == len(one.trace.steps) == cfg.t_fut
+            for a, b in zip(pred.traces[j].steps, one.trace.steps):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_goal_free_samples_repeat_one_rollout(self, cfg, tiny_scene):
+        cfg_ng = replace(cfg, use_goal=False)
+        params = init_params(cfg_ng, seed=0)
+        pred = predict_multimodal(tiny_scene, None, params, cfg_ng, capture_trace=True, k=3)
+        one = rollout(tiny_scene, None, params, cfg_ng, capture_trace=True)
+        assert pred.k == 3 and len(pred.traces) == 3
+        for j in range(3):
+            np.testing.assert_array_equal(pred.trajectories[:, j], one.trajectories)
+            np.testing.assert_array_equal(pred.traces[j].steps, one.trace.steps)
+
     def test_trace_per_sample(self, cfg, params, tiny_scene):
         pred = predict_multimodal(
             tiny_scene, self.make_samples(tiny_scene, 3, spread=1.0), params, cfg,
@@ -342,6 +390,30 @@ class TestExports:
                     np.testing.assert_array_equal(
                         records[(j, int(f), aid)], pred.trajectories[i, j, s]
                     )
+
+    def test_prediction_array_matches_record_loop(self, cfg, params, three_agent_scene, tmp_path):
+        scene = scene_from_positions(three_agent_scene.positions(), [7, 2, 5])
+        samples = TestPredictMultimodal().make_samples(scene, 4, spread=0.7)
+        pred = predict_multimodal(scene, samples, params, cfg)
+        path = tmp_path / "pred.txt"
+        save_prediction_txt(path, scene, pred, cfg.t_obs)
+        records = load_prediction_txt(path)
+        frames = [int(f) for f in scene.frame_ids[cfg.t_obs :]]
+        looped = np.empty((scene.n_agents, 4, len(frames), 2))
+        for i, a in enumerate(scene.agent_ids):
+            for j in range(4):
+                for s, f in enumerate(frames):
+                    looped[i, j, s] = records[(j, f, a)]
+        vectorised = prediction_array(records, scene.agent_ids, frames, 4)
+        np.testing.assert_array_equal(vectorised, looped)
+        np.testing.assert_array_equal(vectorised, pred.trajectories)
+
+        del records[(2, frames[1], scene.agent_ids[0])]
+        with pytest.raises(AlignmentError):
+            prediction_array(records, scene.agent_ids, frames, 4)
+        records[(4, frames[1], scene.agent_ids[0])] = (0.0, 0.0)
+        with pytest.raises(AlignmentError):
+            prediction_array(records, scene.agent_ids, frames, 4)
 
     def test_trace_json_schema(self, cfg, params, tiny_scene, tmp_path):
         import json
