@@ -38,13 +38,13 @@ from .errors import (
     DivergenceError,
 )
 from .metrics import (
-    EvalInput,
     calibrate_epsilon,
+    eval_from_scene,
     evaluate_windows,
     save_report_csv,
     save_report_json,
 )
-from .model import Model, init_params, stable_seed
+from .model import Model, init_params
 from .params import ParamStore
 from .render import render_scene_svg, render_trace_svg, write_svg
 from .tpm import (
@@ -54,7 +54,7 @@ from .tpm import (
     save_prediction_txt,
     save_trace_json,
 )
-from .training import TrainReport, strip_train_state, train
+from .training import strip_train_state, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,13 +156,6 @@ def _build_parser():
 # -- shared helpers ----------------------------------------------------------
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("VISTA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _config_from(args) -> Config:
     cfg = Config()
     if getattr(args, "config", None):
@@ -200,7 +193,6 @@ def _write_manifest(out_dir, command, args, cfg, seed, inputs, outputs, t0):
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "config": cfg.snapshot() if cfg is not None else None,
         "seed": seed,
-        "threads": _threads(),
         "input_digests": _digest_inputs(inputs),
         "outputs": sorted(outputs),
         "timings": {"wall_s": time.monotonic() - t0},
@@ -397,23 +389,18 @@ def _eval_inputs_from_files(scenes, pred_dir, t_obs):
         k_global = k
         frames = [int(f) for f in scene.frame_ids[t_obs:]]
         agents = scene.agent_ids
-        expected = {(j, f, a) for j in range(k) for f in frames for a in agents}
-        got = set(records)
-        if expected != got:
-            diff = sorted(expected.symmetric_difference(got))
+        try:
+            traj = prediction_array(records, agents, frames, k)
+        except AlignmentError:
+            # Only a failing window pays for the key sets that name the mismatch.
+            expected = {(j, f, a) for j in range(k) for f in frames for a in agents}
+            diff = sorted(expected.symmetric_difference(records))
             raise AlignmentError(
                 f"{path}: prediction/ground-truth mismatch at (sample, frame, agent) = {diff[0]}",
                 first_mismatch=diff[0],
-            )
-        traj = prediction_array(records, agents, frames, k)
+            ) from None
         unit = "meters" if scenes[0].unit_scale else "pixels"
-        evals.append(
-            EvalInput(
-                predictions=traj,
-                ground_truth=scene.positions()[:, t_obs:, :],
-                unit=unit,
-            )
-        )
+        evals.append(eval_from_scene(scene, traj, t_obs, unit))
     return evals
 
 

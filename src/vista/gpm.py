@@ -158,18 +158,6 @@ def gpm_forward_batch(
     return logits.reshape((n, h, w))
 
 
-def gpm_forward(
-    obs: np.ndarray,
-    raster: SceneRaster | None,
-    params: ParamStore,
-    config: ModelConfig,
-    agent_id: int = 0,
-) -> GoalHeatmap:
-    """Single-agent convenience wrapper returning probabilities + logits."""
-    logits = gpm_forward_batch(obs[None], raster, params, config)
-    return heatmap_from_logits(logits.data[0], agent_id)
-
-
 def heatmap_from_logits(logits: np.ndarray, agent_id: int) -> GoalHeatmap:
     probs = _sigmoid_np(logits)
     return GoalHeatmap(grid=probs, agent_id=agent_id, logits=logits.copy())
@@ -208,61 +196,88 @@ def softargmax(heatmap: GoalHeatmap, temperature: float) -> np.ndarray:
 
 
 def ttst_sample(
-    heatmap: GoalHeatmap, n_raw: int, k: int, seed: int, kmeans_iters: int = 50
-) -> GoalSample:
-    """Large-scale categorical sampling over cells, reduced to k goals by at
-    most ``kmeans_iters`` K-means iterations with farthest-point seeding;
-    deterministic given the seed."""
+    grids: np.ndarray, n_raw: int, k: int, seeds, kmeans_iters: int = 50
+) -> list[GoalSample]:
+    """Goal sampling for the A heatmaps ``grids`` (A, H, W) of one window:
+    each agent draws ``n_raw`` cells from its heatmap with a generator seeded
+    from ``seeds[i]``, and one batched K-means (farthest-point seeding, at most
+    ``kmeans_iters`` iterations) reduces each agent's draws to k goals."""
     if not n_raw >= k >= 1:
         raise ConfigError(f"need n_raw >= k >= 1, got n_raw={n_raw}, k={k}")
-    mass = heatmap.grid.astype(np.float64)
-    total = mass.sum()
-    if total <= 0:
-        raise DataError("ttst_sample: heatmap has no positive mass")
-    h, w = mass.shape
-    rng = np.random.default_rng(seed)
-    cells = rng.choice(h * w, size=n_raw, p=(mass / total).reshape(-1))
-    rows, cols = np.divmod(cells, w)
-    jitter = rng.uniform(-0.5, 0.5, size=(n_raw, 2))
-    points = np.stack([cols + jitter[:, 0], rows + jitter[:, 1]], axis=1)
+    a, h, w = np.shape(grids)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    points = np.empty((a, n_raw, 2))
+    for mass, rng, pts in zip(np.asarray(grids, dtype=np.float64), rngs, points, strict=True):
+        total = mass.sum()
+        if total <= 0:
+            raise DataError("ttst_sample: heatmap has no positive mass")
+        rows, cols = np.divmod(rng.choice(h * w, size=n_raw, p=(mass / total).reshape(-1)), w)
+        pts[:] = np.stack([cols, rows], axis=1) + rng.uniform(-0.5, 0.5, size=(n_raw, 2))
 
-    centers, labels = _kmeans(points, k, rng, max_iters=kmeans_iters)
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    weights = counts / n_raw
-    order = np.lexsort((centers[:, 1], centers[:, 0], -weights))
-    return GoalSample(goals=centers[order], weights=weights[order])
+    samples = []
+    for centers, labels in zip(*_kmeans(points, k, rngs, max_iters=kmeans_iters)):
+        weights = np.bincount(labels, minlength=k) / n_raw
+        order = np.lexsort((centers[:, 1], centers[:, 0], -weights))
+        samples.append(GoalSample(goals=centers[order], weights=weights[order]))
+    return samples
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int):
-    """Lloyd iterations with greedy farthest-point seeding.
+def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
+    """Lloyd iterations with greedy farthest-point seeding on A point sets
+    (A, n, 2) at once, one generator per set; a set stops once its labels do.
 
     Ties in seeding and assignment resolve to the lowest index; empty clusters
     reseed to the point farthest from every current center.
     """
-    n = len(points)
-    centers = np.empty((k, 2))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        centers[j] = points[int(np.argmax(d2))]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    a, n, _ = points.shape
+    px, py = points[:, :, 0], points[:, :, 1]
+    sets = np.arange(a)
+    centers = np.empty((a, k, 2))
+    pick = [rng.integers(n) for rng in rngs]
+    for j in range(k):
+        centers[:, j] = points[sets, pick]
+        gap = (px - centers[:, j, :1]) ** 2 + (py - centers[:, j, 1:]) ** 2
+        d2 = gap if j == 0 else np.minimum(d2, gap)
+        pick = np.argmax(d2, axis=1)
 
-    labels = np.zeros(n, dtype=np.int64)
+    labels = np.zeros((a, n), dtype=np.int64)
+    live = sets
+    # Distances are dx*dx + dy*dy, the float arithmetic of ((p - c) ** 2).sum(-1),
+    # so argmin breaks ties alike. They go set by set into reused (n, k)
+    # buffers: a fresh array each time costs more than the arithmetic on it.
+    dist, dy = np.empty((n, k)), np.empty((n, k))
     for _ in range(max_iters):
-        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(dist, axis=1)
-        for j in range(k):
-            mask = new_labels == j
-            if mask.any():
-                centers[j] = points[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(dist.min(axis=1)))
-                centers[j] = points[far]
-                new_labels[far] = j
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
+        m, old = len(live), centers[live]
+        new_labels = np.empty((m, n), dtype=np.int64)
+        for i, s in enumerate(live):
+            np.subtract(px[s, :, None], old[i, :, 0], out=dist)
+            np.subtract(py[s, :, None], old[i, :, 1], out=dy)
+            dist *= dist
+            dy *= dy
+            np.argmin(np.add(dist, dy, out=dist), axis=1, out=new_labels[i])
+        # bincount sums each cluster in point order, as points[mask].mean(axis=0) does.
+        flat = (new_labels + k * np.arange(m)[:, None]).reshape(-1)
+        counts = np.bincount(flat, minlength=m * k)
+        sums = [np.bincount(flat, c[live].reshape(-1), m * k) for c in (px, py)]
+        centers[live] = (np.stack(sums, axis=1) / np.maximum(counts, 1)[:, None]).reshape(m, k, 2)
+        for i in np.flatnonzero((counts.reshape(m, k) == 0).any(axis=1)):
+            # Empty cluster j takes the farthest point, which leaves its own
+            # cluster before the clusters after j are averaged.
+            s, lab = live[i], new_labels[i]
+            nearest = ((points[s, :, None] - old[i]) ** 2).sum(axis=2).min(axis=1)
+            for j in range(k):
+                mask = lab == j
+                if mask.any():
+                    centers[s, j] = points[s, mask].mean(axis=0)
+                else:
+                    far = int(np.argmax(nearest))
+                    centers[s, j] = points[s, far]
+                    lab[far] = j
+        settled = (new_labels == labels[live]).all(axis=1)
+        labels[live] = new_labels
+        live = live[~settled]
+        if not len(live):
             break
-        labels = new_labels
     return centers, labels
 
 

@@ -64,15 +64,12 @@ class Model:
         """Final ground-truth position per agent, scene units."""
         return scene.positions()[:, -1, :].copy()
 
-    def goal_logits(self, scene: Scene):
-        obs = self.to_cells(scene.positions()[:, : self.config.t_obs, :])
-        return gpm_forward_batch(obs, scene.raster, self.params, self.config)
-
     def heatmaps(self, scene: Scene) -> list[GoalHeatmap]:
         if not self.config.use_goal:
             raise ConfigError("goal conditioning is disabled in this configuration")
+        obs = self.to_cells(scene.positions()[:, : self.config.t_obs, :])
         with no_grad():
-            logits = self.goal_logits(scene)
+            logits = gpm_forward_batch(obs, scene.raster, self.params, self.config)
         return [
             heatmap_from_logits(logits.data[i], agent_id)
             for i, agent_id in enumerate(scene.agent_ids)
@@ -81,16 +78,11 @@ class Model:
     def sample_goals(self, scene: Scene, k: int, seed: int) -> list[GoalSample]:
         """TTST goals per agent, converted back to scene units; each agent's
         sampler is seeded from (seed, scene key, agent_id)."""
-        samples = []
-        for heatmap in self.heatmaps(scene):
-            agent_seed = stable_seed(seed, scene.key(), heatmap.agent_id)
-            gs = ttst_sample(
-                heatmap, self.config.n_raw_samples, k, agent_seed, self.config.kmeans_iters
-            )
-            samples.append(
-                GoalSample(goals=self.to_scene(gs.goals), weights=gs.weights)
-            )
-        return samples
+        heatmaps = self.heatmaps(scene)
+        grids = np.stack([hm.grid for hm in heatmaps])
+        seeds = [stable_seed(seed, scene.key(), hm.agent_id) for hm in heatmaps]
+        samples = ttst_sample(grids, self.config.n_raw_samples, k, seeds, self.config.kmeans_iters)
+        return [GoalSample(goals=self.to_scene(gs.goals), weights=gs.weights) for gs in samples]
 
     def predict(
         self, scene: Scene, k: int, seed: int, capture_trace: bool = False

@@ -417,17 +417,19 @@ def prediction_array(records, agent_ids, frames, k: int) -> np.ndarray:
     agents = np.asarray(agent_ids, dtype=np.int64)
     frames = np.asarray(frames, dtype=np.int64)
     n, t = len(agents), len(frames)
+    mismatch = AlignmentError(f"prediction records do not form {k} samples x {t} frames x {n} agents")
     flat = itertools.chain.from_iterable
-    keys = np.fromiter(flat(records), np.int64, count=3 * len(records)).reshape(-1, 3)
+    try:
+        keys = np.fromiter(flat(records), np.int64, count=3 * len(records)).reshape(-1, 3)
+    except OverflowError:  # an id beyond int64 is no key of the window
+        raise mismatch from None
     by_id = np.argsort(agents)
     rows = by_id[np.minimum(np.searchsorted(agents, keys[:, 2], sorter=by_id), n - 1)]
     steps = np.minimum(np.searchsorted(frames, keys[:, 1]), t - 1)
     known = (agents[rows] == keys[:, 2]) & (frames[steps] == keys[:, 1])
     known &= (keys[:, 0] >= 0) & (keys[:, 0] < k)
     if len(keys) != n * k * t or not known.all():
-        raise AlignmentError(
-            f"prediction records do not form {k} samples x {t} frames x {n} agents"
-        )
+        raise mismatch
     traj = np.empty((n, k, t, 2))
     traj[rows, keys[:, 0], steps] = np.fromiter(
         flat(records.values()), np.float64, count=2 * len(records)

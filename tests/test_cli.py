@@ -241,6 +241,30 @@ class TestEvaluate:
         assert re.search(r"\(sample, frame, agent\)", err["message"])
 
 
+    @pytest.mark.parametrize("edit", ["missing", "extra", "id_beyond_int64"])
+    def test_alignment_error_names_first_mismatch(self, synth_dir, tmp_path, edit):
+        from vista.cli import _eval_inputs_from_files
+        from vista.errors import AlignmentError
+
+        pred_dir = tmp_path / "preds"
+        scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
+        victim = pred_dir / f"pred_{scenes[0].scene_id}__w{scenes[0].window_index:03d}.txt"
+        lines = victim.read_text().splitlines()
+        if edit == "missing":
+            key = tuple(int(v) for v in lines.pop(5).split()[:3])
+        elif edit == "extra":
+            key = (1, int(lines[0].split()[1]), 999)
+            lines.append(f"{key[0]} {key[1]} {key[2]} 1.0 2.0")
+        else:
+            key = (0, 10**20, int(lines[0].split()[2]))
+            lines.append(f"{key[0]} {key[1]} {key[2]} 1.0 2.0")
+        victim.write_text("\n".join(lines) + "\n")
+        with pytest.raises(AlignmentError) as info:
+            _eval_inputs_from_files(scenes, str(pred_dir), 4)
+        assert info.value.first_mismatch == key
+        assert str(info.value).endswith(f"(sample, frame, agent) = {key}")
+
+
 class TestRender:
     def test_single_agent_scene_svg_element_counts(self, tmp_path, quick_config):
         data = tmp_path / "data"

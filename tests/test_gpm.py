@@ -4,17 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vista import gpm
 from vista.config import ModelConfig
 from vista.data import dihedral_point, rasterize_gaussian, uniform_raster
 from vista.errors import ConfigError, DataError
 from vista.fdcheck import finite_difference_check
 from vista.gpm import (
     GoalHeatmap,
+    GoalSample,
     bce_mean,
     goal_loss,
     goal_loss_tensor,
     goal_target,
-    gpm_forward,
     gpm_forward_batch,
     heatmap_from_logits,
     init_gpm_params,
@@ -25,7 +26,7 @@ from vista.gpm import (
     softargmax_tensor,
     ttst_sample,
 )
-from vista.model import Model, init_params
+from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
 from vista.tensor import constant
 
@@ -35,13 +36,77 @@ def heatmap_from_grid(grid, logits=None):
     return GoalHeatmap(grid=grid, agent_id=0, logits=logits)
 
 
+# The per-agent TTST that the batched ``ttst_sample`` replaced, kept verbatim
+# as the oracle: the batched sampler must reproduce it bit for bit.
+
+
+def reference_ttst_sample(
+    heatmap: GoalHeatmap, n_raw: int, k: int, seed: int, kmeans_iters: int = 50
+) -> GoalSample:
+    """Large-scale categorical sampling over cells, reduced to k goals by at
+    most ``kmeans_iters`` K-means iterations with farthest-point seeding;
+    deterministic given the seed."""
+    if not n_raw >= k >= 1:
+        raise ConfigError(f"need n_raw >= k >= 1, got n_raw={n_raw}, k={k}")
+    mass = heatmap.grid.astype(np.float64)
+    total = mass.sum()
+    if total <= 0:
+        raise DataError("ttst_sample: heatmap has no positive mass")
+    h, w = mass.shape
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(h * w, size=n_raw, p=(mass / total).reshape(-1))
+    rows, cols = np.divmod(cells, w)
+    jitter = rng.uniform(-0.5, 0.5, size=(n_raw, 2))
+    points = np.stack([cols + jitter[:, 0], rows + jitter[:, 1]], axis=1)
+
+    centers, labels = reference_kmeans(points, k, rng, max_iters=kmeans_iters)
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    weights = counts / n_raw
+    order = np.lexsort((centers[:, 1], centers[:, 0], -weights))
+    return GoalSample(goals=centers[order], weights=weights[order])
+
+
+def reference_kmeans(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int):
+    """Lloyd iterations with greedy farthest-point seeding.
+
+    Ties in seeding and assignment resolve to the lowest index; empty clusters
+    reseed to the point farthest from every current center.
+    """
+    n = len(points)
+    centers = np.empty((k, 2))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centers[j] = points[int(np.argmax(d2))]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iters):
+        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        for j in range(k):
+            mask = new_labels == j
+            if mask.any():
+                centers[j] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(dist.min(axis=1)))
+                centers[j] = points[far]
+                new_labels[far] = j
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return centers, labels
+
+
 class TestForward:
     def test_output_shape_contract(self):
         cfg = ModelConfig(t_obs=8, t_fut=12, grid=32, n_classes=3)
         params = init_params(cfg, seed=0)
         raster = uniform_raster(32, 3)
         obs = np.random.default_rng(0).uniform(2, 29, size=(8, 2))
-        hm = gpm_forward(obs, raster, params, cfg, agent_id=5)
+        logits = gpm_forward_batch(obs[None], raster, params, cfg)
+        hm = heatmap_from_logits(logits.data[0], agent_id=5)
         assert hm.grid.shape == (32, 32)
         assert hm.agent_id == 5
         assert ((hm.grid >= 0) & (hm.grid <= 1)).all()
@@ -55,7 +120,7 @@ class TestForward:
                 params[name].data = np.zeros_like(params[name].data)
         params["gpm.out.b"].data = np.array([0.3])
         obs = np.full((4, 2), 8.0)
-        hm = gpm_forward(obs, None, params, cfg)
+        hm = heatmap_from_logits(gpm_forward_batch(obs[None], None, params, cfg).data[0], 0)
         expected = 1 / (1 + math.exp(-0.3))
         np.testing.assert_allclose(hm.grid, expected, atol=1e-12)
 
@@ -143,7 +208,7 @@ class TestTTST:
     def test_single_peak_k1_centroid_near_peak(self):
         grid = np.zeros((8, 8))
         grid[5, 2] = 1.0
-        sample = ttst_sample(heatmap_from_grid(grid), n_raw=500, k=1, seed=0)
+        [sample] = ttst_sample(grid[None], n_raw=500, k=1, seeds=[0])
         assert sample.goals.shape == (1, 2)
         np.testing.assert_allclose(sample.goals[0], [2.0, 5.0], atol=0.5)
         np.testing.assert_array_equal(sample.weights, [1.0])
@@ -152,7 +217,7 @@ class TestTTST:
         grid = np.zeros((16, 16))
         grid[2, 2] = 0.5
         grid[13, 13] = 0.5
-        sample = ttst_sample(heatmap_from_grid(grid), n_raw=2000, k=2, seed=1)
+        [sample] = ttst_sample(grid[None], n_raw=2000, k=2, seeds=[1])
         goals = sample.goals[np.argsort(sample.goals[:, 0])]
         np.testing.assert_allclose(goals[0], [2.0, 2.0], atol=1.0)
         np.testing.assert_allclose(goals[1], [13.0, 13.0], atol=1.0)
@@ -160,39 +225,41 @@ class TestTTST:
 
     def test_k_equals_n_raw_uniform_weights(self):
         grid = np.ones((6, 6))
-        sample = ttst_sample(heatmap_from_grid(grid), n_raw=12, k=12, seed=3)
+        [sample] = ttst_sample(grid[None], n_raw=12, k=12, seeds=[3])
         np.testing.assert_allclose(sample.weights, np.full(12, 1 / 12), atol=1e-12)
 
     def test_deterministic_given_seed(self):
         grid = np.random.default_rng(0).uniform(size=(10, 10))
-        a = ttst_sample(heatmap_from_grid(grid), 300, 5, seed=7)
-        b = ttst_sample(heatmap_from_grid(grid), 300, 5, seed=7)
+        [a] = ttst_sample(grid[None], 300, 5, seeds=[7])
+        [b] = ttst_sample(grid[None], 300, 5, seeds=[7])
         np.testing.assert_array_equal(a.goals, b.goals)
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_goals_within_grid_bounds(self):
         grid = np.random.default_rng(1).uniform(size=(9, 9))
-        sample = ttst_sample(heatmap_from_grid(grid), 1000, 20, seed=2)
+        [sample] = ttst_sample(grid[None], 1000, 20, seeds=[2])
         assert (sample.goals >= -0.5).all() and (sample.goals <= 8.5).all()
         assert sample.weights.sum() == pytest.approx(1.0)
 
     def test_all_zero_heatmap_errors(self):
         with pytest.raises(DataError, match="no positive mass"):
-            ttst_sample(heatmap_from_grid(np.zeros((4, 4))), 100, 2, seed=0)
+            ttst_sample(np.zeros((1, 4, 4)), 100, 2, seeds=[0])
 
     def test_bad_counts(self):
         with pytest.raises(ConfigError):
-            ttst_sample(heatmap_from_grid(np.ones((4, 4))), 5, 10, seed=0)
+            ttst_sample(np.ones((1, 4, 4)), 5, 10, seeds=[0])
+        with pytest.raises(ValueError):
+            ttst_sample(np.ones((2, 4, 4)), 5, 2, seeds=[0])
 
     def test_kmeans_iters_bounds_lloyd_iterations(self):
         # On a flat heatmap the centres keep moving after the first Lloyd
         # update, so stopping after one iteration gives other goals.
-        grid = heatmap_from_grid(np.ones((16, 16)))
-        one = ttst_sample(grid, 400, 6, seed=5, kmeans_iters=1)
-        default = ttst_sample(grid, 400, 6, seed=5)
+        grids = np.ones((1, 16, 16))
+        [one] = ttst_sample(grids, 400, 6, seeds=[5], kmeans_iters=1)
+        [default] = ttst_sample(grids, 400, 6, seeds=[5])
         assert np.abs(one.goals - default.goals).max() > 1e-3
         np.testing.assert_array_equal(
-            ttst_sample(grid, 400, 6, seed=5, kmeans_iters=50).goals, default.goals
+            ttst_sample(grids, 400, 6, seeds=[5], kmeans_iters=50)[0].goals, default.goals
         )
 
     def test_model_config_kmeans_iters_reaches_sampler(self, tiny_scene):
@@ -205,6 +272,94 @@ class TestTTST:
             assert np.abs(a.goals - b.goals).max() > 1e-3
         with pytest.raises(ConfigError, match="kmeans_iters"):
             replace(cfg, kmeans_iters=0).validate()
+
+
+class TestTTSTMatchesReference:
+    SEEDS = (3, 1 << 31, 17, 123456, 9)
+
+    @staticmethod
+    def window_grids():
+        """A sharp peak, two peaks, a flat map, noise and a blob: agents
+        whose K-means settles after different numbers of iterations."""
+        peak = np.zeros((12, 12))
+        peak[3, 8] = 1.0
+        two = np.zeros((12, 12))
+        two[1, 1] = two[10, 9] = 0.5
+        yy, xx = np.mgrid[:12, :12]
+        blob = np.exp(-((xx - 6.3) ** 2 + (yy - 4.1) ** 2) / 8.0)
+        noise = np.random.default_rng(11).uniform(size=(12, 12))
+        return np.stack([peak, two, np.ones((12, 12)), noise, blob])
+
+    @pytest.mark.parametrize("kmeans_iters", [1, 50])
+    def test_every_agent_matches_reference_bitwise(self, kmeans_iters):
+        grids = self.window_grids()
+        got = ttst_sample(grids, 400, 6, list(self.SEEDS), kmeans_iters)
+        for grid, seed, sample in zip(grids, self.SEEDS, got):
+            ref = reference_ttst_sample(heatmap_from_grid(grid), 400, 6, seed, kmeans_iters)
+            np.testing.assert_array_equal(sample.goals, ref.goals)
+            np.testing.assert_array_equal(sample.weights, ref.weights)
+
+    def test_window_agents_settle_at_different_iterations(self):
+        # The premise of the bitwise test: agents leave the batched Lloyd
+        # loop at different iterations while others keep going.
+        def settled_after(grid, seed):
+            final = reference_ttst_sample(heatmap_from_grid(grid), 400, 6, seed)
+            for iters in range(1, 51):
+                early = reference_ttst_sample(heatmap_from_grid(grid), 400, 6, seed, iters)
+                if np.array_equal(early.goals, final.goals):
+                    return iters
+
+        counts = {settled_after(g, s) for g, s in zip(self.window_grids(), self.SEEDS)}
+        assert len(counts) >= 3
+
+    def test_duplicate_points_reseed_matches_reference(self):
+        # Three distinct locations, repeated: farthest-point seeding picks
+        # each once and then repeats point 0. Identical centres leave all
+        # but the lowest-index one with an empty cluster, which is reseeded.
+        # The second set has no empty cluster, so one batch mixes both paths.
+        dup = np.repeat(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 4.0]]), [7, 4, 2], axis=0)
+        spread = np.random.default_rng(0).uniform(0, 9, size=(13, 2))
+        points = np.stack([dup, spread])
+        seeds = (4, 5)
+        seeded, _ = reference_kmeans(dup.copy(), 5, np.random.default_rng(4), max_iters=0)
+        assert len(np.unique(seeded, axis=0)) == 3
+        centers, labels = gpm._kmeans(
+            points, 5, [np.random.default_rng(s) for s in seeds], max_iters=50
+        )
+        for i, seed in enumerate(seeds):
+            ref_centers, ref_labels = reference_kmeans(
+                points[i].copy(), 5, np.random.default_rng(seed), max_iters=50
+            )
+            np.testing.assert_array_equal(centers[i], ref_centers)
+            np.testing.assert_array_equal(labels[i], ref_labels)
+
+    def test_lattice_ties_match_reference(self):
+        # On a 0.1-spaced lattice many points sit (up to rounding) midway
+        # between two centres, so only the reference's exact float
+        # arithmetic for the squared distance gives the reference's labels.
+        xs, ys = np.meshgrid(np.arange(10) * 0.1 + 0.3, np.arange(10) * 0.7 + 0.1)
+        lattice = np.stack([xs.ravel(), ys.ravel()], axis=1)
+        seeds = range(6)
+        centers, labels = gpm._kmeans(
+            np.stack([lattice] * len(seeds)), 7,
+            [np.random.default_rng(s) for s in seeds], max_iters=50,
+        )
+        for i, seed in enumerate(seeds):
+            ref_centers, ref_labels = reference_kmeans(
+                lattice.copy(), 7, np.random.default_rng(seed), max_iters=50
+            )
+            np.testing.assert_array_equal(centers[i], ref_centers)
+            np.testing.assert_array_equal(labels[i], ref_labels)
+
+    def test_model_sample_goals_matches_reference(self, tiny_scene):
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)
+        model = Model.create(cfg, seed=0)
+        got = model.sample_goals(tiny_scene, 6, seed=2)
+        for heatmap, sample in zip(model.heatmaps(tiny_scene), got):
+            seed = stable_seed(2, tiny_scene.key(), heatmap.agent_id)
+            ref = reference_ttst_sample(heatmap, 400, 6, seed)
+            np.testing.assert_array_equal(sample.goals, model.to_scene(ref.goals))
+            np.testing.assert_array_equal(sample.weights, ref.weights)
 
 
 class TestGoalLoss:
