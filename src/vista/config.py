@@ -19,7 +19,6 @@ class ModelConfig:
     dec_width: int = 16
     goal_sigma: float = 1.5  # cells; spread of the BCE target heatmap
     traj_sigma: float = 1.0  # cells; spread of the trajectory input channels
-    softargmax_temperature: float = 0.1
     n_raw_samples: int = 2000
     kmeans_iters: int = 50
     raster_downsample: int = 1
@@ -45,8 +44,6 @@ class ModelConfig:
             raise ConfigError("t_obs and t_fut must be positive")
         if self.grid % 4 != 0:
             raise ConfigError(f"grid side {self.grid} must be divisible by 4")
-        if self.softargmax_temperature <= 0:
-            raise ConfigError("softargmax_temperature must be positive")
         if self.kmeans_iters < 1:
             raise ConfigError("kmeans_iters must be a positive count")
 

@@ -120,9 +120,14 @@ def _parse_track_line(line: str, lineno: int, path):
     if len(parts) != 4:
         raise DataError(f"{path}:{lineno}: expected 'frame agent x y', got {line!r}")
     try:
-        return int(float(parts[0])), int(float(parts[1])), float(parts[2]), float(parts[3])
+        frame, agent, x, y = (float(p) for p in parts)
     except ValueError:
         raise DataError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+    if not all(map(math.isfinite, (frame, agent, x, y))):
+        raise DataError(f"{path}:{lineno}: non-finite field in {line!r}")
+    if not (frame.is_integer() and agent.is_integer()):
+        raise DataError(f"{path}:{lineno}: frame and agent ids must be integers, got {line!r}")
+    return int(frame), int(agent), x, y
 
 
 def load_trajectories(

@@ -1,5 +1,5 @@
-"""Goal prediction: per-agent destination heatmaps over the scene grid,
-differentiable goal extraction, and multi-goal sampling.
+"""Goal prediction: per-agent destination heatmaps over the scene grid, the
+Gaussian targets of their training loss, and multi-goal (TTST) sampling.
 
 The heatmap head is a small encoder-decoder with skip connections (two
 2x-downsampling stages, channel widths from the config) built entirely from
@@ -15,26 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .data import SceneRaster, atomic_write, rasterize_gaussian, uniform_raster
+from .data import SceneRaster, rasterize_gaussian, uniform_raster
 from .errors import ConfigError, DataError
 from .params import ParamStore, glorot_uniform
-from .tensor import (
-    Tensor,
-    bce_with_logits_mean,
-    concat,
-    constant,
-    narrow,
-    relu,
-    scale,
-    softmax,
-)
+from .tensor import Tensor, concat, constant, narrow, relu
 
 
 @dataclass
 class GoalHeatmap:
     grid: np.ndarray  # (H, W) probabilities after sigmoid
     agent_id: int
-    logits: np.ndarray | None = None  # pre-sigmoid scores, same shape
 
 
 @dataclass
@@ -159,40 +149,16 @@ def gpm_forward_batch(
 
 
 def heatmap_from_logits(logits: np.ndarray, agent_id: int) -> GoalHeatmap:
-    probs = _sigmoid_np(logits)
-    return GoalHeatmap(grid=probs, agent_id=agent_id, logits=logits.copy())
+    """Per-cell sigmoid of one agent's (H, W) logits, stable at both tails."""
+    grid = np.empty_like(logits, dtype=np.float64)
+    pos = logits >= 0
+    grid[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+    e = np.exp(logits[~pos])
+    grid[~pos] = e / (1.0 + e)
+    return GoalHeatmap(grid=grid, agent_id=agent_id)
 
 
-def _sigmoid_np(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-# -- goal extraction --------------------------------------------------------
-
-
-def softargmax_tensor(logits: Tensor, temperature: float) -> Tensor:
-    """Differentiable (x, y) expectation over cell centers; graph-tracked."""
-    if temperature <= 0:
-        raise ConfigError(f"softargmax temperature must be positive, got {temperature}")
-    h, w = logits.shape
-    p = softmax(scale(logits.reshape((1, h * w)), 1.0 / temperature), axis=-1)
-    cols, rows = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    x = (p * constant(cols.reshape((1, h * w)))).sum(axis=-1)
-    y = (p * constant(rows.reshape((1, h * w)))).sum(axis=-1)
-    return concat([x, y], axis=0)
-
-
-def softargmax(heatmap: GoalHeatmap, temperature: float) -> np.ndarray:
-    """(x, y) soft-argmax of the pre-sigmoid scores."""
-    logits = heatmap.logits if heatmap.logits is not None else np.log(
-        np.clip(heatmap.grid, 1e-12, None)
-    )
-    return softargmax_tensor(constant(logits), temperature).data.copy()
+# -- goal sampling ---------------------------------------------------------
 
 
 def ttst_sample(
@@ -281,57 +247,10 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
     return centers, labels
 
 
-# -- loss ---------------------------------------------------------------
+# -- training target -----------------------------------------------------
 
 
 def goal_target(gt_goal, grid, sigma: float) -> np.ndarray:
     """BCE target: Gaussian at the ground-truth goal, rescaled to peak 1."""
     heat = rasterize_gaussian(gt_goal, grid, sigma)
     return heat / heat.max()
-
-
-def goal_loss_tensor(logits: Tensor, gt_goal, sigma: float) -> Tensor:
-    target = goal_target(gt_goal, logits.shape, sigma)
-    return bce_with_logits_mean(logits, constant(target))
-
-
-def goal_loss(pred: GoalHeatmap, gt_goal, sigma: float) -> float:
-    """Mean per-cell BCE between the predicted grid and the Gaussian target."""
-    target = goal_target(gt_goal, pred.grid.shape, sigma)
-    return bce_mean(pred.grid, target)
-
-
-def bce_mean(pred_probs: np.ndarray, target: np.ndarray) -> float:
-    p = np.clip(pred_probs, 1e-12, 1.0 - 1e-12)
-    return float(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean())
-
-
-# -- export ----------------------------------------------------------------
-
-
-def save_heatmap_txt(path, heatmap: GoalHeatmap):
-    """Raster text format with D=1."""
-    h, w = heatmap.grid.shape
-    body = " ".join(repr(float(v)) for v in heatmap.grid.reshape(-1))
-    atomic_write(path, f"{h} {w} 1\n{body}\n")
-
-
-def load_heatmap_txt(path) -> np.ndarray:
-    with open(path) as fh:
-        h, w, d = (int(v) for v in fh.readline().split())
-        values = np.array(fh.read().split(), dtype=np.float64)
-    if d != 1 or values.size != h * w:
-        raise DataError(f"{path}: not a D=1 heatmap raster")
-    return values.reshape(h, w)
-
-
-def save_heatmap_pgm(path, heatmap: GoalHeatmap):
-    """8-bit ASCII PGM, normalized so the peak maps to 255."""
-    grid = heatmap.grid
-    peak = grid.max()
-    levels = np.zeros_like(grid, dtype=np.int64) if peak <= 0 else np.rint(
-        grid / peak * 255
-    ).astype(np.int64)
-    h, w = grid.shape
-    rows = "\n".join(" ".join(str(v) for v in row) for row in levels)
-    atomic_write(path, f"P2\n{w} {h}\n255\n{rows}\n")

@@ -46,10 +46,6 @@ class Model:
     config: ModelConfig
     params: ParamStore
 
-    @classmethod
-    def create(cls, config: ModelConfig, seed: int = 0) -> "Model":
-        return cls(config=config, params=init_params(config, seed))
-
     # -- unit conversion ---------------------------------------------------
 
     def to_cells(self, xy):

@@ -3,7 +3,8 @@
 Checkpoint layout: the 6-byte magic ``VISTA1``, then one record per entry in
 store order: name length (u64 LE), UTF-8 name, rank (u64 LE), extents
 (u64 LE each), then the values as little-endian IEEE-754 float64. Round-trips
-are bit-exact.
+are bit-exact. Loading rejects non-finite values, except in the ``_state.``
+scalars of a training-state file.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ MAGIC = b"VISTA1"
 class ParamStore:
     """Ordered map of name -> trainable Tensor, each with a gradient slot."""
 
-    def __init__(self, version: str = "VISTA1"):
-        self.version = version
+    def __init__(self):
         self._entries: dict[str, Tensor] = {}
 
     def add(self, name: str, array) -> Tensor:
@@ -58,13 +58,6 @@ class ParamStore:
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self._entries.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]):
-        for k, t in self._entries.items():
-            t.data = values[k].copy()
-
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self._entries.values())
 
     # -- persistence -----------------------------------------------------
 
@@ -107,8 +100,11 @@ class ParamStore:
             values = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
             if name in entries:
                 raise CheckpointError(f"{path}: duplicate entry {name!r}")
+            # Training-state scalars use inf and nan for "no best value yet".
+            if not name.startswith("_state.") and not np.isfinite(values).all():
+                raise CheckpointError(f"{path}: entry {name!r} holds non-finite values")
             entries[name] = values.astype(np.float64)
-        store = cls(version=MAGIC.decode("ascii"))
+        store = cls()
         for name, arr in entries.items():
             store.add(name, arr)
         return store

@@ -29,23 +29,19 @@ class UsageError(NumericsError):
     """The engine was driven in an unsupported order (e.g. backward first)."""
 
 
-_grad_enabled = True
+_record_graph = True
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the block (pure-numpy forward speed)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    global _record_graph
+    prev = _record_graph
+    _record_graph = False
     try:
         yield
     finally:
-        _grad_enabled = prev
-
-
-def grad_enabled():
-    return _grad_enabled
+        _record_graph = prev
 
 
 _activation_trace = None
@@ -100,9 +96,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
 
@@ -153,7 +146,7 @@ def constant(x):
 
 
 def _node(data, parents, bwd, op):
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _record_graph and any(p.requires_grad for p in parents):
         return Tensor(data, True, op, tuple(parents), bwd)
     return Tensor(data, False, op)
 
@@ -401,20 +394,16 @@ def softplus(a):
     return add(relu(a), log(add(exp(scale(absa, -1.0)), constant(np.ones(a.shape, dtype=a.data.dtype)))))
 
 
-def sigmoid(a):
-    """1 / (1 + e^{-x}) via exp(-softplus(-x)); stable at both tails."""
-    return exp(scale(softplus(scale(a, -1.0)), -1.0))
-
-
-def bce_with_logits_mean(logits, targets):
-    """Mean binary cross-entropy of sigmoid(logits) against targets in [0,1].
+def bce_with_logits_mean(logits, targets, axis=None):
+    """Mean binary cross-entropy of the probabilities 1 / (1 + e^-z) of the
+    logits z against targets in [0,1], over ``axis`` (all axes by default).
 
     Uses the identity BCE = softplus(z) - t*z, which avoids forming the
     probabilities.
     """
     logits = as_tensor(logits)
     targets = as_tensor(targets)
-    return reduce_mean(sub(softplus(logits), mul(targets, logits)))
+    return reduce_mean(sub(softplus(logits), mul(targets, logits)), axis=axis)
 
 
 # -- backward pass ------------------------------------------------------

@@ -42,12 +42,6 @@ from .tensor import (
 
 
 @dataclass
-class TokenSequence:
-    tokens: Tensor  # (L, d)
-    time_indices: np.ndarray  # (L,) strictly increasing
-
-
-@dataclass
 class AttentionTrace:
     agent_ids: list
     steps: list  # one (N, N) head-averaged row-stochastic matrix per step
@@ -125,7 +119,12 @@ def embed_positions(positions, params: ParamStore, config: ModelConfig) -> Tenso
     return tokens
 
 
-def positional_terms(time_indices, params: ParamStore, config: ModelConfig) -> np.ndarray | Tensor:
+def hybrid_positional_encoding(
+    tokens: Tensor, time_indices, params: ParamStore, config: ModelConfig
+) -> Tensor:
+    """token_t + sinusoidal(t) + learnable(t) over tokens (..., L, d); the
+    per-index terms broadcast across the leading axes, and both are optional
+    toggles."""
     idx = np.asarray(time_indices, dtype=np.int64)
     if idx.min() < 0 or idx.max() > config.t_total:
         raise ConfigError(
@@ -137,37 +136,15 @@ def positional_terms(time_indices, params: ParamStore, config: ModelConfig) -> n
     if config.use_learnable_pe:
         learned = narrow(params["tpm.pe.learn"], (idx,))
         term = learned if term is None else term + learned
-    return term
-
-
-def hybrid_positional_encoding(
-    seq: TokenSequence, params: ParamStore, config: ModelConfig
-) -> TokenSequence:
-    """token_t + sinusoidal(t) + learnable(t); both terms are optional toggles."""
-    term = positional_terms(seq.time_indices, params, config)
-    tokens = seq.tokens if term is None else seq.tokens + term
-    return TokenSequence(tokens=tokens, time_indices=seq.time_indices.copy())
-
-
-def _apply_hpe_batch(tokens: Tensor, time_indices, params, config) -> Tensor:
-    """HPE over (N, L, d): the same per-index terms broadcast across agents."""
-    term = positional_terms(time_indices, params, config)
     return tokens if term is None else tokens + term
 
 
 def goal_trajectory_fusion(
-    history: TokenSequence, goal_token, params: ParamStore, config: ModelConfig
+    tokens: Tensor, goal_tokens: Tensor | None, params: ParamStore, config: ModelConfig
 ) -> Tensor:
-    """Temporal self-attention, cross-attention against the goal token, and a
-    normalized residual; returns the fused feature at the last time step."""
-    tokens = history.tokens.reshape((1,) + history.tokens.shape)
-    goal = as_tensor(goal_token).reshape((1, 1, config.d_model))
-    fused = _fusion_batch(tokens, goal, params, config)
-    return fused.reshape((config.d_model,))
-
-
-def _fusion_batch(tokens: Tensor, goal_tokens: Tensor | None, params, config) -> Tensor:
-    """Fused per-agent features: tokens (N, L, d) -> (N, d)."""
+    """Temporal self-attention over each agent's tokens (N, L, d),
+    cross-attention against its goal token (N, 1, d), and a normalized
+    residual; returns the fused (N, d) features at the last time step."""
     n, length, d = tokens.shape
     seq = tokens
     for layer in range(config.temporal_depth - 1):
@@ -292,7 +269,7 @@ def rollout(
     if goals_arr is not None:
         goal_tok = embed_positions(constant(goals_arr[..., order, :] - anchor), params, config)
         goal_tok = goal_tok.reshape((rows, 1, config.d_model))
-        goal_tokens = _apply_hpe_batch(
+        goal_tokens = hybrid_positional_encoding(
             goal_tok, np.array([config.t_total]), params, config
         )
 
@@ -305,8 +282,8 @@ def rollout(
         length = config.t_obs + step - 1
         rel = seq - anchor_c
         tokens = embed_positions(rel, params, config)
-        tokens = _apply_hpe_batch(tokens, np.arange(length), params, config)
-        fused = _fusion_batch(tokens, goal_tokens, params, config)
+        tokens = hybrid_positional_encoding(tokens, np.arange(length), params, config)
+        fused = goal_trajectory_fusion(tokens, goal_tokens, params, config)
         if lead:
             fused = fused.reshape(lead + (n, config.d_model))
         social, attn = social_attention(fused, params, config)

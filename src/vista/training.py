@@ -19,51 +19,14 @@ import numpy as np
 from .config import Config, ModelConfig, TrainConfig
 from .data import Scene, atomic_write
 from .errors import DataError, DivergenceError
-from .gpm import bce_mean, encode_gpm_input, goal_target, gpm_forward_batch
+from .gpm import encode_gpm_input, goal_target, gpm_forward_batch
 from .model import Model, init_params, stable_seed
 from .params import ParamStore
-from .tensor import backward, concat, constant, mul, reduce_mean, scale, softplus, sub
+from .tensor import backward, bce_with_logits_mean, concat, constant, scale
 from .tpm import rollout
 
 
 # -- loss -----------------------------------------------------------------
-
-
-def joint_loss(
-    goal_heatmaps,
-    gt_goals,
-    pred_trajs,
-    gt_trajs,
-    lambda_goal: float,
-    lambda_traj: float,
-    goal_sigma: float = 1.5,
-):
-    """(total, goal part, traj part) per the weighted-sum objective.
-
-    The trajectory part is the mean over agents of the mean-over-steps squared
-    l2 error; the goal part is the mean over agents of the per-agent BCE. The
-    total applies the lambdas to the per-agent sums. ``goal_heatmaps`` may be
-    None when training without goal supervision; ``gt_goals`` are grid-cell
-    coordinates aligned with the heatmaps.
-    """
-    pred = np.asarray(pred_trajs, dtype=np.float64)
-    gt = np.asarray(gt_trajs, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise DataError(f"trajectory shapes differ: {pred.shape} vs {gt.shape}")
-    sq = ((pred - gt) ** 2).sum(axis=-1)  # (N, T)
-    traj_terms = sq.mean(axis=-1)  # (N,)
-
-    goal_terms = np.zeros(0)
-    if goal_heatmaps is not None:
-        goal_terms = np.array(
-            [
-                bce_mean(h.grid, goal_target(g, h.grid.shape, goal_sigma))
-                for h, g in zip(goal_heatmaps, np.asarray(gt_goals))
-            ]
-        )
-    total = lambda_goal * goal_terms.sum() + lambda_traj * traj_terms.sum()
-    goal_part = float(goal_terms.mean()) if goal_terms.size else 0.0
-    return float(total), goal_part, float(traj_terms.mean())
 
 
 def _cached_gpm_channels(scene: Scene, obs_cells, model_cfg: ModelConfig):
@@ -104,8 +67,7 @@ def window_loss_graph(params: ParamStore, model_cfg: ModelConfig, train_cfg: Tra
                 for g in gt_goals
             ]
         )
-        per_cell = sub(softplus(logits), mul(constant(targets), logits))
-        per_agent = reduce_mean(per_cell, axis=(1, 2))
+        per_agent = bce_with_logits_mean(logits, targets, axis=(1, 2))
         goal_sum = per_agent.sum()
         goal_part = float(per_agent.data.mean())
 
@@ -473,9 +435,3 @@ def train(
     for name, arr in (best_values or params.copy_values()).items():
         best.add(name, arr)
     return best, report
-
-
-def checkpoint_roundtrip(store: ParamStore, path) -> ParamStore:
-    """Save then load; the result is bit-identical to the input."""
-    store.save(path)
-    return ParamStore.load(path)

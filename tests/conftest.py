@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from vista.config import Config, ModelConfig, TrainConfig
+from vista.config import ModelConfig
 from vista.data import ScenarioSpec, synth_generate
 from vista.model import init_params
 
@@ -31,16 +30,3 @@ def three_agent_scene():
     )
     return synth_generate(spec)[0]
 
-
-def make_config(**kwargs):
-    train_keys = {f for f in TrainConfig.__dataclass_fields__}
-    model_keys = {f for f in ModelConfig.__dataclass_fields__}
-    cfg = Config()
-    for key, value in kwargs.items():
-        if key in model_keys:
-            setattr(cfg.model, key, value)
-        elif key in train_keys:
-            setattr(cfg.train, key, value)
-        else:
-            raise KeyError(key)
-    return cfg

@@ -115,6 +115,18 @@ class TestTrain:
         ]) == 0
         assert [f for f in os.listdir(out) if f.startswith("checkpoint_")] == ["checkpoint_fold0.bin"]
 
+    def test_non_finite_coordinate_exits_4(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [f"{f} 1 {float(f)} 0.0" for f in range(7)]
+        rows[5] = "5 1 nan 0.0"
+        (data / "walk.txt").write_text("\n".join(rows) + "\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert "walk.txt:6: non-finite" in err["message"]
+
     def test_bad_config_key_exits_2_naming_key(self, synth_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[train]\nlearning_rate=0.1\n")
@@ -176,10 +188,26 @@ class TestPredict:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "CheckpointError"
 
+    def test_non_finite_checkpoint_exits_3(self, synth_dir, quick_config, tmp_path, capsys):
+        from vista.config import load_config
+        from vista.model import init_params
+
+        params = init_params(load_config(quick_config).model, seed=0)
+        params["tpm.dec.b2"].data[1] = np.inf
+        ckpt = tmp_path / "inf.bin"
+        params.save(ckpt)
+        code = main([
+            "predict", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+            "--config", str(quick_config), "--out", str(tmp_path / "p"),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CheckpointError"
+        assert "'tpm.dec.b2'" in err["message"]
+
 
 class TestEvaluate:
     def write_gt_as_predictions(self, synth_dir, out_dir, t_obs, k=3):
-        from vista.config import Config, ModelConfig
         from vista.data import load_trajectories
         from vista.tpm import PredictionSet, save_prediction_txt
 

@@ -66,6 +66,33 @@ class TestLoading:
         with pytest.raises(DataError, match="bad.txt:2"):
             load_trajectories(f)
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ("3 1 nan 0.0", "non-finite"),
+            ("3 1 0.0 inf", "non-finite"),
+            ("3 1 -inf 0.0", "non-finite"),
+            ("inf 1 0.0 0.0", "non-finite"),
+            ("nan 1 0.0 0.0", "non-finite"),
+            ("0.5 1 0.0 0.0", "frame and agent ids must be integers"),
+            ("3 1.25 0.0 0.0", "frame and agent ids must be integers"),
+        ],
+    )
+    def test_non_finite_field_or_fractional_id_rejected(self, tmp_path, bad, match):
+        rows = [f"{f} 1 {float(f)} 0.0" for f in range(20)]
+        rows[3] = bad
+        f = tmp_path / "bad.txt"
+        f.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=f"bad.txt:4: {match}"):
+            load_trajectories(f)
+
+    def test_integral_float_ids_load(self, tmp_path):
+        f = tmp_path / "trajnet.txt"
+        write_track_file(f, [(780.0 + 10 * i, 3.0, float(i), 0.5) for i in range(20)])
+        [scene] = load_trajectories(f, t_obs=8, t_fut=12)
+        assert scene.agent_ids == [3]
+        np.testing.assert_array_equal(scene.frame_ids, 780 + 10 * np.arange(20))
+
     def test_no_windows_warns(self, tmp_path):
         f = tmp_path / "short.txt"
         write_track_file(f, [(i, 1, 0.0, 0.0) for i in range(5)])

@@ -6,8 +6,8 @@ from vista.config import ModelConfig
 from vista.fdcheck import finite_difference_check
 from vista.model import init_params
 from vista.params import ParamStore
-from vista.tensor import Tensor, constant, reduce_sum
-from vista.tpm import TokenSequence, goal_trajectory_fusion
+from vista.tensor import constant, reduce_sum
+from vista.tpm import goal_trajectory_fusion
 
 
 def test_quadratic_loss_is_near_exact():
@@ -38,13 +38,12 @@ def test_goal_fusion_block_gradients():
     store.add("tpm.fusion.norm.gamma", np.ones(cfg.d_model))
     store.add("tpm.fusion.norm.beta", np.zeros(cfg.d_model))
 
-    history = rng.normal(size=(5, cfg.d_model))
-    goal = rng.normal(size=cfg.d_model)
-    target = rng.normal(size=cfg.d_model)
+    history = rng.normal(size=(1, 5, cfg.d_model))
+    goal = rng.normal(size=(1, 1, cfg.d_model))
+    target = rng.normal(size=(1, cfg.d_model))
 
     def loss():
-        seq = TokenSequence(tokens=constant(history), time_indices=np.arange(5))
-        fused = goal_trajectory_fusion(seq, constant(goal), store, cfg)
+        fused = goal_trajectory_fusion(constant(history), constant(goal), store, cfg)
         diff = fused - constant(target)
         return reduce_sum(diff * diff)
 

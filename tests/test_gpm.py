@@ -6,34 +6,25 @@ import pytest
 
 from vista import gpm
 from vista.config import ModelConfig
-from vista.data import dihedral_point, rasterize_gaussian, uniform_raster
+from vista.data import uniform_raster
 from vista.errors import ConfigError, DataError
 from vista.fdcheck import finite_difference_check
 from vista.gpm import (
     GoalHeatmap,
     GoalSample,
-    bce_mean,
-    goal_loss,
-    goal_loss_tensor,
     goal_target,
     gpm_forward_batch,
     heatmap_from_logits,
     init_gpm_params,
-    load_heatmap_txt,
-    save_heatmap_pgm,
-    save_heatmap_txt,
-    softargmax,
-    softargmax_tensor,
     ttst_sample,
 )
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
-from vista.tensor import constant
+from vista.tensor import bce_with_logits_mean
 
 
-def heatmap_from_grid(grid, logits=None):
-    grid = np.asarray(grid, dtype=np.float64)
-    return GoalHeatmap(grid=grid, agent_id=0, logits=logits)
+def heatmap_from_grid(grid):
+    return GoalHeatmap(grid=np.asarray(grid, dtype=np.float64), agent_id=0)
 
 
 # The per-agent TTST that the batched ``ttst_sample`` replaced, kept verbatim
@@ -124,6 +115,11 @@ class TestForward:
         expected = 1 / (1 + math.exp(-0.3))
         np.testing.assert_allclose(hm.grid, expected, atol=1e-12)
 
+    def test_sigmoid_matches_closed_form(self):
+        z = np.linspace(-30, 30, 101)
+        hm = heatmap_from_logits(z.reshape(1, -1), agent_id=0)
+        np.testing.assert_allclose(hm.grid[0], 1 / (1 + np.exp(-z)), rtol=1e-12)
+
     def test_bce_gradient_matches_finite_differences(self, tiny_model_config):
         cfg = tiny_model_config
         rng = np.random.default_rng(2)
@@ -134,7 +130,8 @@ class TestForward:
 
         def loss():
             logits = gpm_forward_batch(obs, None, store, cfg)
-            return goal_loss_tensor(logits[0], goal, cfg.goal_sigma)
+            target = goal_target(goal, logits.shape[1:], cfg.goal_sigma)
+            return bce_with_logits_mean(logits[0], target)
 
         err = finite_difference_check(store, loss, epsilon=1e-5, max_coords_per_param=4, seed=0)
         assert err < 1e-4
@@ -144,64 +141,6 @@ class TestForward:
         params = init_params(cfg, seed=0)
         with pytest.raises(ConfigError):
             gpm_forward_batch(np.zeros((1, 4, 2)), uniform_raster(10), params, cfg)
-
-
-class TestSoftargmax:
-    def test_uniform_heatmap_gives_exact_centroid(self):
-        logits = np.zeros((5, 7))
-        out = softargmax(heatmap_from_grid(np.ones((5, 7)), logits), 1.0)
-        np.testing.assert_allclose(out, [3.0, 2.0], atol=1e-9)
-
-    def test_delta_limit_hits_peak_cell_center(self):
-        logits = np.zeros((6, 6))
-        logits[2, 4] = 1.0
-        out = softargmax(heatmap_from_grid(np.zeros((6, 6)), logits), 1e-3)
-        np.testing.assert_allclose(out, [4.0, 2.0], atol=1e-6)
-
-    def test_two_equal_peaks_give_midpoint(self):
-        logits = np.zeros((5, 5))
-        logits[0, 0] = 3.0
-        logits[0, 4] = 3.0
-        out = softargmax(heatmap_from_grid(np.zeros((5, 5)), logits), 0.01)
-        np.testing.assert_allclose(out, [2.0, 0.0], atol=1e-9)
-
-    def test_commutes_with_dihedral_transforms(self):
-        rng = np.random.default_rng(4)
-        logits = rng.normal(size=(9, 9))
-        base = softargmax(heatmap_from_grid(np.zeros((9, 9)), logits), 0.5)
-        for tid in range(8):
-            moved = logits
-            for _ in range(tid % 4):
-                moved = np.rot90(moved, k=1, axes=(0, 1))
-            if tid >= 4:
-                moved = moved[:, ::-1]
-            got = softargmax(heatmap_from_grid(np.zeros((9, 9)), np.ascontiguousarray(moved)), 0.5)
-            np.testing.assert_allclose(got, dihedral_point(base, tid, 9), atol=1e-9)
-
-    def test_high_temperature_converges_to_centroid(self):
-        rng = np.random.default_rng(5)
-        logits = rng.normal(size=(6, 6))
-        centroid = np.array([2.5, 2.5])
-        dist = []
-        for temp in (1.0, 10.0, 100.0, 1e4):
-            out = softargmax(heatmap_from_grid(np.zeros((6, 6)), logits), temp)
-            dist.append(np.linalg.norm(out - centroid))
-        assert all(d2 < d1 + 1e-12 for d1, d2 in zip(dist, dist[1:]))
-        assert dist[-1] < 1e-3
-
-    def test_gradient_flows(self):
-        from vista.tensor import backward, reduce_sum
-
-        logits = constant(np.random.default_rng(0).normal(size=(4, 4)).copy())
-        logits.requires_grad = True
-        out = softargmax_tensor(logits, 0.5)
-        backward(reduce_sum(out))
-        assert logits.grad is not None
-        assert np.abs(logits.grad).max() > 0
-
-    def test_nonpositive_temperature(self):
-        with pytest.raises(ConfigError):
-            softargmax(heatmap_from_grid(np.ones((3, 3)), np.zeros((3, 3))), 0.0)
 
 
 class TestTTST:
@@ -264,7 +203,7 @@ class TestTTST:
 
     def test_model_config_kmeans_iters_reaches_sampler(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)
-        model = Model.create(cfg, seed=0)
+        model = Model(cfg, init_params(cfg, seed=0))
         short = Model(replace(cfg, kmeans_iters=1), model.params)
         full_goals = model.sample_goals(tiny_scene, 6, seed=2)
         short_goals = short.sample_goals(tiny_scene, 6, seed=2)
@@ -353,7 +292,7 @@ class TestTTSTMatchesReference:
 
     def test_model_sample_goals_matches_reference(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)
-        model = Model.create(cfg, seed=0)
+        model = Model(cfg, init_params(cfg, seed=0))
         got = model.sample_goals(tiny_scene, 6, seed=2)
         for heatmap, sample in zip(model.heatmaps(tiny_scene), got):
             seed = stable_seed(2, tiny_scene.key(), heatmap.agent_id)
@@ -362,45 +301,42 @@ class TestTTSTMatchesReference:
             np.testing.assert_array_equal(sample.weights, ref.weights)
 
 
+def logit(p):
+    return np.log(p) - np.log1p(-p)
+
+
 class TestGoalLoss:
+    """The goal BCE of ``window_loss_graph``: ``bce_with_logits_mean`` against
+    the ``goal_target`` heatmap."""
+
     def test_self_target_is_entropy_floor(self):
-        target = goal_target((2.1, 1.4), (6, 6), sigma=1.5)
-        hm = heatmap_from_grid(target)
-        floor = bce_mean(target, target)
-        assert goal_loss(hm, (2.1, 1.4), 1.5) == pytest.approx(floor, rel=1e-12)
+        target = 0.05 + 0.9 * goal_target((2.1, 1.4), (6, 6), sigma=1.5)
+        floor = -(target * np.log(target) + (1 - target) * np.log1p(-target)).mean()
+        at_target = bce_with_logits_mean(logit(target), target).item()
+        assert at_target == pytest.approx(floor, rel=1e-12)
+        moved = logit(target) + np.random.default_rng(0).normal(scale=0.1, size=(6, 6))
+        assert bce_with_logits_mean(moved, target).item() > at_target
 
     def test_flipped_prediction_is_worse_than_floor(self):
-        target = goal_target((2.1, 1.4), (6, 6), sigma=1.5)
-        floor = bce_mean(target, target)
-        worse = bce_mean(1.0 - target, target)
+        target = 0.05 + 0.9 * goal_target((2.1, 1.4), (6, 6), sigma=1.5)
+        floor = bce_with_logits_mean(logit(target), target).item()
+        worse = bce_with_logits_mean(logit(1.0 - target), target).item()
         assert worse > floor
 
     def test_hand_two_by_two_case(self):
         pred = np.array([[0.9, 0.1], [0.1, 0.1]])
         target = np.array([[1.0, 0.0], [0.0, 0.0]])
         expected = -(math.log(0.9) + 3 * math.log(0.9)) / 4
-        assert bce_mean(pred, target) == pytest.approx(expected, rel=1e-12)
+        assert bce_with_logits_mean(logit(pred), target).item() == pytest.approx(expected, rel=1e-12)
+        # axis=(1, 2) gives one mean per stacked map, as window_loss_graph uses it.
+        per_map = bce_with_logits_mean(
+            np.stack([logit(pred), logit(1.0 - pred)]), np.stack([target, target]), axis=(1, 2)
+        ).data
+        assert per_map.shape == (2,)
+        assert per_map[0] == pytest.approx(expected, rel=1e-12)
+        assert per_map[1] == pytest.approx(-(math.log(0.1) + 3 * math.log(0.1)) / 4, rel=1e-12)
 
     def test_target_peak_is_one(self):
         target = goal_target((3.0, 3.0), (8, 8), sigma=1.5)
         assert target.max() == pytest.approx(1.0)
         assert target.min() > 0
-
-
-class TestExports:
-    def test_txt_roundtrip(self, tmp_path):
-        grid = np.random.default_rng(0).uniform(size=(5, 4))
-        path = tmp_path / "h.txt"
-        save_heatmap_txt(path, heatmap_from_grid(grid))
-        np.testing.assert_array_equal(load_heatmap_txt(path), grid)
-
-    def test_pgm_structure(self, tmp_path):
-        grid = np.array([[0.0, 0.5], [1.0, 0.25]])
-        path = tmp_path / "h.pgm"
-        save_heatmap_pgm(path, heatmap_from_grid(grid))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "P2"
-        assert lines[1] == "2 2"
-        assert lines[2] == "255"
-        assert lines[3].split() == ["0", "128"]
-        assert lines[4].split() == ["255", "64"]

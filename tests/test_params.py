@@ -51,6 +51,28 @@ def test_bad_magic(tmp_path):
         ParamStore.load(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_rejected_by_name(tmp_path, bad):
+    store = random_store()
+    store["alpha.b"].data[2] = bad
+    path = tmp_path / "ckpt.bin"
+    store.save(path)
+    with pytest.raises(CheckpointError, match="'alpha.b' holds non-finite"):
+        ParamStore.load(path)
+
+
+def test_training_state_scalars_may_be_non_finite(tmp_path):
+    # The schedulers start from inf ("no best yet") and nan ("no first epoch").
+    store = random_store()
+    store.add("_state.stop_best", np.array([np.inf]))
+    store.add("_state.first_total", np.array([np.nan]))
+    path = tmp_path / "state.bin"
+    store.save(path)
+    loaded = ParamStore.load(path)
+    assert loaded["_state.stop_best"].data[0] == np.inf
+    assert np.isnan(loaded["_state.first_total"].data[0])
+
+
 def test_duplicate_name_rejected():
     store = ParamStore()
     store.add("w", np.zeros(2))

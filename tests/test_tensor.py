@@ -11,13 +11,11 @@ from vista.tensor import (
     backward,
     bce_with_logits_mean,
     concat,
-    constant,
     layer_norm,
     no_grad,
     reduce_mean,
     reduce_sum,
     relu,
-    sigmoid,
     sinusoidal_table,
     softmax,
     softplus,
@@ -152,11 +150,6 @@ class TestComposites:
         out = softplus(Tensor([-1000.0, 0.0, 1000.0]))
         np.testing.assert_allclose(out.data, [0.0, np.log(2.0), 1000.0], atol=1e-12)
         assert np.isfinite(out.data).all()
-
-    def test_sigmoid_matches_closed_form(self):
-        z = np.linspace(-30, 30, 101)
-        out = sigmoid(Tensor(z))
-        np.testing.assert_allclose(out.data, 1 / (1 + np.exp(-z)), rtol=1e-12)
 
     def test_bce_with_logits_matches_direct(self):
         rng = np.random.default_rng(11)

@@ -5,15 +5,13 @@ import pytest
 
 from vista.attention import multi_head_attention
 from vista.config import ModelConfig
-from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
+from vista.data import AgentTrack, Scene
 from vista.errors import AlignmentError, ConfigError, DataError, DivergenceError
-from vista.model import Model, init_params
+from vista.model import init_params
 from vista.params import ParamStore
-from vista.tensor import backward, constant, layer_norm, no_grad, reduce_sum, sinusoidal_table
+from vista.tensor import backward, constant, layer_norm, reduce_sum
 from vista.tpm import (
-    TokenSequence,
     decode_step,
-    embed_positions,
     goal_trajectory_fusion,
     hybrid_positional_encoding,
     load_prediction_txt,
@@ -47,42 +45,40 @@ def params(cfg):
 class TestHybridPositionalEncoding:
     def test_zero_token_at_t0_is_sin_cos_row(self, cfg, params):
         params["tpm.pe.learn"].data[:] = 0.0
-        seq = TokenSequence(tokens=constant(np.zeros((1, cfg.d_model))), time_indices=np.array([0]))
-        out = hybrid_positional_encoding(seq, params, cfg)
+        tokens = constant(np.zeros((1, 1, cfg.d_model)))
+        out = hybrid_positional_encoding(tokens, np.array([0]), params, cfg)
         expected = np.tile([0.0, 1.0], cfg.d_model // 2)
-        np.testing.assert_allclose(out.tokens.data[0], expected, atol=1e-15)
+        np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-15)
 
     def test_equal_tokens_at_different_times_differ(self, cfg, params):
-        seq = TokenSequence(tokens=constant(np.ones((2, cfg.d_model))), time_indices=np.array([0, 5]))
-        out = hybrid_positional_encoding(seq, params, cfg)
-        assert np.abs(out.tokens.data[0] - out.tokens.data[1]).max() > 1e-6
+        tokens = constant(np.ones((1, 2, cfg.d_model)))
+        out = hybrid_positional_encoding(tokens, np.array([0, 5]), params, cfg)
+        assert np.abs(out.data[0, 0] - out.data[0, 1]).max() > 1e-6
 
     def test_additivity(self, cfg, params):
+        # Two agents share the per-index terms.
         rng = np.random.default_rng(0)
-        e = rng.normal(size=(3, cfg.d_model))
+        e = rng.normal(size=(2, 3, cfg.d_model))
         idx = np.array([1, 2, 6])
-        with_e = hybrid_positional_encoding(
-            TokenSequence(constant(e), idx), params, cfg
-        ).tokens.data
+        with_e = hybrid_positional_encoding(constant(e), idx, params, cfg).data
         with_zero = hybrid_positional_encoding(
-            TokenSequence(constant(np.zeros_like(e)), idx), params, cfg
-        ).tokens.data
+            constant(np.zeros_like(e)), idx, params, cfg
+        ).data
         np.testing.assert_allclose(with_e - with_zero, e, atol=1e-12)
+        np.testing.assert_array_equal(with_zero[0], with_zero[1])
 
     def test_index_out_of_table_range(self, cfg, params):
-        seq = TokenSequence(constant(np.zeros((1, cfg.d_model))), np.array([cfg.t_total + 1]))
+        tokens = constant(np.zeros((1, 1, cfg.d_model)))
         with pytest.raises(ConfigError, match="range"):
-            hybrid_positional_encoding(seq, params, cfg)
+            hybrid_positional_encoding(tokens, np.array([cfg.t_total + 1]), params, cfg)
 
     def test_toggles_remove_terms(self, cfg):
         rng = np.random.default_rng(1)
         bare_cfg = replace(cfg, use_fixed_pe=False, use_learnable_pe=False)
         params = init_params(bare_cfg, seed=0)
-        e = rng.normal(size=(2, cfg.d_model))
-        out = hybrid_positional_encoding(
-            TokenSequence(constant(e), np.array([0, 3])), params, bare_cfg
-        )
-        np.testing.assert_array_equal(out.tokens.data, e)
+        e = rng.normal(size=(1, 2, cfg.d_model))
+        out = hybrid_positional_encoding(constant(e), np.array([0, 3]), params, bare_cfg)
+        np.testing.assert_array_equal(out.data, e)
 
 
 class TestFusion:
@@ -91,8 +87,9 @@ class TestFusion:
         history = rng.normal(size=(5, cfg.d_model))
         goal = rng.normal(size=cfg.d_model)
         fused = goal_trajectory_fusion(
-            TokenSequence(constant(history), np.arange(5)), constant(goal), params, cfg
+            constant(history[None]), constant(goal.reshape(1, 1, -1)), params, cfg
         )
+        assert fused.shape == (1, cfg.d_model)
 
         h = constant(history)
         t_seq, _ = multi_head_attention(h, h, h, cfg.n_heads, params, "tpm.fusion.self0")
@@ -105,7 +102,7 @@ class TestFusion:
         normed = layer_norm(z).data[0] * params["tpm.fusion.norm.gamma"].data + params[
             "tpm.fusion.norm.beta"
         ].data
-        np.testing.assert_allclose(fused.data, normed + t_last, atol=1e-12)
+        np.testing.assert_allclose(fused.data[0], normed + t_last, atol=1e-12)
 
     def test_single_history_token_self_attends_fully(self, cfg, params):
         token = np.random.default_rng(4).normal(size=(1, cfg.d_model))
@@ -117,12 +114,10 @@ class TestFusion:
 
     def test_goal_gradient_is_nonzero(self, cfg, params):
         rng = np.random.default_rng(5)
-        history = rng.normal(size=(4, cfg.d_model))
-        goal = constant(rng.normal(size=cfg.d_model))
+        history = rng.normal(size=(1, 4, cfg.d_model))
+        goal = constant(rng.normal(size=(1, 1, cfg.d_model)))
         goal.requires_grad = True
-        fused = goal_trajectory_fusion(
-            TokenSequence(constant(history), np.arange(4)), goal, params, cfg
-        )
+        fused = goal_trajectory_fusion(constant(history), goal, params, cfg)
         backward(reduce_sum(fused * fused))
         assert goal.grad is not None
         assert np.abs(goal.grad).max() > 1e-8

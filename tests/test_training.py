@@ -1,26 +1,19 @@
-import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from vista.config import Config, ModelConfig, TrainConfig
-from vista.data import ScenarioSpec, synth_generate
+from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
 from vista.errors import DivergenceError
-from vista.gpm import goal_target, heatmap_from_logits
-from vista.model import Model, init_params
+from vista.model import init_params
 from vista.params import ParamStore
 from vista.tensor import backward
 from vista.training import (
     Adam,
     EarlyStopper,
     PlateauHalver,
-    checkpoint_roundtrip,
-    joint_loss,
     train,
     window_loss_graph,
 )
-from conftest import make_config
 
 
 def small_dataset(n_windows=4, seed=9, t_fut=3):
@@ -40,30 +33,62 @@ def small_config(**overrides):
     return cfg
 
 
+def still_scene(offset=(0.0, 0.0), t_obs=4, t_fut=3):
+    """Three agents that stand still while observed; their future is the last
+    observed position moved by ``offset``."""
+    starts = np.array([[1.0, 2.0], [5.0, 7.0], [9.0, 3.0]])
+    frames = np.arange(t_obs + t_fut)
+    tracks = []
+    for agent, start in enumerate(starts):
+        positions = np.repeat(start[None], len(frames), axis=0)
+        positions[t_obs:] += offset
+        tracks.append(AgentTrack(agent, positions, frames))
+    return Scene("still", tracks)
+
+
+def zero_decoder(params):
+    for name in ("tpm.dec.w1", "tpm.dec.b1", "tpm.dec.w2", "tpm.dec.b2"):
+        params[name].data = np.zeros_like(params[name].data)
+    return params
+
+
 class TestJointLoss:
+    """With a zero decoder every agent stays at its last observed position."""
+
     def test_exact_prediction_gives_zero_traj_part(self):
-        gt = np.random.default_rng(0).normal(size=(3, 5, 2))
-        total, goal_part, traj_part = joint_loss(None, None, gt, gt, 1e3, 1.0)
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, use_goal=False)
+        params = zero_decoder(init_params(cfg, seed=0))
+        total, goal_part, traj_part = window_loss_graph(
+            params, cfg, TrainConfig(lambda_goal=1e3, lambda_traj=1.0), still_scene()
+        )
         assert traj_part == 0.0
-        assert total == 0.0
+        assert goal_part == 0.0
+        assert total.item() == 0.0
 
     def test_constant_offset_three_four_gives_25(self):
-        gt = np.zeros((2, 6, 2))
-        pred = gt + np.array([3.0, 4.0])
-        total, _, traj_part = joint_loss(None, None, pred, gt, 0.0, 1.0)
-        assert traj_part == pytest.approx(25.0)
-        assert total == pytest.approx(2 * 25.0)  # sum over agents
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = zero_decoder(init_params(cfg, seed=0))
+        total, _, traj_part = window_loss_graph(
+            params, cfg, TrainConfig(lambda_goal=0.0, lambda_traj=1.0), still_scene((3.0, 4.0))
+        )
+        assert traj_part == 25.0
+        assert total.item() == 3 * 25.0  # sum over agents
 
-    def test_lambda_goal_zero_drops_goal_term(self):
-        rng = np.random.default_rng(1)
-        gt = rng.normal(size=(2, 4, 2))
-        pred = gt + 1.0
-        logits = rng.normal(size=(2, 8, 8))
-        heatmaps = [heatmap_from_logits(l, i) for i, l in enumerate(logits)]
-        goals = rng.uniform(1, 6, size=(2, 2))
-        total0, goal_part, traj_part = joint_loss(heatmaps, goals, pred, gt, 0.0, 2.0)
+    def test_lambda_goal_zero_drops_goal_term(self, tiny_scene):
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = init_params(cfg, seed=0)
+        n = tiny_scene.n_agents
+        total0, goal_part0, traj_part = window_loss_graph(
+            params, cfg, TrainConfig(lambda_goal=0.0, lambda_traj=2.0), tiny_scene
+        )
+        assert goal_part0 == 0.0
+        assert total0.item() == pytest.approx(2.0 * n * traj_part, rel=1e-12)
+        total, goal_part, traj_part1 = window_loss_graph(
+            params, cfg, TrainConfig(lambda_goal=1e3, lambda_traj=2.0), tiny_scene
+        )
         assert goal_part > 0
-        assert total0 == pytest.approx(2.0 * 2 * traj_part)
+        assert traj_part1 == traj_part
+        assert total.item() == pytest.approx(1e3 * n * goal_part + 2.0 * n * traj_part, rel=1e-12)
 
 
 class TestGradientStructure:
@@ -253,7 +278,8 @@ class TestTrainLoop:
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
     params = init_params(cfg, seed=3)
-    loaded = checkpoint_roundtrip(params, tmp_path / "ck.bin")
+    params.save(tmp_path / "ck.bin")
+    loaded = ParamStore.load(tmp_path / "ck.bin")
     assert loaded.names() == params.names()
     for name in params.names():
         np.testing.assert_array_equal(loaded[name].data, params[name].data)
