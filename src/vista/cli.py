@@ -205,12 +205,7 @@ def _load_scenes(args, cfg: Config, data_attr="data"):
     data_path = getattr(args, data_attr)
     stride = cfg.data.stride if cfg.data.stride > 0 else None
     scenes = load_trajectories(
-        data_path,
-        t_obs=cfg.model.t_obs,
-        t_fut=cfg.model.t_fut,
-        stride=stride,
-        time_jitter=cfg.data.time_jitter,
-        jitter_seed=cfg.train.seed,
+        data_path, t_obs=cfg.model.t_obs, t_fut=cfg.model.t_fut, stride=stride
     )
     raster_dir = getattr(args, "raster_dir", None)
     if raster_dir:
@@ -417,7 +412,7 @@ def cmd_evaluate(args) -> int:
         except ValueError:
             raise ConfigError(f"--epsilon must be 'auto' or a number, got {args.epsilon!r}") from None
     miss = args.miss_threshold if args.miss_threshold is not None else cfg.eval.miss_threshold
-    report = evaluate_windows(evals, epsilon, miss_threshold=miss, cr_mode=cfg.eval.cr_mode)
+    report = evaluate_windows(evals, epsilon, miss_threshold=miss)
 
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "metrics.json")

@@ -21,15 +21,11 @@ class ModelConfig:
     traj_sigma: float = 1.0  # cells; spread of the trajectory input channels
     n_raw_samples: int = 2000
     kmeans_iters: int = 50
-    raster_downsample: int = 1
     embed_bias: bool = True
-    anchor_coordinates: bool = True
     use_goal: bool = True
     use_social: bool = True
     use_fixed_pe: bool = True
     use_learnable_pe: bool = True
-    temporal_depth: int = 1
-    social_depth: int = 1
 
     @property
     def t_total(self) -> int:
@@ -78,15 +74,12 @@ class TrainConfig:
 @dataclass
 class DataConfig:
     stride: int = 0  # 0 means use t_fut
-    time_jitter: int = 0
     val_ratio: float = 0.2  # share of train windows held out for validation
 
 
 @dataclass
 class EvalConfig:
-    k: int = 20
     miss_threshold: float = 2.0
-    cr_mode: str = "per-sample-mean"
 
 
 @dataclass

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .config import _coerce
+from .errors import ConfigError, DataError
 
 SCENARIOS = ("constant-velocity", "crossing", "group", "diverge", "head-on-avoid")
 
@@ -135,16 +136,14 @@ def load_trajectories(
     t_obs: int = 8,
     t_fut: int = 12,
     stride: int | None = None,
-    time_jitter: int = 0,
-    jitter_seed: int = 0,
 ) -> list[Scene]:
     """Read trajnet-style text files into complete sliding windows.
 
     ``path`` may be a single file or a directory of ``*.txt`` files; the file
     stem becomes the scene_id. Windows have length t_obs + t_fut and stride
-    ``stride`` (default t_fut); an agent joins a window only when present at
-    every frame of it. ``time_jitter`` adds that many extra randomly offset
-    window starts per base window (off by default).
+    ``stride`` (default t_fut), starting at the first frame; an agent joins a
+    window only when present at every frame of it. Scenes are numbered by
+    window within each scene_id, in file order.
     """
     if stride is None:
         stride = t_fut
@@ -162,9 +161,7 @@ def load_trajectories(
 
     scenes = []
     for f in files:
-        scenes.extend(
-            _windows_from_file(f, t_obs + t_fut, stride, time_jitter, jitter_seed)
-        )
+        scenes.extend(_windows_from_file(f, t_obs + t_fut, stride))
     counters: dict[str, int] = {}
     for scene in scenes:
         scene.window_index = counters.get(scene.scene_id, 0)
@@ -174,7 +171,7 @@ def load_trajectories(
     return scenes
 
 
-def _windows_from_file(path, span, stride, time_jitter, jitter_seed):
+def _windows_from_file(path, span, stride):
     records = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -195,15 +192,8 @@ def _windows_from_file(path, span, stride, time_jitter, jitter_seed):
     # Files named "<scene>__<part>.txt" group into one scene_id.
     stem = os.path.splitext(os.path.basename(path))[0].split("__")[0]
 
-    starts = list(range(0, len(grid) - span + 1, stride))
-    if time_jitter > 0 and starts:
-        rng = np.random.default_rng(jitter_seed)
-        max_start = len(grid) - span
-        extra = sorted(set(int(v) for v in rng.integers(0, max_start + 1, size=time_jitter * len(starts))))
-        starts = sorted(set(starts) | set(extra))
-
     scenes = []
-    for w_idx, s in enumerate(starts):
+    for w_idx, s in enumerate(range(0, len(grid) - span + 1, stride)):
         window = grid[s : s + span]
         tracks = []
         for a in agents:
@@ -238,11 +228,13 @@ def atomic_write(path, content):
 def load_raster(path) -> SceneRaster:
     """Raster text format: header 'H W D', then H*W*D reals, class-fastest."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise DataError(f"{path}: raster header must be 'H W D'")
-        h, w, d = (int(v) for v in header)
-        values = np.array(fh.read().split(), dtype=np.float64)
+        try:
+            h, w, d = (int(v) for v in fh.readline().split())
+            values = np.array(fh.read().split(), dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{path}: expected 'H W D' integers, then reals ({exc})") from None
+    if min(h, w, d) < 1:
+        raise DataError(f"{path}: raster sides must be positive, got {h} {w} {d}")
     if values.size != h * w * d:
         raise DataError(f"{path}: expected {h * w * d} raster values, got {values.size}")
     return SceneRaster(values.reshape(h, w, d))
@@ -305,24 +297,6 @@ def dihedral_point(xy, transform_id: int, side: int) -> np.ndarray:
         x = side - 1 - x
     out = np.stack([x, y], axis=-1)
     return out
-
-
-def compose_dihedral(a: int, b: int) -> int:
-    """Index c with T_c = T_a o T_b (first b, then a)."""
-    probes = np.array([[0.125, 0.375], [0.875, 0.25]])
-    side = 2
-    target = dihedral_point(dihedral_point(probes, b, side), a, side)
-    for c in range(8):
-        if np.allclose(dihedral_point(probes, c, side), target, atol=1e-12):
-            return c
-    raise AssertionError("dihedral composition escaped the group")
-
-
-def inverse_dihedral(transform_id: int) -> int:
-    for inv in range(8):
-        if compose_dihedral(inv, transform_id) == 0:
-            return inv
-    raise AssertionError("unreachable")
 
 
 def augment_dihedral(scene: Scene, transform_id: int, grid_side: int | None = None) -> Scene:
@@ -395,35 +369,23 @@ class ScenarioSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioSpec":
-        """Parse 'key=value' lines (scenario, n_agents, speed, margin, seed, ...)."""
-        kwargs = {}
+        """Parse 'key=value' lines (scenario, n_agents, speed, margin, seed, ...).
+
+        Values are coerced as in a config file; a bad line, key or value is a
+        ConfigError naming it."""
+        parsed = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise DataError(f"scenario spec line {lineno}: expected key=value")
+                raise ConfigError(f"scenario spec line {lineno}: expected key=value")
             key, value = (p.strip() for p in line.split("=", 1))
-            kwargs[key] = value
-        return cls.from_mapping(kwargs)
-
-    @classmethod
-    def from_mapping(cls, kwargs) -> "ScenarioSpec":
-        parsed = {}
-        for key, value in kwargs.items():
             if key not in cls.__dataclass_fields__:
-                raise DataError(f"unknown scenario key: {key}")
-            f = cls.__dataclass_fields__[key]
-            if f.type in ("int", int):
-                parsed[key] = int(value)
-            elif f.type in ("float", float):
-                parsed[key] = float(value)
-            elif f.type in ("bool", bool):
-                parsed[key] = value in (True, "true", "1", "yes")
-            else:
-                parsed[key] = value
+                raise ConfigError(f"unknown scenario key: {key}")
+            parsed[key] = _coerce("scenario", key, value, cls.__dataclass_fields__[key].type)
         if "scenario" not in parsed:
-            raise DataError("scenario spec must name a scenario")
+            raise ConfigError("scenario spec must name a scenario")
         return cls(**parsed)
 
 

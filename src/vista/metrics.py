@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .data import Scene, atomic_write
+from .data import Scene, atomic_write, min_pairwise_distance
 from .errors import DataError
 
 
@@ -133,16 +133,7 @@ def calibrate_epsilon(scenes) -> float:
     The infimum runs over all co-observed timesteps and agent pairs of every
     scene (full windows, observation and future alike).
     """
-    best = math.inf
-    for scene in scenes:
-        pos = scene.positions()
-        n = pos.shape[0]
-        if n < 2:
-            continue
-        diff = pos[:, None, :, :] - pos[None, :, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        iu = np.triu_indices(n, k=1)
-        best = min(best, float(dist[iu].min()))
+    best = min((min_pairwise_distance(scene) for scene in scenes), default=math.inf)
     if not math.isfinite(best):
         raise DataError("epsilon calibration needs at least one scene with two co-present agents")
     return best - 1e-9
@@ -213,12 +204,13 @@ def miss_rate(ev: EvalInput, threshold: float) -> float:
 # -- aggregation and reporting --------------------------------------------------
 
 
-def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0, cr_mode: str = "per-sample-mean") -> dict:
+def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0) -> dict:
     """Aggregate per-window metrics over a dataset.
 
     Per-agent-mean metrics pool agents across windows; AUC (a sum over
     agents) adds up; collision rates pool (pair, step) events by weighting
-    each window with its N(N-1)T count.
+    each window with its N(N-1)T count. ``cr`` is the per-sample-mean rate
+    ``cr_mean``; ``cr_best`` scores each window's best sample.
     """
     if not evals:
         raise DataError("no evaluation windows")
@@ -252,7 +244,7 @@ def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0, cr_mode
         warnings.warn("no window has two co-present agents; collision rates are 0")
         cr_mean = cr_best = 0.0
 
-    report = {
+    return {
         "ade": pooled(ade),
         "fde": pooled(fde),
         "min_ade": pooled(min_ade_k),
@@ -260,6 +252,7 @@ def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0, cr_mode
         "auc": auc_total,
         "auc_mean": auc_total / float(agents.sum()),
         "auc_curve": [float(v) for v in curve_total],
+        "cr": cr_mean,
         "cr_mean": cr_mean,
         "cr_best": cr_best,
         "kde_nll": pooled(lambda e: kde_nll(e)) if k >= 2 else None,
@@ -268,11 +261,6 @@ def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0, cr_mode
         "n_agents": int(agents.sum()),
         "n_scenes": len(evals),
     }
-    if cr_mode == "best-sample":
-        report["cr"] = report["cr_best"]
-    else:
-        report["cr"] = report["cr_mean"]
-    return report
 
 
 def save_report_json(path, report: dict):

@@ -1,6 +1,7 @@
 """Model facade: parameter initialization and the prediction pipeline
-(goal heatmaps -> sampled goals -> multimodal rollouts) with the
-scene-unit <-> grid-cell conversion in one place."""
+(goal heatmaps -> sampled goals -> multimodal rollouts). Scene units are
+raster cells, so positions and goals pass between the goal and trajectory
+modules unconverted."""
 
 from __future__ import annotations
 
@@ -46,16 +47,6 @@ class Model:
     config: ModelConfig
     params: ParamStore
 
-    # -- unit conversion ---------------------------------------------------
-
-    def to_cells(self, xy):
-        return np.asarray(xy, dtype=np.float64) / self.config.raster_downsample
-
-    def to_scene(self, xy):
-        return np.asarray(xy, dtype=np.float64) * self.config.raster_downsample
-
-    # -- pipeline ----------------------------------------------------------
-
     def gt_goals(self, scene: Scene) -> np.ndarray:
         """Final ground-truth position per agent, scene units."""
         return scene.positions()[:, -1, :].copy()
@@ -63,7 +54,7 @@ class Model:
     def heatmaps(self, scene: Scene) -> list[GoalHeatmap]:
         if not self.config.use_goal:
             raise ConfigError("goal conditioning is disabled in this configuration")
-        obs = self.to_cells(scene.positions()[:, : self.config.t_obs, :])
+        obs = scene.positions()[:, : self.config.t_obs, :]
         with no_grad():
             logits = gpm_forward_batch(obs, scene.raster, self.params, self.config)
         return [
@@ -72,13 +63,12 @@ class Model:
         ]
 
     def sample_goals(self, scene: Scene, k: int, seed: int) -> list[GoalSample]:
-        """TTST goals per agent, converted back to scene units; each agent's
-        sampler is seeded from (seed, scene key, agent_id)."""
+        """TTST goals per agent; each agent's sampler is seeded from
+        (seed, scene key, agent_id)."""
         heatmaps = self.heatmaps(scene)
         grids = np.stack([hm.grid for hm in heatmaps])
         seeds = [stable_seed(seed, scene.key(), hm.agent_id) for hm in heatmaps]
-        samples = ttst_sample(grids, self.config.n_raw_samples, k, seeds, self.config.kmeans_iters)
-        return [GoalSample(goals=self.to_scene(gs.goals), weights=gs.weights) for gs in samples]
+        return ttst_sample(grids, self.config.n_raw_samples, k, seeds, self.config.kmeans_iters)
 
     def predict(
         self, scene: Scene, k: int, seed: int, capture_trace: bool = False

@@ -9,10 +9,9 @@ all k goal samples as B=k. At every prediction step the full sequence so far
 (observations plus own predictions) is re-embedded, so gradients flow
 through the model's own feedback. Agents are processed in a canonical order
 (sorted by agent_id) internally and restored to input order on output, which
-makes permutation equivariance exact at the bit level. When
-``anchor_coordinates`` is on, positions and goals are embedded relative to
-the mean of the agents' last observed positions, making predictions
-translation-equivariant.
+makes permutation equivariance exact at the bit level. Positions and goals
+are embedded relative to the mean of the agents' last observed positions,
+making predictions translation-equivariant.
 """
 
 from __future__ import annotations
@@ -93,15 +92,13 @@ def init_tpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Gener
         store.add("tpm.embed.b", np.zeros(d))
     if config.use_learnable_pe:
         store.add("tpm.pe.learn", np.zeros((config.t_total + 1, d)))
-    for layer in range(config.temporal_depth):
-        init_mha_params(store, f"tpm.fusion.self{layer}", d, rng)
+    init_mha_params(store, "tpm.fusion.self0", d, rng)
     if config.use_goal:
         init_mha_params(store, "tpm.fusion.cross", d, rng)
         store.add("tpm.fusion.norm.gamma", np.ones(d))
         store.add("tpm.fusion.norm.beta", np.zeros(d))
     if config.use_social:
-        for layer in range(config.social_depth):
-            init_mha_params(store, f"tpm.social{layer}", d, rng)
+        init_mha_params(store, "tpm.social0", d, rng)
     store.add("tpm.dec.w1", glorot_uniform(rng, d, d, (d, d)))
     store.add("tpm.dec.b1", np.zeros(d))
     store.add("tpm.dec.w2", glorot_uniform(rng, d, 2, (d, 2)))
@@ -144,19 +141,14 @@ def goal_trajectory_fusion(
 ) -> Tensor:
     """Temporal self-attention over each agent's tokens (N, L, d),
     cross-attention against its goal token (N, 1, d), and a normalized
-    residual; returns the fused (N, d) features at the last time step."""
+    residual; returns the fused (N, d) features at the last time step.
+
+    Only the last time step feeds the decoder, so the temporal layer queries
+    just that row."""
     n, length, d = tokens.shape
-    seq = tokens
-    for layer in range(config.temporal_depth - 1):
-        seq, _ = multi_head_attention(
-            seq, seq, seq, config.n_heads, params, f"tpm.fusion.self{layer}"
-        )
-    # Only the last time step feeds the decoder, so the outermost layer
-    # queries just that row.
-    query = narrow(seq, (slice(None), slice(length - 1, length)))
+    query = narrow(tokens, (slice(None), slice(length - 1, length)))
     t_last, _ = multi_head_attention(
-        query, seq, seq, config.n_heads, params,
-        f"tpm.fusion.self{config.temporal_depth - 1}",
+        query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
     )
     if not config.use_goal or goal_tokens is None:
         return t_last.reshape((n, d))
@@ -172,19 +164,16 @@ def social_attention(features, params: ParamStore, config: ModelConfig):
 
     ``features`` is (N, d) or (B, N, d); agents attend within their batch
     row. Returns the updated features and the head-averaged ([B,] N, N)
-    attention matrix of the last social layer.
+    attention matrix.
     """
     feats = as_tensor(features)
     n = feats.shape[-2]
     if not config.use_social:
         return feats, np.broadcast_to(np.eye(n), feats.shape[:-1] + (n,))
-    attn = None
-    for layer in range(config.social_depth):
-        feats, heads = multi_head_attention(
-            feats, feats, feats, config.n_heads, params, f"tpm.social{layer}"
-        )
-        attn = heads.mean(axis=0)
-    return feats, attn
+    out, heads = multi_head_attention(
+        feats, feats, feats, config.n_heads, params, "tpm.social0"
+    )
+    return out, heads.mean(axis=0)
 
 
 def decode_step(feature, last_pos, params: ParamStore):
@@ -204,11 +193,6 @@ def decode_step(feature, last_pos, params: ParamStore):
 
 def _canonical_order(agent_ids):
     return np.argsort(np.asarray(agent_ids, dtype=np.int64), kind="stable")
-
-
-def shared_anchor(obs: np.ndarray) -> np.ndarray:
-    """Mean of the agents' last observed positions, in canonical row order."""
-    return obs[:, -1, :].mean(axis=0)
 
 
 def rollout(
@@ -258,7 +242,7 @@ def rollout(
     order = _canonical_order(agent_ids)
     inverse = np.argsort(order)
     obs_c = obs[order]
-    anchor = shared_anchor(obs_c) if config.anchor_coordinates else np.zeros(2)
+    anchor = obs_c[:, -1, :].mean(axis=0)  # shared by all agents, canonical order
     anchor_c = constant(anchor)
 
     # Every matmul keeps the per-row operand shape of an unbatched rollout
@@ -373,18 +357,23 @@ def save_prediction_txt(path, scene: Scene, pred: PredictionSet, t_obs: int):
 
 
 def load_prediction_txt(path):
-    """Returns {(sample_id, frame_id, agent_id): (x, y)} plus sorted key sets."""
+    """Returns {(sample_id, frame_id, agent_id): (x, y)}, one entry per line."""
     records = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts:
                 continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise DataError(f"{path}:{lineno}: expected 'sample frame agent x y'")
-            j, f, a = int(parts[0]), int(parts[1]), int(parts[2])
-            records[(j, f, a)] = (float(parts[3]), float(parts[4]))
+            try:
+                j, f, a, x, y = parts
+                key, xy = (int(j), int(f), int(a)), (float(x), float(y))
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: expected 'sample frame agent x y', got {raw.strip()!r}"
+                ) from None
+            if key in records:
+                raise DataError(f"{path}:{lineno}: duplicate record for (sample, frame, agent) = {key}")
+            records[key] = xy
     return records
 
 

@@ -29,12 +29,12 @@ from .tpm import rollout
 # -- loss -----------------------------------------------------------------
 
 
-def _cached_gpm_channels(scene: Scene, obs_cells, model_cfg: ModelConfig):
+def _cached_gpm_channels(scene: Scene, obs, model_cfg: ModelConfig):
     """Input encodings are pure per-window constants; cache them on the scene."""
-    key = (model_cfg.t_obs, model_cfg.traj_sigma, model_cfg.raster_downsample, model_cfg.n_classes)
+    key = (model_cfg.t_obs, model_cfg.traj_sigma, model_cfg.n_classes)
     cached = getattr(scene, "_gpm_channels", None)
     if cached is None or cached[0] != key:
-        channels = encode_gpm_input(obs_cells, scene.raster, model_cfg)
+        channels = encode_gpm_input(obs, scene.raster, model_cfg)
         scene._gpm_channels = (key, channels)
         return channels
     return cached[1]
@@ -55,17 +55,13 @@ def window_loss_graph(params: ParamStore, model_cfg: ModelConfig, train_cfg: Tra
     goal_sum = None
     goal_part = 0.0
     if model_cfg.use_goal and train_cfg.lambda_goal != 0.0:
-        ds = model_cfg.raster_downsample
-        obs_cells = positions[:, : model_cfg.t_obs, :] / ds
+        obs = positions[:, : model_cfg.t_obs, :]
         logits = gpm_forward_batch(
-            obs_cells, scene.raster, params, model_cfg,
-            channels=_cached_gpm_channels(scene, obs_cells, model_cfg),
+            obs, scene.raster, params, model_cfg,
+            channels=_cached_gpm_channels(scene, obs, model_cfg),
         )
         targets = np.stack(
-            [
-                goal_target(g / ds, logits.shape[1:], model_cfg.goal_sigma)
-                for g in gt_goals
-            ]
+            [goal_target(g, logits.shape[1:], model_cfg.goal_sigma) for g in gt_goals]
         )
         per_agent = bce_with_logits_mean(logits, targets, axis=(1, 2))
         goal_sum = per_agent.sum()

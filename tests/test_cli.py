@@ -51,6 +51,17 @@ class TestSynth:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
 
+    @pytest.mark.parametrize("line", ["speed=fast", "randomize=ture"])
+    def test_malformed_spec_value_exits_2_naming_key(self, tmp_path, capsys, line):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"scenario=crossing\n{line}\n")
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert line.split("=")[0] in err["message"]
+        assert not (tmp_path / "x").exists()
+
     def test_mirrors_generator_examples(self, tmp_path):
         out = tmp_path / "cv"
         assert main([
@@ -71,6 +82,29 @@ class TestPrintConfig:
         assert "lambda_goal=1000.0" in out
         assert "plateau_patience=30" in out
         assert "early_stop_patience=75" in out
+
+
+REMOVED_KEYS = [
+    ("model", "temporal_depth", "2"),
+    ("model", "social_depth", "2"),
+    ("model", "anchor_coordinates", "false"),
+    ("model", "raster_downsample", "2"),
+    ("data", "time_jitter", "1"),
+    ("eval", "k", "5"),
+    ("eval", "cr_mode", "best-sample"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
+def test_removed_config_key_exits_2(tmp_path, capsys, section, key, value):
+    assert main(["--print-config"]) == 0
+    assert f"\n{key}=" not in capsys.readouterr().out
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"[{section}]\n{key}={value}\n")
+    code = main(["train", "--data", str(tmp_path), "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == f"unknown config key [{section}] {key}"
 
 
 class TestTrain:
@@ -126,6 +160,26 @@ class TestTrain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
         assert "walk.txt:6: non-finite" in err["message"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 x 1\n1.0 1.0\n", "expected 'H W D' integers, then reals (invalid literal"),
+            ("1 2 1\n1.0 abc\n", "expected 'H W D' integers, then reals (could not convert"),
+            ("-1 -2 1\n0.5 0.5\n", "raster sides must be positive"),
+        ],
+        ids=["header", "value", "negative_side"],
+    )
+    def test_malformed_raster_exits_4(self, synth_dir, quick_config, tmp_path, capsys, text, message):
+        (synth_dir / "rasters" / "crossing.txt").write_text(text)
+        code = main([
+            "train", "--data", str(synth_dir), "--raster-dir", str(synth_dir / "rasters"),
+            "--config", str(quick_config), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert f"crossing.txt: {message}" in err["message"]
 
     def test_bad_config_key_exits_2_naming_key(self, synth_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -268,6 +322,30 @@ class TestEvaluate:
         assert err["error"] == "AlignmentError"
         assert re.search(r"\(sample, frame, agent\)", err["message"])
 
+
+    @pytest.mark.parametrize("edit", ["non_numeric", "duplicate"])
+    def test_malformed_prediction_file_exits_4_naming_line(self, synth_dir, quick_config, tmp_path, capsys, edit):
+        pred_dir = tmp_path / "preds"
+        scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
+        victim = pred_dir / f"pred_{scenes[0].scene_id}__w000.txt"
+        lines = victim.read_text().splitlines()
+        if edit == "non_numeric":
+            lines[4] = "x " + lines[4].split(" ", 1)[1]
+            lineno = 5
+        else:
+            lines.append(lines[0])
+            lineno = len(lines)
+        victim.write_text("\n".join(lines) + "\n")
+        code = main([
+            "evaluate", "--pred", str(pred_dir), "--gt", str(synth_dir),
+            "--config", str(quick_config), "--out", str(tmp_path / "m"),
+        ])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert f"{victim}:{lineno}: " in err["message"]
+        if edit == "duplicate":
+            assert "duplicate record" in err["message"]
 
     @pytest.mark.parametrize("edit", ["missing", "extra", "id_beyond_int64"])
     def test_alignment_error_names_first_mismatch(self, synth_dir, tmp_path, edit):

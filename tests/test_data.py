@@ -11,9 +11,7 @@ from vista.data import (
     Scene,
     SceneRaster,
     augment_dihedral,
-    compose_dihedral,
     dihedral_point,
-    inverse_dihedral,
     load_raster,
     load_trajectories,
     min_pairwise_distance,
@@ -25,7 +23,7 @@ from vista.data import (
     synth_generate,
     uniform_raster,
 )
-from vista.errors import DataError
+from vista.errors import ConfigError, DataError
 
 
 def write_track_file(path, rows):
@@ -187,6 +185,24 @@ class TestGaussianRasterization:
             rasterize_gaussian((0, 0), (4, 4), sigma=0.0)
 
 
+def compose_dihedral(a: int, b: int) -> int:
+    """Index c with T_c = T_a o T_b (first b, then a)."""
+    probes = np.array([[0.125, 0.375], [0.875, 0.25]])
+    side = 2
+    target = dihedral_point(dihedral_point(probes, b, side), a, side)
+    for c in range(8):
+        if np.allclose(dihedral_point(probes, c, side), target, atol=1e-12):
+            return c
+    raise AssertionError("dihedral composition escaped the group")
+
+
+def inverse_dihedral(transform_id: int) -> int:
+    for inv in range(8):
+        if compose_dihedral(inv, transform_id) == 0:
+            return inv
+    raise AssertionError("unreachable")
+
+
 class TestDihedral:
     def test_identity(self):
         pts = np.array([[1.25, 3.5], [0.0, 4.0]])
@@ -306,7 +322,7 @@ class TestSynthetic:
         assert spec.seed == 3
 
     def test_spec_rejects_unknown_key(self):
-        with pytest.raises(DataError, match="unknown scenario key"):
+        with pytest.raises(ConfigError, match="unknown scenario key"):
             ScenarioSpec.from_text("scenario=group\nwarp=9\n")
 
 
