@@ -1,6 +1,6 @@
 """Recursive goal-conditioned multi-agent trajectory forecasting.
 
-Goal heatmaps over a scene grid, goal-trajectory cross-attention fusion,
+Goal heatmaps over a scene grid, goal-trajectory fusion,
 social-token attention with exportable pairwise attention maps, recursive
 displacement decoding, joint training, and a full evaluation-metric suite,
 all on a small self-contained reverse-mode tensor engine.

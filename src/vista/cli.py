@@ -101,9 +101,10 @@ def _build_parser():
     p = sub.add_parser("synth", help="generate synthetic scenario files")
     p.add_argument("--scenario", required=False)
     p.add_argument("--spec", help="key=value scenario spec file")
-    p.add_argument("--n", type=int, default=2, help="number of agents")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--windows", type=int, default=1)
+    # A flag left unset keeps the --spec file's value (or ScenarioSpec's default).
+    p.add_argument("--n", type=int, default=None, help="number of agents")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--windows", type=int, default=None)
     p.add_argument("--speed", type=float, default=None)
     p.add_argument("--margin", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)
@@ -238,17 +239,11 @@ def cmd_synth(args) -> int:
         spec = ScenarioSpec(scenario=args.scenario)
     if args.scenario:
         spec.scenario = args.scenario
-    spec.n_agents = args.n if args.n is not None else spec.n_agents
-    spec.seed = args.seed
-    spec.n_windows = args.windows
-    if args.speed is not None:
-        spec.speed = args.speed
-    if args.margin is not None:
-        spec.margin = args.margin
-    if args.grid is not None:
-        spec.grid = args.grid
-    if args.frames is not None:
-        spec.n_frames = args.frames
+    overrides = {"n": "n_agents", "seed": "seed", "windows": "n_windows", "speed": "speed",
+                 "margin": "margin", "grid": "grid", "frames": "n_frames"}
+    for flag, field in overrides.items():
+        if getattr(args, flag) is not None:
+            setattr(spec, field, getattr(args, flag))
     if args.randomize:
         spec.randomize = True
 
@@ -444,11 +439,7 @@ def cmd_render(args) -> int:
         records = load_prediction_txt(path)
         k = len({j for j, _, _ in records})
         traj = prediction_array(records, scene.agent_ids, scene.frame_ids[cfg.model.t_obs :], k)
-        pred = PredictionSet(
-            agent_ids=list(scene.agent_ids),
-            trajectories=traj,
-            goal_indices=np.tile(np.arange(k), (scene.n_agents, 1)),
-        )
+        pred = PredictionSet(agent_ids=list(scene.agent_ids), trajectories=traj)
         out = os.path.join(args.out_svg, f"scene_{scene.scene_id}__w{scene.window_index:03d}.svg")
         write_svg(out, render_scene_svg(scene, pred, cfg.model.t_obs))
         outputs.append(out)

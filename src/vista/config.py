@@ -21,11 +21,8 @@ class ModelConfig:
     traj_sigma: float = 1.0  # cells; spread of the trajectory input channels
     n_raw_samples: int = 2000
     kmeans_iters: int = 50
-    embed_bias: bool = True
     use_goal: bool = True
     use_social: bool = True
-    use_fixed_pe: bool = True
-    use_learnable_pe: bool = True
 
     @property
     def t_total(self) -> int:

@@ -1,6 +1,9 @@
 """Recursive trajectory decoding: hybrid positional encoding, goal-trajectory
-cross-attention fusion, social attention across agents, and displacement
-decoding with attention-trace capture.
+fusion, social attention across agents, and displacement decoding with
+attention-trace capture.
+
+The fusion's cross-attention to a single goal token is exactly a linear goal
+term (``goal_feature``), computed once per rollout and added at every step.
 
 ``rollout`` is the one recursion. It decodes a scene's N agents under B goal
 sets at once, as a (B, N) batch in one stacked graph: training and
@@ -61,7 +64,6 @@ class AttentionTrace:
 class PredictionSet:
     agent_ids: list
     trajectories: np.ndarray  # (N, k, T_fut, 2) in scene units
-    goal_indices: np.ndarray  # (N, k) source goal index per trajectory
     traces: list | None = None  # AttentionTrace per sample index
 
     @property
@@ -88,12 +90,13 @@ class RolloutResult:
 def init_tpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Generator):
     d = config.d_model
     store.add("tpm.embed.w", glorot_uniform(rng, 2, d, (2, d)))
-    if config.embed_bias:
-        store.add("tpm.embed.b", np.zeros(d))
-    if config.use_learnable_pe:
-        store.add("tpm.pe.learn", np.zeros((config.t_total + 1, d)))
+    store.add("tpm.embed.b", np.zeros(d))
+    store.add("tpm.pe.learn", np.zeros((config.t_total + 1, d)))
     init_mha_params(store, "tpm.fusion.self0", d, rng)
     if config.use_goal:
+        # goal_feature reads only wv, bv, wo and bo. wq, bq and wk stay in the
+        # store, unread, so checkpoints keep their parameter names and the
+        # draws that follow keep their order.
         init_mha_params(store, "tpm.fusion.cross", d, rng)
         store.add("tpm.fusion.norm.gamma", np.ones(d))
         store.add("tpm.fusion.norm.beta", np.zeros(d))
@@ -108,40 +111,42 @@ def init_tpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Gener
 # -- building blocks -------------------------------------------------------
 
 
-def embed_positions(positions, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Linear map of (..., 2) coordinates into the token space."""
-    tokens = matmul(as_tensor(positions), params["tpm.embed.w"])
-    if config.embed_bias:
-        tokens = tokens + params["tpm.embed.b"]
-    return tokens
+def embed_positions(positions, params: ParamStore) -> Tensor:
+    """Affine map of (..., 2) coordinates into the token space."""
+    return matmul(as_tensor(positions), params["tpm.embed.w"]) + params["tpm.embed.b"]
 
 
 def hybrid_positional_encoding(
     tokens: Tensor, time_indices, params: ParamStore, config: ModelConfig
 ) -> Tensor:
     """token_t + sinusoidal(t) + learnable(t) over tokens (..., L, d); the
-    per-index terms broadcast across the leading axes, and both are optional
-    toggles."""
+    per-index terms broadcast across the leading axes."""
     idx = np.asarray(time_indices, dtype=np.int64)
     if idx.min() < 0 or idx.max() > config.t_total:
         raise ConfigError(
             f"time index out of positional-table range 0..{config.t_total}: {idx}"
         )
-    term = None
-    if config.use_fixed_pe:
-        term = constant(sinusoidal_table(config.t_total + 1, config.d_model)[idx])
-    if config.use_learnable_pe:
-        learned = narrow(params["tpm.pe.learn"], (idx,))
-        term = learned if term is None else term + learned
-    return tokens if term is None else tokens + term
+    fixed = constant(sinusoidal_table(config.t_total + 1, config.d_model)[idx])
+    return tokens + (fixed + narrow(params["tpm.pe.learn"], (idx,)))
+
+
+def goal_feature(goal_tokens: Tensor, params: ParamStore) -> Tensor:
+    """The normalized goal term of the fusion for goal tokens (N, 1, d).
+
+    This is the cross-attention of ``tpm.fusion.cross`` from any query to
+    the one goal token: its softmax weight is exactly 1.0, so the output is
+    the value/output path alone, bit for bit."""
+    value = matmul(goal_tokens, params["tpm.fusion.cross.wv"]) + params["tpm.fusion.cross.bv"]
+    out = matmul(value, params["tpm.fusion.cross.wo"]) + params["tpm.fusion.cross.bo"]
+    return layer_norm(out) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
 
 
 def goal_trajectory_fusion(
-    tokens: Tensor, goal_tokens: Tensor | None, params: ParamStore, config: ModelConfig
+    tokens: Tensor, goal: Tensor | None, params: ParamStore, config: ModelConfig
 ) -> Tensor:
-    """Temporal self-attention over each agent's tokens (N, L, d),
-    cross-attention against its goal token (N, 1, d), and a normalized
-    residual; returns the fused (N, d) features at the last time step.
+    """Temporal self-attention over each agent's tokens (N, L, d) plus the
+    ``goal_feature`` term (N, 1, d) as a residual; returns the fused (N, d)
+    features at the last time step.
 
     Only the last time step feeds the decoder, so the temporal layer queries
     just that row."""
@@ -150,13 +155,8 @@ def goal_trajectory_fusion(
     t_last, _ = multi_head_attention(
         query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
     )
-    if not config.use_goal or goal_tokens is None:
-        return t_last.reshape((n, d))
-    z_last, _ = multi_head_attention(
-        t_last, goal_tokens, goal_tokens, config.n_heads, params, "tpm.fusion.cross"
-    )
-    normed = layer_norm(z_last) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
-    return (normed + t_last).reshape((n, d))
+    fused = t_last if goal is None else goal + t_last
+    return fused.reshape((n, d))
 
 
 def social_attention(features, params: ParamStore, config: ModelConfig):
@@ -249,12 +249,13 @@ def rollout(
     # (numpy runs stacked matmuls one inner matrix at a time), so batch row
     # j repeats the arithmetic of an unbatched rollout of goals[j], and an
     # unbatched rollout records the same graph as before batching existed.
-    goal_tokens = None
+    goal = None
     if goals_arr is not None:
-        goal_tok = embed_positions(constant(goals_arr[..., order, :] - anchor), params, config)
+        goal_tok = embed_positions(constant(goals_arr[..., order, :] - anchor), params)
         goal_tok = goal_tok.reshape((rows, 1, config.d_model))
-        goal_tokens = hybrid_positional_encoding(
-            goal_tok, np.array([config.t_total]), params, config
+        goal = goal_feature(
+            hybrid_positional_encoding(goal_tok, np.array([config.t_total]), params, config),
+            params,
         )
 
     obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
@@ -265,9 +266,9 @@ def rollout(
         seq = parts[0] if len(parts) == 1 else concat(parts, axis=1)
         length = config.t_obs + step - 1
         rel = seq - anchor_c
-        tokens = embed_positions(rel, params, config)
+        tokens = embed_positions(rel, params)
         tokens = hybrid_positional_encoding(tokens, np.arange(length), params, config)
-        fused = goal_trajectory_fusion(tokens, goal_tokens, params, config)
+        fused = goal_trajectory_fusion(tokens, goal, params, config)
         if lead:
             fused = fused.reshape(lead + (n, config.d_model))
         social, attn = social_attention(fused, params, config)
@@ -314,12 +315,10 @@ def predict_multimodal(
     every agent, giving k rollouts total (not k^N), run as one batch of k.
     Without goal conditioning the k samples coincide, so one rollout is
     repeated k times."""
-    n = scene.n_agents
     if config.use_goal:
         ks = {gs.k for gs in goal_samples}
-        if len(goal_samples) != n or len(ks) != 1:
+        if len(goal_samples) != scene.n_agents or len(ks) != 1:
             raise DataError(f"need one GoalSample with a common k per agent, got k's {ks}")
-        k = ks.pop()
         goals = np.stack([gs.goals for gs in goal_samples], axis=1)  # (k, N, 2)
         result = rollout(scene, goals, params, config, capture_trace=capture_trace)
         trajs = result.trajectories.transpose(1, 0, 2, 3)
@@ -332,7 +331,6 @@ def predict_multimodal(
     return PredictionSet(
         agent_ids=list(scene.agent_ids),
         trajectories=trajs,
-        goal_indices=np.tile(np.arange(k), (n, 1)),
         traces=traces,
     )
 
@@ -342,7 +340,7 @@ def predict_multimodal(
 
 def save_trace_json(path, trace: AttentionTrace, scene_id: str, sample_index: int, t_obs: int):
     obj = trace.to_json_obj(scene_id, sample_index, t_obs)
-    atomic_write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    atomic_write(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
 def save_prediction_txt(path, scene: Scene, pred: PredictionSet, t_obs: int):

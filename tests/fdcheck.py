@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import ParamStore
-from .tensor import backward, record_activations
+from vista.params import ParamStore
+from vista.tensor import backward, record_activations
 
 
 def finite_difference_check(

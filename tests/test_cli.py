@@ -62,6 +62,17 @@ class TestSynth:
         assert line.split("=")[0] in err["message"]
         assert not (tmp_path / "x").exists()
 
+    def test_spec_values_kept_when_flags_unset(self, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("scenario=crossing\nn_agents=4\nseed=5\nn_windows=3\n")
+        out = tmp_path / "x"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        windows = sorted(out.glob("crossing__w*.txt"))
+        assert len(windows) == 3
+        for path in windows:
+            assert len({line.split()[1] for line in path.read_text().splitlines()}) == 4
+        assert json.loads((out / "manifest_synth.json").read_text())["seed"] == 5
+
     def test_mirrors_generator_examples(self, tmp_path):
         out = tmp_path / "cv"
         assert main([
@@ -92,6 +103,9 @@ REMOVED_KEYS = [
     ("data", "time_jitter", "1"),
     ("eval", "k", "5"),
     ("eval", "cr_mode", "best-sample"),
+    ("model", "embed_bias", "false"),
+    ("model", "use_fixed_pe", "false"),
+    ("model", "use_learnable_pe", "false"),
 ]
 
 
@@ -270,9 +284,7 @@ class TestEvaluate:
         for scene in scenes:
             gt = scene.positions()[:, t_obs:, :]
             pred = PredictionSet(
-                agent_ids=list(scene.agent_ids),
-                trajectories=np.repeat(gt[:, None], k, axis=1),
-                goal_indices=np.tile(np.arange(k), (scene.n_agents, 1)),
+                agent_ids=list(scene.agent_ids), trajectories=np.repeat(gt[:, None], k, axis=1)
             )
             save_prediction_txt(
                 os.path.join(out_dir, f"pred_{scene.scene_id}__w{scene.window_index:03d}.txt"),

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from fdcheck import finite_difference_check
+
 from vista.attention import init_mha_params
 from vista.config import ModelConfig
-from vista.fdcheck import finite_difference_check
 from vista.model import init_params
 from vista.params import ParamStore
 from vista.tensor import constant, reduce_sum
-from vista.tpm import goal_trajectory_fusion
+from vista.tpm import goal_feature, goal_trajectory_fusion
 
 
 def test_quadratic_loss_is_near_exact():
@@ -43,12 +44,19 @@ def test_goal_fusion_block_gradients():
     target = rng.normal(size=(1, cfg.d_model))
 
     def loss():
-        fused = goal_trajectory_fusion(constant(history), constant(goal), store, cfg)
+        goal_term = goal_feature(constant(goal), store)
+        fused = goal_trajectory_fusion(constant(history), goal_term, store, cfg)
         diff = fused - constant(target)
         return reduce_sum(diff * diff)
 
     err = finite_difference_check(store, loss, epsilon=1e-5, seed=3)
     assert err < 1e-4
+    # The check leaves the analytic gradients in the store: the loss must
+    # reach every parameter of the goal term.
+    reached = ["tpm.fusion.cross." + w for w in ("wv", "bv", "wo", "bo")]
+    reached += ["tpm.fusion.norm.gamma", "tpm.fusion.norm.beta"]
+    for name in reached:
+        assert np.abs(store[name].grad).max() > 0, name
 
 
 def test_full_joint_loss_three_agent_scene(three_agent_scene):

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fdcheck import finite_difference_check
+
 from vista import gpm
 from vista.config import ModelConfig
 from vista.data import uniform_raster
 from vista.errors import ConfigError, DataError
-from vista.fdcheck import finite_difference_check
 from vista.gpm import (
     GoalHeatmap,
     GoalSample,

@@ -3,15 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vista import tpm
 from vista.attention import multi_head_attention
-from vista.config import ModelConfig
-from vista.data import AgentTrack, Scene
+from vista.cli import main
+from vista.config import ModelConfig, TrainConfig
+from vista.data import AgentTrack, Scene, save_trajectories
 from vista.errors import AlignmentError, ConfigError, DataError, DivergenceError
 from vista.model import init_params
 from vista.params import ParamStore
-from vista.tensor import backward, constant, layer_norm, reduce_sum
+from vista.tensor import backward, constant, layer_norm, narrow, reduce_sum
 from vista.tpm import (
     decode_step,
+    goal_feature,
     goal_trajectory_fusion,
     hybrid_positional_encoding,
     load_prediction_txt,
@@ -22,6 +25,7 @@ from vista.tpm import (
     save_trace_json,
     social_attention,
 )
+from vista.training import window_loss_graph
 
 
 def scene_from_positions(positions, agent_ids=None):
@@ -72,37 +76,63 @@ class TestHybridPositionalEncoding:
         with pytest.raises(ConfigError, match="range"):
             hybrid_positional_encoding(tokens, np.array([cfg.t_total + 1]), params, cfg)
 
-    def test_toggles_remove_terms(self, cfg):
-        rng = np.random.default_rng(1)
-        bare_cfg = replace(cfg, use_fixed_pe=False, use_learnable_pe=False)
-        params = init_params(bare_cfg, seed=0)
-        e = rng.normal(size=(1, 2, cfg.d_model))
-        out = hybrid_positional_encoding(constant(e), np.array([0, 3]), params, bare_cfg)
-        np.testing.assert_array_equal(out.data, e)
+
+def per_step_fusion(tokens, goal_tokens, params, config):
+    """The fusion before ``goal_feature``: the one-key cross-attention to
+    the goal token and its layer norm, rebuilt at every rollout step."""
+    n, length, d = tokens.shape
+    query = narrow(tokens, (slice(None), slice(length - 1, length)))
+    t_last, _ = multi_head_attention(
+        query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
+    )
+    if goal_tokens is None:
+        return t_last.reshape((n, d))
+    z_last, _ = multi_head_attention(
+        t_last, goal_tokens, goal_tokens, config.n_heads, params, "tpm.fusion.cross"
+    )
+    normed = layer_norm(z_last) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
+    return (normed + t_last).reshape((n, d))
 
 
 class TestFusion:
     def test_matches_block_composition(self, cfg, params):
         rng = np.random.default_rng(3)
-        history = rng.normal(size=(5, cfg.d_model))
-        goal = rng.normal(size=cfg.d_model)
-        fused = goal_trajectory_fusion(
-            constant(history[None]), constant(goal.reshape(1, 1, -1)), params, cfg
-        )
+        history = constant(rng.normal(size=(1, 5, cfg.d_model)))
+        goal = constant(rng.normal(size=(1, 1, cfg.d_model)))
+        fused = goal_trajectory_fusion(history, goal_feature(goal, params), params, cfg)
         assert fused.shape == (1, cfg.d_model)
 
-        h = constant(history)
-        t_seq, _ = multi_head_attention(h, h, h, cfg.n_heads, params, "tpm.fusion.self0")
-        t_last = t_seq.data[-1]
-        g = constant(goal.reshape(1, -1))
-        z, cross_attn = multi_head_attention(
-            constant(t_last.reshape(1, -1)), g, g, cfg.n_heads, params, "tpm.fusion.cross"
+        query = constant(history.data[:, -1:])
+        t_last, _ = multi_head_attention(
+            query, history, history, cfg.n_heads, params, "tpm.fusion.self0"
         )
-        np.testing.assert_array_equal(cross_attn, np.ones((cfg.n_heads, 1, 1)))
-        normed = layer_norm(z).data[0] * params["tpm.fusion.norm.gamma"].data + params[
+        z, cross_attn = multi_head_attention(
+            t_last, goal, goal, cfg.n_heads, params, "tpm.fusion.cross"
+        )
+        np.testing.assert_array_equal(cross_attn, np.ones((cfg.n_heads, 1, 1, 1)))
+        normed = layer_norm(z).data * params["tpm.fusion.norm.gamma"].data + params[
             "tpm.fusion.norm.beta"
         ].data
-        np.testing.assert_allclose(fused.data[0], normed + t_last, atol=1e-12)
+        np.testing.assert_array_equal(fused.data, (normed + t_last.data).reshape(1, -1))
+
+    def test_hoisted_goal_term_matches_per_step_fusion(self, three_agent_scene, monkeypatch):
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = init_params(cfg, seed=2)
+        tcfg = TrainConfig()
+
+        def loss_and_grads():
+            params.zero_grad()
+            total, _, _ = window_loss_graph(params, cfg, tcfg, three_agent_scene)
+            backward(total)
+            return total.item(), {n: params[n].grad.copy() for n in params.names()}
+
+        total, grads = loss_and_grads()
+        monkeypatch.setattr(tpm, "goal_feature", lambda goal_tokens, params: goal_tokens)
+        monkeypatch.setattr(tpm, "goal_trajectory_fusion", per_step_fusion)
+        ref_total, ref_grads = loss_and_grads()
+        assert total == ref_total
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
 
     def test_single_history_token_self_attends_fully(self, cfg, params):
         token = np.random.default_rng(4).normal(size=(1, cfg.d_model))
@@ -117,7 +147,7 @@ class TestFusion:
         history = rng.normal(size=(1, 4, cfg.d_model))
         goal = constant(rng.normal(size=(1, 1, cfg.d_model)))
         goal.requires_grad = True
-        fused = goal_trajectory_fusion(constant(history), goal, params, cfg)
+        fused = goal_trajectory_fusion(constant(history), goal_feature(goal, params), params, cfg)
         backward(reduce_sum(fused * fused))
         assert goal.grad is not None
         assert np.abs(goal.grad).max() > 1e-8
@@ -205,8 +235,9 @@ class TestRollout:
         np.testing.assert_array_equal(a, b)
 
     def test_translation_equivariance_bias_free(self):
-        cfg = ModelConfig(t_obs=4, t_fut=4, grid=16, embed_bias=False)
+        cfg = ModelConfig(t_obs=4, t_fut=4, grid=16)
         params = init_params(cfg, seed=1)
+        params["tpm.embed.b"].data[:] = 0.0
         rng = np.random.default_rng(2)
         pos = rng.uniform(2, 10, size=(3, 8, 2))
         scene = scene_from_positions(pos)
@@ -220,14 +251,17 @@ class TestRollout:
 
     def test_translation_equivariance_with_bias_and_anchor(self, cfg):
         params = init_params(cfg, seed=3)
+        params["tpm.embed.b"].data[:] = np.random.default_rng(5).normal(size=cfg.d_model)
         rng = np.random.default_rng(3)
-        pos = rng.uniform(2, 10, size=(2, 7, 2))
-        scene = scene_from_positions(pos)
-        goals = pos[:, -1, :]
-        base = rollout(scene, goals, params, cfg).trajectories
-        delta = np.array([5.0, 7.0])
-        shifted = rollout(scene_from_positions(pos + delta), goals + delta, params, cfg).trajectories
-        np.testing.assert_allclose(shifted, base + delta, atol=1e-9)
+        for n_agents, goal_noise, delta in [(2, 0.0, (5.0, 7.0)), (3, 0.3, (10.0, -3.0))]:
+            pos = rng.uniform(2, 10, size=(n_agents, 7, 2))
+            goals = pos[:, -1, :] + rng.normal(scale=goal_noise, size=(n_agents, 2))
+            base = rollout(scene_from_positions(pos), goals, params, cfg).trajectories
+            delta = np.array(delta)
+            shifted = rollout(
+                scene_from_positions(pos + delta), goals + delta, params, cfg
+            ).trajectories
+            np.testing.assert_allclose(shifted, base + delta, atol=1e-9)
 
     def test_permutation_equivariance_bitwise(self, cfg, params):
         rng = np.random.default_rng(4)
@@ -429,3 +463,19 @@ class TestExports:
         mat = np.array(obj["steps"][0]["matrix"])
         assert mat.shape == (tiny_scene.n_agents, tiny_scene.n_agents)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-6)
+        assert obj == result.trace.to_json_obj(tiny_scene.key(), 0, cfg.t_obs)
+
+        # render reads the trace back and draws one N x N grid per step.
+        scene_dir, pred_dir, out = tmp_path / "scene", tmp_path / "pred", tmp_path / "svg"
+        scene_dir.mkdir()
+        pred_dir.mkdir()
+        save_trajectories(scene_dir / "tiny.txt", tiny_scene)
+        config = tmp_path / "tiny.cfg"
+        config.write_text(f"[model]\nt_obs={cfg.t_obs}\nt_fut={cfg.t_fut}\ngrid={cfg.grid}\n")
+        assert main([
+            "render", "--scene", str(scene_dir), "--pred", str(pred_dir),
+            "--config", str(config), "--trace", str(path), "--out-svg", str(out),
+        ]) == 0
+        svgs = sorted(out.glob("trace_t*.svg"))
+        assert len(svgs) == cfg.t_fut
+        assert all(svg.read_text().count("<rect") == tiny_scene.n_agents**2 for svg in svgs)

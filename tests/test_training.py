@@ -134,8 +134,9 @@ class TestGradientStructure:
             changed = not np.array_equal(before[name], after[name].data)
             assert changed == name.startswith("gpm."), name
 
-        # Cross-attention sees a single goal key, so softmax is constant and
-        # its query/key projections carry exactly zero gradient.
+        # The fusion's one-key cross-attention reduces to its value/output
+        # path (tpm.goal_feature), which no longer reads the query/key
+        # projections; they stay in the store for checkpoint compatibility.
         inert = {"tpm.fusion.cross.wq", "tpm.fusion.cross.wk", "tpm.fusion.cross.bq"}
         before, after = step_with(0.0, 1.0)  # trajectory loss only
         for name in after.names():
