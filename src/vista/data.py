@@ -75,6 +75,7 @@ class Scene:
     raster: SceneRaster | None = None
     unit_scale: float = 0.0  # scene units per meter, 0 if uncalibrated
     window_index: int = 0
+    source: str | None = None  # the trajectory file it was read from
 
     def __post_init__(self):
         if not self.tracks:
@@ -201,7 +202,7 @@ def _windows_from_file(path, span, stride):
                 pos = np.array([records[(f, a)] for f in window])
                 tracks.append(AgentTrack(a, pos, np.array(window)))
         if tracks:
-            scenes.append(Scene(stem, tracks, window_index=w_idx))
+            scenes.append(Scene(stem, tracks, window_index=w_idx, source=str(path)))
     return scenes
 
 
@@ -250,6 +251,24 @@ def uniform_raster(side: int, n_classes: int = 1) -> SceneRaster:
     scores = np.zeros((side, side, n_classes))
     scores[:, :, 0] = 1.0
     return SceneRaster(scores)
+
+
+def reject_off_grid(scene: Scene, n_frames: int, grid: int):
+    """Raise DataError naming the file, agent and frame of the first of the
+    scene's first ``n_frames`` positions outside its raster (a ``grid``-sided
+    square if it has none), whose cells cover [-0.5, W-0.5) x [-0.5, H-0.5).
+    The goal module would otherwise clamp such a position into the grid."""
+    h, w = (grid, grid) if scene.raster is None else (scene.raster.height, scene.raster.width)
+    pos = scene.positions()[:, :n_frames]
+    outside = (pos < -0.5).any(axis=-1) | (pos[..., 0] >= w - 0.5) | (pos[..., 1] >= h - 0.5)
+    if outside.any():
+        i, t = np.argwhere(outside)[0]
+        x, y = pos[i, t]
+        raise DataError(
+            f"{scene.source or scene.key()}: agent {scene.agent_ids[i]} at frame "
+            f"{int(scene.frame_ids[t])} is at ({float(x)!r}, {float(y)!r}), "
+            f"outside the {h}x{w} raster"
+        )
 
 
 # -- Gaussian rasterization ------------------------------------------------

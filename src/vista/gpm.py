@@ -18,7 +18,7 @@ from .config import ModelConfig
 from .data import SceneRaster, rasterize_gaussian, uniform_raster
 from .errors import ConfigError, DataError
 from .params import ParamStore, glorot_uniform
-from .tensor import Tensor, concat, constant, narrow, relu
+from .tensor import Tensor, concat, constant, linear, narrow, relu
 
 
 @dataclass
@@ -79,7 +79,7 @@ def _conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ]
     columns = concat(shifts, axis=3).reshape((n * h * wd, 9 * cin))
     kernel = w.reshape((9 * cin, cout))
-    return (columns @ kernel).reshape((n, h, wd, cout)) + b
+    return linear(columns, kernel, b).reshape((n, h, wd, cout))
 
 
 def _pool2(x: Tensor) -> Tensor:
@@ -144,7 +144,7 @@ def gpm_forward_batch(
     d2 = relu(_conv3x3(concat([_upsample2(bott), c2], axis=3), params["gpm.dec2.w"], params["gpm.dec2.b"]))
     d1 = relu(_conv3x3(concat([_upsample2(d2), c1], axis=3), params["gpm.dec1.w"], params["gpm.dec1.b"]))
     n, h, w, cd = d1.shape
-    logits = d1.reshape((n * h * w, cd)) @ params["gpm.out.w"] + params["gpm.out.b"]
+    logits = linear(d1.reshape((n * h * w, cd)), params["gpm.out.w"], params["gpm.out.b"])
     return logits.reshape((n, h, w))
 
 

@@ -384,26 +384,63 @@ def layer_norm(a, eps=1e-5):
     return _node(out, (a,), bwd, "layer_norm")
 
 
-# -- composites (built purely from the primitives above) ----------------
+# -- fused nodes ---------------------------------------------------------
+# Each repeats, in one node, the numpy arithmetic of the primitive chain it
+# replaces, so its forward is bit-identical to that chain; one hand-written
+# backward replaces the chain's walk.
 
 
-def softplus(a):
-    """log(1 + e^x), computed stably as relu(x) + log(1 + e^{-|x|})."""
-    a = as_tensor(a)
-    absa = add(relu(a), relu(scale(a, -1.0)))
-    return add(relu(a), log(add(exp(scale(absa, -1.0)), constant(np.ones(a.shape, dtype=a.data.dtype)))))
+def linear(x, w, b):
+    """``x @ w + b`` for x (..., d_in), w (d_in, d_out) and b broadcast to
+    the output. The weight gradient is one 2-D matmul over all rows of x."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
+        raise ShapeError(f"linear: {x.shape} @ {w.shape}")
+    out = np.matmul(x.data, w.data) + b.data
+
+    def bwd(g):
+        gx = np.matmul(g, w.data.T) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _node(out, (x, w, b), bwd, "linear")
 
 
 def bce_with_logits_mean(logits, targets, axis=None):
     """Mean binary cross-entropy of the probabilities 1 / (1 + e^-z) of the
     logits z against targets in [0,1], over ``axis`` (all axes by default).
 
-    Uses the identity BCE = softplus(z) - t*z, which avoids forming the
-    probabilities.
+    Uses the identity BCE = softplus(z) - t*z with the stable
+    softplus(z) = relu(z) + log(1 + e^{-|z|}), which avoids forming the
+    probabilities; the gradient is (sigmoid(z) - t) / count.
     """
-    logits = as_tensor(logits)
-    targets = as_tensor(targets)
-    return reduce_mean(sub(softplus(logits), mul(targets, logits)), axis=axis)
+    z, t = as_tensor(logits), as_tensor(targets)
+    zd = z.data
+    pos = np.maximum(zd, 0.0)
+    e = np.exp((pos + np.maximum(zd * -1.0, 0.0)) * -1.0)  # e^{-|z|}
+    e1 = e + 1.0
+    loss = (pos + np.log(e1)) - t.data * zd
+    out = loss.mean(axis=axis)
+    count = loss.size if axis is None else np.prod(
+        [loss.shape[i] for i in np.atleast_1d(axis)]
+    )
+
+    def bwd(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        g = g / count
+        gz = gt = None
+        if z.requires_grad:
+            sigmoid = np.where(zd >= 0, 1.0, e) / e1
+            gz = _unbroadcast((sigmoid - t.data) * g, z.shape)
+        if t.requires_grad:
+            gt = _unbroadcast(-zd * g, t.shape)
+        return gz, gt
+
+    return _node(out, (z, t), bwd, "bce_with_logits")
 
 
 # -- backward pass ------------------------------------------------------

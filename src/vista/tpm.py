@@ -36,7 +36,7 @@ from .tensor import (
     concat,
     constant,
     layer_norm,
-    matmul,
+    linear,
     narrow,
     relu,
     sinusoidal_table,
@@ -113,7 +113,7 @@ def init_tpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Gener
 
 def embed_positions(positions, params: ParamStore) -> Tensor:
     """Affine map of (..., 2) coordinates into the token space."""
-    return matmul(as_tensor(positions), params["tpm.embed.w"]) + params["tpm.embed.b"]
+    return linear(positions, params["tpm.embed.w"], params["tpm.embed.b"])
 
 
 def hybrid_positional_encoding(
@@ -136,8 +136,8 @@ def goal_feature(goal_tokens: Tensor, params: ParamStore) -> Tensor:
     This is the cross-attention of ``tpm.fusion.cross`` from any query to
     the one goal token: its softmax weight is exactly 1.0, so the output is
     the value/output path alone, bit for bit."""
-    value = matmul(goal_tokens, params["tpm.fusion.cross.wv"]) + params["tpm.fusion.cross.bv"]
-    out = matmul(value, params["tpm.fusion.cross.wo"]) + params["tpm.fusion.cross.bo"]
+    value = linear(goal_tokens, params["tpm.fusion.cross.wv"], params["tpm.fusion.cross.bv"])
+    out = linear(value, params["tpm.fusion.cross.wo"], params["tpm.fusion.cross.bo"])
     return layer_norm(out) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
 
 
@@ -182,8 +182,8 @@ def decode_step(feature, last_pos, params: ParamStore):
     squeeze = f.ndim == 1
     if squeeze:
         f = f.reshape((1, f.shape[0]))
-    hidden = relu(f @ params["tpm.dec.w1"] + params["tpm.dec.b1"])
-    delta = hidden @ params["tpm.dec.w2"] + params["tpm.dec.b2"]
+    hidden = relu(linear(f, params["tpm.dec.w1"], params["tpm.dec.b1"]))
+    delta = linear(hidden, params["tpm.dec.w2"], params["tpm.dec.b2"])
     out = as_tensor(last_pos).reshape(delta.shape) + delta
     return out.reshape((2,)) if squeeze else out
 

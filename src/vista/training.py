@@ -29,23 +29,20 @@ from .tpm import rollout
 # -- loss -----------------------------------------------------------------
 
 
-def _cached_gpm_channels(scene: Scene, obs, model_cfg: ModelConfig):
-    """Input encodings are pure per-window constants; cache them on the scene."""
-    key = (model_cfg.t_obs, model_cfg.traj_sigma, model_cfg.n_classes)
-    cached = getattr(scene, "_gpm_channels", None)
-    if cached is None or cached[0] != key:
-        channels = encode_gpm_input(obs, scene.raster, model_cfg)
-        scene._gpm_channels = (key, channels)
-        return channels
-    return cached[1]
-
-
-def window_loss_graph(params: ParamStore, model_cfg: ModelConfig, train_cfg: TrainConfig, scene: Scene):
+def window_loss_graph(
+    params: ParamStore,
+    model_cfg: ModelConfig,
+    train_cfg: TrainConfig,
+    scene: Scene,
+    channels: np.ndarray | None = None,
+):
     """Differentiable total loss of one scene window (graph-tracked).
 
     Training rollouts use the ground-truth goal and the model's own recursive
-    position feedback. Returns (total Tensor, goal part, traj part) with the
-    parts as floats for reporting.
+    position feedback. ``channels`` may carry the window's precomputed
+    ``encode_gpm_input``, which is a pure function of the observations.
+    Returns (total Tensor, goal part, traj part) with the parts as floats for
+    reporting.
     """
     n = scene.n_agents
     positions = scene.positions()
@@ -56,10 +53,7 @@ def window_loss_graph(params: ParamStore, model_cfg: ModelConfig, train_cfg: Tra
     goal_part = 0.0
     if model_cfg.use_goal and train_cfg.lambda_goal != 0.0:
         obs = positions[:, : model_cfg.t_obs, :]
-        logits = gpm_forward_batch(
-            obs, scene.raster, params, model_cfg,
-            channels=_cached_gpm_channels(scene, obs, model_cfg),
-        )
+        logits = gpm_forward_batch(obs, scene.raster, params, model_cfg, channels=channels)
         targets = np.stack(
             [goal_target(g, logits.shape[1:], model_cfg.goal_sigma) for g in gt_goals]
         )
@@ -344,6 +338,11 @@ def train(
     report.best_epoch = stopper.best_epoch
     report.best_val_minade = stopper.best
     val_seed = stable_seed(cfg.seed, "validation-ttst")
+    channels = [  # GPM inputs are constants of each window
+        encode_gpm_input(s.positions()[:, : mcfg.t_obs], s.raster, mcfg)
+        if mcfg.use_goal else None
+        for s in train_scenes
+    ]
 
     for epoch in range(start_epoch + 1, cfg.max_epochs + 1):
         shuffle = np.random.default_rng(stable_seed(cfg.seed, "shuffle", epoch))
@@ -351,10 +350,12 @@ def train(
 
         goal_parts, traj_parts, totals = [], [], []
         for start in range(0, len(order), cfg.batch_size):
-            batch = [train_scenes[i] for i in order[start : start + cfg.batch_size]]
+            batch = order[start : start + cfg.batch_size]
             params.zero_grad()
-            for scene in batch:
-                total, goal_part, traj_part = window_loss_graph(params, mcfg, cfg, scene)
+            for i in batch:
+                total, goal_part, traj_part = window_loss_graph(
+                    params, mcfg, cfg, train_scenes[i], channels[i]
+                )
                 if not math.isfinite(total.item()):
                     report.stop_reason = "diverged"
                     raise DivergenceError(

@@ -8,7 +8,43 @@ from hypothesis import strategies as st
 from vista.attention import init_mha_params, multi_head_attention
 from vista.errors import ConfigError
 from vista.params import ParamStore
-from vista.tensor import Tensor
+from vista.tensor import Tensor, add, backward, matmul, narrow, scale, softmax, transpose
+
+
+def reference_multi_head_attention(q, k, v, n_heads: int, params: ParamStore, prefix: str):
+    """The 20-node chain of engine ops that ``multi_head_attention`` fuses."""
+    dim = q.shape[-1]
+    if dim % n_heads != 0:
+        raise ConfigError(f"model dim {dim} not divisible by {n_heads} heads")
+    if k.shape[-2] != v.shape[-2]:
+        raise ConfigError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
+    head_dim = dim // n_heads
+
+    def split_heads(x):
+        # (..., L, d) -> (..., h, L, head_dim)
+        batch = x.shape[:-2]
+        length = x.shape[-2]
+        x = x.reshape(batch + (length, n_heads, head_dim))
+        axes = tuple(range(len(batch))) + (x.ndim - 2, x.ndim - 3, x.ndim - 1)
+        return transpose(x, axes)
+
+    qh = split_heads(add(matmul(q, params[f"{prefix}.wq"]), params[f"{prefix}.bq"]))
+    kh = split_heads(matmul(k, params[f"{prefix}.wk"]))
+    vh = split_heads(add(matmul(v, params[f"{prefix}.wv"]), params[f"{prefix}.bv"]))
+
+    swap = tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2)
+    logits = scale(matmul(qh, transpose(kh, swap)), 1.0 / math.sqrt(head_dim))
+    weights = softmax(logits, axis=-1)
+    mixed = matmul(weights, vh)  # (..., h, Lq, head_dim)
+
+    batch = q.shape[:-2]
+    lq = q.shape[-2]
+    back = tuple(range(len(batch))) + (mixed.ndim - 2, mixed.ndim - 3, mixed.ndim - 1)
+    merged = transpose(mixed, back).reshape(batch + (lq, dim))
+    out = add(matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+
+    attn = np.moveaxis(weights.data.copy(), -3, 0)  # heads leading
+    return out, attn
 
 
 def identity_params(dim, prefix="mha"):
@@ -99,3 +135,61 @@ def test_rows_stochastic_for_random_inputs(lq, lk, heads, seed):
     assert attn.shape == (heads, lq, lk)
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
     assert out.shape == (lq, dim)
+
+
+# -- the one-node attention against the chain it replaces ----------------------
+
+
+def temporal_case(rng):
+    """The fusion's temporal layer: the last row of each agent's tokens
+    queries all of them, and the tokens are both keys and values."""
+    tokens = Tensor(rng.normal(size=(4, 6, 8)), requires_grad=True)
+    return [tokens], (narrow(tokens, (slice(None), slice(5, 6))), tokens, tokens)
+
+
+def social_case(rng):
+    """Social attention over a (B, N, d) batch: one tensor is q, k and v."""
+    feats = Tensor(rng.normal(size=(3, 5, 8)), requires_grad=True)
+    return [feats], (feats, feats, feats)
+
+
+def distinct_case(rng):
+    q, k, v = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 8), (7, 8), (7, 8)))
+    return [q, k, v], (q, k, v)
+
+
+def attend_and_grads(attend, case):
+    """Output, attention and the gradient of every input and parameter for
+    a random upstream gradient, with seeded inputs and parameters."""
+    rng = np.random.default_rng(9)
+    store = ParamStore()
+    init_mha_params(store, "mha", 8, rng)
+    for b in ("bq", "bv", "bo"):
+        store[f"mha.{b}"].data = rng.normal(size=8)
+    leaves, (q, k, v) = case(rng)
+    out, attn = attend(q, k, v, 2, store, "mha")
+    backward(out, seed=rng.normal(size=out.shape))
+    grads = {f"input{i}": leaf.grad for i, leaf in enumerate(leaves)}
+    grads.update((name, t.grad) for name, t in store.items())
+    return out.data, attn, grads
+
+
+@pytest.mark.parametrize("case", [temporal_case, social_case, distinct_case])
+def test_one_node_attention_matches_reference(case):
+    ref_out, ref_attn, ref_grads = attend_and_grads(reference_multi_head_attention, case)
+    out, attn, grads = attend_and_grads(multi_head_attention, case)
+    assert out.tobytes() == ref_out.tobytes()
+    assert attn.shape == ref_attn.shape and attn.tobytes() == ref_attn.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        tol = 1e-12 * max(1.0, np.abs(ref).max())
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=tol, err_msg=name)
+
+
+def test_attention_records_one_node():
+    _, (q, k, v) = social_case(np.random.default_rng(0))
+    store = ParamStore()
+    init_mha_params(store, "mha", 8, np.random.default_rng(1))
+    out, _ = multi_head_attention(q, k, v, 2, store, "mha")
+    assert out.op == "attention"
+    assert {id(p) for p in out._parents} == {id(q)} | {id(t) for _, t in store.items()}

@@ -138,7 +138,7 @@ class TestTrain:
         for scen in ("crossing", "group", "constant-velocity"):
             assert main([
                 "synth", "--scenario", scen, "--n", "2", "--windows", "4",
-                "--randomize", "--speed", "0.5", "--out", str(data),
+                "--randomize", "--speed", "0.5", "--grid", "16", "--out", str(data),
             ]) == 0
         out = tmp_path / "runs"
         code = main([
@@ -154,7 +154,7 @@ class TestTrain:
         for scen in ("crossing", "group"):
             assert main([
                 "synth", "--scenario", scen, "--n", "2", "--windows", "4",
-                "--randomize", "--speed", "0.5", "--out", str(data),
+                "--randomize", "--speed", "0.5", "--grid", "16", "--out", str(data),
             ]) == 0
         out = tmp_path / "run"
         assert main([
@@ -272,6 +272,31 @@ class TestPredict:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CheckpointError"
         assert "'tpm.dec.b2'" in err["message"]
+
+
+def write_off_grid_walk(data_dir):
+    """Two agents over 13 frames (three windows) inside a 16x16 grid, except
+    agent 2 at frame 2, whose x of 15.5 lies on the far edge of the last
+    column."""
+    data_dir.mkdir()
+    rows = [f"{f} {a} {1.0 + f} {3.0 * a}" for f in range(13) for a in (1, 2)]
+    rows[2 * 2 + 1] = "2 2 15.5 6.0"
+    (data_dir / "walk.txt").write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "train"])
+def test_off_grid_observation_exits_4(trained, quick_config, tmp_path, capsys, command):
+    data = tmp_path / "off_grid"
+    write_off_grid_walk(data)
+    extra = ["--checkpoint", str(trained)] if command == "predict" else ["--fold", "ratio"]
+    code = main([
+        command, *extra, "--data", str(data), "--config", str(quick_config),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError"
+    assert "walk.txt: agent 2 at frame 2 is at (15.5, 6.0), outside the 16x16 raster" in err["message"]
 
 
 class TestEvaluate:

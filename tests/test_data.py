@@ -16,6 +16,7 @@ from vista.data import (
     load_trajectories,
     min_pairwise_distance,
     rasterize_gaussian,
+    reject_off_grid,
     save_raster,
     save_trajectories,
     split_leave_one_out,
@@ -251,6 +252,34 @@ class TestDihedral:
         scene = Scene("s", [track])
         with pytest.raises(DataError, match="grid_side"):
             augment_dihedral(scene, 1)
+
+
+class TestRejectOffGrid:
+    """Cell (r, c) covers [c-0.5, c+0.5) x [r-0.5, r+0.5), so a side-W grid
+    holds x in [-0.5, W-0.5)."""
+
+    def scene(self, xy_at_frame_2, raster=None):
+        positions = np.full((6, 2), 3.0)
+        positions[2] = xy_at_frame_2
+        return Scene("s", [AgentTrack(7, positions, np.arange(10, 16))], raster=raster)
+
+    @pytest.mark.parametrize("xy", [(-0.5, 3.0), (3.0, -0.5), (15.49, 15.49)])
+    def test_edges_inside(self, xy):
+        reject_off_grid(self.scene(xy), 6, 16)
+
+    @pytest.mark.parametrize("xy", [(-0.51, 3.0), (3.0, -0.51), (15.5, 3.0), (3.0, 15.5)])
+    def test_outside_names_agent_and_frame(self, xy):
+        with pytest.raises(DataError, match=r"agent 7 at frame 12 .* outside the 16x16 raster"):
+            reject_off_grid(self.scene(xy), 6, 16)
+
+    def test_only_the_first_frames_are_checked(self):
+        reject_off_grid(self.scene((40.0, 3.0)), 2, 16)
+
+    def test_raster_sides_take_precedence(self):
+        raster = SceneRaster(np.ones((8, 32, 1)))
+        reject_off_grid(self.scene((31.0, 7.0), raster), 6, 16)
+        with pytest.raises(DataError, match="outside the 8x32 raster"):
+            reject_off_grid(self.scene((3.0, 7.5), raster), 6, 16)
 
 
 @given(st.integers(0, 7), st.integers(0, 7))

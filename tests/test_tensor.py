@@ -8,17 +8,24 @@ from vista.tensor import (
     ShapeError,
     Tensor,
     UsageError,
+    add,
     backward,
     bce_with_logits_mean,
     concat,
+    exp,
     layer_norm,
+    linear,
+    log,
+    matmul,
+    mul,
     no_grad,
     reduce_mean,
     reduce_sum,
     relu,
+    scale,
     sinusoidal_table,
     softmax,
-    softplus,
+    sub,
 )
 
 
@@ -128,6 +135,52 @@ class TestBackwardExamples:
         np.testing.assert_allclose(gb, gb_ref, atol=1e-12)
 
 
+class TestFusedNodes:
+    """Each fused node against the chain of primitives it replaces: the
+    forward bit for bit, gradients within 1e-12 of the largest."""
+
+    @staticmethod
+    def outputs_and_grads(fn, arrays):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*leaves)
+        backward(out, seed=np.random.default_rng(0).normal(size=out.shape))
+        return out.data, [leaf.grad for leaf in leaves]
+
+    def assert_matches(self, fused, reference, arrays):
+        out, grads = self.outputs_and_grads(fused, arrays)
+        ref_out, ref_grads = self.outputs_and_grads(reference, arrays)
+        assert out.tobytes() == ref_out.tobytes()
+        for g, ref in zip(grads, ref_grads, strict=True):
+            tol = 1e-12 * max(1.0, np.abs(ref).max())
+            np.testing.assert_allclose(g, ref, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("x_shape", [(5, 3), (2, 4, 3)])
+    def test_linear_matches_matmul_add(self, x_shape):
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(size=x_shape), rng.normal(size=(3, 6)), rng.normal(size=6)]
+        self.assert_matches(linear, lambda x, w, b: add(matmul(x, w), b), arrays)
+
+    def test_linear_rejects_mismatched_weight(self):
+        with pytest.raises(ShapeError, match="linear"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+
+    @pytest.mark.parametrize("axis", [None, (1, 2)])
+    def test_bce_matches_softplus_chain(self, axis):
+        def chain(z, t):
+            softplus = add(relu(z), log(add(
+                exp(scale(add(relu(z), relu(scale(z, -1.0))), -1.0)), Tensor(np.ones(z.shape))
+            )))
+            return reduce_mean(sub(softplus, mul(t, z)), axis=axis)
+
+        # Not z = 0, where the chain's relu subgradients give a gradient of
+        # -t instead of sigmoid(0) - t (test_softplus_stable_at_extremes).
+        rng = np.random.default_rng(5)
+        z = rng.normal(scale=30.0, size=(2, 4, 4))
+        z[0, 0, :2] = [-1000.0, 1000.0]
+        arrays = [z, rng.uniform(size=(2, 4, 4))]
+        self.assert_matches(lambda z, t: bce_with_logits_mean(z, t, axis=axis), chain, arrays)
+
+
 class TestGradientLinearity:
     def test_linear_combination_of_losses(self):
         rng = np.random.default_rng(7)
@@ -147,9 +200,14 @@ class TestGradientLinearity:
 
 class TestComposites:
     def test_softplus_stable_at_extremes(self):
-        out = softplus(Tensor([-1000.0, 0.0, 1000.0]))
+        # With target 0 the BCE of each one-element row is softplus(z), and
+        # its gradient is sigmoid(z).
+        z = Tensor([[-1000.0], [0.0], [1000.0]], requires_grad=True)
+        out = bce_with_logits_mean(z, Tensor(np.zeros((3, 1))), axis=1)
         np.testing.assert_allclose(out.data, [0.0, np.log(2.0), 1000.0], atol=1e-12)
         assert np.isfinite(out.data).all()
+        backward(out.sum())
+        np.testing.assert_array_equal(z.grad, [[0.0], [0.5], [1.0]])
 
     def test_bce_with_logits_matches_direct(self):
         rng = np.random.default_rng(11)

@@ -217,6 +217,31 @@ class TestTrainLoop:
         for name in best1.names():
             np.testing.assert_array_equal(best1[name].data, best2[name].data)
 
+    def test_encodes_each_window_once_and_leaves_scenes_alone(self, monkeypatch):
+        import vista.training as training
+
+        scenes = small_dataset(3)
+        attributes = [set(vars(s)) for s in scenes]
+        encoded = []
+        real = training.encode_gpm_input
+        monkeypatch.setattr(
+            training, "encode_gpm_input", lambda *a: encoded.append(1) or real(*a)
+        )
+        train(scenes[:2], scenes[2:], small_config(max_epochs=3))
+        assert len(encoded) == 2
+        assert [set(vars(s)) for s in scenes] == attributes
+
+    def test_window_loss_with_given_channels_is_bitwise_equal(self, tiny_scene):
+        from vista.gpm import encode_gpm_input
+
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = init_params(cfg, seed=1)
+        channels = encode_gpm_input(tiny_scene.positions()[:, :4], tiny_scene.raster, cfg)
+        tcfg = TrainConfig()
+        given = window_loss_graph(params, cfg, tcfg, tiny_scene, channels)
+        plain = window_loss_graph(params, cfg, tcfg, tiny_scene)
+        assert (given[0].item(), *given[1:]) == (plain[0].item(), *plain[1:])
+
     def test_loss_decreases_on_small_overfit(self):
         scenes = small_dataset(4)
         cfg = small_config(max_epochs=40, val_minade_every=10)
