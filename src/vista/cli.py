@@ -24,7 +24,6 @@ from .data import (
     atomic_write,
     load_raster,
     load_trajectories,
-    reject_off_grid,
     save_raster,
     save_trajectories,
     split_leave_one_out,
@@ -287,8 +286,6 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.train.seed = args.seed
     scenes = _load_scenes(args, cfg)
-    for scene in scenes:  # training reads every frame of a window
-        reject_off_grid(scene, scene.n_frames, cfg.model.grid)
     folds = _fold_sets(scenes, args.fold, cfg)
     os.makedirs(args.out, exist_ok=True)
 
@@ -337,8 +334,6 @@ def cmd_predict(args) -> int:
     params = _load_checkpoint(args.checkpoint, cfg)
     model = Model(config=cfg.model, params=params)
     scenes = _load_scenes(args, cfg)
-    for scene in scenes:
-        reject_off_grid(scene, cfg.model.t_obs, cfg.model.grid)
     os.makedirs(args.out, exist_ok=True)
 
     outputs = []

@@ -188,39 +188,64 @@ def ttst_sample(
     return samples
 
 
+# Relative and absolute slack on every distance bound, far above the few ulps
+# of error in a computed distance: a point whose label could tie fails the
+# bound test and has its distances computed.
+_SLACK = 1e-9
+
+
 def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
     """Lloyd iterations with greedy farthest-point seeding on A point sets
     (A, n, 2) at once, one generator per set; a set stops once its labels do.
 
     Ties in seeding and assignment resolve to the lowest index; empty clusters
     reseed to the point farthest from every current center.
+
+    The assignment is exact but pruned by Elkan's triangle-inequality bounds
+    (ICML 2003): each point keeps an upper bound on its distance to its own
+    centre and a lower bound on its distance to every other centre. After a
+    centre update each centre's shift widens them; only points whose upper
+    bound reaches a lower bound get their (k,) distances computed, with the
+    dense arithmetic, so labels and centres equal a dense Lloyd loop's bit
+    for bit. Every bound carries a relative and an absolute slack of
+    ``_SLACK``. A set that reseeds a cluster recomputes all its points.
     """
     a, n, _ = points.shape
     px, py = points[:, :, 0], points[:, :, 1]
     sets = np.arange(a)
     centers = np.empty((a, k, 2))
+    # (A, k, n): first the seeding's squared distances, which are the first
+    # assignment's; from then on the lower bounds, the own centre's at +inf.
+    lower = np.empty((a, k, n))
     pick = [rng.integers(n) for rng in rngs]
     for j in range(k):
         centers[:, j] = points[sets, pick]
-        gap = (px - centers[:, j, :1]) ** 2 + (py - centers[:, j, 1:]) ** 2
-        d2 = gap if j == 0 else np.minimum(d2, gap)
+        _sq_dist(px, py, centers[:, j], out=lower[:, j])
+        d2 = lower[:, 0] if j == 0 else np.minimum(d2, lower[:, j])
         pick = np.argmax(d2, axis=1)
 
     labels = np.zeros((a, n), dtype=np.int64)
+    upper = np.empty((a, n))
+    full = np.ones(a, dtype=bool)  # bounds void: compute every point's distances
     live = sets
-    # Distances are dx*dx + dy*dy, the float arithmetic of ((p - c) ** 2).sum(-1),
-    # so argmin breaks ties alike. They go set by set into reused (n, k)
-    # buffers: a fresh array each time costs more than the arithmetic on it.
-    dist, dy = np.empty((n, k)), np.empty((n, k))
-    for _ in range(max_iters):
+    for step in range(max_iters):
         m, old = len(live), centers[live]
-        new_labels = np.empty((m, n), dtype=np.int64)
+        new_labels = labels[live]
         for i, s in enumerate(live):
-            np.subtract(px[s, :, None], old[i, :, 0], out=dist)
-            np.subtract(py[s, :, None], old[i, :, 1], out=dy)
-            dist *= dist
-            dy *= dy
-            np.argmin(np.add(dist, dy, out=dist), axis=1, out=new_labels[i])
+            if full[s]:
+                if step:
+                    _sq_dist(px[s], py[s], old[i], out=lower[s])
+                near = np.argmin(lower[s], axis=0)
+                new_labels[i] = near
+                upper[s] = _bounds(lower[s], near)
+                full[s] = False
+                continue
+            rows = np.flatnonzero(upper[s] >= lower[s].min(axis=0))
+            d2 = _sq_dist(px[s, rows], py[s, rows], old[i])
+            near = np.argmin(d2, axis=0)
+            new_labels[i, rows] = near
+            upper[s, rows] = _bounds(d2, near)
+            lower[s][:, rows] = d2
         # bincount sums each cluster in point order, as points[mask].mean(axis=0) does.
         flat = (new_labels + k * np.arange(m)[:, None]).reshape(-1)
         counts = np.bincount(flat, minlength=m * k)
@@ -230,6 +255,7 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
             # Empty cluster j takes the farthest point, which leaves its own
             # cluster before the clusters after j are averaged.
             s, lab = live[i], new_labels[i]
+            full[s] = True
             nearest = ((points[s, :, None] - old[i]) ** 2).sum(axis=2).min(axis=1)
             for j in range(k):
                 mask = lab == j
@@ -241,10 +267,40 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
                     lab[far] = j
         settled = (new_labels == labels[live]).all(axis=1)
         labels[live] = new_labels
+        shift = np.sqrt(((centers[live] - old) ** 2).sum(axis=2)) * (1 + _SLACK) + _SLACK
+        for i in np.flatnonzero(~settled):
+            s = live[i]
+            if not full[s]:
+                upper[s] += shift[i, new_labels[i]]
+                lower[s] -= shift[i, :, None]
         live = live[~settled]
         if not len(live):
             break
     return centers, labels
+
+
+def _sq_dist(px: np.ndarray, py: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:
+    """Squared distances (k, r) of r points to k centres (k, 2), or (A, n) of
+    each set's points to its one centre (A, 2), as dx*dx + dy*dy: the float
+    arithmetic of ((p - c) ** 2).sum(-1), so argmin breaks ties alike."""
+    d2 = np.subtract(px, centers[:, :1], out=out)
+    dy = py - centers[:, 1:]
+    d2 *= d2
+    dy *= dy
+    return np.add(d2, dy, out=d2)
+
+
+def _bounds(d2: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Turn squared distances (k, r) in place into lower bounds on each
+    centre's distance, with the own centre ``near`` at +inf, and return upper
+    bounds (r,) on the own centre's distance."""
+    dist = np.sqrt(d2, out=d2)
+    cols = np.arange(dist.shape[1])
+    upper = dist[near, cols] * (1 + _SLACK) + _SLACK
+    dist *= 1 - _SLACK
+    dist -= _SLACK
+    dist[near, cols] = np.inf
+    return upper
 
 
 # -- training target -----------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .data import Scene
+from .data import Scene, reject_off_grid
 from .errors import ConfigError
 from .gpm import (
     GoalHeatmap,
@@ -73,6 +73,9 @@ class Model:
     def predict(
         self, scene: Scene, k: int, seed: int, capture_trace: bool = False
     ) -> PredictionSet:
+        """k joint samples of the scene's future; raises DataError on an
+        observed position outside the grid."""
+        reject_off_grid(scene, self.config.t_obs, self.config.grid)
         if self.config.use_goal:
             goal_samples = self.sample_goals(scene, k, seed)
             with no_grad():

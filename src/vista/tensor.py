@@ -123,9 +123,6 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis, keepdims)
 
@@ -216,17 +213,6 @@ def matmul(a, b):
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _node(out, (a, b), bwd, "matmul")
-
-
-def transpose(a, axes=None):
-    a = as_tensor(a)
-    out = np.transpose(a.data, axes)
-    inv = None if axes is None else tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (np.transpose(g, inv),)
-
-    return _node(out, (a,), bwd, "transpose")
 
 
 def reshape(a, shape):
@@ -346,20 +332,6 @@ def reduce_mean(a, axis=None, keepdims=False):
         return (np.broadcast_to(g / count, src_shape).copy(),)
 
     return _node(out, (a,), bwd, "mean")
-
-
-def softmax(a, axis=-1):
-    """Numerically shifted softmax along ``axis``; rows sum to 1."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _node(out, (a,), bwd, "softmax")
 
 
 def layer_norm(a, eps=1e-5):

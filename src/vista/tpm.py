@@ -65,6 +65,9 @@ class PredictionSet:
     agent_ids: list
     trajectories: np.ndarray  # (N, k, T_fut, 2) in scene units
     traces: list | None = None  # AttentionTrace per sample index
+    # (N, k) TTST cluster mass of the goal sample j gave each agent; None
+    # without goal conditioning.
+    goal_weights: np.ndarray | None = None
 
     @property
     def k(self):
@@ -323,15 +326,18 @@ def predict_multimodal(
         result = rollout(scene, goals, params, config, capture_trace=capture_trace)
         trajs = result.trajectories.transpose(1, 0, 2, 3)
         traces = result.traces
+        weights = np.stack([gs.weights for gs in goal_samples])
     else:
         k = k or 1
         result = rollout(scene, None, params, config, capture_trace=capture_trace)
         trajs = np.repeat(result.trajectories[:, None], k, axis=1)
         traces = result.traces * k if capture_trace else None
+        weights = None
     return PredictionSet(
         agent_ids=list(scene.agent_ids),
         trajectories=trajs,
         traces=traces,
+        goal_weights=weights,
     )
 
 

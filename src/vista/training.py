@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config, ModelConfig, TrainConfig
-from .data import Scene, atomic_write
+from .data import Scene, atomic_write, reject_off_grid
 from .errors import DataError, DivergenceError
 from .gpm import encode_gpm_input, goal_target, gpm_forward_batch
 from .model import Model, init_params, stable_seed
@@ -294,13 +294,17 @@ def train(
     Deterministic given config.train.seed: epoch shuffles are seeded by
     (seed, epoch), batches accumulate mean gradients in a fixed order, and
     the validation sampler seed is fixed. Returns (best_params, report);
-    raises DivergenceError (with the partial report attached) on NaN loss.
+    raises DataError, before the first epoch, on a position of any window
+    outside the grid, and DivergenceError (with the partial report attached)
+    on NaN loss.
     """
     cfg = config.train
     mcfg = config.model
     config.validate()
     if not train_scenes or not val_scenes:
         raise DataError("train and validation sets must be non-empty")
+    for scene in (*train_scenes, *val_scenes):  # training reads every frame of a window
+        reject_off_grid(scene, scene.n_frames, mcfg.grid)
 
     adam_state = None
     if resume_from is not None:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_ops import softmax, transpose
+
 from vista.attention import init_mha_params, multi_head_attention
 from vista.errors import ConfigError
 from vista.params import ParamStore
-from vista.tensor import Tensor, add, backward, matmul, narrow, scale, softmax, transpose
+from vista.tensor import Tensor, add, backward, matmul, narrow, scale
 
 
 def reference_multi_head_attention(q, k, v, n_heads: int, params: ParamStore, prefix: str):

@@ -91,6 +91,16 @@ def reference_kmeans(points: np.ndarray, k: int, rng: np.random.Generator, max_i
     return centers, labels
 
 
+def reseeds_at(points, k, seed, t):
+    """Whether ``reference_kmeans`` reaches Lloyd iteration t >= 2 and
+    finds an empty cluster there."""
+    (_, before), (centers, labels) = [
+        reference_kmeans(points.copy(), k, np.random.default_rng(seed), i) for i in (t - 2, t - 1)
+    ]
+    nearest = np.argmin(((points[:, None] - centers) ** 2).sum(axis=2), axis=1)
+    return not np.array_equal(before, labels) and np.bincount(nearest, minlength=k).min() == 0
+
+
 class TestForward:
     def test_output_shape_contract(self):
         cfg = ModelConfig(t_obs=8, t_fut=12, grid=32, n_classes=3)
@@ -290,6 +300,42 @@ class TestTTSTMatchesReference:
             )
             np.testing.assert_array_equal(centers[i], ref_centers)
             np.testing.assert_array_equal(labels[i], ref_labels)
+
+    def test_random_cases_match_reference_bitwise(self):
+        # The pruned assignment against the dense reference, set by set, over
+        # 1-10 agents, k in {1, n_raw, random}, 1 or 50 or a random number of
+        # iterations, and three kinds of points: uniform, a 0.1 lattice full
+        # of exact ties, and a few repeated locations. Those repeats make
+        # seeding repeat a centre, so a set reseeds at iteration 2 (after
+        # bounds were set) beside sets that run on their bounds.
+        rng = np.random.default_rng(8)
+        late_reseeds = 0
+        for case in range(54):
+            a, n = int(rng.integers(1, 11)), int(rng.integers(2, 160))
+            k = (1, n, int(rng.integers(1, min(n, 20) + 1)))[case % 3]
+            iters = (1, 50, int(rng.integers(1, 51)))[case // 3 % 3]
+            kind = case // 9 % 3
+            if kind == 0:
+                points = rng.uniform(-0.5, 23.5, size=(a, n, 2))
+            elif kind == 1:
+                points = np.round(rng.uniform(0, 2, size=(a, n, 2)), 1)
+            else:
+                spots = np.round(rng.uniform(0, 5, size=(a, 4, 2)), 1)
+                points = spots[np.arange(a)[:, None], rng.integers(0, 4, size=(a, n))]
+                points[:, :3] = rng.uniform(0, 5, size=(a, min(n, 3), 2))
+            seeds = rng.integers(0, 1 << 31, size=a)
+            centers, labels = gpm._kmeans(
+                points.copy(), k, [np.random.default_rng(s) for s in seeds], iters
+            )
+            for i, seed in enumerate(seeds):
+                ref_centers, ref_labels = reference_kmeans(
+                    points[i].copy(), k, np.random.default_rng(seed), iters
+                )
+                np.testing.assert_array_equal(centers[i], ref_centers)
+                np.testing.assert_array_equal(labels[i], ref_labels)
+                if kind == 2 and iters > 2 and a > 1:
+                    late_reseeds += reseeds_at(points[i], k, seed, 2)
+        assert late_reseeds >= 3
 
     def test_model_sample_goals_matches_reference(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)

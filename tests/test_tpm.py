@@ -9,7 +9,8 @@ from vista.cli import main
 from vista.config import ModelConfig, TrainConfig
 from vista.data import AgentTrack, Scene, save_trajectories
 from vista.errors import AlignmentError, ConfigError, DataError, DivergenceError
-from vista.model import init_params
+from vista.gpm import ttst_sample
+from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
 from vista.tensor import backward, constant, layer_norm, narrow, reduce_sum
 from vista.tpm import (
@@ -391,6 +392,23 @@ class TestPredictMultimodal:
         for j in range(3):
             np.testing.assert_array_equal(pred.trajectories[:, j], one.trajectories)
             np.testing.assert_array_equal(pred.traces[j].steps, one.trace.steps)
+
+    def test_goal_weights_are_the_ttst_masses_in_sample_order(
+        self, cfg, params, three_agent_scene
+    ):
+        scene = three_agent_scene
+        model = Model(replace(cfg, n_raw_samples=300), params)
+        pred = model.predict(scene, k=6, seed=4)
+        grids = np.stack([hm.grid for hm in model.heatmaps(scene)])
+        seeds = [stable_seed(4, scene.key(), a) for a in scene.agent_ids]
+        samples = ttst_sample(grids, 300, 6, seeds)
+        assert pred.goal_weights.shape == (scene.n_agents, 6)
+        for row, sample in zip(pred.goal_weights, samples):
+            np.testing.assert_array_equal(row, sample.weights)
+        np.testing.assert_allclose(pred.goal_weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        no_goal = replace(cfg, use_goal=False)
+        goal_free = Model(no_goal, init_params(no_goal, seed=0)).predict(scene, k=6, seed=4)
+        assert goal_free.goal_weights is None
 
     def test_trace_per_sample(self, cfg, params, tiny_scene):
         pred = predict_multimodal(

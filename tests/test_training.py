@@ -3,8 +3,8 @@ import pytest
 
 from vista.config import Config, ModelConfig, TrainConfig
 from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
-from vista.errors import DivergenceError
-from vista.model import init_params
+from vista.errors import DataError, DivergenceError
+from vista.model import Model, init_params
 from vista.params import ParamStore
 from vista.tensor import backward
 from vista.training import (
@@ -50,6 +50,35 @@ def zero_decoder(params):
     for name in ("tpm.dec.w1", "tpm.dec.b1", "tpm.dec.w2", "tpm.dec.b2"):
         params[name].data = np.zeros_like(params[name].data)
     return params
+
+
+def moved_to(scene, agent, frame, xy):
+    """A copy of ``scene`` with one position replaced."""
+    tracks = [AgentTrack(t.agent_id, t.positions.copy(), t.frame_ids) for t in scene.tracks]
+    tracks[agent].positions[frame] = xy
+    return Scene(scene.scene_id, tracks, raster=scene.raster)
+
+
+class TestLibraryRejectsOffGrid:
+    """``Model.predict`` and ``train`` reject off-grid input themselves, so a
+    caller that bypasses the CLI gets the same DataError instead of a goal
+    module that clamps the position into the grid."""
+
+    def test_predict_rejects_an_observed_position_only(self):
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=100)
+        model = Model(cfg, init_params(cfg, seed=0))
+        scene = still_scene()
+        with pytest.raises(DataError, match="agent 1 at frame 2 .* outside the 16x16 raster"):
+            model.predict(moved_to(scene, 1, 2, (16.0, 7.0)), k=2, seed=0)
+        model.predict(moved_to(scene, 1, 5, (16.0, 7.0)), k=2, seed=0)
+
+    @pytest.mark.parametrize("which", ["train", "validation"])
+    def test_train_rejects_any_position_of_a_window(self, which):
+        scenes = small_dataset(3)
+        bad = moved_to(scenes[0], 0, 6, (-1.0, 3.0))
+        fit, val = ([bad, scenes[1]], scenes[2:]) if which == "train" else (scenes[1:], [bad])
+        with pytest.raises(DataError, match="agent 0 at frame 6 .* outside the 16x16 raster"):
+            train(fit, val, small_config(max_epochs=1))
 
 
 class TestJointLoss:
