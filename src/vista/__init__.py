@@ -8,21 +8,17 @@ all on a small self-contained reverse-mode tensor engine.
 
 from .config import Config, DataConfig, EvalConfig, ModelConfig, TrainConfig
 from .data import AgentTrack, ScenarioSpec, Scene, SceneRaster
-from .gpm import GoalHeatmap, GoalSample
 from .metrics import EvalInput
 from .model import Model, init_params
 from .params import ParamStore
-from .tpm import AttentionTrace, PredictionSet
+from .tpm import PredictionSet
 
 __all__ = [
     "AgentTrack",
-    "AttentionTrace",
     "Config",
     "DataConfig",
     "EvalConfig",
     "EvalInput",
-    "GoalHeatmap",
-    "GoalSample",
     "Model",
     "ModelConfig",
     "ParamStore",

@@ -24,6 +24,7 @@ from .data import (
     atomic_write,
     load_raster,
     load_trajectories,
+    reject_off_grid,
     save_raster,
     save_trajectories,
     split_leave_one_out,
@@ -287,12 +288,16 @@ def cmd_train(args) -> int:
         cfg.train.seed = args.seed
     scenes = _load_scenes(args, cfg)
     folds = _fold_sets(scenes, args.fold, cfg)
+    # Reject any fold's bad input before the first fold writes its outputs.
+    for i, (train_scenes, _test) in enumerate(folds):
+        if len(train_scenes) < 2:
+            raise DataError(f"fold {i}: needs >= 2 training windows for a validation split")
+        for scene in train_scenes:  # training reads every frame of a window
+            reject_off_grid(scene, scene.n_frames, cfg.model.grid)
     os.makedirs(args.out, exist_ok=True)
 
     outputs = []
     for i, (train_scenes, _test) in enumerate(folds):
-        if len(train_scenes) < 2:
-            raise DataError(f"fold {i}: needs >= 2 training windows for a validation split")
         fit_scenes, val_scenes = split_ratio(
             train_scenes, 1.0 - cfg.data.val_ratio, seed=cfg.train.seed
         )
@@ -334,6 +339,8 @@ def cmd_predict(args) -> int:
     params = _load_checkpoint(args.checkpoint, cfg)
     model = Model(config=cfg.model, params=params)
     scenes = _load_scenes(args, cfg)
+    for scene in scenes:  # a bad window fails the run before the first file is written
+        reject_off_grid(scene, cfg.model.t_obs, cfg.model.grid)
     os.makedirs(args.out, exist_ok=True)
 
     outputs = []
@@ -343,12 +350,12 @@ def cmd_predict(args) -> int:
         save_prediction_txt(path, scene, pred, cfg.model.t_obs)
         outputs.append(path)
         if args.trace:
-            for j, trace in enumerate(pred.traces):
+            for j, steps in enumerate(pred.traces):
                 tpath = os.path.join(
                     args.out,
                     f"trace_{scene.scene_id}__w{scene.window_index:03d}_s{j:02d}.json",
                 )
-                save_trace_json(tpath, trace, scene.key(), j, cfg.model.t_obs)
+                save_trace_json(tpath, steps, pred.agent_ids, scene.key(), j, cfg.model.t_obs)
                 outputs.append(tpath)
     _write_manifest(
         args.out, "predict", args, cfg, args.seed,
@@ -389,8 +396,7 @@ def _eval_inputs_from_files(scenes, pred_dir, t_obs):
                 f"{path}: prediction/ground-truth mismatch at (sample, frame, agent) = {diff[0]}",
                 first_mismatch=diff[0],
             ) from None
-        unit = "meters" if scenes[0].unit_scale else "pixels"
-        evals.append(eval_from_scene(scene, traj, t_obs, unit))
+        evals.append(eval_from_scene(scene, traj, t_obs))
     return evals
 
 

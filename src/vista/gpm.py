@@ -10,8 +10,6 @@ nearest-neighbor duplication. Grid cell (r, c) is centered at (x=c, y=r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ModelConfig
@@ -19,22 +17,6 @@ from .data import SceneRaster, rasterize_gaussian, uniform_raster
 from .errors import ConfigError, DataError
 from .params import ParamStore, glorot_uniform
 from .tensor import Tensor, concat, constant, linear, narrow, relu
-
-
-@dataclass
-class GoalHeatmap:
-    grid: np.ndarray  # (H, W) probabilities after sigmoid
-    agent_id: int
-
-
-@dataclass
-class GoalSample:
-    goals: np.ndarray  # (k, 2) coordinates, ordered by descending weight
-    weights: np.ndarray  # (k,) cluster mass fractions summing to 1
-
-    @property
-    def k(self):
-        return len(self.weights)
 
 
 # -- parameters -----------------------------------------------------------
@@ -148,14 +130,14 @@ def gpm_forward_batch(
     return logits.reshape((n, h, w))
 
 
-def heatmap_from_logits(logits: np.ndarray, agent_id: int) -> GoalHeatmap:
-    """Per-cell sigmoid of one agent's (H, W) logits, stable at both tails."""
+def heatmap_from_logits(logits: np.ndarray) -> np.ndarray:
+    """Per-cell sigmoid of (N, H, W) goal logits, stable at both tails."""
     grid = np.empty_like(logits, dtype=np.float64)
     pos = logits >= 0
     grid[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
     e = np.exp(logits[~pos])
     grid[~pos] = e / (1.0 + e)
-    return GoalHeatmap(grid=grid, agent_id=agent_id)
+    return grid
 
 
 # -- goal sampling ---------------------------------------------------------
@@ -163,11 +145,14 @@ def heatmap_from_logits(logits: np.ndarray, agent_id: int) -> GoalHeatmap:
 
 def ttst_sample(
     grids: np.ndarray, n_raw: int, k: int, seeds, kmeans_iters: int = 50
-) -> list[GoalSample]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Goal sampling for the A heatmaps ``grids`` (A, H, W) of one window:
     each agent draws ``n_raw`` cells from its heatmap with a generator seeded
     from ``seeds[i]``, and one batched K-means (farthest-point seeding, at most
-    ``kmeans_iters`` iterations) reduces each agent's draws to k goals."""
+    ``kmeans_iters`` iterations) reduces each agent's draws to k goals.
+
+    Returns goals (A, k, 2) and their cluster mass fractions (A, k), each
+    agent's ordered by descending weight, then x, then y."""
     if not n_raw >= k >= 1:
         raise ConfigError(f"need n_raw >= k >= 1, got n_raw={n_raw}, k={k}")
     a, h, w = np.shape(grids)
@@ -180,12 +165,10 @@ def ttst_sample(
         rows, cols = np.divmod(rng.choice(h * w, size=n_raw, p=(mass / total).reshape(-1)), w)
         pts[:] = np.stack([cols, rows], axis=1) + rng.uniform(-0.5, 0.5, size=(n_raw, 2))
 
-    samples = []
-    for centers, labels in zip(*_kmeans(points, k, rngs, max_iters=kmeans_iters)):
-        weights = np.bincount(labels, minlength=k) / n_raw
-        order = np.lexsort((centers[:, 1], centers[:, 0], -weights))
-        samples.append(GoalSample(goals=centers[order], weights=weights[order]))
-    return samples
+    centers, labels = _kmeans(points, k, rngs, max_iters=kmeans_iters)
+    weights = np.stack([np.bincount(lab, minlength=k) for lab in labels]) / n_raw
+    order = np.stack([np.lexsort((c[:, 1], c[:, 0], -w)) for c, w in zip(centers, weights)])
+    return np.take_along_axis(centers, order[..., None], 1), np.take_along_axis(weights, order, 1)
 
 
 # Relative and absolute slack on every distance bound, far above the few ulps

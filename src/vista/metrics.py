@@ -28,7 +28,6 @@ from .errors import DataError
 class EvalInput:
     predictions: np.ndarray  # (N, k, T_fut, 2)
     ground_truth: np.ndarray  # (N, T_fut, 2)
-    unit: str = "pixels"
 
     def __post_init__(self):
         self.predictions = np.asarray(self.predictions, dtype=np.float64)
@@ -275,6 +274,6 @@ def save_report_csv(path, report: dict):
     atomic_write(path, f"{header}\n{row}\nauc_curve,{curve}\n")
 
 
-def eval_from_scene(scene: Scene, predictions: np.ndarray, t_obs: int, unit: str = "pixels") -> EvalInput:
+def eval_from_scene(scene: Scene, predictions: np.ndarray, t_obs: int) -> EvalInput:
     gt = scene.positions()[:, t_obs:, :]
-    return EvalInput(predictions=predictions, ground_truth=gt, unit=unit)
+    return EvalInput(predictions=predictions, ground_truth=gt)

@@ -13,17 +13,10 @@ import numpy as np
 from .config import ModelConfig
 from .data import Scene, reject_off_grid
 from .errors import ConfigError
-from .gpm import (
-    GoalHeatmap,
-    GoalSample,
-    gpm_forward_batch,
-    heatmap_from_logits,
-    init_gpm_params,
-    ttst_sample,
-)
+from .gpm import gpm_forward_batch, heatmap_from_logits, init_gpm_params, ttst_sample
 from .params import ParamStore
 from .tensor import no_grad
-from .tpm import PredictionSet, init_tpm_params, predict_multimodal, rollout
+from .tpm import PredictionSet, init_tpm_params, rollout
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
@@ -51,41 +44,46 @@ class Model:
         """Final ground-truth position per agent, scene units."""
         return scene.positions()[:, -1, :].copy()
 
-    def heatmaps(self, scene: Scene) -> list[GoalHeatmap]:
+    def heatmaps(self, scene: Scene) -> np.ndarray:
+        """(N, H, W) goal probabilities, one map per agent in scene order."""
         if not self.config.use_goal:
             raise ConfigError("goal conditioning is disabled in this configuration")
         obs = scene.positions()[:, : self.config.t_obs, :]
         with no_grad():
             logits = gpm_forward_batch(obs, scene.raster, self.params, self.config)
-        return [
-            heatmap_from_logits(logits.data[i], agent_id)
-            for i, agent_id in enumerate(scene.agent_ids)
-        ]
+        return heatmap_from_logits(logits.data)
 
-    def sample_goals(self, scene: Scene, k: int, seed: int) -> list[GoalSample]:
-        """TTST goals per agent; each agent's sampler is seeded from
-        (seed, scene key, agent_id)."""
-        heatmaps = self.heatmaps(scene)
-        grids = np.stack([hm.grid for hm in heatmaps])
-        seeds = [stable_seed(seed, scene.key(), hm.agent_id) for hm in heatmaps]
-        return ttst_sample(grids, self.config.n_raw_samples, k, seeds, self.config.kmeans_iters)
+    def sample_goals(self, scene: Scene, k: int, seed: int):
+        """TTST goals (N, k, 2) and weights (N, k); each agent's sampler is
+        seeded from (seed, scene key, agent_id)."""
+        seeds = [stable_seed(seed, scene.key(), agent_id) for agent_id in scene.agent_ids]
+        return ttst_sample(
+            self.heatmaps(scene), self.config.n_raw_samples, k, seeds, self.config.kmeans_iters
+        )
 
     def predict(
         self, scene: Scene, k: int, seed: int, capture_trace: bool = False
     ) -> PredictionSet:
-        """k joint samples of the scene's future; raises DataError on an
-        observed position outside the grid."""
+        """k joint samples of the scene's future; sample j pairs the j-th
+        goal of every agent, and all k run as one batched rollout. Without
+        goal conditioning the k samples coincide, so one rollout is repeated
+        k times. Raises DataError on an observed position outside the grid."""
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
         reject_off_grid(scene, self.config.t_obs, self.config.grid)
+        goals = weights = None
         if self.config.use_goal:
-            goal_samples = self.sample_goals(scene, k, seed)
-            with no_grad():
-                return predict_multimodal(
-                    scene, goal_samples, self.params, self.config, capture_trace
-                )
+            goals, weights = self.sample_goals(scene, k, seed)
+            goals = goals.transpose(1, 0, 2)
         with no_grad():
-            return predict_multimodal(
-                scene, None, self.params, self.config, capture_trace, k=k
-            )
+            result = rollout(scene, goals, self.params, self.config, capture_trace)
+        trajectories, traces = result.trajectories, result.traces
+        if goals is None:
+            trajectories = np.repeat(trajectories[None], k, axis=0)
+            traces = None if traces is None else np.repeat(traces[None], k, axis=0)
+        return PredictionSet(
+            list(scene.agent_ids), trajectories.transpose(1, 0, 2, 3), traces, weights
+        )
 
     def rollout_with_goals(self, scene: Scene, goals, capture_trace: bool = False):
         with no_grad():

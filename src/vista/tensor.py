@@ -274,26 +274,6 @@ def relu(a):
     return _node(out, (a,), bwd, "relu")
 
 
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _node(out, (a,), bwd, "exp")
-
-
-def log(a):
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return _node(out, (a,), bwd, "log")
-
-
 def scale(a, c):
     a = as_tensor(a)
     c = float(c)

@@ -14,7 +14,9 @@ through the model's own feedback. Agents are processed in a canonical order
 (sorted by agent_id) internally and restored to input order on output, which
 makes permutation equivariance exact at the bit level. Positions and goals
 are embedded relative to the mean of the agents' last observed positions,
-making predictions translation-equivariant.
+making predictions translation-equivariant. Results stay arrays: ([B,] N,
+T_fut, 2) positions and ([B,] T_fut, N, N) head-averaged social-attention
+maps, one per batch row and step, which ``save_trace_json`` writes per row.
 """
 
 from __future__ import annotations
@@ -44,27 +46,12 @@ from .tensor import (
 
 
 @dataclass
-class AttentionTrace:
-    agent_ids: list
-    steps: list  # one (N, N) head-averaged row-stochastic matrix per step
-
-    def to_json_obj(self, scene_id: str, sample_index: int, t_obs: int) -> dict:
-        return {
-            "scene_id": scene_id,
-            "sample_index": sample_index,
-            "agent_ids": [int(a) for a in self.agent_ids],
-            "steps": [
-                {"t": t_obs + 1 + i, "matrix": m.tolist()}
-                for i, m in enumerate(self.steps)
-            ],
-        }
-
-
-@dataclass
 class PredictionSet:
     agent_ids: list
     trajectories: np.ndarray  # (N, k, T_fut, 2) in scene units
-    traces: list | None = None  # AttentionTrace per sample index
+    # (k, T_fut, N, N) head-averaged social attention per sample and step;
+    # None unless the prediction captured traces.
+    traces: np.ndarray | None = None
     # (N, k) TTST cluster mass of the goal sample j gave each agent; None
     # without goal conditioning.
     goal_weights: np.ndarray | None = None
@@ -77,14 +64,9 @@ class PredictionSet:
 @dataclass
 class RolloutResult:
     trajectories: np.ndarray  # ([B,] N, T_fut, 2), input agent order
-    traces: list | None  # one AttentionTrace per batch row
+    traces: np.ndarray | None  # ([B,] T_fut, N, N), input agent order
     step_tensors: list  # ([B,] N, 2) tensors per step, canonical agent order
     canonical_order: np.ndarray  # input index -> canonical row
-
-    @property
-    def trace(self) -> AttentionTrace | None:
-        """The trace of an unbatched rollout (the first batch row's otherwise)."""
-        return self.traces[0] if self.traces else None
 
 
 # -- parameters -----------------------------------------------------------
@@ -180,15 +162,11 @@ def social_attention(features, params: ParamStore, config: ModelConfig):
 
 
 def decode_step(feature, last_pos, params: ParamStore):
-    """next_pos = last_pos + MLP(feature); MLP is d -> d -> 2 with relu."""
-    f = as_tensor(feature)
-    squeeze = f.ndim == 1
-    if squeeze:
-        f = f.reshape((1, f.shape[0]))
-    hidden = relu(linear(f, params["tpm.dec.w1"], params["tpm.dec.b1"]))
+    """next_pos = last_pos + MLP(feature) for features (..., d); MLP is
+    d -> d -> 2 with relu."""
+    hidden = relu(linear(feature, params["tpm.dec.w1"], params["tpm.dec.b1"]))
     delta = linear(hidden, params["tpm.dec.w2"], params["tpm.dec.b2"])
-    out = as_tensor(last_pos).reshape(delta.shape) + delta
-    return out.reshape((2,)) if squeeze else out
+    return as_tensor(last_pos).reshape(delta.shape) + delta
 
 
 # -- rollout ----------------------------------------------------------------
@@ -291,13 +269,8 @@ def rollout(
     trajectories = np.take(trajectories, inverse, axis=-3)
     traces = None
     if capture_trace:
-        traces = [
-            AttentionTrace(
-                agent_ids=list(agent_ids),
-                steps=[attn[row][inverse][:, inverse] for attn in trace_steps],
-            )
-            for row in range(b)
-        ]
+        traces = np.stack(trace_steps, axis=1)[:, :, inverse][..., inverse]
+        traces = traces if lead else traces[0]
     return RolloutResult(
         trajectories=trajectories,
         traces=traces,
@@ -306,46 +279,18 @@ def rollout(
     )
 
 
-def predict_multimodal(
-    scene: Scene,
-    goal_samples,
-    params: ParamStore,
-    config: ModelConfig,
-    capture_trace: bool = False,
-    k: int | None = None,
-) -> PredictionSet:
-    """One joint rollout per sample index: sample j pairs the j-th goal of
-    every agent, giving k rollouts total (not k^N), run as one batch of k.
-    Without goal conditioning the k samples coincide, so one rollout is
-    repeated k times."""
-    if config.use_goal:
-        ks = {gs.k for gs in goal_samples}
-        if len(goal_samples) != scene.n_agents or len(ks) != 1:
-            raise DataError(f"need one GoalSample with a common k per agent, got k's {ks}")
-        goals = np.stack([gs.goals for gs in goal_samples], axis=1)  # (k, N, 2)
-        result = rollout(scene, goals, params, config, capture_trace=capture_trace)
-        trajs = result.trajectories.transpose(1, 0, 2, 3)
-        traces = result.traces
-        weights = np.stack([gs.weights for gs in goal_samples])
-    else:
-        k = k or 1
-        result = rollout(scene, None, params, config, capture_trace=capture_trace)
-        trajs = np.repeat(result.trajectories[:, None], k, axis=1)
-        traces = result.traces * k if capture_trace else None
-        weights = None
-    return PredictionSet(
-        agent_ids=list(scene.agent_ids),
-        trajectories=trajs,
-        traces=traces,
-        goal_weights=weights,
-    )
-
-
 # -- export ----------------------------------------------------------------
 
 
-def save_trace_json(path, trace: AttentionTrace, scene_id: str, sample_index: int, t_obs: int):
-    obj = trace.to_json_obj(scene_id, sample_index, t_obs)
+def save_trace_json(path, steps, agent_ids, scene_id: str, sample_index: int, t_obs: int):
+    """One sample's attention maps ``steps`` (T_fut, N, N) as JSON, step i
+    labelled with frame index t_obs + 1 + i."""
+    obj = {
+        "scene_id": scene_id,
+        "sample_index": sample_index,
+        "agent_ids": [int(a) for a in agent_ids],
+        "steps": [{"t": t_obs + 1 + i, "matrix": m.tolist()} for i, m in enumerate(steps)],
+    }
     atomic_write(path, json.dumps(obj, sort_keys=True) + "\n")
 
 

@@ -1,5 +1,6 @@
 """Engine ops that only the tests use: the softmax and transpose nodes of the
-unfused attention chain that ``reference_multi_head_attention`` rebuilds."""
+unfused attention chain that ``reference_multi_head_attention`` rebuilds, and
+the exp and log nodes of the unfused softplus the BCE node is checked against."""
 
 from __future__ import annotations
 
@@ -31,3 +32,23 @@ def softmax(a, axis=-1):
         return (out * (g - dot),)
 
     return _node(out, (a,), bwd, "softmax")
+
+
+def exp(a):
+    a = as_tensor(a)
+    out = np.exp(a.data)
+
+    def bwd(g):
+        return (g * out,)
+
+    return _node(out, (a,), bwd, "exp")
+
+
+def log(a):
+    a = as_tensor(a)
+    out = np.log(a.data)
+
+    def bwd(g):
+        return (g / a.data,)
+
+    return _node(out, (a,), bwd, "log")

@@ -256,6 +256,25 @@ class TestPredict:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "CheckpointError"
 
+    @pytest.mark.parametrize("use_goal", ["true", "false"], ids=["goal", "goal_free"])
+    def test_k_below_one_exits_2(self, synth_dir, tmp_path, capsys, use_goal):
+        from vista.config import load_config
+        from vista.model import init_params
+
+        config = tmp_path / "model.cfg"
+        config.write_text(f"[model]\nt_obs=4\nt_fut=3\ngrid=16\nuse_goal={use_goal}\n")
+        ckpt = tmp_path / "model.bin"
+        init_params(load_config(config).model, seed=0).save(ckpt)
+        for k in ("0", "-2"):
+            code = main([
+                "predict", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+                "--config", str(config), "--k", k, "--out", str(tmp_path / "p"),
+            ])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert f"k must be >= 1, got {k}" in err["message"]
+
     def test_non_finite_checkpoint_exits_3(self, synth_dir, quick_config, tmp_path, capsys):
         from vista.config import load_config
         from vista.model import init_params
@@ -297,6 +316,29 @@ def test_off_grid_observation_exits_4(trained, quick_config, tmp_path, capsys, c
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataError"
     assert "walk.txt: agent 2 at frame 2 is at (15.5, 6.0), outside the 16x16 raster" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["predict", "train"])
+def test_off_grid_window_writes_nothing(trained, quick_config, tmp_path, capsys, command):
+    # predict reads c0 and c1 before the bad c2; train's first leave-one-out
+    # fold holds the bad c0 out and would write its checkpoint first.
+    bad = {"predict": "c2", "train": "c0"}[command]
+    data = tmp_path / "three"
+    data.mkdir()
+    for name in ("c0", "c1", "c2"):
+        rows = [f"{f} {a} {1.0 + f} {3.0 * a}" for f in range(7) for a in (1, 2)]
+        if name == bad:
+            rows[2 * 2 + 1] = "2 2 15.5 6.0"
+        (data / f"{name}.txt").write_text("\n".join(rows) + "\n")
+    extra = ["--checkpoint", str(trained)] if command == "predict" else ["--fold", "all"]
+    out = tmp_path / "o"
+    code = main([
+        command, *extra, "--data", str(data), "--config", str(quick_config), "--out", str(out),
+    ])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert f"{bad}.txt: agent 2 at frame 2 is at (15.5, 6.0)" in err["message"]
+    assert not out.exists()
 
 
 class TestEvaluate:

@@ -11,8 +11,6 @@ from vista.config import ModelConfig
 from vista.data import uniform_raster
 from vista.errors import ConfigError, DataError
 from vista.gpm import (
-    GoalHeatmap,
-    GoalSample,
     goal_target,
     gpm_forward_batch,
     heatmap_from_logits,
@@ -24,23 +22,18 @@ from vista.params import ParamStore
 from vista.tensor import bce_with_logits_mean
 
 
-def heatmap_from_grid(grid):
-    return GoalHeatmap(grid=np.asarray(grid, dtype=np.float64), agent_id=0)
-
-
 # The per-agent TTST that the batched ``ttst_sample`` replaced, kept verbatim
 # as the oracle: the batched sampler must reproduce it bit for bit.
 
 
-def reference_ttst_sample(
-    heatmap: GoalHeatmap, n_raw: int, k: int, seed: int, kmeans_iters: int = 50
-) -> GoalSample:
-    """Large-scale categorical sampling over cells, reduced to k goals by at
-    most ``kmeans_iters`` K-means iterations with farthest-point seeding;
+def reference_ttst_sample(grid, n_raw: int, k: int, seed: int, kmeans_iters: int = 50):
+    """Large-scale categorical sampling over the cells of one (H, W)
+    heatmap, reduced to k goals (k, 2) with weights (k,) by at most
+    ``kmeans_iters`` K-means iterations with farthest-point seeding;
     deterministic given the seed."""
     if not n_raw >= k >= 1:
         raise ConfigError(f"need n_raw >= k >= 1, got n_raw={n_raw}, k={k}")
-    mass = heatmap.grid.astype(np.float64)
+    mass = np.asarray(grid, dtype=np.float64)
     total = mass.sum()
     if total <= 0:
         raise DataError("ttst_sample: heatmap has no positive mass")
@@ -55,7 +48,7 @@ def reference_ttst_sample(
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     weights = counts / n_raw
     order = np.lexsort((centers[:, 1], centers[:, 0], -weights))
-    return GoalSample(goals=centers[order], weights=weights[order])
+    return centers[order], weights[order]
 
 
 def reference_kmeans(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int):
@@ -108,11 +101,10 @@ class TestForward:
         raster = uniform_raster(32, 3)
         obs = np.random.default_rng(0).uniform(2, 29, size=(8, 2))
         logits = gpm_forward_batch(obs[None], raster, params, cfg)
-        hm = heatmap_from_logits(logits.data[0], agent_id=5)
-        assert hm.grid.shape == (32, 32)
-        assert hm.agent_id == 5
-        assert ((hm.grid >= 0) & (hm.grid <= 1)).all()
-        assert (hm.grid > 0).any()
+        hm = heatmap_from_logits(logits.data)
+        assert hm.shape == (1, 32, 32)
+        assert ((hm >= 0) & (hm <= 1)).all()
+        assert (hm > 0).any()
 
     def test_zero_weights_give_constant_sigmoid_bias(self):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
@@ -122,14 +114,14 @@ class TestForward:
                 params[name].data = np.zeros_like(params[name].data)
         params["gpm.out.b"].data = np.array([0.3])
         obs = np.full((4, 2), 8.0)
-        hm = heatmap_from_logits(gpm_forward_batch(obs[None], None, params, cfg).data[0], 0)
+        hm = heatmap_from_logits(gpm_forward_batch(obs[None], None, params, cfg).data)
         expected = 1 / (1 + math.exp(-0.3))
-        np.testing.assert_allclose(hm.grid, expected, atol=1e-12)
+        np.testing.assert_allclose(hm, expected, atol=1e-12)
 
     def test_sigmoid_matches_closed_form(self):
         z = np.linspace(-30, 30, 101)
-        hm = heatmap_from_logits(z.reshape(1, -1), agent_id=0)
-        np.testing.assert_allclose(hm.grid[0], 1 / (1 + np.exp(-z)), rtol=1e-12)
+        hm = heatmap_from_logits(z.reshape(1, 1, -1))
+        np.testing.assert_allclose(hm[0, 0], 1 / (1 + np.exp(-z)), rtol=1e-12)
 
     def test_bce_gradient_matches_finite_differences(self, tiny_model_config):
         cfg = tiny_model_config
@@ -158,38 +150,38 @@ class TestTTST:
     def test_single_peak_k1_centroid_near_peak(self):
         grid = np.zeros((8, 8))
         grid[5, 2] = 1.0
-        [sample] = ttst_sample(grid[None], n_raw=500, k=1, seeds=[0])
-        assert sample.goals.shape == (1, 2)
-        np.testing.assert_allclose(sample.goals[0], [2.0, 5.0], atol=0.5)
-        np.testing.assert_array_equal(sample.weights, [1.0])
+        [goals], [weights] = ttst_sample(grid[None], n_raw=500, k=1, seeds=[0])
+        assert goals.shape == (1, 2)
+        np.testing.assert_allclose(goals[0], [2.0, 5.0], atol=0.5)
+        np.testing.assert_array_equal(weights, [1.0])
 
     def test_two_separated_peaks_k2(self):
         grid = np.zeros((16, 16))
         grid[2, 2] = 0.5
         grid[13, 13] = 0.5
-        [sample] = ttst_sample(grid[None], n_raw=2000, k=2, seeds=[1])
-        goals = sample.goals[np.argsort(sample.goals[:, 0])]
+        [goals], [weights] = ttst_sample(grid[None], n_raw=2000, k=2, seeds=[1])
+        goals = goals[np.argsort(goals[:, 0])]
         np.testing.assert_allclose(goals[0], [2.0, 2.0], atol=1.0)
         np.testing.assert_allclose(goals[1], [13.0, 13.0], atol=1.0)
-        np.testing.assert_allclose(sample.weights, [0.5, 0.5], atol=0.05)
+        np.testing.assert_allclose(weights, [0.5, 0.5], atol=0.05)
 
     def test_k_equals_n_raw_uniform_weights(self):
         grid = np.ones((6, 6))
-        [sample] = ttst_sample(grid[None], n_raw=12, k=12, seeds=[3])
-        np.testing.assert_allclose(sample.weights, np.full(12, 1 / 12), atol=1e-12)
+        _, [weights] = ttst_sample(grid[None], n_raw=12, k=12, seeds=[3])
+        np.testing.assert_allclose(weights, np.full(12, 1 / 12), atol=1e-12)
 
     def test_deterministic_given_seed(self):
         grid = np.random.default_rng(0).uniform(size=(10, 10))
-        [a] = ttst_sample(grid[None], 300, 5, seeds=[7])
-        [b] = ttst_sample(grid[None], 300, 5, seeds=[7])
-        np.testing.assert_array_equal(a.goals, b.goals)
-        np.testing.assert_array_equal(a.weights, b.weights)
+        a_goals, a_weights = ttst_sample(grid[None], 300, 5, seeds=[7])
+        b_goals, b_weights = ttst_sample(grid[None], 300, 5, seeds=[7])
+        np.testing.assert_array_equal(a_goals, b_goals)
+        np.testing.assert_array_equal(a_weights, b_weights)
 
     def test_goals_within_grid_bounds(self):
         grid = np.random.default_rng(1).uniform(size=(9, 9))
-        [sample] = ttst_sample(grid[None], 1000, 20, seeds=[2])
-        assert (sample.goals >= -0.5).all() and (sample.goals <= 8.5).all()
-        assert sample.weights.sum() == pytest.approx(1.0)
+        [goals], [weights] = ttst_sample(grid[None], 1000, 20, seeds=[2])
+        assert (goals >= -0.5).all() and (goals <= 8.5).all()
+        assert weights.sum() == pytest.approx(1.0)
 
     def test_all_zero_heatmap_errors(self):
         with pytest.raises(DataError, match="no positive mass"):
@@ -205,21 +197,21 @@ class TestTTST:
         # On a flat heatmap the centres keep moving after the first Lloyd
         # update, so stopping after one iteration gives other goals.
         grids = np.ones((1, 16, 16))
-        [one] = ttst_sample(grids, 400, 6, seeds=[5], kmeans_iters=1)
-        [default] = ttst_sample(grids, 400, 6, seeds=[5])
-        assert np.abs(one.goals - default.goals).max() > 1e-3
+        one, _ = ttst_sample(grids, 400, 6, seeds=[5], kmeans_iters=1)
+        default, _ = ttst_sample(grids, 400, 6, seeds=[5])
+        assert np.abs(one - default).max() > 1e-3
         np.testing.assert_array_equal(
-            ttst_sample(grids, 400, 6, seeds=[5], kmeans_iters=50)[0].goals, default.goals
+            ttst_sample(grids, 400, 6, seeds=[5], kmeans_iters=50)[0], default
         )
 
     def test_model_config_kmeans_iters_reaches_sampler(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)
         model = Model(cfg, init_params(cfg, seed=0))
         short = Model(replace(cfg, kmeans_iters=1), model.params)
-        full_goals = model.sample_goals(tiny_scene, 6, seed=2)
-        short_goals = short.sample_goals(tiny_scene, 6, seed=2)
+        full_goals, _ = model.sample_goals(tiny_scene, 6, seed=2)
+        short_goals, _ = short.sample_goals(tiny_scene, 6, seed=2)
         for a, b in zip(full_goals, short_goals):
-            assert np.abs(a.goals - b.goals).max() > 1e-3
+            assert np.abs(a - b).max() > 1e-3
         with pytest.raises(ConfigError, match="kmeans_iters"):
             replace(cfg, kmeans_iters=0).validate()
 
@@ -243,20 +235,20 @@ class TestTTSTMatchesReference:
     @pytest.mark.parametrize("kmeans_iters", [1, 50])
     def test_every_agent_matches_reference_bitwise(self, kmeans_iters):
         grids = self.window_grids()
-        got = ttst_sample(grids, 400, 6, list(self.SEEDS), kmeans_iters)
-        for grid, seed, sample in zip(grids, self.SEEDS, got):
-            ref = reference_ttst_sample(heatmap_from_grid(grid), 400, 6, seed, kmeans_iters)
-            np.testing.assert_array_equal(sample.goals, ref.goals)
-            np.testing.assert_array_equal(sample.weights, ref.weights)
+        goals, weights = ttst_sample(grids, 400, 6, list(self.SEEDS), kmeans_iters)
+        for grid, seed, g, w in zip(grids, self.SEEDS, goals, weights):
+            ref_goals, ref_weights = reference_ttst_sample(grid, 400, 6, seed, kmeans_iters)
+            np.testing.assert_array_equal(g, ref_goals)
+            np.testing.assert_array_equal(w, ref_weights)
 
     def test_window_agents_settle_at_different_iterations(self):
         # The premise of the bitwise test: agents leave the batched Lloyd
         # loop at different iterations while others keep going.
         def settled_after(grid, seed):
-            final = reference_ttst_sample(heatmap_from_grid(grid), 400, 6, seed)
+            final, _ = reference_ttst_sample(grid, 400, 6, seed)
             for iters in range(1, 51):
-                early = reference_ttst_sample(heatmap_from_grid(grid), 400, 6, seed, iters)
-                if np.array_equal(early.goals, final.goals):
+                early, _ = reference_ttst_sample(grid, 400, 6, seed, iters)
+                if np.array_equal(early, final):
                     return iters
 
         counts = {settled_after(g, s) for g, s in zip(self.window_grids(), self.SEEDS)}
@@ -340,12 +332,13 @@ class TestTTSTMatchesReference:
     def test_model_sample_goals_matches_reference(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)
         model = Model(cfg, init_params(cfg, seed=0))
-        got = model.sample_goals(tiny_scene, 6, seed=2)
-        for heatmap, sample in zip(model.heatmaps(tiny_scene), got):
-            seed = stable_seed(2, tiny_scene.key(), heatmap.agent_id)
-            ref = reference_ttst_sample(heatmap, 400, 6, seed)
-            np.testing.assert_array_equal(sample.goals, ref.goals)
-            np.testing.assert_array_equal(sample.weights, ref.weights)
+        goals, weights = model.sample_goals(tiny_scene, 6, seed=2)
+        grids = model.heatmaps(tiny_scene)
+        for i, agent_id in enumerate(tiny_scene.agent_ids):
+            seed = stable_seed(2, tiny_scene.key(), agent_id)
+            ref_goals, ref_weights = reference_ttst_sample(grids[i], 400, 6, seed)
+            np.testing.assert_array_equal(goals[i], ref_goals)
+            np.testing.assert_array_equal(weights[i], ref_weights)
 
 
 def logit(p):

@@ -19,7 +19,6 @@ from vista.tpm import (
     goal_trajectory_fusion,
     hybrid_positional_encoding,
     load_prediction_txt,
-    predict_multimodal,
     prediction_array,
     rollout,
     save_prediction_txt,
@@ -35,6 +34,21 @@ def scene_from_positions(positions, agent_ids=None):
     ids = list(range(n)) if agent_ids is None else agent_ids
     tracks = [AgentTrack(ids[i], positions[i], np.arange(t)) for i in range(n)]
     return Scene("test", tracks)
+
+
+def fixed_goals(scene, k, spread=0.0):
+    """(N, k, 2) goals: each agent's last position, shifted along the
+    diagonal by k evenly spaced steps from 0 to ``spread``."""
+    goals = np.repeat(scene.positions()[:, -1, None, :], k, axis=1)
+    return goals + np.linspace(0, spread, k)[:, None] if spread else goals
+
+
+def predict_with_goals(scene, goals, params, cfg, capture_trace=False):
+    """``Model.predict`` with TTST replaced by the fixed goals (N, k, 2)."""
+    model = Model(cfg, params)
+    k = goals.shape[1]
+    model.sample_goals = lambda *_: (goals, np.full(goals.shape[:2], 1.0 / k))
+    return model.predict(scene, k=k, seed=0, capture_trace=capture_trace)
 
 
 @pytest.fixture
@@ -192,14 +206,14 @@ class TestDecodeStep:
         params["tpm.dec.b1"].data[:] = 0
         params["tpm.dec.w2"].data[:] = 0
         params["tpm.dec.b2"].data[:] = 0
-        out = decode_step(constant(np.ones(cfg.d_model)), np.array([3.0, -2.0]), params)
-        np.testing.assert_array_equal(out.data, [3.0, -2.0])
+        out = decode_step(constant(np.ones((1, cfg.d_model))), np.array([3.0, -2.0]), params)
+        np.testing.assert_array_equal(out.data, [[3.0, -2.0]])
 
     def test_displacement_independent_of_position(self, cfg, params):
-        feat = constant(np.random.default_rng(10).normal(size=cfg.d_model))
+        feat = constant(np.random.default_rng(10).normal(size=(1, cfg.d_model)))
         a = decode_step(feat, np.array([0.0, 0.0]), params).data
         b = decode_step(feat, np.array([1.0, 1.0]), params).data
-        np.testing.assert_array_equal(b - a, [1.0, 1.0])
+        np.testing.assert_array_equal(b - a, [[1.0, 1.0]])
 
     def test_hand_unit_mlp(self):
         store = ParamStore()
@@ -210,12 +224,12 @@ class TestDecodeStep:
         store.add("tpm.dec.b1", np.array([0.0, 0.5]))
         store.add("tpm.dec.w2", np.array([[2.0, 0.0], [0.0, 1.0]]))
         store.add("tpm.dec.b2", np.array([0.1, -0.1]))
-        feat = np.array([1.5, 2.0])
+        feat = np.array([[1.5, 2.0]])
         hidden = np.maximum(feat @ store["tpm.dec.w1"].data + store["tpm.dec.b1"].data, 0)
         expected = hidden @ store["tpm.dec.w2"].data + store["tpm.dec.b2"].data
         out = decode_step(constant(feat), np.array([0.0, 0.0]), store)
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
-        np.testing.assert_allclose(out.data, [3.1, -0.1], atol=1e-12)
+        np.testing.assert_allclose(out.data, [[3.1, -0.1]], atol=1e-12)
 
 
 class TestRollout:
@@ -276,8 +290,8 @@ class TestRollout:
             goals[perm], params, cfg, capture_trace=True,
         )
         np.testing.assert_array_equal(permuted.trajectories, base.trajectories[perm])
-        for a, b in zip(base.trace.steps, permuted.trace.steps):
-            np.testing.assert_array_equal(b, a[perm][:, perm])
+        assert base.traces.shape == (cfg.t_fut, 5, 5)
+        np.testing.assert_array_equal(permuted.traces, base.traces[:, perm][:, :, perm])
 
         batch_goals = goals + rng.normal(scale=0.5, size=(3, 5, 2))
         base = rollout(scene_from_positions(pos, ids), batch_goals, params, cfg, capture_trace=True)
@@ -287,18 +301,15 @@ class TestRollout:
         )
         assert base.trajectories.shape == (3, 5, cfg.t_fut, 2)
         np.testing.assert_array_equal(permuted.trajectories, base.trajectories[:, perm])
-        assert len(base.traces) == len(permuted.traces) == 3
-        for row_a, row_b in zip(base.traces, permuted.traces):
-            for a, b in zip(row_a.steps, row_b.steps):
-                np.testing.assert_array_equal(b, a[perm][:, perm])
+        assert base.traces.shape == permuted.traces.shape == (3, cfg.t_fut, 5, 5)
+        np.testing.assert_array_equal(permuted.traces, base.traces[:, :, perm][..., perm])
 
     def test_trace_shape_and_row_sums(self, cfg, params, tiny_scene):
         goals = tiny_scene.positions()[:, -1, :]
         result = rollout(tiny_scene, goals, params, cfg, capture_trace=True)
-        assert len(result.trace.steps) == cfg.t_fut
-        for mat in result.trace.steps:
-            assert mat.shape == (tiny_scene.n_agents, tiny_scene.n_agents)
-            np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-6)
+        n = tiny_scene.n_agents
+        assert result.traces.shape == (cfg.t_fut, n, n)
+        np.testing.assert_allclose(result.traces.sum(axis=2), 1.0, atol=1e-6)
 
     def test_goal_sensitivity(self, cfg, params, tiny_scene):
         goals = tiny_scene.positions()[:, -1, :]
@@ -329,21 +340,11 @@ class TestRollout:
 
 
 class TestPredictMultimodal:
-    def make_samples(self, scene, k, spread=0.0):
-        from vista.gpm import GoalSample
-
-        goals = scene.positions()[:, -1, :]
-        samples = []
-        for i in range(scene.n_agents):
-            pts = np.tile(goals[i], (k, 1))
-            if spread:
-                pts = pts + np.linspace(0, spread, k)[:, None]
-            samples.append(GoalSample(goals=pts, weights=np.full(k, 1.0 / k)))
-        return samples
+    """``Model.predict``'s k joint samples: one batched rollout of k goal
+    sets, or one goal-free rollout repeated k times."""
 
     def test_k1_reduces_to_rollout(self, cfg, params, tiny_scene):
-        samples = self.make_samples(tiny_scene, 1)
-        pred = predict_multimodal(tiny_scene, samples, params, cfg)
+        pred = predict_with_goals(tiny_scene, fixed_goals(tiny_scene, 1), params, cfg)
         direct = rollout(
             tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg
         ).trajectories
@@ -351,47 +352,36 @@ class TestPredictMultimodal:
         np.testing.assert_array_equal(pred.trajectories[:, 0], direct)
 
     def test_identical_goals_give_identical_samples(self, cfg, params, tiny_scene):
-        pred = predict_multimodal(tiny_scene, self.make_samples(tiny_scene, 4), params, cfg)
+        pred = predict_with_goals(tiny_scene, fixed_goals(tiny_scene, 4), params, cfg)
         for j in range(1, 4):
             np.testing.assert_array_equal(pred.trajectories[:, j], pred.trajectories[:, 0])
-
-    def test_mismatched_k_rejected(self, cfg, params, tiny_scene):
-        from vista.gpm import GoalSample
-
-        samples = self.make_samples(tiny_scene, 3)
-        samples[1] = GoalSample(goals=np.zeros((2, 2)), weights=np.array([0.5, 0.5]))
-        with pytest.raises(DataError, match="common k"):
-            predict_multimodal(tiny_scene, samples, params, cfg)
 
     def test_batched_matches_serial_rollouts(self, cfg, params, three_agent_scene):
         scene = three_agent_scene
         k = 20
         rng = np.random.default_rng(11)
-        samples = self.make_samples(scene, k)
-        for gs in samples:
-            gs.goals = gs.goals + rng.normal(scale=1.5, size=gs.goals.shape)
-        pred = predict_multimodal(scene, samples, params, cfg, capture_trace=True)
-        assert pred.trajectories.shape == (scene.n_agents, k, cfg.t_fut, 2)
-        assert len(pred.traces) == k
+        goals = fixed_goals(scene, k)
+        goals = goals + rng.normal(scale=1.5, size=goals.shape)
+        pred = predict_with_goals(scene, goals, params, cfg, capture_trace=True)
+        n = scene.n_agents
+        assert pred.trajectories.shape == (n, k, cfg.t_fut, 2)
+        assert pred.traces.shape == (k, cfg.t_fut, n, n)
         for j in range(k):
-            goals = np.stack([gs.goals[j] for gs in samples])
-            one = rollout(scene, goals, params, cfg, capture_trace=True)
+            one = rollout(scene, goals[:, j], params, cfg, capture_trace=True)
             np.testing.assert_allclose(
                 pred.trajectories[:, j], one.trajectories, rtol=0, atol=1e-12
             )
-            assert len(pred.traces[j].steps) == len(one.trace.steps) == cfg.t_fut
-            for a, b in zip(pred.traces[j].steps, one.trace.steps):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pred.traces[j], one.traces, rtol=0, atol=1e-12)
 
     def test_goal_free_samples_repeat_one_rollout(self, cfg, tiny_scene):
         cfg_ng = replace(cfg, use_goal=False)
         params = init_params(cfg_ng, seed=0)
-        pred = predict_multimodal(tiny_scene, None, params, cfg_ng, capture_trace=True, k=3)
+        pred = Model(cfg_ng, params).predict(tiny_scene, k=3, seed=0, capture_trace=True)
         one = rollout(tiny_scene, None, params, cfg_ng, capture_trace=True)
         assert pred.k == 3 and len(pred.traces) == 3
         for j in range(3):
             np.testing.assert_array_equal(pred.trajectories[:, j], one.trajectories)
-            np.testing.assert_array_equal(pred.traces[j].steps, one.trace.steps)
+            np.testing.assert_array_equal(pred.traces[j], one.traces)
 
     def test_goal_weights_are_the_ttst_masses_in_sample_order(
         self, cfg, params, three_agent_scene
@@ -399,33 +389,25 @@ class TestPredictMultimodal:
         scene = three_agent_scene
         model = Model(replace(cfg, n_raw_samples=300), params)
         pred = model.predict(scene, k=6, seed=4)
-        grids = np.stack([hm.grid for hm in model.heatmaps(scene)])
         seeds = [stable_seed(4, scene.key(), a) for a in scene.agent_ids]
-        samples = ttst_sample(grids, 300, 6, seeds)
+        _, weights = ttst_sample(model.heatmaps(scene), 300, 6, seeds)
         assert pred.goal_weights.shape == (scene.n_agents, 6)
-        for row, sample in zip(pred.goal_weights, samples):
-            np.testing.assert_array_equal(row, sample.weights)
+        np.testing.assert_array_equal(pred.goal_weights, weights)
         np.testing.assert_allclose(pred.goal_weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         no_goal = replace(cfg, use_goal=False)
         goal_free = Model(no_goal, init_params(no_goal, seed=0)).predict(scene, k=6, seed=4)
         assert goal_free.goal_weights is None
 
     def test_trace_per_sample(self, cfg, params, tiny_scene):
-        pred = predict_multimodal(
-            tiny_scene, self.make_samples(tiny_scene, 3, spread=1.0), params, cfg,
-            capture_trace=True,
+        pred = predict_with_goals(
+            tiny_scene, fixed_goals(tiny_scene, 3, spread=1.0), params, cfg, capture_trace=True
         )
-        assert len(pred.traces) == 3
-        assert all(len(t.steps) == cfg.t_fut for t in pred.traces)
+        assert pred.traces.shape[:2] == (3, cfg.t_fut)
 
 
 class TestExports:
     def test_prediction_txt_roundtrip(self, cfg, params, tiny_scene, tmp_path):
-        pred = predict_multimodal(
-            tiny_scene,
-            TestPredictMultimodal().make_samples(tiny_scene, 2, spread=0.5),
-            params, cfg,
-        )
+        pred = predict_with_goals(tiny_scene, fixed_goals(tiny_scene, 2, spread=0.5), params, cfg)
         path = tmp_path / "pred.txt"
         save_prediction_txt(path, tiny_scene, pred, cfg.t_obs)
         records = load_prediction_txt(path)
@@ -440,8 +422,7 @@ class TestExports:
 
     def test_prediction_array_matches_record_loop(self, cfg, params, three_agent_scene, tmp_path):
         scene = scene_from_positions(three_agent_scene.positions(), [7, 2, 5])
-        samples = TestPredictMultimodal().make_samples(scene, 4, spread=0.7)
-        pred = predict_multimodal(scene, samples, params, cfg)
+        pred = predict_with_goals(scene, fixed_goals(scene, 4, spread=0.7), params, cfg)
         path = tmp_path / "pred.txt"
         save_prediction_txt(path, scene, pred, cfg.t_obs)
         records = load_prediction_txt(path)
@@ -469,7 +450,7 @@ class TestExports:
             tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg, capture_trace=True
         )
         path = tmp_path / "trace.json"
-        save_trace_json(path, result.trace, tiny_scene.key(), 0, cfg.t_obs)
+        save_trace_json(path, result.traces, tiny_scene.agent_ids, tiny_scene.key(), 0, cfg.t_obs)
         obj = json.loads(path.read_text())
         assert set(obj) == {"scene_id", "sample_index", "agent_ids", "steps"}
         assert obj["scene_id"] == tiny_scene.key()
@@ -481,7 +462,7 @@ class TestExports:
         mat = np.array(obj["steps"][0]["matrix"])
         assert mat.shape == (tiny_scene.n_agents, tiny_scene.n_agents)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-6)
-        assert obj == result.trace.to_json_obj(tiny_scene.key(), 0, cfg.t_obs)
+        np.testing.assert_array_equal([s["matrix"] for s in obj["steps"]], result.traces)
 
         # render reads the trace back and draws one N x N grid per step.
         scene_dir, pred_dir, out = tmp_path / "scene", tmp_path / "pred", tmp_path / "svg"
