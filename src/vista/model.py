@@ -53,7 +53,7 @@ class Model:
             logits = gpm_forward_batch(obs, scene.raster, self.params, self.config)
         return heatmap_from_logits(logits.data)
 
-    def sample_goals(self, scene: Scene, k: int, seed: int):
+    def sample_goals(self, scene: Scene, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """TTST goals (N, k, 2) and weights (N, k); each agent's sampler is
         seeded from (seed, scene key, agent_id)."""
         seeds = [stable_seed(seed, scene.key(), agent_id) for agent_id in scene.agent_ids]
