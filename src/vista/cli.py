@@ -341,11 +341,11 @@ def cmd_predict(args) -> int:
     scenes = _load_scenes(args, cfg)
     for scene in scenes:  # a bad window fails the run before the first file is written
         reject_off_grid(scene, cfg.model.t_obs, cfg.model.grid)
-    os.makedirs(args.out, exist_ok=True)
 
     outputs = []
     for scene in scenes:
         pred = model.predict(scene, k=args.k, seed=args.seed, capture_trace=args.trace)
+        os.makedirs(args.out, exist_ok=True)  # made at the first write: a rejected run leaves none
         path = os.path.join(args.out, _pred_filename(scene))
         save_prediction_txt(path, scene, pred, cfg.model.t_obs)
         outputs.append(path)

@@ -262,11 +262,17 @@ def narrow(a, key):
     return _node(out, (a,), bwd, "slice")
 
 
+def _relu_data(x):
+    """``np.maximum(x, 0.0)`` for the relu of a fused node; the active-unit
+    count goes to ``record_activations`` like a ``relu`` node's."""
+    if _activation_trace is not None:
+        _activation_trace.append(int(np.count_nonzero(x > 0)))
+    return np.maximum(x, 0.0)
+
+
 def relu(a):
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    if _activation_trace is not None:
-        _activation_trace.append(int(np.count_nonzero(a.data > 0)))
+    out = _relu_data(a.data)
 
     def bwd(g):
         return (g * (a.data > 0),)

@@ -34,13 +34,15 @@ from .errors import AlignmentError, ConfigError, DataError, DivergenceError
 from .params import ParamStore, glorot_uniform
 from .tensor import (
     Tensor,
+    _node,
+    _relu_data,
+    _unbroadcast,
     as_tensor,
     concat,
     constant,
     layer_norm,
     linear,
     narrow,
-    relu,
     sinusoidal_table,
 )
 
@@ -96,23 +98,33 @@ def init_tpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Gener
 # -- building blocks -------------------------------------------------------
 
 
-def embed_positions(positions, params: ParamStore) -> Tensor:
-    """Affine map of (..., 2) coordinates into the token space."""
-    return linear(positions, params["tpm.embed.w"], params["tpm.embed.b"])
-
-
-def hybrid_positional_encoding(
-    tokens: Tensor, time_indices, params: ParamStore, config: ModelConfig
-) -> Tensor:
-    """token_t + sinusoidal(t) + learnable(t) over tokens (..., L, d); the
-    per-index terms broadcast across the leading axes."""
+def embed_tokens(points, anchor, time_indices, params: ParamStore, config: ModelConfig) -> Tensor:
+    """Tokens ``(points - anchor) @ W + b + (sinusoidal(t) + learnable(t))``
+    as one node, for points (..., 2) and one time index per token row: the
+    (len(time_indices), d) per-index terms broadcast against the trailing
+    axes of the output."""
     idx = np.asarray(time_indices, dtype=np.int64)
     if idx.min() < 0 or idx.max() > config.t_total:
         raise ConfigError(
             f"time index out of positional-table range 0..{config.t_total}: {idx}"
         )
-    fixed = constant(sinusoidal_table(config.t_total + 1, config.d_model)[idx])
-    return tokens + (fixed + narrow(params["tpm.pe.learn"], (idx,)))
+    points = as_tensor(points)
+    w, b, learn = params["tpm.embed.w"], params["tpm.embed.b"], params["tpm.pe.learn"]
+    rel = points.data - anchor
+    per_index = sinusoidal_table(config.t_total + 1, config.d_model)[idx] + learn.data[idx]
+    out = (np.matmul(rel, w.data) + b.data) + per_index
+
+    def bwd(g):
+        glearn = np.zeros(learn.shape, dtype=g.dtype)
+        np.add.at(glearn, idx, _unbroadcast(g, per_index.shape))
+        return (
+            np.matmul(g, w.data.T) if points.requires_grad else None,
+            rel.reshape(-1, 2).T @ g.reshape(-1, w.shape[1]),
+            _unbroadcast(g, b.shape),
+            glearn,
+        )
+
+    return _node(out, (points, w, b, learn), bwd, "embed")
 
 
 def goal_feature(goal_tokens: Tensor, params: ParamStore) -> Tensor:
@@ -162,11 +174,29 @@ def social_attention(features, params: ParamStore, config: ModelConfig):
 
 
 def decode_step(feature, last_pos, params: ParamStore):
-    """next_pos = last_pos + MLP(feature) for features (..., d); MLP is
-    d -> d -> 2 with relu."""
-    hidden = relu(linear(feature, params["tpm.dec.w1"], params["tpm.dec.b1"]))
-    delta = linear(hidden, params["tpm.dec.w2"], params["tpm.dec.b2"])
-    return as_tensor(last_pos).reshape(delta.shape) + delta
+    """next_pos = last_pos + MLP(feature) for features (..., d), as one
+    node; MLP is d -> d -> 2 with relu."""
+    feature, last = as_tensor(feature), as_tensor(last_pos)
+    w1, b1 = params["tpm.dec.w1"], params["tpm.dec.b1"]
+    w2, b2 = params["tpm.dec.w2"], params["tpm.dec.b2"]
+    pre = np.matmul(feature.data, w1.data) + b1.data
+    hidden = _relu_data(pre)
+    delta = np.matmul(hidden, w2.data) + b2.data
+    out = last.data.reshape(delta.shape) + delta
+
+    def bwd(g):
+        gh = np.matmul(g, w2.data.T) * (pre > 0)
+        d = w1.shape[1]
+        return (
+            np.matmul(gh, w1.data.T) if feature.requires_grad else None,
+            g.reshape(last.shape),
+            feature.data.reshape(-1, w1.shape[0]).T @ gh.reshape(-1, d),
+            _unbroadcast(gh, b1.shape),
+            hidden.reshape(-1, d).T @ g.reshape(-1, w2.shape[1]),
+            _unbroadcast(g, b2.shape),
+        )
+
+    return _node(out, (feature, last, w1, b1, w2, b2), bwd, "decode")
 
 
 # -- rollout ----------------------------------------------------------------
@@ -224,7 +254,6 @@ def rollout(
     inverse = np.argsort(order)
     obs_c = obs[order]
     anchor = obs_c[:, -1, :].mean(axis=0)  # shared by all agents, canonical order
-    anchor_c = constant(anchor)
 
     # Every matmul keeps the per-row operand shape of an unbatched rollout
     # (numpy runs stacked matmuls one inner matrix at a time), so batch row
@@ -232,12 +261,8 @@ def rollout(
     # unbatched rollout records the same graph as before batching existed.
     goal = None
     if goals_arr is not None:
-        goal_tok = embed_positions(constant(goals_arr[..., order, :] - anchor), params)
-        goal_tok = goal_tok.reshape((rows, 1, config.d_model))
-        goal = goal_feature(
-            hybrid_positional_encoding(goal_tok, np.array([config.t_total]), params, config),
-            params,
-        )
+        goal_tok = embed_tokens(goals_arr[..., order, :], anchor, [config.t_total], params, config)
+        goal = goal_feature(goal_tok.reshape((rows, 1, config.d_model)), params)
 
     obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
     parts = [constant(obs_rows)]
@@ -246,9 +271,7 @@ def rollout(
     for step in range(1, (n_steps or config.t_fut) + 1):
         seq = parts[0] if len(parts) == 1 else concat(parts, axis=1)
         length = config.t_obs + step - 1
-        rel = seq - anchor_c
-        tokens = embed_positions(rel, params)
-        tokens = hybrid_positional_encoding(tokens, np.arange(length), params, config)
+        tokens = embed_tokens(seq, anchor, np.arange(length), params, config)
         fused = goal_trajectory_fusion(tokens, goal, params, config)
         if lead:
             fused = fused.reshape(lead + (n, config.d_model))

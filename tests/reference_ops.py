@@ -1,12 +1,33 @@
 """Engine ops that only the tests use: the softmax and transpose nodes of the
-unfused attention chain that ``reference_multi_head_attention`` rebuilds, and
-the exp and log nodes of the unfused softplus the BCE node is checked against."""
+unfused attention chain that ``reference_multi_head_attention`` rebuilds, the
+exp and log nodes of the unfused softplus the BCE node is checked against,
+and the check of a fused node against the chain it replaces."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vista.tensor import _node, as_tensor
+from vista.tensor import Tensor, _node, as_tensor, backward
+
+
+def outputs_and_grads(fn, arrays):
+    """``fn``'s output for leaves made from ``arrays`` and each leaf's
+    gradient under a fixed random seed."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    backward(out, seed=np.random.default_rng(0).normal(size=out.shape))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def assert_fused_matches(fused, reference, arrays):
+    """A fused node against the primitive chain it replaces: the forward
+    bit for bit, each gradient within 1e-12 of the largest reference entry."""
+    out, grads = outputs_and_grads(fused, arrays)
+    ref_out, ref_grads = outputs_and_grads(reference, arrays)
+    assert out.tobytes() == ref_out.tobytes()
+    for g, ref in zip(grads, ref_grads, strict=True):
+        tol = 1e-12 * max(1.0, np.abs(ref).max())
+        np.testing.assert_allclose(g, ref, rtol=0, atol=tol)
 
 
 def transpose(a, axes=None):

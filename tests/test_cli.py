@@ -275,6 +275,20 @@ class TestPredict:
             assert err["error"] == "ConfigError"
             assert f"k must be >= 1, got {k}" in err["message"]
 
+    def test_rejected_k_creates_no_out_dir(self, synth_dir, quick_config, tmp_path):
+        from vista.config import load_config
+        from vista.model import init_params
+
+        ckpt = tmp_path / "model.bin"
+        init_params(load_config(quick_config).model, seed=0).save(ckpt)
+        out = tmp_path / "p"
+        code = main([
+            "predict", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+            "--config", str(quick_config), "--k", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_non_finite_checkpoint_exits_3(self, synth_dir, quick_config, tmp_path, capsys):
         from vista.config import load_config
         from vista.model import init_params

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdcheck import finite_difference_check
+from reference_ops import assert_fused_matches
 
 from vista import gpm
 from vista.config import ModelConfig
@@ -19,7 +20,7 @@ from vista.gpm import (
 )
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
-from vista.tensor import bce_with_logits_mean
+from vista.tensor import Tensor, bce_with_logits_mean, concat, constant, linear, narrow
 
 
 # The per-agent TTST that the batched ``ttst_sample`` replaced, kept verbatim
@@ -144,6 +145,63 @@ class TestForward:
         params = init_params(cfg, seed=0)
         with pytest.raises(ConfigError):
             gpm_forward_batch(np.zeros((1, 4, 2)), uniform_raster(10), params, cfg)
+
+
+def reference_conv3x3(x, w, b):
+    """The convolution chain that the one-node ``gpm._conv3x3`` replaced,
+    kept verbatim: two zero-pad concats, nine narrows, the im2col concat and
+    a ``linear``."""
+    n, h, wd, cin = x.shape
+    cout = w.shape[-1]
+    zrow = constant(np.zeros((n, 1, wd, cin)))
+    xp = concat([zrow, x, zrow], axis=1)
+    zcol = constant(np.zeros((n, h + 2, 1, cin)))
+    xp = concat([zcol, xp, zcol], axis=2)
+    shifts = [
+        narrow(xp, (slice(None), slice(di, di + h), slice(dj, dj + wd)))
+        for di in range(3)
+        for dj in range(3)
+    ]
+    columns = concat(shifts, axis=3).reshape((n * h * wd, 9 * cin))
+    kernel = w.reshape((9 * cin, cout))
+    return linear(columns, kernel, b).reshape((n, h, wd, cout))
+
+
+def conv_arrays(rng, n, h, w, c_in, c_out):
+    return [
+        rng.normal(size=(n, h, w, c_in)),
+        rng.normal(size=(3, 3, c_in, c_out)),
+        rng.normal(size=c_out),
+    ]
+
+
+# (n, h, w, c_in, c_out): one agent, one input channel, a 1x1 grid, and
+# shapes drawn at random.
+CONV_SHAPES = [(1, 4, 4, 1, 3), (3, 2, 6, 1, 1), (1, 1, 1, 2, 4)] + [
+    tuple(int(v) for v in np.random.default_rng(seed).integers(1, 7, size=5)) for seed in range(4)
+]
+
+
+class TestConvNode:
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=str)
+    def test_matches_padded_im2col_chain(self, shape):
+        arrays = conv_arrays(np.random.default_rng(sum(shape)), *shape)
+        assert_fused_matches(gpm._conv3x3, reference_conv3x3, arrays)
+
+    def test_constant_input_matches_chain(self):
+        # The first layer's input is a constant: only w and b take gradients.
+        x, *arrays = conv_arrays(np.random.default_rng(1), 2, 4, 4, 3, 2)
+        assert_fused_matches(
+            lambda w, b: gpm._conv3x3(constant(x), w, b),
+            lambda w, b: reference_conv3x3(constant(x), w, b),
+            arrays,
+        )
+
+    def test_records_one_node(self):
+        arrays = conv_arrays(np.random.default_rng(2), 1, 4, 4, 2, 3)
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        out = gpm._conv3x3(x, w, b)
+        assert out._parents == (x, w, b)
 
 
 class TestTTST:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_ops import exp, log, softmax
+from reference_ops import assert_fused_matches, exp, log, softmax
 
 from vista.tensor import (
     ShapeError,
@@ -138,26 +138,11 @@ class TestFusedNodes:
     """Each fused node against the chain of primitives it replaces: the
     forward bit for bit, gradients within 1e-12 of the largest."""
 
-    @staticmethod
-    def outputs_and_grads(fn, arrays):
-        leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        out = fn(*leaves)
-        backward(out, seed=np.random.default_rng(0).normal(size=out.shape))
-        return out.data, [leaf.grad for leaf in leaves]
-
-    def assert_matches(self, fused, reference, arrays):
-        out, grads = self.outputs_and_grads(fused, arrays)
-        ref_out, ref_grads = self.outputs_and_grads(reference, arrays)
-        assert out.tobytes() == ref_out.tobytes()
-        for g, ref in zip(grads, ref_grads, strict=True):
-            tol = 1e-12 * max(1.0, np.abs(ref).max())
-            np.testing.assert_allclose(g, ref, rtol=0, atol=tol)
-
     @pytest.mark.parametrize("x_shape", [(5, 3), (2, 4, 3)])
     def test_linear_matches_matmul_add(self, x_shape):
         rng = np.random.default_rng(4)
         arrays = [rng.normal(size=x_shape), rng.normal(size=(3, 6)), rng.normal(size=6)]
-        self.assert_matches(linear, lambda x, w, b: add(matmul(x, w), b), arrays)
+        assert_fused_matches(linear, lambda x, w, b: add(matmul(x, w), b), arrays)
 
     def test_linear_rejects_mismatched_weight(self):
         with pytest.raises(ShapeError, match="linear"):
@@ -177,7 +162,7 @@ class TestFusedNodes:
         z = rng.normal(scale=30.0, size=(2, 4, 4))
         z[0, 0, :2] = [-1000.0, 1000.0]
         arrays = [z, rng.uniform(size=(2, 4, 4))]
-        self.assert_matches(lambda z, t: bce_with_logits_mean(z, t, axis=axis), chain, arrays)
+        assert_fused_matches(lambda z, t: bce_with_logits_mean(z, t, axis=axis), chain, arrays)
 
 
 class TestGradientLinearity:

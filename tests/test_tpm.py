@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_ops import assert_fused_matches
+
 from vista import tpm
 from vista.attention import multi_head_attention
 from vista.cli import main
@@ -12,12 +14,24 @@ from vista.errors import AlignmentError, ConfigError, DataError, DivergenceError
 from vista.gpm import ttst_sample
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
-from vista.tensor import backward, constant, layer_norm, narrow, reduce_sum
+from vista.tensor import (
+    Tensor,
+    as_tensor,
+    backward,
+    constant,
+    layer_norm,
+    linear,
+    narrow,
+    record_activations,
+    reduce_sum,
+    relu,
+    sinusoidal_table,
+)
 from vista.tpm import (
     decode_step,
+    embed_tokens,
     goal_feature,
     goal_trajectory_fusion,
-    hybrid_positional_encoding,
     load_prediction_txt,
     prediction_array,
     rollout,
@@ -63,33 +77,140 @@ def params(cfg):
 
 class TestHybridPositionalEncoding:
     def test_zero_token_at_t0_is_sin_cos_row(self, cfg, params):
+        # A point at the anchor embeds to the zero-initialized bias.
         params["tpm.pe.learn"].data[:] = 0.0
-        tokens = constant(np.zeros((1, 1, cfg.d_model)))
-        out = hybrid_positional_encoding(tokens, np.array([0]), params, cfg)
+        out = embed_tokens(np.zeros((1, 1, 2)), np.zeros(2), np.array([0]), params, cfg)
         expected = np.tile([0.0, 1.0], cfg.d_model // 2)
         np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-15)
 
     def test_equal_tokens_at_different_times_differ(self, cfg, params):
-        tokens = constant(np.ones((1, 2, cfg.d_model)))
-        out = hybrid_positional_encoding(tokens, np.array([0, 5]), params, cfg)
+        out = embed_tokens(np.ones((1, 2, 2)), np.zeros(2), np.array([0, 5]), params, cfg)
         assert np.abs(out.data[0, 0] - out.data[0, 1]).max() > 1e-6
 
     def test_additivity(self, cfg, params):
         # Two agents share the per-index terms.
         rng = np.random.default_rng(0)
-        e = rng.normal(size=(2, 3, cfg.d_model))
+        points = rng.normal(size=(2, 3, 2))
+        e = np.matmul(points, params["tpm.embed.w"].data)
         idx = np.array([1, 2, 6])
-        with_e = hybrid_positional_encoding(constant(e), idx, params, cfg).data
-        with_zero = hybrid_positional_encoding(
-            constant(np.zeros_like(e)), idx, params, cfg
-        ).data
+        with_e = embed_tokens(points, np.zeros(2), idx, params, cfg).data
+        with_zero = embed_tokens(np.zeros_like(points), np.zeros(2), idx, params, cfg).data
         np.testing.assert_allclose(with_e - with_zero, e, atol=1e-12)
         np.testing.assert_array_equal(with_zero[0], with_zero[1])
 
     def test_index_out_of_table_range(self, cfg, params):
-        tokens = constant(np.zeros((1, 1, cfg.d_model)))
+        points = np.zeros((1, 1, 2))
         with pytest.raises(ConfigError, match="range"):
-            hybrid_positional_encoding(tokens, np.array([cfg.t_total + 1]), params, cfg)
+            embed_tokens(points, np.zeros(2), np.array([cfg.t_total + 1]), params, cfg)
+
+
+# The token embedding and decoder chains that the one-node ``embed_tokens``
+# and ``decode_step`` replaced, kept verbatim as their references.
+
+
+def embed_positions(positions, params: ParamStore):
+    """Affine map of (..., 2) coordinates into the token space."""
+    return linear(positions, params["tpm.embed.w"], params["tpm.embed.b"])
+
+
+def hybrid_positional_encoding(tokens, time_indices, params: ParamStore, config: ModelConfig):
+    """token_t + sinusoidal(t) + learnable(t) over tokens (..., L, d); the
+    per-index terms broadcast across the leading axes."""
+    idx = np.asarray(time_indices, dtype=np.int64)
+    if idx.min() < 0 or idx.max() > config.t_total:
+        raise ConfigError(
+            f"time index out of positional-table range 0..{config.t_total}: {idx}"
+        )
+    fixed = constant(sinusoidal_table(config.t_total + 1, config.d_model)[idx])
+    return tokens + (fixed + narrow(params["tpm.pe.learn"], (idx,)))
+
+
+def reference_decode_step(feature, last_pos, params: ParamStore):
+    hidden = relu(linear(feature, params["tpm.dec.w1"], params["tpm.dec.b1"]))
+    delta = linear(hidden, params["tpm.dec.w2"], params["tpm.dec.b2"])
+    return as_tensor(last_pos).reshape(delta.shape) + delta
+
+
+def embed_leaves(w, b, learn):
+    return {"tpm.embed.w": w, "tpm.embed.b": b, "tpm.pe.learn": learn}
+
+
+def embed_arrays(rng, points_shape, cfg):
+    return [
+        rng.normal(size=points_shape),
+        rng.normal(size=(2, cfg.d_model)),
+        rng.normal(size=cfg.d_model),
+        rng.normal(size=(cfg.t_total + 1, cfg.d_model)),
+    ]
+
+
+class TestFusedNodes:
+    """``embed_tokens`` and ``decode_step`` against the chains they replace:
+    the forward bit for bit, gradients within 1e-12 of the largest."""
+
+    @pytest.mark.parametrize("rows, length", [(1, 1), (1, 8), (3, 4), (5, 7)])
+    def test_sequence_embedding_matches_chain(self, cfg, rows, length):
+        rng = np.random.default_rng(rows * 10 + length)
+        anchor = rng.normal(size=2)
+        idx = np.arange(length)
+
+        def chain(seq, *leaves):
+            tokens = embed_positions(seq - constant(anchor), embed_leaves(*leaves))
+            return hybrid_positional_encoding(tokens, idx, embed_leaves(*leaves), cfg)
+
+        assert_fused_matches(
+            lambda seq, *leaves: embed_tokens(seq, anchor, idx, embed_leaves(*leaves), cfg),
+            chain,
+            embed_arrays(rng, (rows, length, 2), cfg),
+        )
+
+    @pytest.mark.parametrize("lead", [(), (1,), (4,)], ids=str)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_goal_token_embedding_matches_chain(self, cfg, lead, n):
+        # The goal token embeds at index t_total, one row per agent, and is
+        # reshaped to a one-token sequence after the embedding.
+        rng = np.random.default_rng(len(lead) * 10 + n)
+        anchor = rng.normal(size=2)
+        rows = int(np.prod(lead, dtype=int)) * n
+        idx = np.array([cfg.t_total])
+
+        def chain(goals, *leaves):
+            tokens = embed_positions(goals - constant(anchor), embed_leaves(*leaves))
+            tokens = tokens.reshape((rows, 1, cfg.d_model))
+            return hybrid_positional_encoding(tokens, idx, embed_leaves(*leaves), cfg)
+
+        def fused(goals, *leaves):
+            tokens = embed_tokens(goals, anchor, idx, embed_leaves(*leaves), cfg)
+            return tokens.reshape((rows, 1, cfg.d_model))
+
+        assert_fused_matches(fused, chain, embed_arrays(rng, lead + (n, 2), cfg))
+
+    @pytest.mark.parametrize("lead, n, d", [((), 1, 4), ((), 3, 32), ((1,), 2, 8), ((5,), 3, 6)])
+    def test_decoder_matches_chain(self, lead, n, d):
+        rng = np.random.default_rng(n * d)
+        rows = int(np.prod(lead, dtype=int)) * n
+        arrays = [
+            rng.normal(size=lead + (n, d)),
+            rng.normal(size=(rows, 2)),
+            rng.normal(size=(d, d)),
+            rng.normal(size=d),
+            rng.normal(size=(d, 2)),
+            rng.normal(size=2),
+        ]
+        names = ("tpm.dec.w1", "tpm.dec.b1", "tpm.dec.w2", "tpm.dec.b2")
+
+        def run(step):
+            def fn(feature, last, *weights):
+                return step(feature, last, dict(zip(names, weights, strict=True)))
+            return fn
+
+        assert_fused_matches(run(decode_step), run(reference_decode_step), arrays)
+        # The decoder's relu counts its active units like the relu node did.
+        with record_activations() as fused_trace:
+            run(decode_step)(*(Tensor(a) for a in arrays))
+        with record_activations() as chain_trace:
+            run(reference_decode_step)(*(Tensor(a) for a in arrays))
+        assert fused_trace == chain_trace and len(fused_trace) == 1
 
 
 def per_step_fusion(tokens, goal_tokens, params, config):

@@ -4,6 +4,7 @@ import pytest
 from vista.config import Config, ModelConfig, TrainConfig
 from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
 from vista.errors import DataError, DivergenceError
+from vista.experiments import overfit_dataset
 from vista.model import Model, init_params
 from vista.params import ParamStore
 from vista.tensor import backward
@@ -174,6 +175,23 @@ class TestGradientStructure:
                 assert not changed, name
             else:
                 assert changed, name
+
+    def test_training_window_graph_stays_small(self):
+        # Each GPM convolution, step embedding and decoder step is one node;
+        # split back into primitive chains they record 333 nodes.
+        cfg = ModelConfig()
+        total, _, _ = window_loss_graph(
+            init_params(cfg, seed=0), cfg, TrainConfig(), overfit_dataset(1)[0]
+        )
+        seen, stack, non_leaf = {id(total)}, [total], 0
+        while stack:
+            node = stack.pop()
+            non_leaf += bool(node._parents)
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert non_leaf <= 180
 
 
 class TestSchedules:
