@@ -44,27 +44,6 @@ def no_grad():
         _record_graph = prev
 
 
-_activation_trace = None
-
-
-@contextlib.contextmanager
-def record_activations():
-    """Collect the active-unit count of every relu evaluated in the block.
-
-    Two evaluations of the same graph with equal traces lie on the same
-    smooth piece of the piecewise-linear loss surface; finite differences are
-    only a valid derivative oracle in that case.
-    """
-    global _activation_trace
-    prev = _activation_trace
-    trace = []
-    _activation_trace = trace
-    try:
-        yield trace
-    finally:
-        _activation_trace = prev
-
-
 class Tensor:
     """An n-d float array plus an optional gradient slot and graph linkage."""
 
@@ -244,6 +223,19 @@ def concat(tensors, axis=0):
     return _node(out, tuple(tensors), bwd, "concat")
 
 
+def stack(tensors, axis=0):
+    tensors = [as_tensor(t) for t in tensors]
+    try:
+        out = np.stack([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"stack: {[t.shape for t in tensors]}: {exc}") from None
+
+    def bwd(g):
+        return tuple(np.moveaxis(g, axis, 0))
+
+    return _node(out, tuple(tensors), bwd, "stack")
+
+
 def narrow(a, key):
     """Slicing; the gradient scatters back into zeros (repeated indices add)."""
     a = as_tensor(a)
@@ -263,10 +255,8 @@ def narrow(a, key):
 
 
 def _relu_data(x):
-    """``np.maximum(x, 0.0)`` for the relu of a fused node; the active-unit
-    count goes to ``record_activations`` like a ``relu`` node's."""
-    if _activation_trace is not None:
-        _activation_trace.append(int(np.count_nonzero(x > 0)))
+    """``np.maximum(x, 0.0)``: the forward of ``relu`` and of the relu inside
+    a fused node, in one place."""
     return np.maximum(x, 0.0)
 
 
@@ -340,6 +330,16 @@ def layer_norm(a, eps=1e-5):
         return (inv * (g - gm - out * gy),)
 
     return _node(out, (a,), bwd, "layer_norm")
+
+
+def _gemm(x, w):
+    """``x @ w`` for a 2-D ``x`` through the BLAS matrix product, also for a
+    single row. Each row then equals the same row of a stacked (..., L, d)
+    product bit for bit; numpy would hand a one-row product to gemv, which
+    sums in another order."""
+    if len(x) > 1:
+        return np.matmul(x, w)
+    return np.matmul(np.repeat(x, 2, axis=0), w)[:1]
 
 
 # -- fused nodes ---------------------------------------------------------

@@ -8,9 +8,11 @@ term (``goal_feature``), computed once per rollout and added at every step.
 ``rollout`` is the one recursion. It decodes a scene's N agents under B goal
 sets at once, as a (B, N) batch in one stacked graph: training and
 validation roll out one goal set (B=1), and best-of-k prediction rolls out
-all k goal samples as B=k. At every prediction step the full sequence so far
-(observations plus own predictions) is re-embedded, so gradients flow
-through the model's own feedback. Agents are processed in a canonical order
+all k goal samples as B=k. The observations are embedded once; every later
+step embeds only the previous step's prediction and appends its temporal
+key and value to a per-rollout cache, over which the newest token attends.
+The predictions stay graph tensors, so gradients flow through the model's
+own feedback. Agents are processed in a canonical order
 (sorted by agent_id) internally and restored to input order on output, which
 makes permutation equivariance exact at the bit level. Positions and goals
 are embedded relative to the mean of the agents' last observed positions,
@@ -27,18 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import init_mha_params, multi_head_attention
+from .attention import KVCache, init_mha_params, multi_head_attention
 from .config import ModelConfig
 from .data import Scene, atomic_write
 from .errors import AlignmentError, ConfigError, DataError, DivergenceError
 from .params import ParamStore, glorot_uniform
 from .tensor import (
     Tensor,
+    _gemm,
     _node,
     _relu_data,
     _unbroadcast,
     as_tensor,
-    concat,
     constant,
     layer_norm,
     linear,
@@ -102,7 +104,11 @@ def embed_tokens(points, anchor, time_indices, params: ParamStore, config: Model
     """Tokens ``(points - anchor) @ W + b + (sinusoidal(t) + learnable(t))``
     as one node, for points (..., 2) and one time index per token row: the
     (len(time_indices), d) per-index terms broadcast against the trailing
-    axes of the output."""
+    axes of the output.
+
+    A single int index embeds points (rows, 2) as one sequence position:
+    each row equals that position's row of a (rows, L, 2) embedding bit
+    for bit."""
     idx = np.asarray(time_indices, dtype=np.int64)
     if idx.min() < 0 or idx.max() > config.t_total:
         raise ConfigError(
@@ -112,7 +118,8 @@ def embed_tokens(points, anchor, time_indices, params: ParamStore, config: Model
     w, b, learn = params["tpm.embed.w"], params["tpm.embed.b"], params["tpm.pe.learn"]
     rel = points.data - anchor
     per_index = sinusoidal_table(config.t_total + 1, config.d_model)[idx] + learn.data[idx]
-    out = (np.matmul(rel, w.data) + b.data) + per_index
+    product = _gemm(rel, w.data) if idx.ndim == 0 else np.matmul(rel, w.data)
+    out = (product + b.data) + per_index
 
     def bwd(g):
         glearn = np.zeros(learn.shape, dtype=g.dtype)
@@ -128,32 +135,32 @@ def embed_tokens(points, anchor, time_indices, params: ParamStore, config: Model
 
 
 def goal_feature(goal_tokens: Tensor, params: ParamStore) -> Tensor:
-    """The normalized goal term of the fusion for goal tokens (N, 1, d).
+    """The normalized goal term (N, d) of the fusion for goal tokens (N, 1, d).
 
     This is the cross-attention of ``tpm.fusion.cross`` from any query to
     the one goal token: its softmax weight is exactly 1.0, so the output is
     the value/output path alone, bit for bit."""
+    n, _, d = goal_tokens.shape
     value = linear(goal_tokens, params["tpm.fusion.cross.wv"], params["tpm.fusion.cross.bv"])
     out = linear(value, params["tpm.fusion.cross.wo"], params["tpm.fusion.cross.bo"])
-    return layer_norm(out) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
+    normed = layer_norm(out) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
+    return normed.reshape((n, d))
 
 
 def goal_trajectory_fusion(
-    tokens: Tensor, goal: Tensor | None, params: ParamStore, config: ModelConfig
+    query: Tensor, cache: KVCache, goal: Tensor | None, params: ParamStore, config: ModelConfig
 ) -> Tensor:
-    """Temporal self-attention over each agent's tokens (N, L, d) plus the
-    ``goal_feature`` term (N, 1, d) as a residual; returns the fused (N, d)
-    features at the last time step.
+    """Temporal self-attention of each row's newest token ``query`` (N, d)
+    over the row's tokens in ``cache`` (the query's own included), plus the
+    ``goal_feature`` term (N, d) as a residual; returns the fused (N, d)
+    features.
 
-    Only the last time step feeds the decoder, so the temporal layer queries
-    just that row."""
-    n, length, d = tokens.shape
-    query = narrow(tokens, (slice(None), slice(length - 1, length)))
-    t_last, _ = multi_head_attention(
-        query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
+    Only the newest time step feeds the decoder, so the temporal layer
+    queries just that token."""
+    fused, _ = multi_head_attention(
+        query, cache, cache, config.n_heads, params, "tpm.fusion.self0", residual=goal
     )
-    fused = t_last if goal is None else goal + t_last
-    return fused.reshape((n, d))
+    return fused
 
 
 def social_attention(features, params: ParamStore, config: ModelConfig):
@@ -222,8 +229,17 @@ def rollout(
     Goals are ignored when the model is configured without goal
     conditioning. The observation window is the first t_obs frames of the
     scene. ``n_steps`` truncates the recursion (default T_fut); because step
-    t+1 re-encodes exactly the observations plus the predictions of steps
-    <= t, a truncated rollout is a bit-exact prefix of the full one.
+    t+1 sees exactly the observations plus the predictions of steps <= t, a
+    truncated rollout is a bit-exact prefix of the full one.
+
+    Step 1 embeds the t_obs observations as one (rows, t_obs, 2) block and
+    queries with the last of them; each later step embeds only the previous
+    step's prediction, as a (rows, 2) operand, appends it to the temporal
+    layer's ``KVCache`` and queries with it. Each row of these products
+    equals the row that re-embedding the whole sequence at every step would
+    compute, so the outputs are bit for bit those of that recursion. The
+    exception is t_obs = 1: its one-row first block goes through BLAS gemv,
+    which the re-embedding recursion replaced by gemm from step 2 on.
 
     All B*N agent rows run as one stacked graph; only social attention sees
     the batch axis, so agents interact within their own row.
@@ -256,34 +272,38 @@ def rollout(
     anchor = obs_c[:, -1, :].mean(axis=0)  # shared by all agents, canonical order
 
     # Every matmul keeps the per-row operand shape of an unbatched rollout
-    # (numpy runs stacked matmuls one inner matrix at a time), so batch row
-    # j repeats the arithmetic of an unbatched rollout of goals[j], and an
-    # unbatched rollout records the same graph as before batching existed.
+    # (numpy runs stacked matmuls one inner matrix at a time, and a 2-D
+    # product's rows do not depend on its row count), so batch row j
+    # repeats the arithmetic of an unbatched rollout of goals[j].
     goal = None
     if goals_arr is not None:
         goal_tok = embed_tokens(goals_arr[..., order, :], anchor, [config.t_total], params, config)
         goal = goal_feature(goal_tok.reshape((rows, 1, config.d_model)), params)
 
+    n_steps = n_steps or config.t_fut
     obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
-    parts = [constant(obs_rows)]
+    tokens = embed_tokens(obs_rows, anchor, np.arange(config.t_obs), params, config)
+    cache = KVCache(tokens, config.t_obs + n_steps - 1, params, "tpm.fusion.self0")
+    query = narrow(tokens, (slice(None), config.t_obs - 1))
+    last = constant(obs_rows[:, -1])
     step_tensors = []
     trace_steps = [] if capture_trace else None
-    for step in range(1, (n_steps or config.t_fut) + 1):
-        seq = parts[0] if len(parts) == 1 else concat(parts, axis=1)
-        length = config.t_obs + step - 1
-        tokens = embed_tokens(seq, anchor, np.arange(length), params, config)
-        fused = goal_trajectory_fusion(tokens, goal, params, config)
+    for step in range(1, n_steps + 1):
+        if step > 1:
+            points = last.reshape((rows, 2)) if lead else last
+            query = embed_tokens(points, anchor, config.t_obs + step - 2, params, config)
+            cache.append(query)
+        fused = goal_trajectory_fusion(query, cache, goal, params, config)
         if lead:
             fused = fused.reshape(lead + (n, config.d_model))
         social, attn = social_attention(fused, params, config)
-        last = narrow(seq, (slice(None), length - 1))
         nxt = decode_step(social, last, params)
         if not np.isfinite(nxt.data).all():
             raise DivergenceError(
                 f"non-finite prediction at step {step} of scene {scene.key()}",
                 step=step,
             )
-        parts.append(nxt.reshape((rows, 1, 2)))
+        last = nxt
         step_tensors.append(nxt)
         if capture_trace:
             trace_steps.append(np.asarray(attn).reshape(b, n, n))

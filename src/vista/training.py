@@ -22,11 +22,25 @@ from .errors import DataError, DivergenceError
 from .gpm import encode_gpm_input, goal_target, gpm_forward_batch
 from .model import Model, init_params, stable_seed
 from .params import ParamStore
-from .tensor import backward, bce_with_logits_mean, concat, constant, scale
+from .tensor import backward, bce_with_logits_mean, constant, scale, stack
 from .tpm import rollout
 
 
 # -- loss -----------------------------------------------------------------
+
+
+def window_constants(scene: Scene, model_cfg: ModelConfig):
+    """The GPM input channels and the stack of goal targets of one window,
+    or None without goal conditioning. Both are pure functions of the
+    window, so ``train`` computes them once for every epoch."""
+    if not model_cfg.use_goal:
+        return None
+    positions = scene.positions()
+    channels = encode_gpm_input(positions[:, : model_cfg.t_obs], scene.raster, model_cfg)
+    targets = np.stack(
+        [goal_target(g, channels.shape[1:3], model_cfg.goal_sigma) for g in positions[:, -1]]
+    )
+    return channels, targets
 
 
 def window_loss_graph(
@@ -34,17 +48,15 @@ def window_loss_graph(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     scene: Scene,
-    channels: np.ndarray | None = None,
+    constants: tuple | None = None,
 ):
     """Differentiable total loss of one scene window (graph-tracked).
 
     Training rollouts use the ground-truth goal and the model's own recursive
-    position feedback. ``channels`` may carry the window's precomputed
-    ``encode_gpm_input``, which is a pure function of the observations.
-    Returns (total Tensor, goal part, traj part) with the parts as floats for
-    reporting.
+    position feedback. ``constants`` may carry the window's precomputed
+    ``window_constants``. Returns (total Tensor, goal part, traj part) with
+    the parts as floats for reporting.
     """
-    n = scene.n_agents
     positions = scene.positions()
     gt_goals = positions[:, -1, :]
     gt_future = positions[:, model_cfg.t_obs :, :]
@@ -52,19 +64,15 @@ def window_loss_graph(
     goal_sum = None
     goal_part = 0.0
     if model_cfg.use_goal and train_cfg.lambda_goal != 0.0:
+        channels, targets = window_constants(scene, model_cfg) if constants is None else constants
         obs = positions[:, : model_cfg.t_obs, :]
         logits = gpm_forward_batch(obs, scene.raster, params, model_cfg, channels=channels)
-        targets = np.stack(
-            [goal_target(g, logits.shape[1:], model_cfg.goal_sigma) for g in gt_goals]
-        )
         per_agent = bce_with_logits_mean(logits, targets, axis=(1, 2))
         goal_sum = per_agent.sum()
         goal_part = float(per_agent.data.mean())
 
     result = rollout(scene, gt_goals if model_cfg.use_goal else None, params, model_cfg)
-    order = result.canonical_order
-    stacked = concat([t.reshape((n, 1, 2)) for t in result.step_tensors], axis=1)
-    diff = stacked - constant(gt_future[order])
+    diff = stack(result.step_tensors, axis=1) - constant(gt_future[result.canonical_order])
     sq = (diff * diff).sum(axis=2)  # (N, T_fut)
     per_agent_traj = sq.mean(axis=1)
     traj_sum = per_agent_traj.sum()
@@ -342,11 +350,7 @@ def train(
     report.best_epoch = stopper.best_epoch
     report.best_val_minade = stopper.best
     val_seed = stable_seed(cfg.seed, "validation-ttst")
-    channels = [  # GPM inputs are constants of each window
-        encode_gpm_input(s.positions()[:, : mcfg.t_obs], s.raster, mcfg)
-        if mcfg.use_goal else None
-        for s in train_scenes
-    ]
+    constants = [window_constants(s, mcfg) for s in train_scenes]
 
     for epoch in range(start_epoch + 1, cfg.max_epochs + 1):
         shuffle = np.random.default_rng(stable_seed(cfg.seed, "shuffle", epoch))
@@ -358,7 +362,7 @@ def train(
             params.zero_grad()
             for i in batch:
                 total, goal_part, traj_part = window_loss_graph(
-                    params, mcfg, cfg, train_scenes[i], channels[i]
+                    params, mcfg, cfg, train_scenes[i], constants[i]
                 )
                 if not math.isfinite(total.item()):
                     report.stop_reason = "diverged"

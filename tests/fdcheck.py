@@ -2,10 +2,37 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
+from vista import tensor, tpm
 from vista.params import ParamStore
-from vista.tensor import backward, record_activations
+from vista.tensor import backward
+
+
+@contextlib.contextmanager
+def record_activations():
+    """Collect the active-unit count of every relu evaluated in the block.
+
+    Wraps ``_relu_data`` under both names the code calls it by:
+    ``tensor._relu_data`` (the ``relu`` node) and ``tpm._relu_data`` (the
+    decoder node). Two evaluations of the same graph with equal traces lie
+    on the same smooth piece of the piecewise-linear loss surface; finite
+    differences are only a valid derivative oracle in that case.
+    """
+    real = tensor._relu_data
+    trace = []
+
+    def counting(x):
+        trace.append(int(np.count_nonzero(x > 0)))
+        return real(x)
+
+    tensor._relu_data = tpm._relu_data = counting
+    try:
+        yield trace
+    finally:
+        tensor._relu_data = tpm._relu_data = real
 
 
 def finite_difference_check(

@@ -3,7 +3,7 @@ import pytest
 
 from fdcheck import finite_difference_check
 
-from vista.attention import init_mha_params
+from vista.attention import KVCache, init_mha_params
 from vista.config import ModelConfig
 from vista.model import init_params
 from vista.params import ParamStore
@@ -45,7 +45,9 @@ def test_goal_fusion_block_gradients():
 
     def loss():
         goal_term = goal_feature(constant(goal), store)
-        fused = goal_trajectory_fusion(constant(history), goal_term, store, cfg)
+        cache = KVCache(constant(history), history.shape[1], store, "tpm.fusion.self0")
+        query = constant(history[:, -1])
+        fused = goal_trajectory_fusion(query, cache, goal_term, store, cfg)
         diff = fused - constant(target)
         return reduce_sum(diff * diff)
 

@@ -3,14 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fdcheck import record_activations
 from reference_ops import assert_fused_matches
 
-from vista import tpm
-from vista.attention import multi_head_attention
+from vista import tpm, training
+from vista.attention import KVCache, multi_head_attention
 from vista.cli import main
 from vista.config import ModelConfig, TrainConfig
 from vista.data import AgentTrack, Scene, save_trajectories
 from vista.errors import AlignmentError, ConfigError, DataError, DivergenceError
+from vista.experiments import overfit_dataset
 from vista.gpm import ttst_sample
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
@@ -18,16 +20,17 @@ from vista.tensor import (
     Tensor,
     as_tensor,
     backward,
+    concat,
     constant,
     layer_norm,
     linear,
     narrow,
-    record_activations,
     reduce_sum,
     relu,
     sinusoidal_table,
 )
 from vista.tpm import (
+    RolloutResult,
     decode_step,
     embed_tokens,
     goal_feature,
@@ -213,21 +216,30 @@ class TestFusedNodes:
         assert fused_trace == chain_trace and len(fused_trace) == 1
 
 
-def per_step_fusion(tokens, goal_tokens, params, config):
+def fuse_last(history, goal_term, params, cfg):
+    """``goal_trajectory_fusion`` of the last of the tokens ``history``
+    (N, L, d) over all of them."""
+    cache = KVCache(history, history.shape[1], params, "tpm.fusion.self0")
+    query = narrow(history, (slice(None), history.shape[1] - 1))
+    return goal_trajectory_fusion(query, cache, goal_term, params, cfg)
+
+
+def per_step_fusion(query, cache, goal_tokens, params, config):
     """The fusion before ``goal_feature``: the one-key cross-attention to
-    the goal token and its layer norm, rebuilt at every rollout step."""
-    n, length, d = tokens.shape
-    query = narrow(tokens, (slice(None), slice(length - 1, length)))
+    the goal tokens (N, 1, d) and its layer norm, rebuilt at every rollout
+    step."""
     t_last, _ = multi_head_attention(
-        query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
+        query, cache, cache, config.n_heads, params, "tpm.fusion.self0"
     )
     if goal_tokens is None:
-        return t_last.reshape((n, d))
+        return t_last
+    n, d = t_last.shape
     z_last, _ = multi_head_attention(
-        t_last, goal_tokens, goal_tokens, config.n_heads, params, "tpm.fusion.cross"
+        t_last.reshape((n, 1, d)), goal_tokens, goal_tokens, config.n_heads, params,
+        "tpm.fusion.cross",
     )
     normed = layer_norm(z_last) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
-    return (normed + t_last).reshape((n, d))
+    return normed.reshape((n, d)) + t_last
 
 
 class TestFusion:
@@ -235,7 +247,7 @@ class TestFusion:
         rng = np.random.default_rng(3)
         history = constant(rng.normal(size=(1, 5, cfg.d_model)))
         goal = constant(rng.normal(size=(1, 1, cfg.d_model)))
-        fused = goal_trajectory_fusion(history, goal_feature(goal, params), params, cfg)
+        fused = fuse_last(history, goal_feature(goal, params), params, cfg)
         assert fused.shape == (1, cfg.d_model)
 
         query = constant(history.data[:, -1:])
@@ -283,7 +295,7 @@ class TestFusion:
         history = rng.normal(size=(1, 4, cfg.d_model))
         goal = constant(rng.normal(size=(1, 1, cfg.d_model)))
         goal.requires_grad = True
-        fused = goal_trajectory_fusion(constant(history), goal_feature(goal, params), params, cfg)
+        fused = fuse_last(constant(history), goal_feature(goal, params), params, cfg)
         backward(reduce_sum(fused * fused))
         assert goal.grad is not None
         assert np.abs(goal.grad).max() > 1e-8
@@ -458,6 +470,147 @@ class TestRollout:
     def test_goal_shape_rejected(self, cfg, params, tiny_scene):
         with pytest.raises(DataError, match="goals must be"):
             rollout(tiny_scene, np.zeros((2, 3, 2)), params, cfg)
+
+
+# The rollout that re-embedded the whole sequence at every step, kept
+# verbatim as the reference of the cached one. Only ``reference_fusion``'s
+# goal term gains a reshape: ``goal_feature`` now returns (N, d).
+
+
+def reference_fusion(tokens, goal, params, config):
+    n, length, d = tokens.shape
+    query = narrow(tokens, (slice(None), slice(length - 1, length)))
+    t_last, _ = multi_head_attention(
+        query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
+    )
+    fused = t_last if goal is None else goal.reshape((n, 1, d)) + t_last
+    return fused.reshape((n, d))
+
+
+def reference_rollout(scene, goals, params, config, capture_trace=False, n_steps=None):
+    obs_all = scene.positions()
+    if obs_all.shape[1] < config.t_obs:
+        raise DataError(
+            f"scene {scene.key()}: {obs_all.shape[1]} frames < t_obs {config.t_obs}"
+        )
+    agent_ids = np.asarray(scene.agent_ids)
+    n = len(agent_ids)
+    obs = obs_all[:, : config.t_obs, :]
+    goals_arr = None
+    lead = ()  # (B,) for batched goals
+    if config.use_goal:
+        if goals is None:
+            raise DataError("rollout needs one goal per agent when goal conditioning is on")
+        goals_arr = np.asarray(goals, dtype=np.float64)
+        if goals_arr.shape[-2:] != (n, 2) or goals_arr.ndim not in (2, 3):
+            raise DataError(f"goals must be (N, 2) or (B, N, 2), got {goals_arr.shape}")
+        if not np.isfinite(goals_arr).all():
+            raise DataError("goals must be finite")
+        lead = goals_arr.shape[:-2]
+    b = lead[0] if lead else 1
+    rows = b * n
+
+    order = tpm._canonical_order(agent_ids)
+    inverse = np.argsort(order)
+    obs_c = obs[order]
+    anchor = obs_c[:, -1, :].mean(axis=0)  # shared by all agents, canonical order
+
+    goal = None
+    if goals_arr is not None:
+        goal_tok = embed_tokens(goals_arr[..., order, :], anchor, [config.t_total], params, config)
+        goal = goal_feature(goal_tok.reshape((rows, 1, config.d_model)), params)
+
+    obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
+    parts = [constant(obs_rows)]
+    step_tensors = []
+    trace_steps = [] if capture_trace else None
+    for step in range(1, (n_steps or config.t_fut) + 1):
+        seq = parts[0] if len(parts) == 1 else concat(parts, axis=1)
+        length = config.t_obs + step - 1
+        tokens = embed_tokens(seq, anchor, np.arange(length), params, config)
+        fused = reference_fusion(tokens, goal, params, config)
+        if lead:
+            fused = fused.reshape(lead + (n, config.d_model))
+        social, attn = social_attention(fused, params, config)
+        last = narrow(seq, (slice(None), length - 1))
+        nxt = decode_step(social, last, params)
+        if not np.isfinite(nxt.data).all():
+            raise DivergenceError(
+                f"non-finite prediction at step {step} of scene {scene.key()}",
+                step=step,
+            )
+        parts.append(nxt.reshape((rows, 1, 2)))
+        step_tensors.append(nxt)
+        if capture_trace:
+            trace_steps.append(np.asarray(attn).reshape(b, n, n))
+
+    trajectories = np.stack([t.data for t in step_tensors], axis=-2)
+    trajectories = np.take(trajectories, inverse, axis=-3)
+    traces = None
+    if capture_trace:
+        traces = np.stack(trace_steps, axis=1)[:, :, inverse][..., inverse]
+        traces = traces if lead else traces[0]
+    return RolloutResult(
+        trajectories=trajectories,
+        traces=traces,
+        step_tensors=step_tensors,
+        canonical_order=order,
+    )
+
+
+class TestCachedRollout:
+    """The cached rollout against ``reference_rollout``: trajectories and
+    traces bit for bit, loss gradients within 1e-12 of the largest."""
+
+    @pytest.mark.parametrize(
+        "n, lead, n_steps, overrides",
+        [
+            (1, (), None, {}),
+            (3, (), None, {}),
+            (1, (3,), None, {}),
+            (3, (3,), None, {}),
+            (3, (), 5, {}),
+            (3, (3,), 2, {}),
+            (3, (), None, {"use_goal": False}),
+            (1, (), None, {"use_social": False}),
+            (3, (3,), None, {"use_social": False}),
+        ],
+    )
+    def test_matches_reference_bitwise(self, n, lead, n_steps, overrides):
+        cfg = ModelConfig(t_obs=6, t_fut=8, grid=16, **overrides)
+        params = init_params(cfg, seed=n + len(lead))
+        rng = np.random.default_rng(n * 10 + len(lead))
+        pos = rng.uniform(1, 14, size=(n, cfg.t_total, 2))
+        scene = scene_from_positions(pos, list(rng.permutation(n) + 4))
+        goals = rng.uniform(1, 14, size=lead + (n, 2)) if cfg.use_goal else None
+        got = rollout(scene, goals, params, cfg, capture_trace=True, n_steps=n_steps)
+        ref = reference_rollout(scene, goals, params, cfg, capture_trace=True, n_steps=n_steps)
+        assert got.trajectories.shape == lead + (n, n_steps or cfg.t_fut, 2)
+        assert got.trajectories.tobytes() == ref.trajectories.tobytes()
+        assert got.traces.shape == ref.traces.shape
+        assert got.traces.tobytes() == ref.traces.tobytes()
+
+    @pytest.mark.parametrize("window", [0, 17])
+    def test_window_loss_gradients_match_reference(self, window, monkeypatch):
+        cfg = ModelConfig(t_obs=8, t_fut=12, grid=16, goal_sigma=0.8)
+        params = init_params(cfg, seed=3)
+        scene = overfit_dataset(0)[window]
+
+        def loss_and_grads():
+            params.zero_grad()
+            total, goal_part, traj_part = window_loss_graph(params, cfg, TrainConfig(), scene)
+            backward(total)
+            return (total.item(), goal_part, traj_part), {
+                n: params[n].grad.copy() for n in params.names()
+            }
+
+        parts, grads = loss_and_grads()
+        monkeypatch.setattr(training, "rollout", reference_rollout)
+        ref_parts, ref_grads = loss_and_grads()
+        assert parts == ref_parts
+        for name, ref in ref_grads.items():
+            tol = 1e-12 * max(1.0, np.abs(ref).max())
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=tol, err_msg=name)
 
 
 class TestPredictMultimodal:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from vista.training import (
     EarlyStopper,
     PlateauHalver,
     train,
+    window_constants,
     window_loss_graph,
 )
 
@@ -177,8 +180,9 @@ class TestGradientStructure:
                 assert changed, name
 
     def test_training_window_graph_stays_small(self):
-        # Each GPM convolution, step embedding and decoder step is one node;
-        # split back into primitive chains they record 333 nodes.
+        # Each GPM convolution, step embedding and decoder step is one node,
+        # and each rollout step embeds only its newest position: re-embedding
+        # the sequence every step recorded 174 nodes, and primitive chains 333.
         cfg = ModelConfig()
         total, _, _ = window_loss_graph(
             init_params(cfg, seed=0), cfg, TrainConfig(), overfit_dataset(1)[0]
@@ -191,7 +195,23 @@ class TestGradientStructure:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        assert non_leaf <= 180
+        assert non_leaf <= 95
+
+    def test_training_window_graph_has_no_reference_cycles(self, three_agent_scene):
+        # A graph node that referred back to its ancestors (say, through the
+        # rollout's key/value cache) would leave every window's graph to the
+        # cycle collector instead of freeing it when the window ends.
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = init_params(cfg, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            total, _, _ = window_loss_graph(params, cfg, TrainConfig(), three_agent_scene)
+            backward(total)
+            del total
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSchedules:
@@ -279,15 +299,18 @@ class TestTrainLoop:
         assert [set(vars(s)) for s in scenes] == attributes
 
     def test_window_loss_with_given_channels_is_bitwise_equal(self, tiny_scene):
-        from vista.gpm import encode_gpm_input
-
+        # The cached constants carry the GPM channels and the goal targets.
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=1)
-        channels = encode_gpm_input(tiny_scene.positions()[:, :4], tiny_scene.raster, cfg)
         tcfg = TrainConfig()
-        given = window_loss_graph(params, cfg, tcfg, tiny_scene, channels)
-        plain = window_loss_graph(params, cfg, tcfg, tiny_scene)
-        assert (given[0].item(), *given[1:]) == (plain[0].item(), *plain[1:])
+
+        def loss_and_grads(*constants):
+            params.zero_grad()
+            total, goal_part, traj_part = window_loss_graph(params, cfg, tcfg, tiny_scene, *constants)
+            backward(total)
+            return (total.item(), goal_part, traj_part), [params[n].grad.tobytes() for n in params.names()]
+
+        assert loss_and_grads(window_constants(tiny_scene, cfg)) == loss_and_grads()
 
     def test_loss_decreases_on_small_overfit(self):
         scenes = small_dataset(4)
