@@ -432,9 +432,48 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _load_trace(path) -> dict:
+    """A trace JSON written by ``predict --trace``, each step's matrix as an
+    array; DataError names the file when it is not JSON or lacks a key that
+    ``render`` reads, or a step is not an integer ``t`` with an N x N
+    ``matrix`` for the N ``agent_ids``."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict) or not {"steps", "agent_ids"} <= obj.keys():
+        raise DataError(f"{path}: a trace needs 'steps' and 'agent_ids'")
+    if not isinstance(obj["steps"], list) or not isinstance(obj["agent_ids"], list):
+        raise DataError(f"{path}: 'steps' and 'agent_ids' must be lists")
+    n = len(obj["agent_ids"])
+    for entry in obj["steps"]:
+        if not isinstance(entry, dict) or not {"t", "matrix"} <= entry.keys():
+            raise DataError(f"{path}: every trace step needs 't' and 'matrix'")
+        try:
+            matrix = np.asarray(entry["matrix"], dtype=np.float64)
+        except (TypeError, ValueError):
+            matrix = None
+        if not isinstance(entry["t"], int) or matrix is None or matrix.shape != (n, n):
+            raise DataError(
+                f"{path}: step t={entry['t']!r} needs an integer 't' and a {n}x{n} numeric 'matrix'"
+            )
+        entry["matrix"] = matrix
+    return obj
+
+
 def cmd_render(args) -> int:
     t0 = time.monotonic()
     cfg = _config_from(args)
+    wanted = None
+    if args.steps != "all":
+        try:
+            wanted = {int(v) for v in args.steps.split(",")}
+        except ValueError:
+            raise ConfigError(
+                f"--steps must be 'all' or comma-separated integers, got {args.steps!r}"
+            ) from None
+    traces = [(path, _load_trace(path)) for path in args.trace]
     scenes = _load_scenes(args, cfg, data_attr="scene")
     os.makedirs(args.out_svg, exist_ok=True)
     outputs = []
@@ -450,19 +489,16 @@ def cmd_render(args) -> int:
         write_svg(out, render_scene_svg(scene, pred, cfg.model.t_obs))
         outputs.append(out)
 
-    for trace_path in args.trace:
-        with open(trace_path) as fh:
-            obj = json.load(fh)
+    for trace_path, obj in traces:
         steps = obj["steps"]
-        if args.steps != "all":
-            wanted = {int(v) for v in args.steps.split(",")}
+        if wanted is not None:
             steps = [s for s in steps if s["t"] in wanted]
         stem = os.path.splitext(os.path.basename(trace_path))[0]
         for entry in steps:
             out = os.path.join(args.out_svg, f"{stem}_t{entry['t']:02d}.svg")
             write_svg(
                 out,
-                render_trace_svg(np.array(entry["matrix"]), obj["agent_ids"], entry["t"]),
+                render_trace_svg(entry["matrix"], obj["agent_ids"], entry["t"]),
             )
             outputs.append(out)
     _write_manifest(

@@ -4,14 +4,15 @@ Gaussian targets of their training loss, and multi-goal (TTST) sampling.
 The heatmap head is a small encoder-decoder with skip connections (two
 2x-downsampling stages, channel widths from the config) on the engine: each
 3x3 convolution is one node, an im2col matmul over the zero-padded input's
-3x3 neighbourhoods; pooling is a block mean, and upsampling
+3x3 neighbourhoods, whose input gradient is the same over the output
+gradient's; pooling is a block mean, and upsampling
 nearest-neighbor duplication. Grid cell (r, c) is centered at (x=c, y=r).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .config import ModelConfig
 from .data import SceneRaster, rasterize_gaussian, uniform_raster
@@ -45,35 +46,36 @@ def init_gpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Gener
 # -- building blocks -------------------------------------------------------
 
 
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """The (n*h*w, 9*c) matrix that holds each pixel's zero-padded 3x3
+    neighbourhood of ``x`` (n, h, w, c), in the (di, dj, c) order of a
+    (3, 3, c, c_out) kernel flattened row-major."""
+    n, h, wd, c = x.shape
+    xp = np.zeros((n, h + 2, wd + 2, c))
+    xp[:, 1:-1, 1:-1] = x
+    sn, sh, sw, sc = xp.strides
+    windows = as_strided(  # (n, h, wd, di, dj, c), reading only inside xp
+        xp, (n, h, wd, 3, 3, c), (sn, sh, sw, sh, sw, sc), writeable=False
+    )
+    return windows.reshape(n * h * wd, 9 * c)
+
+
 def _conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Same-padded 3x3 convolution as one node: one im2col matmul, whose
-    (n*h*w, 9*c_in) matrix holds each pixel's zero-padded 3x3 neighbourhood
-    in the (di, dj, c) order of the (3, 3, c_in, c_out) kernel flattened
-    row-major."""
+    """Same-padded 3x3 convolution as one node: one im2col matmul of the
+    input. The input gradient is the same convolution of the output
+    gradient with the kernel flipped in (di, dj) and transposed in
+    channels, so it is one im2col matmul too."""
     n, h, wd, cin = x.shape
     cout = w.shape[-1]
-    xp = np.zeros((n, h + 2, wd + 2, cin))
-    xp[:, 1:-1, 1:-1] = x.data
-    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (n, h, wd, cin, 3, 3)
-    columns = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * wd, 9 * cin)
-    kernel = w.data.reshape(9 * cin, cout)
-    out = np.matmul(columns, kernel) + b.data
+    columns = _im2col(x.data)
+    out = np.matmul(columns, w.data.reshape(9 * cin, cout)) + b.data
 
     def bwd(g):
         g = g.reshape(n * h * wd, cout)
         gx = None
         if x.requires_grad:
-            # Each pixel's column gradient adds back onto its neighbourhood
-            # in (di, dj) order, which fixes every entry's summation order;
-            # the part that fell on the padding drops.
-            gcols = np.matmul(g, kernel.T).reshape(n, h, wd, 3, 3, cin)
-            gx = np.zeros(x.shape)
-            for di in range(3):
-                r0, r1 = max(di - 1, 0), min(h + di - 1, h)
-                for dj in range(3):
-                    c0, c1 = max(dj - 1, 0), min(wd + dj - 1, wd)
-                    src = gcols[:, r0 + 1 - di : r1 + 1 - di, c0 + 1 - dj : c1 + 1 - dj]
-                    gx[:, r0:r1, c0:c1] += src[:, :, :, di, dj]
+            flipped = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, cin)
+            gx = np.matmul(_im2col(g.reshape(n, h, wd, cout)), flipped).reshape(x.shape)
         return gx, (columns.T @ g).reshape(w.shape), g.sum(axis=0)
 
     return _node(out.reshape(n, h, wd, cout), (x, w, b), bwd, "conv3x3")

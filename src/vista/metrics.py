@@ -146,7 +146,7 @@ def collision_rate(ev: EvalInput, epsilon: float, mode: str = "per-sample-mean")
     averages over the k samples, ``best-sample`` takes their minimum.
     A strict inequality applies at the boundary.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # also rejects NaN
         raise DataError(f"epsilon must be >= 0, got {epsilon}")
     n, k, t, _ = ev.predictions.shape
     if n < 2:
@@ -194,7 +194,7 @@ def kde_nll(ev: EvalInput, bandwidth_floor: float = 1e-3) -> float:
 
 def miss_rate(ev: EvalInput, threshold: float) -> float:
     """Fraction of agents whose best-of-k final displacement exceeds the threshold."""
-    if threshold <= 0:
+    if not threshold > 0:  # also rejects NaN
         raise DataError(f"miss threshold must be positive, got {threshold}")
     final = ev.step_errors()[:, :, -1].min(axis=1)
     return float((final > threshold).mean())

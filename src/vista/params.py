@@ -15,26 +15,72 @@ import numpy as np
 
 from .data import atomic_write
 from .errors import CheckpointError
-from .tensor import Tensor
+from .tensor import Parameter
 
 MAGIC = b"VISTA1"
 
 
 class ParamStore:
-    """Ordered map of name -> trainable Tensor, each with a gradient slot."""
+    """Ordered map of name -> trainable ``Parameter``.
+
+    All values live in one contiguous float64 vector (``values``) and all
+    gradients in another (``grads``), in store order; each parameter's
+    ``data`` and ``grad`` are views into them. Write values in place
+    (``p.data[...] = x``): rebinding ``p.data`` detaches it from the store.
+    """
 
     def __init__(self):
-        self._entries: dict[str, Tensor] = {}
+        self._entries: dict[str, Parameter] = {}
+        self._size = 0
+        self._value_buf = np.empty(0)
+        self._grad_buf = np.empty(0)
 
-    def add(self, name: str, array) -> Tensor:
+    @property
+    def values(self) -> np.ndarray:
+        return self._value_buf[: self._size]
+
+    @property
+    def grads(self) -> np.ndarray:
+        return self._grad_buf[: self._size]
+
+    def add(self, name: str, array) -> Parameter:
+        """Copy ``array`` into the buffer as a new parameter with a zero gradient."""
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(array, dtype=np.float64), requires_grad=True)
-        t.zero_grad()
+        arr = np.asarray(array, dtype=np.float64)
+        start, stop = self._size, self._size + arr.size
+        if stop > len(self._value_buf):
+            self._reallocate(max(stop, 2 * len(self._value_buf)))
+        t = Parameter(self._value_buf[start:stop].reshape(arr.shape), requires_grad=True)
+        t.data[...] = arr
+        t.grad = self._grad_buf[start:stop].reshape(arr.shape)
+        t.grad.fill(0.0)
+        self._size = stop
         self._entries[name] = t
         return t
 
-    def __getitem__(self, name: str) -> Tensor:
+    def _reallocate(self, capacity: int):
+        """Move both buffers to ``capacity`` slots and re-point every view.
+        The slots past the last parameter stay unwritten, so their pages are
+        never touched."""
+        values, grads = np.empty(capacity), np.empty(capacity)
+        values[: self._size] = self.values
+        grads[: self._size] = self.grads
+        value_views, grad_views = self.split(values), self.split(grads)
+        for name, t in self._entries.items():
+            t.data, t.grad = value_views[name], grad_views[name]
+        self._value_buf, self._grad_buf = values, grads
+
+    def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-name views of ``flat``, a vector laid out like ``values``."""
+        views, start = {}, 0
+        for name, t in self._entries.items():
+            stop = start + t.data.size
+            views[name] = flat[start:stop].reshape(t.data.shape)
+            start = stop
+        return views
+
+    def __getitem__(self, name: str) -> Parameter:
         return self._entries[name]
 
     def __contains__(self, name: str) -> bool:
@@ -53,11 +99,10 @@ class ParamStore:
         return list(self._entries.values())
 
     def zero_grad(self):
-        for t in self._entries.values():
-            t.zero_grad()
+        self.grads.fill(0.0)
 
     def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self._entries.items()}
+        return self.split(self.values.copy())
 
     # -- persistence -----------------------------------------------------
 
@@ -103,8 +148,9 @@ class ParamStore:
             # Training-state scalars use inf and nan for "no best value yet".
             if not name.startswith("_state.") and not np.isfinite(values).all():
                 raise CheckpointError(f"{path}: entry {name!r} holds non-finite values")
-            entries[name] = values.astype(np.float64)
+            entries[name] = values  # add() copies it into the store's buffer
         store = cls()
+        store._reallocate(sum(arr.size for arr in entries.values()))  # one allocation
         for name, arr in entries.items():
             store.add(name, arr)
         return store

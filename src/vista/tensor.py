@@ -75,9 +75,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -110,6 +107,14 @@ class Tensor:
 
     def __getitem__(self, key):
         return narrow(self, key)
+
+
+class Parameter(Tensor):
+    """A trainable leaf owned by a ``ParamStore``: its ``data`` and ``grad``
+    are views into the store's flat value and gradient vectors, so
+    ``backward`` adds into its ``grad`` in place."""
+
+    __slots__ = ()
 
 
 def as_tensor(x):
@@ -427,7 +432,10 @@ def backward(root, seed=None):
     """Accumulate gradients of ``root`` into every reachable requires-grad leaf.
 
     Gradients add across fan-out and across repeated calls; callers that want
-    fresh gradients zero the parameter slots first.
+    fresh gradients zero the parameter slots first. A ``Parameter``'s gradient
+    is added in place into its store's buffer view. Any other leaf gets a new
+    array: its ``grad`` may be the caller's seed or an upstream node's
+    gradient, so it is never written in place.
     """
     if not isinstance(root, Tensor):
         raise UsageError("backward expects a Tensor")
@@ -449,7 +457,10 @@ def backward(root, seed=None):
         if g is None:
             continue
         if node.requires_grad and not node._parents:
-            node.grad = g if node.grad is None else node.grad + g
+            if isinstance(node, Parameter):
+                node.grad += g
+            else:
+                node.grad = g if node.grad is None else node.grad + g
         if node._bwd is None:
             continue
         parent_grads = node._bwd(g)

@@ -88,11 +88,17 @@ def window_loss_graph(
 
 
 class Adam:
+    """Adam over the store's flat value and gradient vectors. The moments
+    ``m`` and ``v`` are flat vectors laid out like ``params.values``, and a
+    step updates all three in place with the elementwise arithmetic of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``."""
+
     def __init__(self, params: ParamStore, cfg: TrainConfig):
         self.params = params
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
-        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
+        self.m = np.zeros_like(params.values)
+        self.v = np.zeros_like(params.values)
         self.t = 0
 
     def step(self, lr: float):
@@ -100,14 +106,22 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
+        values, g, m, v = self.params.values, self.params.grads, self.m, self.v
         with np.errstate(over="ignore", invalid="ignore"):
-            for name, p in self.params.items():
-                g = p.grad
-                self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-                self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-                p.data = p.data - lr * (self.m[name] / c1) / (
-                    np.sqrt(self.v[name] / c2) + self.eps
-                )
+            num = g * (1.0 - b1)
+            m *= b1
+            m += num
+            np.multiply(g, 1.0 - b2, out=num)
+            num *= g
+            v *= b2
+            v += num
+            np.divide(m, c1, out=num)
+            num *= lr
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            values -= num
 
 
 class PlateauHalver:
@@ -243,9 +257,10 @@ def save_train_state(path, params, adam, halver, stopper, best_values, epoch, lr
     blob = ParamStore()
     for name, t in params.items():
         blob.add(name, t.data)
+    m, v = params.split(adam.m), params.split(adam.v)
     for name in params.names():
-        blob.add(f"_opt.m.{name}", adam.m[name])
-        blob.add(f"_opt.v.{name}", adam.v[name])
+        blob.add(f"_opt.m.{name}", m[name])
+        blob.add(f"_opt.v.{name}", v[name])
     if best_values is not None:
         for name, arr in best_values.items():
             blob.add(f"_best.{name}", arr)
@@ -314,11 +329,9 @@ def train(
     for scene in (*train_scenes, *val_scenes):  # training reads every frame of a window
         reject_off_grid(scene, scene.n_frames, mcfg.grid)
 
-    adam_state = None
     if resume_from is not None:
         blob = resume_from if isinstance(resume_from, ParamStore) else ParamStore.load(resume_from)
         params, opt_m, opt_v, best_values, scalars = _split_state(blob)
-        adam_state = (opt_m, opt_v, int(scalars["adam_t"]))
         start_epoch = int(scalars["epoch"])
         lr = scalars["lr"]
         first_total = scalars["first_total"]
@@ -335,12 +348,11 @@ def train(
     halver = PlateauHalver(cfg.plateau_patience, cfg.lr_factor)
     stopper = EarlyStopper(cfg.early_stop_patience)
     if resume_from is not None:
-        opt_m, opt_v, adam_t = adam_state
-        adam.m, adam.v, adam.t = (
-            {n: opt_m[n].copy() for n in params.names()},
-            {n: opt_v[n].copy() for n in params.names()},
-            adam_t,
-        )
+        adam.t = int(scalars["adam_t"])
+        m, v = params.split(adam.m), params.split(adam.v)
+        for name in params.names():
+            m[name][...] = opt_m[name]
+            v[name][...] = opt_v[name]
         halver.best, halver.bad = scalars["plateau_best"], int(scalars["plateau_bad"])
         stopper.best = scalars["stop_best"]
         stopper.best_epoch = int(scalars["stop_best_epoch"])

@@ -1,7 +1,8 @@
 """Engine ops that only the tests use: the softmax and transpose nodes of the
 unfused attention chain that ``reference_multi_head_attention`` rebuilds, the
 exp and log nodes of the unfused softplus the BCE node is checked against,
-and the check of a fused node against the chain it replaces."""
+the check of a fused node against the chain it replaces, and the per-array
+Adam step that the flat-buffer Adam is checked against."""
 
 from __future__ import annotations
 
@@ -73,3 +74,19 @@ def log(a):
         return (g / a.data,)
 
     return _node(out, (a,), bwd, "log")
+
+
+def reference_adam_step(params, m, v, t, lr, cfg):
+    """One Adam step as a loop over parameter arrays, with per-name moment
+    dicts ``m`` and ``v`` updated in place; ``t`` is the 1-based step."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = p.grad
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            p.data[...] = p.data - lr * (m[name] / c1) / (
+                np.sqrt(v[name] / c2) + cfg.adam_eps
+            )

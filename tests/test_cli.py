@@ -399,6 +399,19 @@ class TestEvaluate:
         report = json.loads((out / "metrics.json").read_text())
         assert report["epsilon"] == 0.125
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--miss-threshold"])
+    def test_nan_threshold_exits_4(self, synth_dir, quick_config, tmp_path, capsys, flag):
+        pred_dir = tmp_path / "preds"
+        self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
+        out = tmp_path / "metrics"
+        code = main([
+            "evaluate", "--pred", str(pred_dir), "--gt", str(synth_dir),
+            "--config", str(quick_config), flag, "nan", "--out", str(out),
+        ])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+        assert not out.exists()
+
     def test_alignment_failure_exits_4_with_key(self, synth_dir, quick_config, tmp_path, capsys):
         pred_dir = tmp_path / "preds"
         scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
@@ -509,6 +522,45 @@ class TestRender:
         for m in re.finditer(r'fill="rgb\((\d+),\d+,\d+\)" [^>]*data-weight="([0-9.eE+-]+)"', svg):
             level, weight = int(m.group(1)), float(m.group(2))
             assert abs(level / 255 - weight) <= 1 / 255
+
+    def test_non_integer_steps_exits_2(self, synth_dir, quick_config, tmp_path, capsys):
+        out = tmp_path / "svg"
+        code = main([
+            "render", "--scene", str(synth_dir), "--pred", str(tmp_path / "preds"),
+            "--config", str(quick_config), "--steps", "abc", "--out-svg", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "--steps" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"steps": [',
+        json.dumps({"agent_ids": [0, 1]}),
+        json.dumps({"steps": []}),
+        json.dumps({"agent_ids": [0, 1], "steps": [{"matrix": [[1.0]]}]}),
+        json.dumps({"agent_ids": [0, 1], "steps": [{"t": 5}]}),
+        json.dumps({"agent_ids": [0, 1], "steps": [{"t": 5, "matrix": "abc"}]}),
+        json.dumps({"agent_ids": [0, 1], "steps": [{"t": "x", "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}),
+        json.dumps({"agent_ids": [0], "steps": [{"t": 5, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}),
+    ], ids=[
+        "not_json", "no_steps", "no_agent_ids", "step_without_t", "step_without_matrix",
+        "matrix_not_numeric", "t_not_integer", "matrix_not_n_by_n",
+    ])
+    def test_malformed_trace_exits_4_naming_file(self, synth_dir, quick_config, tmp_path, capsys, text):
+        tpath = tmp_path / "trace_bad.json"
+        tpath.write_text(text)
+        out = tmp_path / "svg"
+        code = main([
+            "render", "--scene", str(synth_dir), "--pred", str(tmp_path / "preds"),
+            "--config", str(quick_config), "--trace", str(tpath), "--out-svg", str(out),
+        ])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert "trace_bad.json" in err["message"]
+        assert not out.exists()
 
 
 def test_unknown_command_shows_help(capsys):

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from reference_ops import assert_fused_matches, exp, log, softmax
 
+from vista.params import ParamStore
 from vista.tensor import (
     ShapeError,
     Tensor,
@@ -101,6 +102,22 @@ class TestBackwardExamples:
         first = x.grad.copy()
         backward(reduce_sum(x * x))
         np.testing.assert_allclose(x.grad, 2 * first)
+
+    def test_repeated_backward_on_plain_leaf_keeps_the_seed(self):
+        # The reshape hands the seed itself down as x's gradient: the second
+        # call must add into a new array, not into the caller's seed, while
+        # the store parameter adds into its buffer view.
+        store = ParamStore()
+        p = store.add("p", np.zeros(2))
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        seed = np.array([[0.5, 3.0]])
+        y = (x + p).reshape((1, 2))
+        backward(y, seed=seed)
+        backward(y, seed=seed)
+        np.testing.assert_array_equal(seed, [[0.5, 3.0]])
+        np.testing.assert_array_equal(x.grad, [1.0, 6.0])
+        np.testing.assert_array_equal(p.grad, [1.0, 6.0])
+        assert np.shares_memory(p.grad, store.grads)
 
     def test_slice_concat_roundtrip_grad(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

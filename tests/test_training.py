@@ -2,7 +2,9 @@ import gc
 
 import numpy as np
 import pytest
+from reference_ops import reference_adam_step
 
+from vista import training
 from vista.config import Config, ModelConfig, TrainConfig
 from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
 from vista.errors import DataError, DivergenceError
@@ -369,6 +371,74 @@ class TestTrainLoop:
         _, report = train(scenes, scenes, cfg)
         assert report.stop_reason == "target_reached"
         assert len(report.records) < 50
+
+
+def assert_store_views(params):
+    """Every parameter's value and gradient live in the store's flat buffers."""
+    for name, t in params.items():
+        assert np.shares_memory(t.data, params.values), name
+        assert np.shares_memory(t.grad, params.grads), name
+
+
+class TestFlatBuffer:
+    def test_flat_adam_matches_per_array_adam_bitwise(self):
+        model_cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        cfg = TrainConfig()
+        flat, ref = init_params(model_cfg, seed=2), init_params(model_cfg, seed=2)
+        adam = Adam(flat, cfg)
+        m = {n: np.zeros_like(t.data) for n, t in ref.items()}
+        v = {n: np.zeros_like(t.data) for n, t in ref.items()}
+        rng = np.random.default_rng(4)
+        for t, lr in enumerate([1e-3, 1e-3, 5e-4, 2.0, 1e-3, 3e-5], start=1):
+            flat.zero_grad()
+            ref.zero_grad()
+            for name in flat.names():
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=flat[name].shape)
+                g[rng.random(g.shape) < 0.2] = 0.0
+                flat[name].grad[...] = g
+                ref[name].grad[...] = g
+            adam.step(lr)
+            reference_adam_step(ref, m, v, t, lr, cfg)
+            for name in flat.names():
+                assert flat[name].data.tobytes() == ref[name].data.tobytes(), (t, name)
+            assert adam.m.tobytes() == np.concatenate([a.ravel() for a in m.values()]).tobytes()
+            assert adam.v.tobytes() == np.concatenate([a.ravel() for a in v.values()]).tobytes()
+
+    def test_parameters_stay_views_of_the_store(self, tiny_scene):
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = init_params(cfg, seed=0)
+        assert_store_views(params)
+        adam = Adam(params, TrainConfig())
+        total, _, _ = window_loss_graph(params, cfg, TrainConfig(), tiny_scene)
+        backward(total)
+        assert_store_views(params)
+        assert params.grads.any()
+        adam.step(1e-3)
+        assert_store_views(params)
+        params.zero_grad()
+        assert_store_views(params)
+        assert not params.grads.any()
+        copies = params.copy_values()
+        assert_store_views(params)
+        for name, arr in copies.items():
+            assert not np.shares_memory(arr, params.values)
+            assert arr.tobytes() == params[name].data.tobytes()
+
+    def test_resumed_parameters_stay_views_of_the_store(self, tmp_path, monkeypatch):
+        steps = []
+
+        class CheckedAdam(Adam):
+            def step(self, lr):
+                super().step(lr)
+                assert_store_views(self.params)
+                steps.append(self.t)
+
+        monkeypatch.setattr(training, "Adam", CheckedAdam)
+        scenes = small_dataset(2)
+        state_path = tmp_path / "state.bin"
+        train(scenes, scenes, small_config(max_epochs=1), state_out=state_path)
+        train(scenes, scenes, small_config(max_epochs=2), resume_from=str(state_path))
+        assert steps == [1, 2, 3, 4]  # two windows at batch size 1
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
