@@ -420,6 +420,12 @@ def synth_generate(spec: ScenarioSpec, seed: int | None = None) -> list[Scene]:
         raise DataError(f"unknown scenario {spec.scenario!r}; choose from {SCENARIOS}")
     if spec.n_agents > 32:
         raise DataError("synthetic scenes support at most 32 agents")
+    for key in ("n_agents", "n_windows", "n_frames", "grid"):
+        if getattr(spec, key) < 1:
+            raise ConfigError(f"{key} must be a positive count, got {getattr(spec, key)}")
+    for key in ("speed", "margin"):
+        if not math.isfinite(getattr(spec, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(spec, key)}")
     seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     maker = {

@@ -126,8 +126,14 @@ def constant(x):
     return Tensor(x, requires_grad=False)
 
 
+def _recording(parents):
+    """Whether a node over ``parents`` would be recorded: outside ``no_grad``
+    and with a parent that takes gradients."""
+    return _record_graph and any(p.requires_grad for p in parents)
+
+
 def _node(data, parents, bwd, op):
-    if _record_graph and any(p.requires_grad for p in parents):
+    if _recording(parents):
         return Tensor(data, True, op, tuple(parents), bwd)
     return Tensor(data, False, op)
 
@@ -226,19 +232,6 @@ def concat(tensors, axis=0):
         return tuple(np.split(g, bounds, axis=axis))
 
     return _node(out, tuple(tensors), bwd, "concat")
-
-
-def stack(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    try:
-        out = np.stack([t.data for t in tensors], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"stack: {[t.shape for t in tensors]}: {exc}") from None
-
-    def bwd(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return _node(out, tuple(tensors), bwd, "stack")
 
 
 def narrow(a, key):

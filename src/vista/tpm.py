@@ -5,14 +5,14 @@ attention-trace capture.
 The fusion's cross-attention to a single goal token is exactly a linear goal
 term (``goal_feature``), computed once per rollout and added at every step.
 
-``rollout`` is the one recursion. It decodes a scene's N agents under B goal
-sets at once, as a (B, N) batch in one stacked graph: training and
+``rollout`` is the one recursion, recorded as one graph node. It decodes a
+scene's N agents under B goal sets at once, as a (B, N) batch: training and
 validation roll out one goal set (B=1), and best-of-k prediction rolls out
 all k goal samples as B=k. The observations are embedded once; every later
 step embeds only the previous step's prediction and appends its temporal
 key and value to a per-rollout cache, over which the newest token attends.
-The predictions stay graph tensors, so gradients flow through the model's
-own feedback. Agents are processed in a canonical order
+The node's backward runs back through time over the model's own feedback.
+Agents are processed in a canonical order
 (sorted by agent_id) internally and restored to input order on output, which
 makes permutation equivariance exact at the bit level. Positions and goals
 are embedded relative to the mean of the agents' last observed positions,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import KVCache, init_mha_params, multi_head_attention
+from .attention import KVCache, attend, attend_backward, heads_first, init_mha_params, mha_params
 from .config import ModelConfig
 from .data import Scene, atomic_write
 from .errors import AlignmentError, ConfigError, DataError, DivergenceError
@@ -38,13 +38,12 @@ from .tensor import (
     Tensor,
     _gemm,
     _node,
+    _recording,
     _relu_data,
     _unbroadcast,
     as_tensor,
-    constant,
     layer_norm,
     linear,
-    narrow,
     sinusoidal_table,
 )
 
@@ -69,7 +68,7 @@ class PredictionSet:
 class RolloutResult:
     trajectories: np.ndarray  # ([B,] N, T_fut, 2), input agent order
     traces: np.ndarray | None  # ([B,] T_fut, N, N), input agent order
-    step_tensors: list  # ([B,] N, 2) tensors per step, canonical agent order
+    positions: Tensor  # the "rollout" node: ([B,] N, T_fut, 2), canonical agent order
     canonical_order: np.ndarray  # input index -> canonical row
 
 
@@ -100,30 +99,37 @@ def init_tpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Gener
 # -- building blocks -------------------------------------------------------
 
 
-def embed_tokens(points, anchor, time_indices, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Tokens ``(points - anchor) @ W + b + (sinusoidal(t) + learnable(t))``
-    as one node, for points (..., 2) and one time index per token row: the
-    (len(time_indices), d) per-index terms broadcast against the trailing
-    axes of the output.
-
-    A single int index embeds points (rows, 2) as one sequence position:
-    each row equals that position's row of a (rows, L, 2) embedding bit
-    for bit."""
+def _embed(rel, time_indices, params: ParamStore, config: ModelConfig):
+    """Tokens ``rel @ W + b + (sinusoidal(t) + learnable(t))`` for points
+    ``rel`` relative to the anchor. A single int index embeds (rows, 2)
+    points through ``_gemm``, so each row equals that position's row of a
+    (rows, L, 2) embedding bit for bit."""
     idx = np.asarray(time_indices, dtype=np.int64)
     if idx.min() < 0 or idx.max() > config.t_total:
         raise ConfigError(
             f"time index out of positional-table range 0..{config.t_total}: {idx}"
         )
+    w = params["tpm.embed.w"].data
+    table = sinusoidal_table(config.t_total + 1, config.d_model)
+    per_index = table[idx] + params["tpm.pe.learn"].data[idx]
+    product = _gemm(rel, w) if idx.ndim == 0 else np.matmul(rel, w)
+    return (product + params["tpm.embed.b"].data) + per_index
+
+
+def embed_tokens(points, anchor, time_indices, params: ParamStore, config: ModelConfig) -> Tensor:
+    """Tokens ``(points - anchor) @ W + b + (sinusoidal(t) + learnable(t))``
+    as one node, for points (..., 2) and one time index per token row: the
+    (len(time_indices), d) per-index terms broadcast against the trailing
+    axes of the output."""
     points = as_tensor(points)
     w, b, learn = params["tpm.embed.w"], params["tpm.embed.b"], params["tpm.pe.learn"]
+    idx = np.asarray(time_indices, dtype=np.int64)
     rel = points.data - anchor
-    per_index = sinusoidal_table(config.t_total + 1, config.d_model)[idx] + learn.data[idx]
-    product = _gemm(rel, w.data) if idx.ndim == 0 else np.matmul(rel, w.data)
-    out = (product + b.data) + per_index
+    out = _embed(rel, idx, params, config)
 
     def bwd(g):
         glearn = np.zeros(learn.shape, dtype=g.dtype)
-        np.add.at(glearn, idx, _unbroadcast(g, per_index.shape))
+        np.add.at(glearn, idx, _unbroadcast(g, idx.shape + learn.shape[1:]))
         return (
             np.matmul(g, w.data.T) if points.requires_grad else None,
             rel.reshape(-1, 2).T @ g.reshape(-1, w.shape[1]),
@@ -147,63 +153,44 @@ def goal_feature(goal_tokens: Tensor, params: ParamStore) -> Tensor:
     return normed.reshape((n, d))
 
 
-def goal_trajectory_fusion(
-    query: Tensor, cache: KVCache, goal: Tensor | None, params: ParamStore, config: ModelConfig
-) -> Tensor:
-    """Temporal self-attention of each row's newest token ``query`` (N, d)
-    over the row's tokens in ``cache`` (the query's own included), plus the
-    ``goal_feature`` term (N, d) as a residual; returns the fused (N, d)
-    features.
-
-    Only the newest time step feeds the decoder, so the temporal layer
-    queries just that token."""
-    fused, _ = multi_head_attention(
-        query, cache, cache, config.n_heads, params, "tpm.fusion.self0", residual=goal
-    )
-    return fused
-
-
-def social_attention(features, params: ParamStore, config: ModelConfig):
-    """Multi-head self-attention across agent tokens.
-
-    ``features`` is (N, d) or (B, N, d); agents attend within their batch
-    row. Returns the updated features and the head-averaged ([B,] N, N)
-    attention matrix.
-    """
-    feats = as_tensor(features)
-    n = feats.shape[-2]
-    if not config.use_social:
-        return feats, np.broadcast_to(np.eye(n), feats.shape[:-1] + (n,))
-    out, heads = multi_head_attention(
-        feats, feats, feats, config.n_heads, params, "tpm.social0"
-    )
-    return out, heads.mean(axis=0)
-
-
-def decode_step(feature, last_pos, params: ParamStore):
-    """next_pos = last_pos + MLP(feature) for features (..., d), as one
-    node; MLP is d -> d -> 2 with relu."""
-    feature, last = as_tensor(feature), as_tensor(last_pos)
-    w1, b1 = params["tpm.dec.w1"], params["tpm.dec.b1"]
-    w2, b2 = params["tpm.dec.w2"], params["tpm.dec.b2"]
-    pre = np.matmul(feature.data, w1.data) + b1.data
+def _decode(feature, last, decoder):
+    """``last + MLP(feature)`` for features (..., d) and the
+    (w1, b1, w2, b2) ``decoder``: d -> d -> 2 with relu. Also returns the
+    pre-activation and hidden units."""
+    w1, b1, w2, b2 = (p.data for p in decoder)
+    pre = np.matmul(feature, w1) + b1
     hidden = _relu_data(pre)
-    delta = np.matmul(hidden, w2.data) + b2.data
-    out = last.data.reshape(delta.shape) + delta
+    delta = np.matmul(hidden, w2) + b2
+    return last.reshape(delta.shape) + delta, pre, hidden
 
-    def bwd(g):
-        gh = np.matmul(g, w2.data.T) * (pre > 0)
-        d = w1.shape[1]
-        return (
-            np.matmul(gh, w1.data.T) if feature.requires_grad else None,
-            g.reshape(last.shape),
-            feature.data.reshape(-1, w1.shape[0]).T @ gh.reshape(-1, d),
-            _unbroadcast(gh, b1.shape),
-            hidden.reshape(-1, d).T @ g.reshape(-1, w2.shape[1]),
-            _unbroadcast(g, b2.shape),
-        )
 
-    return _node(out, (feature, last, w1, b1, w2, b2), bwd, "decode")
+def _outer(x, g):
+    """``x.T @ g`` over all leading axes of x (..., m) and g (..., n): one
+    weight gradient over every step and row."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _row_sum(g):
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+def _qkv_weights(layer):
+    """(wq | wk | wv) of an attention layer's ``mha_params``, as one (d, 3d)
+    matrix."""
+    return np.concatenate([layer[0].data, layer[2].data, layer[3].data], axis=1)
+
+
+def _mha_grads(x, g_qkv, merged, g_out):
+    """The ``mha_params``-ordered gradients of an attention layer whose
+    queries, keys and values all project ``x`` (..., d), for the stacked
+    query | key | value projection gradients ``g_qkv`` (..., 3d) and the
+    output gradient ``g_out`` of the merged heads ``merged``."""
+    d = x.shape[-1]
+    g_w, g_b = _outer(x, g_qkv), _row_sum(g_qkv)
+    return [
+        g_w[:, :d], g_b[:d], g_w[:, d : 2 * d], g_w[:, 2 * d :], g_b[2 * d :],
+        _outer(merged, g_out), _row_sum(g_out),
+    ]
 
 
 # -- rollout ----------------------------------------------------------------
@@ -232,17 +219,24 @@ def rollout(
     t+1 sees exactly the observations plus the predictions of steps <= t, a
     truncated rollout is a bit-exact prefix of the full one.
 
-    Step 1 embeds the t_obs observations as one (rows, t_obs, 2) block and
-    queries with the last of them; each later step embeds only the previous
-    step's prediction, as a (rows, 2) operand, appends it to the temporal
-    layer's ``KVCache`` and queries with it. Each row of these products
-    equals the row that re-embedding the whole sequence at every step would
-    compute, so the outputs are bit for bit those of that recursion. The
-    exception is t_obs = 1: its one-row first block goes through BLAS gemv,
-    which the re-embedding recursion replaced by gemm from step 2 on.
+    Each step is temporal attention of the newest token over the agent's
+    tokens plus the goal term, social attention across the agents of a
+    batch row, and the decoder. Step 1 embeds the t_obs observations as one
+    (rows, t_obs, 2) block and queries with the last of them; each later
+    step embeds only the previous step's prediction, as a (rows, 2)
+    operand, appends it to the temporal layer's ``KVCache`` and queries with
+    it as a (rows, 1, d) operand. Each row of these products equals the row
+    that re-embedding the whole sequence at every step would compute, so
+    the outputs are bit for bit those of that recursion. The exception is
+    t_obs = 1: its one-row first block goes through BLAS gemv, which the
+    re-embedding recursion replaced by gemm from step 2 on.
 
-    All B*N agent rows run as one stacked graph; only social attention sees
-    the batch axis, so agents interact within their own row.
+    The whole recursion is one graph node, ``RolloutResult.positions``. Its
+    backward walks the steps in reverse and computes only data gradients
+    per step. A token's key, value and query gradients are complete once the
+    walk reaches the step that queried it, which converts them into the
+    token's gradient with one product. Every weight gradient is one product
+    over the stacked per-step operands at the end.
     """
     obs_all = scene.positions()
     if obs_all.shape[1] < config.t_obs:
@@ -265,6 +259,7 @@ def rollout(
         lead = goals_arr.shape[:-2]
     b = lead[0] if lead else 1
     rows = b * n
+    t_obs, d, heads = config.t_obs, config.d_model, config.n_heads
 
     order = _canonical_order(agent_ids)
     inverse = np.argsort(order)
@@ -278,46 +273,122 @@ def rollout(
     goal = None
     if goals_arr is not None:
         goal_tok = embed_tokens(goals_arr[..., order, :], anchor, [config.t_total], params, config)
-        goal = goal_feature(goal_tok.reshape((rows, 1, config.d_model)), params)
+        goal = goal_feature(goal_tok.reshape((rows, 1, d)), params)
+
+    embed = tuple(params[f"tpm.{name}"] for name in ("embed.w", "embed.b", "pe.learn"))
+    temporal = mha_params(params, "tpm.fusion.self0")
+    social = mha_params(params, "tpm.social0") if config.use_social else ()
+    decoder = tuple(params[f"tpm.dec.{name}"] for name in ("w1", "b1", "w2", "b2"))
+    parents = (() if goal is None else (goal,)) + embed + temporal + social + decoder
+    record = _recording(parents)
+    wq, bq, _, _, _, wo, bo = (p.data for p in temporal)
+    if social:
+        swq, sbq, swk, swv, sbv, swo, sbo = (p.data for p in social)
 
     n_steps = n_steps or config.t_fut
-    obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
-    tokens = embed_tokens(obs_rows, anchor, np.arange(config.t_obs), params, config)
-    cache = KVCache(tokens, config.t_obs + n_steps - 1, params, "tpm.fusion.self0")
-    query = narrow(tokens, (slice(None), config.t_obs - 1))
-    last = constant(obs_rows[:, -1])
-    step_tensors = []
-    trace_steps = [] if capture_trace else None
+    obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, t_obs, 2)
+    rel = obs_rows - anchor
+    tokens = _embed(rel, np.arange(t_obs), params, config)
+    cache = KVCache(tokens, t_obs + n_steps - 1, params, "tpm.fusion.self0")
+    query = tokens[:, -1]
+    last = obs_rows[:, -1]
+    tape, steps, trace_steps = [], [], []
     for step in range(1, n_steps + 1):
         if step > 1:
-            points = last.reshape((rows, 2)) if lead else last
-            query = embed_tokens(points, anchor, config.t_obs + step - 2, params, config)
+            rel = last.reshape(rows, 2) - anchor
+            query = _embed(rel, t_obs + step - 2, params, config)
             cache.append(query)
-        fused = goal_trajectory_fusion(query, cache, goal, params, config)
-        if lead:
-            fused = fused.reshape(lead + (n, config.d_model))
-        social, attn = social_attention(fused, params, config)
-        nxt = decode_step(social, last, params)
-        if not np.isfinite(nxt.data).all():
+        length = cache.length
+        merged_t, saved_t = attend(
+            np.matmul(query[:, None], wq) + bq,
+            cache.keys[:, :length],
+            cache.values[:, :length],
+            heads,
+        )
+        fused = np.matmul(merged_t, wo) + bo
+        if goal is not None:
+            fused = goal.data.reshape(fused.shape) + fused
+        fused = fused.reshape(lead + (n, d))
+        feature, merged_s, saved_s = fused, None, None
+        if social:
+            merged_s, saved_s = attend(
+                np.matmul(fused, swq) + sbq,
+                np.matmul(fused, swk),
+                np.matmul(fused, swv) + sbv,
+                heads,
+            )
+            feature = np.matmul(merged_s, swo) + sbo
+        nxt, pre, hidden = _decode(feature, last, decoder)
+        if not np.isfinite(nxt).all():
             raise DivergenceError(
                 f"non-finite prediction at step {step} of scene {scene.key()}",
                 step=step,
             )
         last = nxt
-        step_tensors.append(nxt)
+        steps.append(nxt)
+        if record:
+            tape.append((rel, saved_t, merged_t, fused, saved_s, merged_s, feature, pre, hidden))
         if capture_trace:
-            trace_steps.append(np.asarray(attn).reshape(b, n, n))
+            attn = heads_first(saved_s[-1]).mean(axis=0) if social else np.eye(n)
+            trace_steps.append(np.broadcast_to(attn, lead + (n, n)).reshape(b, n, n))
 
-    trajectories = np.stack([t.data for t in step_tensors], axis=-2)
-    trajectories = np.take(trajectories, inverse, axis=-3)
+    def bwd(g):
+        rel, saved_t, merged_t, fused, saved_s, merged_s, feature, pre, hidden = zip(*tape)
+        g = g.reshape(rows, n_steps, 2)
+        w1, w2, w_embed = decoder[0].data, decoder[2].data, embed[0].data
+        w_t = _qkv_weights(temporal)
+        w_s = _qkv_weights(social) if social else None
+        # The query | key | value gradients of every temporal token, and the
+        # token gradients they convert into.
+        g_qkv = np.zeros((rows, cache.length, 3 * d))
+        g_tok = np.empty((rows, cache.length, d))
+        g_qkv_s = np.empty((n_steps, rows, 3 * d))
+        g_hidden, g_feature, g_fused = (np.empty((n_steps, rows, d)) for _ in range(3))
+        g_next = np.empty((n_steps, rows, 2))
+        carry = 0.0
+        for i in reversed(range(n_steps)):
+            g_next[i] = g[:, i] + carry
+            g_hidden[i] = (g_next[i] @ w2.T) * (pre[i].reshape(rows, d) > 0)
+            g_feature[i] = gf = g_hidden[i] @ w1.T
+            if social:
+                g_merged = (gf @ swo.T).reshape(fused[i].shape)
+                g_qkv_s[i] = np.concatenate(attend_backward(g_merged, saved_s[i]), axis=-1).reshape(
+                    rows, 3 * d
+                )
+                gf = g_qkv_s[i] @ w_s.T
+            g_fused[i] = gf
+            gq, gk, gv = attend_backward((gf @ wo.T)[:, None], saved_t[i])
+            length = t_obs + i
+            g_qkv[:, length - 1, :d] = gq[:, 0]
+            g_qkv[:, :length, d : 2 * d] += gk
+            g_qkv[:, :length, 2 * d :] += gv
+            if i:  # the query token embeds the previous step's prediction
+                g_tok[:, length - 1] = g_qkv[:, length - 1] @ w_t.T
+                carry = g_next[i] + g_tok[:, length - 1] @ w_embed.T
+        g_tok[:, :t_obs] = g_qkv[:, :t_obs] @ w_t.T
+
+        g_learn = np.zeros(embed[2].shape)
+        g_learn[: cache.length] = g_tok.sum(axis=0)
+        rels = np.concatenate([rel[0]] + [r[:, None] for r in rel[1:]], axis=1)
+        grads = [_outer(rels, g_tok), _row_sum(g_tok), g_learn]
+        grads += _mha_grads(cache.x, g_qkv, np.stack(merged_t), g_fused)
+        if social:
+            grads += _mha_grads(np.stack(fused), g_qkv_s, np.stack(merged_s), g_feature)
+        grads += [_outer(np.stack(feature), g_hidden), _row_sum(g_hidden)]
+        grads += [_outer(np.stack(hidden), g_next), _row_sum(g_next)]
+        if goal is not None:
+            grads.insert(0, g_fused.sum(axis=0).reshape(goal.shape))
+        return grads
+
+    positions = np.stack(steps, axis=-2)
     traces = None
     if capture_trace:
         traces = np.stack(trace_steps, axis=1)[:, :, inverse][..., inverse]
         traces = traces if lead else traces[0]
     return RolloutResult(
-        trajectories=trajectories,
+        trajectories=np.take(positions, inverse, axis=-3),
         traces=traces,
-        step_tensors=step_tensors,
+        positions=_node(positions, parents, bwd, "rollout"),
         canonical_order=order,
     )
 

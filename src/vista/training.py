@@ -22,7 +22,7 @@ from .errors import DataError, DivergenceError
 from .gpm import encode_gpm_input, goal_target, gpm_forward_batch
 from .model import Model, init_params, stable_seed
 from .params import ParamStore
-from .tensor import backward, bce_with_logits_mean, constant, scale, stack
+from .tensor import backward, bce_with_logits_mean, constant, scale
 from .tpm import rollout
 
 
@@ -72,7 +72,7 @@ def window_loss_graph(
         goal_part = float(per_agent.data.mean())
 
     result = rollout(scene, gt_goals if model_cfg.use_goal else None, params, model_cfg)
-    diff = stack(result.step_tensors, axis=1) - constant(gt_future[result.canonical_order])
+    diff = result.positions - constant(gt_future[result.canonical_order])
     sq = (diff * diff).sum(axis=2)  # (N, T_fut)
     per_agent_traj = sq.mean(axis=1)
     traj_sum = per_agent_traj.sum()

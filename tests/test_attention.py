@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from reference_ops import softmax, transpose
 
-from vista.attention import KVCache, init_mha_params, multi_head_attention
+from vista.attention import KVCache, attend, init_mha_params, mha_params, multi_head_attention
 from vista.errors import ConfigError
 from vista.params import ParamStore
-from vista.tensor import (
-    ShapeError, Tensor, add, backward, concat, matmul, narrow, reshape, scale,
-)
+from vista.tensor import ShapeError, Tensor, add, backward, matmul, narrow, scale
 
 
 def reference_multi_head_attention(q, k, v, n_heads: int, params: ParamStore, prefix: str):
@@ -162,14 +160,19 @@ def distinct_case(rng):
     return [q, k, v], (q, k, v)
 
 
+def set_random_biases(store, prefix, rng):
+    """Draw the layer's biases in place."""
+    for b in ("bq", "bv", "bo"):
+        store[f"{prefix}.{b}"].data[...] = rng.normal(size=store[f"{prefix}.{b}"].shape)
+
+
 def attend_and_grads(attend, case):
     """Output, attention and the gradient of every input and parameter for
     a random upstream gradient, with seeded inputs and parameters."""
     rng = np.random.default_rng(9)
     store = ParamStore()
     init_mha_params(store, "mha", 8, rng)
-    for b in ("bq", "bv", "bo"):
-        store[f"mha.{b}"].data = rng.normal(size=8)
+    set_random_biases(store, "mha", rng)
     leaves, (q, k, v) = case(rng)
     out, attn = attend(q, k, v, 2, store, "mha")
     backward(out, seed=rng.normal(size=out.shape))
@@ -194,77 +197,53 @@ def test_attention_records_one_node():
     _, (q, k, v) = social_case(np.random.default_rng(0))
     store = ParamStore()
     init_mha_params(store, "mha", 8, np.random.default_rng(1))
-    out, _ = multi_head_attention(q, k, v, 2, store, "mha")
+    out, attn = multi_head_attention(q, k, v, 2, store, "mha")
     assert out.op == "attention"
+    assert not attn.flags.writeable  # a view of what the backward reads
     assert {id(p) for p in out._parents} == {id(q)} | {id(t) for _, t in store.items()}
 
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_cache_matches_whole_sequence(rows):
-    """Attention of the newest token over a cache filled one position at a
-    time against attention over the whole sequence: the output bit for bit
-    at every length, each token's gradient within 1e-12 of the largest."""
+    """A cache filled one position at a time against the whole sequence:
+    its keys and values against one projection of all tokens, and
+    ``attend`` of the newest token over them against ``multi_head_attention``
+    over all tokens, bit for bit at every length. (The rollout node's
+    gradients through the cache are checked against the re-embedding
+    recursion in test_tpm.)"""
     rng = np.random.default_rng(rows)
     store = ParamStore()
     init_mha_params(store, "mha", 8, rng)
+    wq, bq, wk, wv, bv, wo, bo = (p.data for p in mha_params(store, "mha"))
     data = rng.normal(size=(rows, 6, 8))
-    seed = rng.normal(size=(rows, 8))
-
-    def run(cached):
-        block = Tensor(data[:, :3], requires_grad=True)
-        steps = [Tensor(data[:, i], requires_grad=True) for i in range(3, 6)]
-        cache = KVCache(block, 6, store, "mha") if cached else None
-        outs = []
-        for length in range(3, 7):
-            if cached:
-                if length > 3:
-                    cache.append(steps[length - 4])
-                query = steps[length - 4] if length > 3 else narrow(block, (slice(None), 2))
-                out, _ = multi_head_attention(query, cache, cache, 2, store, "mha")
-            else:
-                seq = [reshape(t, (rows, 1, 8)) for t in steps[: length - 3]]
-                tokens = concat([block, *seq], axis=1)
-                query = narrow(tokens, (slice(None), slice(length - 1, length)))
-                out, _ = multi_head_attention(query, tokens, tokens, 2, store, "mha")
-                out = reshape(out, (rows, 8))
-            outs.append(out)
-        total = outs[0]
-        for out in outs[1:]:
-            total = add(total, out)
-        backward(total, seed=seed)
-        return [o.data.tobytes() for o in outs], [block.grad] + [t.grad for t in steps]
-
-    outs, grads = run(cached=True)
-    ref_outs, ref_grads = run(cached=False)
-    assert outs == ref_outs
-    for g, ref in zip(grads, ref_grads, strict=True):
-        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+    cache = KVCache(np.ascontiguousarray(data[:, :3]), 6, store, "mha")
+    for length in range(3, 7):
+        if length > 3:
+            cache.append(np.ascontiguousarray(data[:, length - 1]))
+        tokens = np.ascontiguousarray(data[:, :length])
+        assert cache.length == length
+        assert cache.keys[:, :length].tobytes() == np.matmul(tokens, wk).tobytes()
+        assert cache.values[:, :length].tobytes() == (np.matmul(tokens, wv) + bv).tobytes()
+        query = tokens[:, -1]
+        merged, _ = attend(
+            np.matmul(query[:, None], wq) + bq,
+            cache.keys[:, :length],
+            cache.values[:, :length],
+            2,
+        )
+        seq = Tensor(tokens)
+        ref, _ = multi_head_attention(
+            narrow(seq, (slice(None), slice(length - 1, length))), seq, seq, 2, store, "mha"
+        )
+        assert (np.matmul(merged, wo) + bo).tobytes() == ref.data.tobytes()
 
 
 def test_cache_rejects_misuse():
     store = ParamStore()
     init_mha_params(store, "mha", 4, np.random.default_rng(0))
-    init_mha_params(store, "other", 4, np.random.default_rng(1))
-    cache = KVCache(Tensor(np.zeros((2, 1, 4))), 2, store, "mha")
+    cache = KVCache(np.zeros((2, 1, 4)), 2, store, "mha")
     with pytest.raises(ShapeError, match="token"):
-        cache.append(Tensor(np.zeros((3, 4))))
-    cache.append(Tensor(np.zeros((2, 4))))
+        cache.append(np.zeros((3, 4)))
+    cache.append(np.zeros((2, 4)))
     with pytest.raises(ShapeError, match="full"):
-        cache.append(Tensor(np.zeros((2, 4))))
-    with pytest.raises(ShapeError, match="KVCache of other"):
-        multi_head_attention(Tensor(np.zeros((2, 4))), cache, cache, 2, store, "other")
-
-
-def test_residual_is_added_inside_the_node():
-    rng = np.random.default_rng(7)
-    store = ParamStore()
-    init_mha_params(store, "mha", 8, rng)
-    x = Tensor(rng.normal(size=(3, 4, 8)), requires_grad=True)
-    res = Tensor(rng.normal(size=(3, 4, 8)), requires_grad=True)
-    seed = rng.normal(size=(3, 4, 8))
-    fused, attn = multi_head_attention(x, x, x, 2, store, "mha", residual=res)
-    plain, _ = multi_head_attention(x, x, x, 2, store, "mha")
-    assert fused.data.tobytes() == (res.data + plain.data).tobytes()
-    backward(fused, seed=seed)
-    np.testing.assert_array_equal(res.grad, seed)
-    assert not attn.flags.writeable
+        cache.append(np.zeros((2, 4)))

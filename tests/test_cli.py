@@ -62,6 +62,25 @@ class TestSynth:
         assert line.split("=")[0] in err["message"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--n", "0", "n_agents"), ("--n", "-1", "n_agents"), ("--windows", "0", "n_windows"),
+         ("--frames", "0", "n_frames"), ("--grid", "-3", "grid"),
+         ("--speed", "nan", "speed"), ("--speed", "inf", "speed"), ("--margin", "nan", "margin")],
+    )
+    def test_bad_spec_value_exits_2_naming_key(self, tmp_path, capsys, flag, value, key):
+        out = tmp_path / "x"
+        code = main(["synth", "--scenario", "crossing", flag, value, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and key in err["message"]
+        assert not out.exists()
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"scenario=crossing\n{key}={value}\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert key in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
     def test_spec_values_kept_when_flags_unset(self, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text("scenario=crossing\nn_agents=4\nseed=5\nn_windows=3\n")

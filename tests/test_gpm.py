@@ -95,6 +95,14 @@ def reseeds_at(points, k, seed, t):
     return not np.array_equal(before, labels) and np.bincount(nearest, minlength=k).min() == 0
 
 
+def zero_gpm_weights(params, out_bias):
+    """Zero every GPM parameter in place, then set the output bias."""
+    for name in params.names():
+        if name.startswith("gpm."):
+            params[name].data[...] = 0.0
+    params["gpm.out.b"].data[...] = out_bias
+
+
 class TestForward:
     def test_output_shape_contract(self):
         cfg = ModelConfig(t_obs=8, t_fut=12, grid=32, n_classes=3)
@@ -110,10 +118,7 @@ class TestForward:
     def test_zero_weights_give_constant_sigmoid_bias(self):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=0)
-        for name in params.names():
-            if name.startswith("gpm."):
-                params[name].data = np.zeros_like(params[name].data)
-        params["gpm.out.b"].data = np.array([0.3])
+        zero_gpm_weights(params, out_bias=0.3)
         obs = np.full((4, 2), 8.0)
         hm = heatmap_from_logits(gpm_forward_batch(obs[None], None, params, cfg).data)
         expected = 1 / (1 + math.exp(-0.3))

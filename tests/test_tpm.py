@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from fdcheck import record_activations
 from reference_ops import assert_fused_matches
 
 from vista import tpm, training
-from vista.attention import KVCache, multi_head_attention
+from vista.attention import multi_head_attention
 from vista.cli import main
 from vista.config import ModelConfig, TrainConfig
 from vista.data import AgentTrack, Scene, save_trajectories
@@ -17,7 +18,6 @@ from vista.gpm import ttst_sample
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
 from vista.tensor import (
-    Tensor,
     as_tensor,
     backward,
     concat,
@@ -25,22 +25,19 @@ from vista.tensor import (
     layer_norm,
     linear,
     narrow,
-    reduce_sum,
+    no_grad,
     relu,
     sinusoidal_table,
 )
 from vista.tpm import (
     RolloutResult,
-    decode_step,
     embed_tokens,
     goal_feature,
-    goal_trajectory_fusion,
     load_prediction_txt,
     prediction_array,
     rollout,
     save_prediction_txt,
     save_trace_json,
-    social_attention,
 )
 from vista.training import window_loss_graph
 
@@ -108,7 +105,7 @@ class TestHybridPositionalEncoding:
 
 
 # The token embedding and decoder chains that the one-node ``embed_tokens``
-# and ``decode_step`` replaced, kept verbatim as their references.
+# and the rollout node replaced, kept verbatim as their references.
 
 
 def embed_positions(positions, params: ParamStore):
@@ -147,9 +144,28 @@ def embed_arrays(rng, points_shape, cfg):
     ]
 
 
+def rollout_and_grads(run, scene, goals, params, cfg, n_steps=None):
+    """The canonical positions of ``run`` (``rollout`` or a reference of
+    it) and every parameter's gradient for a fixed random upstream
+    gradient."""
+    params.zero_grad()
+    positions = run(scene, goals, params, cfg, n_steps=n_steps).positions
+    backward(positions, seed=np.random.default_rng(0).normal(size=positions.shape))
+    return positions.data, {name: p.grad.copy() for name, p in params.items()}
+
+
+def assert_grads_match(grads, ref_grads):
+    """Each gradient within 1e-12 of the largest entry of its reference."""
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        tol = 1e-12 * max(1.0, np.abs(ref).max())
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=tol, err_msg=name)
+
+
 class TestFusedNodes:
-    """``embed_tokens`` and ``decode_step`` against the chains they replace:
-    the forward bit for bit, gradients within 1e-12 of the largest."""
+    """``embed_tokens`` and the rollout node's decoder against the chains
+    they replace: the forward bit for bit, gradients within 1e-12 of the
+    largest."""
 
     @pytest.mark.parametrize("rows, length", [(1, 1), (1, 8), (3, 4), (5, 7)])
     def test_sequence_embedding_matches_chain(self, cfg, rows, length):
@@ -190,64 +206,53 @@ class TestFusedNodes:
 
     @pytest.mark.parametrize("lead, n, d", [((), 1, 4), ((), 3, 32), ((1,), 2, 8), ((5,), 3, 6)])
     def test_decoder_matches_chain(self, lead, n, d):
+        # A one-step rollout against ``reference_rollout``, whose decoder is
+        # the linear-relu-linear chain.
+        cfg = ModelConfig(t_obs=3, t_fut=2, grid=16, d_model=d, n_heads=2)
+        params = init_params(cfg, seed=n * d)
         rng = np.random.default_rng(n * d)
-        rows = int(np.prod(lead, dtype=int)) * n
-        arrays = [
-            rng.normal(size=lead + (n, d)),
-            rng.normal(size=(rows, 2)),
-            rng.normal(size=(d, d)),
-            rng.normal(size=d),
-            rng.normal(size=(d, 2)),
-            rng.normal(size=2),
-        ]
-        names = ("tpm.dec.w1", "tpm.dec.b1", "tpm.dec.w2", "tpm.dec.b2")
-
-        def run(step):
-            def fn(feature, last, *weights):
-                return step(feature, last, dict(zip(names, weights, strict=True)))
-            return fn
-
-        assert_fused_matches(run(decode_step), run(reference_decode_step), arrays)
-        # The decoder's relu counts its active units like the relu node did.
+        scene = scene_from_positions(rng.uniform(1, 14, size=(n, cfg.t_total, 2)))
+        goals = rng.uniform(1, 14, size=lead + (n, 2))
         with record_activations() as fused_trace:
-            run(decode_step)(*(Tensor(a) for a in arrays))
+            out, grads = rollout_and_grads(rollout, scene, goals, params, cfg, n_steps=1)
         with record_activations() as chain_trace:
-            run(reference_decode_step)(*(Tensor(a) for a in arrays))
+            ref_out, ref_grads = rollout_and_grads(
+                reference_rollout, scene, goals, params, cfg, n_steps=1
+            )
+        assert out.tobytes() == ref_out.tobytes()
+        assert_grads_match(grads, ref_grads)
+        # The decoder's relu counts its active units like the relu node did.
         assert fused_trace == chain_trace and len(fused_trace) == 1
 
 
-def fuse_last(history, goal_term, params, cfg):
-    """``goal_trajectory_fusion`` of the last of the tokens ``history``
-    (N, L, d) over all of them."""
-    cache = KVCache(history, history.shape[1], params, "tpm.fusion.self0")
-    query = narrow(history, (slice(None), history.shape[1] - 1))
-    return goal_trajectory_fusion(query, cache, goal_term, params, cfg)
-
-
-def per_step_fusion(query, cache, goal_tokens, params, config):
-    """The fusion before ``goal_feature``: the one-key cross-attention to
-    the goal tokens (N, 1, d) and its layer norm, rebuilt at every rollout
-    step."""
+def per_step_fusion(tokens, goal_tokens, params, config):
+    """The fusion before ``goal_feature``: temporal attention of the last of
+    the tokens (N, L, d) over all of them, plus the one-key cross-attention
+    to the goal tokens (N, 1, d) and its layer norm, rebuilt at every
+    rollout step."""
+    n, length, d = tokens.shape
+    query = narrow(tokens, (slice(None), slice(length - 1, length)))
     t_last, _ = multi_head_attention(
-        query, cache, cache, config.n_heads, params, "tpm.fusion.self0"
+        query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
     )
     if goal_tokens is None:
-        return t_last
-    n, d = t_last.shape
+        return t_last.reshape((n, d))
     z_last, _ = multi_head_attention(
-        t_last.reshape((n, 1, d)), goal_tokens, goal_tokens, config.n_heads, params,
-        "tpm.fusion.cross",
+        t_last, goal_tokens, goal_tokens, config.n_heads, params, "tpm.fusion.cross"
     )
     normed = layer_norm(z_last) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
-    return normed.reshape((n, d)) + t_last
+    return normed.reshape((n, d)) + t_last.reshape((n, d))
 
 
 class TestFusion:
     def test_matches_block_composition(self, cfg, params):
+        # ``reference_fusion``, the oracle of the rollout node's fusion, is
+        # the paper's block composition: temporal self-attention of the last
+        # token plus the layer-normed cross-attention to the goal token.
         rng = np.random.default_rng(3)
         history = constant(rng.normal(size=(1, 5, cfg.d_model)))
         goal = constant(rng.normal(size=(1, 1, cfg.d_model)))
-        fused = fuse_last(history, goal_feature(goal, params), params, cfg)
+        fused = reference_fusion(history, goal_feature(goal, params), params, cfg)
         assert fused.shape == (1, cfg.d_model)
 
         query = constant(history.data[:, -1:])
@@ -264,6 +269,9 @@ class TestFusion:
         np.testing.assert_array_equal(fused.data, (normed + t_last.data).reshape(1, -1))
 
     def test_hoisted_goal_term_matches_per_step_fusion(self, three_agent_scene, monkeypatch):
+        # The rollout node adds the goal term computed once per rollout; the
+        # reference recursion driven with ``per_step_fusion`` rebuilds the
+        # cross-attention to the goal token at every step.
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=2)
         tcfg = TrainConfig()
@@ -275,8 +283,13 @@ class TestFusion:
             return total.item(), {n: params[n].grad.copy() for n in params.names()}
 
         total, grads = loss_and_grads()
-        monkeypatch.setattr(tpm, "goal_feature", lambda goal_tokens, params: goal_tokens)
-        monkeypatch.setattr(tpm, "goal_trajectory_fusion", per_step_fusion)
+        monkeypatch.setattr(
+            training,
+            "rollout",
+            functools.partial(
+                reference_rollout, fusion=per_step_fusion, goal_term=lambda tokens, _: tokens
+            ),
+        )
         ref_total, ref_grads = loss_and_grads()
         assert total == ref_total
         for name, ref in ref_grads.items():
@@ -290,28 +303,45 @@ class TestFusion:
         )
         np.testing.assert_array_equal(attn, np.ones((cfg.n_heads, 1, 1)))
 
-    def test_goal_gradient_is_nonzero(self, cfg, params):
-        rng = np.random.default_rng(5)
-        history = rng.normal(size=(1, 4, cfg.d_model))
-        goal = constant(rng.normal(size=(1, 1, cfg.d_model)))
-        goal.requires_grad = True
-        fused = fuse_last(constant(history), goal_feature(goal, params), params, cfg)
-        backward(reduce_sum(fused * fused))
-        assert goal.grad is not None
-        assert np.abs(goal.grad).max() > 1e-8
+    def test_goal_gradient_is_nonzero(self, cfg, params, tiny_scene):
+        # The rollout node returns a gradient to its goal term, which reaches
+        # every parameter the goal term reads.
+        _, grads = rollout_and_grads(
+            rollout, tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg
+        )
+        for name in ("wv", "bv", "wo", "bo"):
+            assert np.abs(grads[f"tpm.fusion.cross.{name}"]).max() > 1e-8, name
+        for name in ("gamma", "beta"):
+            assert np.abs(grads[f"tpm.fusion.norm.{name}"]).max() > 1e-8, name
+
+
+def social_attention(features, params: ParamStore, config: ModelConfig):
+    """Multi-head self-attention across agent tokens (N, d) or (B, N, d),
+    agents attending within their batch row, and the head-averaged
+    ([B,] N, N) attention matrix: the social step of ``reference_rollout``."""
+    feats = as_tensor(features)
+    n = feats.shape[-2]
+    if not config.use_social:
+        return feats, np.broadcast_to(np.eye(n), feats.shape[:-1] + (n,))
+    out, heads = multi_head_attention(
+        feats, feats, feats, config.n_heads, params, "tpm.social0"
+    )
+    return out, heads.mean(axis=0)
 
 
 class TestSocialAttention:
+    """Social attention inside the rollout node, seen through its traces."""
+
     def test_single_agent_identity_weight(self, cfg, params):
-        feats = np.random.default_rng(6).normal(size=(1, cfg.d_model))
-        updated, attn = social_attention(constant(feats), params, cfg)
-        np.testing.assert_array_equal(attn, [[1.0]])
-        assert updated.shape == (1, cfg.d_model)
+        pos = np.random.default_rng(6).uniform(1, 14, size=(1, cfg.t_total, 2))
+        result = rollout(scene_from_positions(pos), pos[:, -1], params, cfg, capture_trace=True)
+        np.testing.assert_array_equal(result.traces, np.ones((cfg.t_fut, 1, 1)))
+        assert result.trajectories.shape == (1, cfg.t_fut, 2)
 
     def test_identical_agents_attend_half_half(self, cfg, params):
-        feats = np.tile(np.random.default_rng(7).normal(size=cfg.d_model), (2, 1))
-        _, attn = social_attention(constant(feats), params, cfg)
-        np.testing.assert_allclose(attn, np.full((2, 2), 0.5), atol=1e-12)
+        pos = np.tile(np.random.default_rng(7).uniform(1, 14, size=(cfg.t_total, 2)), (2, 1, 1))
+        result = rollout(scene_from_positions(pos), pos[:, -1], params, cfg, capture_trace=True)
+        np.testing.assert_allclose(result.traces, np.full((cfg.t_fut, 2, 2), 0.5), atol=1e-12)
 
     def test_permutation_conjugates_attention(self, cfg, params):
         # The bare block is equivariant up to float summation order; rollout
@@ -324,34 +354,38 @@ class TestSocialAttention:
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-12)
         np.testing.assert_allclose(attn_p, attn[perm][:, perm], atol=1e-12)
 
-    def test_disabled_social_gives_identity_matrix(self, cfg):
+    def test_disabled_social_gives_identity_matrix(self, cfg, tiny_scene):
         cfg_ns = replace(cfg, use_social=False)
         params = init_params(cfg_ns, seed=0)
-        feats = np.random.default_rng(9).normal(size=(3, cfg.d_model))
-        out, attn = social_attention(constant(feats), params, cfg_ns)
-        np.testing.assert_array_equal(attn, np.eye(3))
-        np.testing.assert_array_equal(out.data, feats)
+        result = rollout(
+            tiny_scene, tiny_scene.positions()[:, -1], params, cfg_ns, capture_trace=True
+        )
+        n = tiny_scene.n_agents
+        np.testing.assert_array_equal(result.traces, np.broadcast_to(np.eye(n), (cfg.t_fut, n, n)))
+        assert not any(name.startswith("tpm.social0") for name in params.names())
+
+
+def decoder_of(params):
+    return tuple(params[f"tpm.dec.{name}"] for name in ("w1", "b1", "w2", "b2"))
 
 
 class TestDecodeStep:
+    """The decoder arithmetic of the rollout node, ``tpm._decode``."""
+
     def test_zero_mlp_keeps_position(self, cfg, params):
-        params["tpm.dec.w1"].data[:] = 0
-        params["tpm.dec.b1"].data[:] = 0
-        params["tpm.dec.w2"].data[:] = 0
-        params["tpm.dec.b2"].data[:] = 0
-        out = decode_step(constant(np.ones((1, cfg.d_model))), np.array([3.0, -2.0]), params)
-        np.testing.assert_array_equal(out.data, [[3.0, -2.0]])
+        for p in decoder_of(params):
+            p.data[:] = 0
+        out, _, _ = tpm._decode(np.ones((1, cfg.d_model)), np.array([3.0, -2.0]), decoder_of(params))
+        np.testing.assert_array_equal(out, [[3.0, -2.0]])
 
     def test_displacement_independent_of_position(self, cfg, params):
-        feat = constant(np.random.default_rng(10).normal(size=(1, cfg.d_model)))
-        a = decode_step(feat, np.array([0.0, 0.0]), params).data
-        b = decode_step(feat, np.array([1.0, 1.0]), params).data
+        feat = np.random.default_rng(10).normal(size=(1, cfg.d_model))
+        a, _, _ = tpm._decode(feat, np.array([0.0, 0.0]), decoder_of(params))
+        b, _, _ = tpm._decode(feat, np.array([1.0, 1.0]), decoder_of(params))
         np.testing.assert_array_equal(b - a, [[1.0, 1.0]])
 
     def test_hand_unit_mlp(self):
-        store = ParamStore()
-        store.add("tpm.dec.w1", np.array([[1.0], [0.0]]).T)  # (1, 1)? shaped below
-        # Rebuild cleanly: d=2 feature, hidden 2, out 2.
+        # d=2 feature, hidden 2, out 2.
         store = ParamStore()
         store.add("tpm.dec.w1", np.array([[1.0, 0.0], [0.0, -1.0]]))
         store.add("tpm.dec.b1", np.array([0.0, 0.5]))
@@ -360,9 +394,10 @@ class TestDecodeStep:
         feat = np.array([[1.5, 2.0]])
         hidden = np.maximum(feat @ store["tpm.dec.w1"].data + store["tpm.dec.b1"].data, 0)
         expected = hidden @ store["tpm.dec.w2"].data + store["tpm.dec.b2"].data
-        out = decode_step(constant(feat), np.array([0.0, 0.0]), store)
-        np.testing.assert_allclose(out.data, expected, atol=1e-15)
-        np.testing.assert_allclose(out.data, [[3.1, -0.1]], atol=1e-12)
+        out, pre, relu_out = tpm._decode(feat, np.array([0.0, 0.0]), decoder_of(store))
+        np.testing.assert_array_equal(relu_out, hidden)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
+        np.testing.assert_allclose(out, [[3.1, -0.1]], atol=1e-12)
 
 
 class TestRollout:
@@ -473,8 +508,11 @@ class TestRollout:
 
 
 # The rollout that re-embedded the whole sequence at every step, kept
-# verbatim as the reference of the cached one. Only ``reference_fusion``'s
-# goal term gains a reshape: ``goal_feature`` now returns (N, d).
+# verbatim as the reference of the rollout node, with three changes:
+# ``reference_fusion``'s goal term gains a reshape (``goal_feature`` now
+# returns (N, d)), each step decodes with the chain the node's decoder
+# replaced, and the steps join into one positions tensor. ``fusion`` and
+# ``goal_term`` swap in other per-step blocks.
 
 
 def reference_fusion(tokens, goal, params, config):
@@ -487,7 +525,10 @@ def reference_fusion(tokens, goal, params, config):
     return fused.reshape((n, d))
 
 
-def reference_rollout(scene, goals, params, config, capture_trace=False, n_steps=None):
+def reference_rollout(
+    scene, goals, params, config, capture_trace=False, n_steps=None,
+    fusion=reference_fusion, goal_term=goal_feature,
+):
     obs_all = scene.positions()
     if obs_all.shape[1] < config.t_obs:
         raise DataError(
@@ -518,7 +559,7 @@ def reference_rollout(scene, goals, params, config, capture_trace=False, n_steps
     goal = None
     if goals_arr is not None:
         goal_tok = embed_tokens(goals_arr[..., order, :], anchor, [config.t_total], params, config)
-        goal = goal_feature(goal_tok.reshape((rows, 1, config.d_model)), params)
+        goal = goal_term(goal_tok.reshape((rows, 1, config.d_model)), params)
 
     obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
     parts = [constant(obs_rows)]
@@ -528,39 +569,38 @@ def reference_rollout(scene, goals, params, config, capture_trace=False, n_steps
         seq = parts[0] if len(parts) == 1 else concat(parts, axis=1)
         length = config.t_obs + step - 1
         tokens = embed_tokens(seq, anchor, np.arange(length), params, config)
-        fused = reference_fusion(tokens, goal, params, config)
+        fused = fusion(tokens, goal, params, config)
         if lead:
             fused = fused.reshape(lead + (n, config.d_model))
         social, attn = social_attention(fused, params, config)
         last = narrow(seq, (slice(None), length - 1))
-        nxt = decode_step(social, last, params)
+        nxt = reference_decode_step(social, last, params)
         if not np.isfinite(nxt.data).all():
             raise DivergenceError(
                 f"non-finite prediction at step {step} of scene {scene.key()}",
                 step=step,
             )
         parts.append(nxt.reshape((rows, 1, 2)))
-        step_tensors.append(nxt)
+        step_tensors.append(nxt.reshape(lead + (n, 1, 2)))
         if capture_trace:
             trace_steps.append(np.asarray(attn).reshape(b, n, n))
 
-    trajectories = np.stack([t.data for t in step_tensors], axis=-2)
-    trajectories = np.take(trajectories, inverse, axis=-3)
+    positions = concat(step_tensors, axis=-2)
     traces = None
     if capture_trace:
         traces = np.stack(trace_steps, axis=1)[:, :, inverse][..., inverse]
         traces = traces if lead else traces[0]
     return RolloutResult(
-        trajectories=trajectories,
+        trajectories=np.take(positions.data, inverse, axis=-3),
         traces=traces,
-        step_tensors=step_tensors,
+        positions=positions,
         canonical_order=order,
     )
 
 
 class TestCachedRollout:
-    """The cached rollout against ``reference_rollout``: trajectories and
-    traces bit for bit, loss gradients within 1e-12 of the largest."""
+    """The rollout node against ``reference_rollout``: trajectories and
+    traces bit for bit, gradients within 1e-12 of the largest."""
 
     @pytest.mark.parametrize(
         "n, lead, n_steps, overrides",
@@ -611,6 +651,28 @@ class TestCachedRollout:
         for name, ref in ref_grads.items():
             tol = 1e-12 * max(1.0, np.abs(ref).max())
             np.testing.assert_allclose(grads[name], ref, rtol=0, atol=tol, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"use_social": False}, {"use_goal": False}], ids=["full", "no_social", "no_goal"]
+    )
+    def test_batched_gradients_match_reference(self, overrides):
+        cfg = ModelConfig(t_obs=6, t_fut=8, grid=16, **overrides)
+        params = init_params(cfg, seed=7)
+        rng = np.random.default_rng(7)
+        pos = rng.uniform(1, 14, size=(3, cfg.t_total, 2))
+        scene = scene_from_positions(pos, [9, 4, 6])
+        goals = rng.uniform(1, 14, size=(3, 3, 2)) if cfg.use_goal else None
+        out, grads = rollout_and_grads(rollout, scene, goals, params, cfg)
+        ref_out, ref_grads = rollout_and_grads(reference_rollout, scene, goals, params, cfg)
+        assert out.tobytes() == ref_out.tobytes()
+        assert_grads_match(grads, ref_grads)
+
+    def test_no_grad_records_no_node(self, cfg, params, tiny_scene):
+        with no_grad():
+            result = rollout(tiny_scene, tiny_scene.positions()[:, -1], params, cfg)
+        assert result.positions._parents == () and result.positions._bwd is None
+        result = rollout(tiny_scene, tiny_scene.positions()[:, -1], params, cfg)
+        assert result.positions.op == "rollout"
 
 
 class TestPredictMultimodal:

@@ -3,6 +3,8 @@ import gc
 import numpy as np
 import pytest
 from reference_ops import reference_adam_step
+from test_attention import set_random_biases
+from test_gpm import zero_gpm_weights
 
 from vista import training
 from vista.config import Config, ModelConfig, TrainConfig
@@ -54,7 +56,7 @@ def still_scene(offset=(0.0, 0.0), t_obs=4, t_fut=3):
 
 def zero_decoder(params):
     for name in ("tpm.dec.w1", "tpm.dec.b1", "tpm.dec.w2", "tpm.dec.b2"):
-        params[name].data = np.zeros_like(params[name].data)
+        params[name].data[...] = 0.0
     return params
 
 
@@ -182,9 +184,9 @@ class TestGradientStructure:
                 assert changed, name
 
     def test_training_window_graph_stays_small(self):
-        # Each GPM convolution, step embedding and decoder step is one node,
-        # and each rollout step embeds only its newest position: re-embedding
-        # the sequence every step recorded 174 nodes, and primitive chains 333.
+        # Each GPM convolution is one node and the whole rollout is one more:
+        # one node per rollout step and layer recorded 95 nodes, re-embedding
+        # the sequence every step 174, and primitive chains 333.
         cfg = ModelConfig()
         total, _, _ = window_loss_graph(
             init_params(cfg, seed=0), cfg, TrainConfig(), overfit_dataset(1)[0]
@@ -197,7 +199,7 @@ class TestGradientStructure:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        assert non_leaf <= 95
+        assert non_leaf <= 46
 
     def test_training_window_graph_has_no_reference_cycles(self, three_agent_scene):
         # A graph node that referred back to its ancestors (say, through the
@@ -423,6 +425,20 @@ class TestFlatBuffer:
         for name, arr in copies.items():
             assert not np.shares_memory(arr, params.values)
             assert arr.tobytes() == params[name].data.tobytes()
+
+    def test_weight_setting_helpers_keep_store_views(self, tiny_scene):
+        # The tests' helpers that set weights write in place: rebinding a
+        # parameter's ``data`` would detach it from the flat buffer, and the
+        # forward would keep reading a stale array after ``Adam.step``.
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = zero_decoder(init_params(cfg, seed=0))
+        zero_gpm_weights(params, out_bias=0.3)
+        set_random_biases(params, "tpm.social0", np.random.default_rng(0))
+        assert_store_views(params)
+        total, _, _ = window_loss_graph(params, cfg, TrainConfig(), tiny_scene)
+        backward(total)
+        Adam(params, TrainConfig()).step(1e-3)
+        assert_store_views(params)
 
     def test_resumed_parameters_stay_views_of_the_store(self, tmp_path, monkeypatch):
         steps = []
