@@ -376,6 +376,10 @@ def split_ratio(scenes: list[Scene], train_frac: float, seed: int = 0):
 
 @dataclass
 class ScenarioSpec:
+    """One synthetic scenario: its name, agent count, ``speed`` (cells per
+    frame) and head-on ``margin`` (cells), both finite and non-negative,
+    the seed, and the window count, grid side and frames per window."""
+
     scenario: str
     n_agents: int = 2
     speed: float = 1.0
@@ -424,8 +428,9 @@ def synth_generate(spec: ScenarioSpec, seed: int | None = None) -> list[Scene]:
         if getattr(spec, key) < 1:
             raise ConfigError(f"{key} must be a positive count, got {getattr(spec, key)}")
     for key in ("speed", "margin"):
-        if not math.isfinite(getattr(spec, key)):
-            raise ConfigError(f"{key} must be finite, got {getattr(spec, key)}")
+        value = getattr(spec, key)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{key} must be finite and non-negative, got {value}")
     seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     maker = {

@@ -2,11 +2,15 @@
 Gaussian targets of their training loss, and multi-goal (TTST) sampling.
 
 The heatmap head is a small encoder-decoder with skip connections (two
-2x-downsampling stages, channel widths from the config) on the engine: each
-3x3 convolution is one node, an im2col matmul over the zero-padded input's
-3x3 neighbourhoods, whose input gradient is the same over the output
-gradient's; pooling is a block mean, and upsampling
-nearest-neighbor duplication. Grid cell (r, c) is centered at (x=c, y=r).
+2x-downsampling stages, channel widths from the config), recorded as one
+graph node, "gpm", from the input channels to the (N, H, W) logits. Each of
+its five 3x3 convolutions is one im2col matmul over the zero-padded input's
+3x3 neighbourhoods, then relu; pooling is a 2x2 block mean, and upsampling
+nearest-neighbour duplication, written with its skip connection straight
+into the padded input of the next convolution; a 1x1 head gives the logits.
+The hand-written backward walks the layers in reverse, and each
+convolution's input gradient is one more im2col matmul, over its masked
+output gradient. Grid cell (r, c) is centered at (x=c, y=r).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .config import ModelConfig
 from .data import SceneRaster, rasterize_gaussian, uniform_raster
 from .errors import ConfigError, DataError
 from .params import ParamStore, glorot_uniform
-from .tensor import Tensor, _node, concat, constant, linear, relu
+from .tensor import Tensor, _node, _recording, _relu_data
 
 
 # -- parameters -----------------------------------------------------------
@@ -43,16 +47,18 @@ def init_gpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Gener
     store.add("gpm.out.b", np.zeros(1))
 
 
-# -- building blocks -------------------------------------------------------
+# -- the encoder-decoder node ------------------------------------------------
+
+# The five 3x3 convolutions from input to output, then the 1x1 head.
+_LAYERS = ("enc1", "enc2", "bott", "dec2", "dec1", "out")
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """The (n*h*w, 9*c) matrix that holds each pixel's zero-padded 3x3
-    neighbourhood of ``x`` (n, h, w, c), in the (di, dj, c) order of a
+def _columns(xp: np.ndarray) -> np.ndarray:
+    """The (n*h*w, 9*c) matrix that holds each pixel's 3x3 neighbourhood in
+    the zero-padded ``xp`` (n, h+2, w+2, c), in the (di, dj, c) order of a
     (3, 3, c, c_out) kernel flattened row-major."""
-    n, h, wd, c = x.shape
-    xp = np.zeros((n, h + 2, wd + 2, c))
-    xp[:, 1:-1, 1:-1] = x
+    n, hp, wp, c = xp.shape
+    h, wd = hp - 2, wp - 2
     sn, sh, sw, sc = xp.strides
     windows = as_strided(  # (n, h, wd, di, dj, c), reading only inside xp
         xp, (n, h, wd, 3, 3, c), (sn, sh, sw, sh, sw, sc), writeable=False
@@ -60,38 +66,69 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return windows.reshape(n * h * wd, 9 * c)
 
 
-def _conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Same-padded 3x3 convolution as one node: one im2col matmul of the
-    input. The input gradient is the same convolution of the output
-    gradient with the kernel flipped in (di, dj) and transposed in
-    channels, so it is one im2col matmul too."""
-    n, h, wd, cin = x.shape
-    cout = w.shape[-1]
-    columns = _im2col(x.data)
-    out = np.matmul(columns, w.data.reshape(9 * cin, cout)) + b.data
-
-    def bwd(g):
-        g = g.reshape(n * h * wd, cout)
-        gx = None
-        if x.requires_grad:
-            flipped = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, cin)
-            gx = np.matmul(_im2col(g.reshape(n, h, wd, cout)), flipped).reshape(x.shape)
-        return gx, (columns.T @ g).reshape(w.shape), g.sum(axis=0)
-
-    return _node(out.reshape(n, h, wd, cout), (x, w, b), bwd, "conv3x3")
-
-
-def _pool2(x: Tensor) -> Tensor:
+def _padded(x: np.ndarray) -> np.ndarray:
     n, h, w, c = x.shape
-    return x.reshape((n, h // 2, 2, w // 2, 2, c)).mean(axis=(2, 4))
+    xp = np.zeros((n, h + 2, w + 2, c))
+    xp[:, 1:-1, 1:-1] = x
+    return xp
 
 
-def _upsample2(x: Tensor) -> Tensor:
+def _pool2(x: np.ndarray) -> np.ndarray:
     n, h, w, c = x.shape
-    col = x.reshape((n, h, 1, w, 1, c))
-    col = concat([col, col], axis=2)
-    col = concat([col, col], axis=4)
-    return col.reshape((n, 2 * h, 2 * w, c))
+    return x.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
+
+
+def _upsample2_concat(low: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """The zero-padded input of a decoder convolution: ``low`` upsampled 2x
+    by nearest-neighbour duplication, then ``skip``, along channels."""
+    n, h, w, c_skip = skip.shape
+    c_low = low.shape[-1]
+    xp = np.zeros((n, h + 2, w + 2, c_low + c_skip))
+    for di in (0, 1):
+        for dj in (0, 1):
+            xp[:, 1 + di : -1 : 2, 1 + dj : -1 : 2, :c_low] = low
+    xp[:, 1:-1, 1:-1, c_low:] = skip
+    return xp
+
+
+def _conv_relu(xp: np.ndarray, w: np.ndarray, b: np.ndarray, columns: list | None) -> np.ndarray:
+    """relu of the 3x3 convolution of the zero-padded ``xp`` with kernel w
+    (3, 3, c_in, c_out) and bias b, as one im2col matmul, shaped (n, h, w,
+    c_out). Appends the im2col matrix to ``columns`` unless that is None."""
+    n, hp, wp, _ = xp.shape
+    cols = _columns(xp)
+    if columns is not None:
+        columns.append(cols)
+    out = np.matmul(cols, w.reshape(-1, w.shape[-1])) + b
+    return _relu_data(out).reshape(n, hp - 2, wp - 2, w.shape[-1])
+
+
+def _conv_relu_grads(g, columns, out, w, input_grad=True):
+    """Gradients (input, weight, bias) of ``_conv_relu`` for its output
+    gradient ``g``; the input gradient is None without ``input_grad``. It is
+    the same convolution of the masked output gradient with the kernel
+    flipped in (di, dj) and transposed in channels, so one im2col matmul."""
+    n, h, wd, cout = out.shape
+    gz = (g * (out > 0)).reshape(n * h * wd, cout)
+    gx = None
+    if input_grad:
+        flipped = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
+        gx = np.matmul(_columns(_padded(gz.reshape(out.shape))), flipped).reshape(n, h, wd, -1)
+    return gx, (columns.T @ gz).reshape(w.shape), gz.sum(axis=0)
+
+
+def _pool2_grad(g: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """The gradient of an encoder output: ``g / 4`` over each 2x2 block of
+    the mean pool it fed, plus ``skip``, its skip connection's gradient."""
+    n, h, w, c = skip.shape
+    return (skip.reshape(n, h // 2, 2, w // 2, 2, c) + (g / 4)[:, :, None, :, None]).reshape(skip.shape)
+
+
+def _upsample2_grad(g: np.ndarray) -> np.ndarray:
+    """Each 2x2 block's sum, the gradient of nearest-neighbour upsampling,
+    added as (g00 + g01) + (g10 + g11): the order in which a chain of two
+    duplicating concats sums it, so gradients match that chain bit for bit."""
+    return (g[:, ::2, ::2] + g[:, ::2, 1::2]) + (g[:, 1::2, ::2] + g[:, 1::2, 1::2])
 
 
 def encode_gpm_input(
@@ -127,24 +164,39 @@ def gpm_forward_batch(
 
     ``channels`` may carry a precomputed ``encode_gpm_input`` result (the
     encoding is a pure function of the observations, so callers that revisit
-    the same window can cache it).
+    the same window can cache it). The logits are one node whose parents are
+    the twelve ``gpm.*`` parameters; outside recording it keeps none of the
+    layers' intermediates.
     """
     if obs.ndim != 3 or obs.shape[1] != config.t_obs:
         raise ConfigError(f"observed batch must be (N, {config.t_obs}, 2), got {obs.shape}")
     if raster is not None and (raster.height % 4 or raster.width % 4):
         raise ConfigError(f"raster {raster.height}x{raster.width} must be divisible by 4")
 
-    x = constant(encode_gpm_input(obs, raster, config) if channels is None else channels)
-    c1 = relu(_conv3x3(x, params["gpm.enc1.w"], params["gpm.enc1.b"]))
-    p1 = _pool2(c1)
-    c2 = relu(_conv3x3(p1, params["gpm.enc2.w"], params["gpm.enc2.b"]))
-    p2 = _pool2(c2)
-    bott = relu(_conv3x3(p2, params["gpm.bott.w"], params["gpm.bott.b"]))
-    d2 = relu(_conv3x3(concat([_upsample2(bott), c2], axis=3), params["gpm.dec2.w"], params["gpm.dec2.b"]))
-    d1 = relu(_conv3x3(concat([_upsample2(d2), c1], axis=3), params["gpm.dec1.w"], params["gpm.dec1.b"]))
+    x = encode_gpm_input(obs, raster, config) if channels is None else channels
+    weights = tuple(params[f"gpm.{layer}.{p}"] for layer in _LAYERS for p in "wb")
+    w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
+    columns = [] if _recording(weights) else None  # kept only for backward
+    c1 = _conv_relu(_padded(x), w1, b1, columns)
+    c2 = _conv_relu(_padded(_pool2(c1)), w2, b2, columns)
+    bott = _conv_relu(_padded(_pool2(c2)), w3, b3, columns)
+    d2 = _conv_relu(_upsample2_concat(bott, c2), w4, b4, columns)
+    d1 = _conv_relu(_upsample2_concat(d2, c1), w5, b5, columns)
     n, h, w, cd = d1.shape
-    logits = linear(d1.reshape((n * h * w, cd)), params["gpm.out.w"], params["gpm.out.b"])
-    return logits.reshape((n, h, w))
+    logits = np.matmul(d1.reshape(n * h * w, cd), wo) + bo
+
+    def bwd(g):
+        g = g.reshape(n * h * w, 1)
+        g_out = (d1.reshape(n * h * w, cd).T @ g, g.sum(axis=0))
+        gx5, *g_dec1 = _conv_relu_grads(np.matmul(g, wo.T).reshape(d1.shape), columns[4], d1, w5)
+        gx4, *g_dec2 = _conv_relu_grads(_upsample2_grad(gx5[..., :cd]), columns[3], d2, w4)
+        cb = bott.shape[-1]
+        gx3, *g_bott = _conv_relu_grads(_upsample2_grad(gx4[..., :cb]), columns[2], bott, w3)
+        gx2, *g_enc2 = _conv_relu_grads(_pool2_grad(gx3, gx4[..., cb:]), columns[1], c2, w2)
+        _, *g_enc1 = _conv_relu_grads(_pool2_grad(gx2, gx5[..., cd:]), columns[0], c1, w1, False)
+        return (*g_enc1, *g_enc2, *g_bott, *g_dec2, *g_dec1, *g_out)
+
+    return _node(logits.reshape(n, h, w), weights, bwd, "gpm")
 
 
 def heatmap_from_logits(logits: np.ndarray) -> np.ndarray:

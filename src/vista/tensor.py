@@ -219,21 +219,6 @@ def reshape(a, shape):
     return _node(out, (a,), bwd, "reshape")
 
 
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: {[t.shape for t in tensors]}: {exc}") from None
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    return _node(out, tuple(tensors), bwd, "concat")
-
-
 def narrow(a, key):
     """Slicing; the gradient scatters back into zeros (repeated indices add)."""
     a = as_tensor(a)
@@ -253,19 +238,9 @@ def narrow(a, key):
 
 
 def _relu_data(x):
-    """``np.maximum(x, 0.0)``: the forward of ``relu`` and of the relu inside
-    a fused node, in one place."""
+    """``np.maximum(x, 0.0)``: the forward of every relu inside a fused node,
+    in one place."""
     return np.maximum(x, 0.0)
-
-
-def relu(a):
-    a = as_tensor(a)
-    out = _relu_data(a.data)
-
-    def bwd(g):
-        return (g * (a.data > 0),)
-
-    return _node(out, (a,), bwd, "relu")
 
 
 def scale(a, c):

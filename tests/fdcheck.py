@@ -6,7 +6,7 @@ import contextlib
 
 import numpy as np
 
-from vista import tensor, tpm
+from vista import gpm, tensor, tpm
 from vista.params import ParamStore
 from vista.tensor import backward
 
@@ -15,11 +15,12 @@ from vista.tensor import backward
 def record_activations():
     """Collect the active-unit count of every relu evaluated in the block.
 
-    Wraps ``_relu_data`` under both names the code calls it by:
-    ``tensor._relu_data`` (the ``relu`` node) and ``tpm._relu_data`` (the
-    decoder node). Two evaluations of the same graph with equal traces lie
-    on the same smooth piece of the piecewise-linear loss surface; finite
-    differences are only a valid derivative oracle in that case.
+    Wraps ``_relu_data`` under every name the code calls it by:
+    ``tensor._relu_data`` (the ``relu`` node of ``reference_ops``),
+    ``gpm._relu_data`` (the goal module's node) and ``tpm._relu_data`` (the
+    rollout node's decoder). Two evaluations of the same graph with equal
+    traces lie on the same smooth piece of the piecewise-linear loss surface;
+    finite differences are only a valid derivative oracle in that case.
     """
     real = tensor._relu_data
     trace = []
@@ -28,11 +29,11 @@ def record_activations():
         trace.append(int(np.count_nonzero(x > 0)))
         return real(x)
 
-    tensor._relu_data = tpm._relu_data = counting
+    tensor._relu_data = gpm._relu_data = tpm._relu_data = counting
     try:
         yield trace
     finally:
-        tensor._relu_data = tpm._relu_data = real
+        tensor._relu_data = gpm._relu_data = tpm._relu_data = real
 
 
 def finite_difference_check(

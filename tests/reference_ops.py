@@ -1,14 +1,17 @@
 """Engine ops that only the tests use: the softmax and transpose nodes of the
 unfused attention chain that ``reference_multi_head_attention`` rebuilds, the
 exp and log nodes of the unfused softplus the BCE node is checked against,
-the check of a fused node against the chain it replaces, and the per-array
-Adam step that the flat-buffer Adam is checked against."""
+the concat, relu and 3x3 convolution nodes of the per-layer chains that the
+goal module and rollout nodes are checked against, the check of a fused node
+against the chain it replaces, and the per-array Adam step that the
+flat-buffer Adam is checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vista.tensor import Tensor, _node, as_tensor, backward
+from vista import tensor
+from vista.tensor import ShapeError, Tensor, _node, as_tensor, backward
 
 
 def outputs_and_grads(fn, arrays):
@@ -29,6 +32,62 @@ def assert_fused_matches(fused, reference, arrays):
     for g, ref in zip(grads, ref_grads, strict=True):
         tol = 1e-12 * max(1.0, np.abs(ref).max())
         np.testing.assert_allclose(g, ref, rtol=0, atol=tol)
+
+
+def concat(tensors, axis=0):
+    tensors = [as_tensor(t) for t in tensors]
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"concat: {[t.shape for t in tensors]}: {exc}") from None
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def bwd(g):
+        return tuple(np.split(g, bounds, axis=axis))
+
+    return _node(out, tuple(tensors), bwd, "concat")
+
+
+def relu(a):
+    """The relu node; its forward goes through ``tensor._relu_data``, where
+    ``fdcheck.record_activations`` counts its active units."""
+    a = as_tensor(a)
+    out = tensor._relu_data(a.data)
+
+    def bwd(g):
+        return (g * (a.data > 0),)
+
+    return _node(out, (a,), bwd, "relu")
+
+
+def im2col(x):
+    """The (n*h*w, 9*c) matrix of each pixel's zero-padded 3x3 neighbourhood
+    of ``x`` (n, h, w, c), in the (di, dj, c) order of a (3, 3, c, c_out)
+    kernel flattened row-major."""
+    n, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    shifts = [xp[:, di : di + h, dj : dj + w] for di in range(3) for dj in range(3)]
+    return np.concatenate(shifts, axis=3).reshape(n * h * w, 9 * c)
+
+
+def conv3x3(x, w, b):
+    """Same-padded 3x3 convolution as one node: one im2col matmul. The input
+    gradient is the im2col of the output gradient times the kernel flipped
+    in (di, dj) and transposed in channels."""
+    n, h, wd, cin = x.shape
+    cout = w.shape[-1]
+    columns = im2col(x.data)
+    out = np.matmul(columns, w.data.reshape(9 * cin, cout)) + b.data
+
+    def bwd(g):
+        g = g.reshape(n * h * wd, cout)
+        gx = None
+        if x.requires_grad:
+            flipped = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, cin)
+            gx = np.matmul(im2col(g.reshape(n, h, wd, cout)), flipped).reshape(x.shape)
+        return gx, (columns.T @ g).reshape(w.shape), g.sum(axis=0)
+
+    return _node(out.reshape(n, h, wd, cout), (x, w, b), bwd, "conv3x3")
 
 
 def transpose(a, axes=None):

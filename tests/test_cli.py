@@ -66,7 +66,8 @@ class TestSynth:
         "flag, value, key",
         [("--n", "0", "n_agents"), ("--n", "-1", "n_agents"), ("--windows", "0", "n_windows"),
          ("--frames", "0", "n_frames"), ("--grid", "-3", "grid"),
-         ("--speed", "nan", "speed"), ("--speed", "inf", "speed"), ("--margin", "nan", "margin")],
+         ("--speed", "nan", "speed"), ("--speed", "inf", "speed"), ("--margin", "nan", "margin"),
+         ("--speed", "-1", "speed"), ("--margin", "-1", "margin")],
     )
     def test_bad_spec_value_exits_2_naming_key(self, tmp_path, capsys, flag, value, key):
         out = tmp_path / "x"
@@ -80,6 +81,10 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
         assert key in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--speed", "--margin"])
+    def test_zero_speed_or_margin_is_valid(self, tmp_path, flag):
+        assert main(["synth", "--scenario", "group", flag, "0", "--out", str(tmp_path / "x")]) == 0
 
     def test_spec_values_kept_when_flags_unset(self, tmp_path):
         spec = tmp_path / "spec.txt"

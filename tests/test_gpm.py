@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from fdcheck import finite_difference_check
-from reference_ops import assert_fused_matches
+from reference_ops import assert_fused_matches, concat, conv3x3, relu
 
 from vista import gpm
 from vista.config import ModelConfig
-from vista.data import uniform_raster
+from vista.data import ScenarioSpec, synth_generate, uniform_raster
 from vista.errors import ConfigError, DataError
+from vista.experiments import overfit_config, overfit_dataset
 from vista.gpm import (
     goal_target,
     gpm_forward_batch,
@@ -20,7 +21,8 @@ from vista.gpm import (
 )
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
-from vista.tensor import Tensor, bce_with_logits_mean, concat, constant, linear, narrow
+from vista.tensor import backward, bce_with_logits_mean, constant, linear, narrow, no_grad
+from vista.training import window_constants
 
 
 # The per-agent TTST that the batched ``ttst_sample`` replaced, kept verbatim
@@ -153,9 +155,9 @@ class TestForward:
 
 
 def reference_conv3x3(x, w, b):
-    """The convolution chain that the one-node ``gpm._conv3x3`` replaced,
-    kept verbatim: two zero-pad concats, nine narrows, the im2col concat and
-    a ``linear``."""
+    """The convolution chain that the one-node ``reference_ops.conv3x3``
+    replaced, kept verbatim: two zero-pad concats, nine narrows, the im2col
+    concat and a ``linear``."""
     n, h, wd, cin = x.shape
     cout = w.shape[-1]
     zrow = constant(np.zeros((n, 1, wd, cin)))
@@ -170,6 +172,37 @@ def reference_conv3x3(x, w, b):
     columns = concat(shifts, axis=3).reshape((n * h * wd, 9 * cin))
     kernel = w.reshape((9 * cin, cout))
     return linear(columns, kernel, b).reshape((n, h, wd, cout))
+
+
+def reference_gpm_forward(channels, params, conv=conv3x3):
+    """The per-layer chain that the one-node ``gpm_forward_batch`` replaced,
+    kept as its oracle: a conv and a relu node per convolution, pooling as a
+    reshape and a mean, upsampling as two duplicating concats, the skip
+    concats and the ``linear`` head. ``conv`` is the one-node im2col
+    convolution or the primitive ``reference_conv3x3`` chain."""
+
+    def conv_relu(x, layer):
+        return relu(conv(x, params[f"gpm.{layer}.w"], params[f"gpm.{layer}.b"]))
+
+    def pool2(x):
+        n, h, w, c = x.shape
+        return x.reshape((n, h // 2, 2, w // 2, 2, c)).mean(axis=(2, 4))
+
+    def upsample2(x):
+        n, h, w, c = x.shape
+        col = x.reshape((n, h, 1, w, 1, c))
+        col = concat([col, col], axis=2)
+        col = concat([col, col], axis=4)
+        return col.reshape((n, 2 * h, 2 * w, c))
+
+    c1 = conv_relu(constant(channels), "enc1")
+    c2 = conv_relu(pool2(c1), "enc2")
+    bott = conv_relu(pool2(c2), "bott")
+    d2 = conv_relu(concat([upsample2(bott), c2], axis=3), "dec2")
+    d1 = conv_relu(concat([upsample2(d2), c1], axis=3), "dec1")
+    n, h, w, cd = d1.shape
+    logits = linear(d1.reshape((n * h * w, cd)), params["gpm.out.w"], params["gpm.out.b"])
+    return logits.reshape((n, h, w))
 
 
 def conv_arrays(rng, n, h, w, c_in, c_out):
@@ -188,25 +221,103 @@ CONV_SHAPES = [(1, 4, 4, 1, 3), (3, 2, 6, 1, 1), (1, 1, 1, 2, 4)] + [
 
 
 class TestConvNode:
+    """The one-node im2col convolution of ``reference_gpm_forward`` against
+    the primitive chain."""
+
     @pytest.mark.parametrize("shape", CONV_SHAPES, ids=str)
     def test_matches_padded_im2col_chain(self, shape):
         arrays = conv_arrays(np.random.default_rng(sum(shape)), *shape)
-        assert_fused_matches(gpm._conv3x3, reference_conv3x3, arrays)
+        assert_fused_matches(conv3x3, reference_conv3x3, arrays)
 
     def test_constant_input_matches_chain(self):
         # The first layer's input is a constant: only w and b take gradients.
         x, *arrays = conv_arrays(np.random.default_rng(1), 2, 4, 4, 3, 2)
         assert_fused_matches(
-            lambda w, b: gpm._conv3x3(constant(x), w, b),
+            lambda w, b: conv3x3(constant(x), w, b),
             lambda w, b: reference_conv3x3(constant(x), w, b),
             arrays,
         )
 
     def test_records_one_node(self):
-        arrays = conv_arrays(np.random.default_rng(2), 1, 4, 4, 2, 3)
-        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
-        out = gpm._conv3x3(x, w, b)
-        assert out._parents == (x, w, b)
+        # The whole encoder-decoder is one node over the twelve GPM parameters.
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = init_params(cfg, seed=0)
+        logits = gpm_forward_batch(np.full((2, 4, 2), 8.0), None, params, cfg)
+        gpm_names = [name for name in params.names() if name.startswith("gpm.")]
+        assert logits.op == "gpm"
+        assert sorted(id(p) for p in logits._parents) == sorted(id(params[n]) for n in gpm_names)
+
+
+def crowd_window():
+    """One 10-agent window on a 32x32 grid and its model config."""
+    spec = ScenarioSpec("crossing", n_agents=10, grid=32, randomize=True, seed=4)
+    return synth_generate(spec)[0], ModelConfig(grid=32)
+
+
+def gpm_outputs(forward, params, cfg, scene):
+    """Logits and every ``gpm.*`` gradient of the window's summed goal BCE."""
+    channels, targets = window_constants(scene, cfg)
+    params.zero_grad()
+    logits = forward(channels)
+    backward(bce_with_logits_mean(logits, targets, axis=(1, 2)).sum())
+    grads = {n: params[n].grad.copy() for n in params.names() if n.startswith("gpm.")}
+    return logits.data, grads
+
+
+def node_and_reference(params, cfg, scene, conv=conv3x3):
+    obs = scene.positions()[:, : cfg.t_obs]
+    node = gpm_outputs(
+        lambda channels: gpm_forward_batch(obs, scene.raster, params, cfg, channels=channels),
+        params, cfg, scene,
+    )
+    return node, gpm_outputs(lambda c: reference_gpm_forward(c, params, conv), params, cfg, scene)
+
+
+def grid_four_window():
+    """A 2-agent window on the smallest grid, whose bottleneck is one cell."""
+    spec = ScenarioSpec("crossing", grid=4, n_frames=7)
+    return synth_generate(spec)[0], ModelConfig(t_obs=4, t_fut=3, grid=4)
+
+
+WINDOWS = [(scene, overfit_config(0).model, 3) for scene in overfit_dataset(0)]
+
+
+class TestGpmNode:
+    @pytest.mark.parametrize(
+        "scene, cfg, seed", WINDOWS + [(*crowd_window(), 0), (*grid_four_window(), 5)],
+        ids=[f"overfit0_w{i}" for i in range(20)] + ["crowd_10x32", "grid_4"],
+    )
+    def test_matches_per_layer_chain_bitwise(self, scene, cfg, seed):
+        params = init_params(cfg, seed=seed)
+        (logits, grads), (ref_logits, ref_grads) = node_and_reference(params, cfg, scene)
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    def test_primitive_chain_matches_within_rounding(self):
+        # The chain over reference_conv3x3 sums a convolution's input gradient
+        # over nine scattered slices, not in one matmul, so its gradients may
+        # differ in the last bits; its logits do not.
+        scene, cfg, seed = WINDOWS[17]
+        params = init_params(cfg, seed=seed)
+        (logits, grads), (ref_logits, ref_grads) = node_and_reference(
+            params, cfg, scene, conv=reference_conv3x3
+        )
+        assert logits.tobytes() == ref_logits.tobytes()
+        for name, g in grads.items():
+            tol = 1e-12 * max(1.0, np.abs(ref_grads[name]).max())
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=tol, err_msg=name)
+
+    def test_no_grad_keeps_nothing(self):
+        scene, cfg = crowd_window()
+        params = init_params(cfg, seed=0)
+        obs = scene.positions()[:, : cfg.t_obs]
+        with no_grad():
+            logits = gpm_forward_batch(obs, scene.raster, params, cfg)
+        assert logits._bwd is None and logits._parents == () and not logits.requires_grad
+        recorded = gpm_forward_batch(obs, scene.raster, params, cfg)
+        assert logits.data.tobytes() == recorded.data.tobytes()
 
 
 class TestTTST:

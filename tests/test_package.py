@@ -1,4 +1,12 @@
+import ast
+import importlib
+import json
+import re
+from pathlib import Path
+
 import vista
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_public_names_are_pinned():
@@ -19,3 +27,30 @@ def test_public_names_are_pinned():
         "init_params",
     ]
     assert all(hasattr(vista, name) for name in vista.__all__)
+
+
+def test_benchmark_traced_names_exist():
+    # The benchmark's per-layer formulas read the traced spans of vista
+    # functions by name, as "layer.function" or "layer.Class.method"; a
+    # renamed or deleted function leaves its metric null and the traced run
+    # without a result line.
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS"
+    )
+    metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    worker = (ROOT / "perfbench" / "worker.py").read_text()
+    names = set(re.findall(r"\"(\w+(?:\.\w+)+)\"", worker)) - metrics
+    traced = sorted(n for n in names if n.split(".")[0] in layers)
+    assert "gpm.gpm_forward_batch" in traced and "gpm.encode_gpm_input" in traced
+    missing = []
+    for name in traced:
+        layer, *path = name.split(".")
+        obj = importlib.import_module(f"vista.{layer}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing

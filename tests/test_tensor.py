@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_ops import assert_fused_matches, exp, log, softmax
+from reference_ops import assert_fused_matches, concat, exp, log, relu, softmax
 
 from vista.params import ParamStore
 from vista.tensor import (
@@ -14,7 +14,6 @@ from vista.tensor import (
     add,
     backward,
     bce_with_logits_mean,
-    concat,
     layer_norm,
     linear,
     matmul,
@@ -22,7 +21,6 @@ from vista.tensor import (
     no_grad,
     reduce_mean,
     reduce_sum,
-    relu,
     scale,
     sinusoidal_table,
     sub,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdcheck import record_activations
-from reference_ops import assert_fused_matches
+from reference_ops import assert_fused_matches, concat, relu
 
 from vista import tpm, training
 from vista.attention import multi_head_attention
@@ -20,13 +20,11 @@ from vista.params import ParamStore
 from vista.tensor import (
     as_tensor,
     backward,
-    concat,
     constant,
     layer_norm,
     linear,
     narrow,
     no_grad,
-    relu,
     sinusoidal_table,
 )
 from vista.tpm import (
