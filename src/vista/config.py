@@ -29,16 +29,19 @@ class ModelConfig:
         return self.t_obs + self.t_fut
 
     def validate(self):
+        for name in (
+            "d_model", "n_heads", "t_obs", "t_fut", "n_classes", "dec_width", "kmeans_iters",
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be a positive count")
+        if len(self.enc_widths) != 2 or min(self.enc_widths) < 1:
+            raise ConfigError(f"enc_widths must be two positive counts, got {self.enc_widths}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.t_obs < 1 or self.t_fut < 1:
-            raise ConfigError("t_obs and t_fut must be positive")
         if self.grid % 4 != 0:
             raise ConfigError(f"grid side {self.grid} must be divisible by 4")
-        if self.kmeans_iters < 1:
-            raise ConfigError("kmeans_iters must be a positive count")
 
 
 @dataclass
@@ -63,7 +66,10 @@ class TrainConfig:
     def validate(self):
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        for name in ("max_epochs", "plateau_patience", "early_stop_patience", "batch_size"):
+        for name in (
+            "max_epochs", "plateau_patience", "early_stop_patience", "batch_size",
+            "val_k", "val_minade_every",
+        ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive count")
 

@@ -377,8 +377,9 @@ def split_ratio(scenes: list[Scene], train_frac: float, seed: int = 0):
 @dataclass
 class ScenarioSpec:
     """One synthetic scenario: its name, agent count, ``speed`` (cells per
-    frame) and head-on ``margin`` (cells), both finite and non-negative,
-    the seed, and the window count, grid side and frames per window."""
+    frame) and head-on ``margin`` (cells), both finite and non-negative
+    (and the speed positive for crossing), the seed, and the window count,
+    grid side and frames per window."""
 
     scenario: str
     n_agents: int = 2
@@ -431,6 +432,8 @@ def synth_generate(spec: ScenarioSpec, seed: int | None = None) -> list[Scene]:
         value = getattr(spec, key)
         if not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"{key} must be finite and non-negative, got {value}")
+    if spec.scenario == "crossing" and spec.speed == 0:
+        raise ConfigError("speed must be positive for crossing: its agents would never move")
     seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     maker = {
@@ -592,11 +595,13 @@ def _make_head_on_avoid(spec, rng):
     xb = mid - sb * (t - t_meet)
     gap = xb - xa
     trigger = 4.0 * spec.margin
-    closeness = np.clip((trigger - gap) / trigger, 0.0, 1.0)
-    # Raised-cosine ramp keeps the lateral motion smooth; half the margin of
-    # lateral offset per agent leaves a little over one margin of clearance
-    # at the closest pass.
-    ramp = 0.5 * (1.0 - np.cos(math.pi * closeness))
+    ramp = np.zeros_like(t)  # a zero margin needs no sidestep
+    if trigger > 0:
+        closeness = np.clip((trigger - gap) / trigger, 0.0, 1.0)
+        # Raised-cosine ramp keeps the lateral motion smooth; half the margin
+        # of lateral offset per agent leaves a little over one margin of
+        # clearance at the closest pass.
+        ramp = 0.5 * (1.0 - np.cos(math.pi * closeness))
     lateral = 0.55 * spec.margin
     ya = mid + lateral * ramp
     yb = mid - lateral * ramp

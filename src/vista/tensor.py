@@ -1,11 +1,13 @@
 """Reverse-mode differentiable tensors.
 
-A small define-by-run engine on top of numpy: every operation records its
-parents and a backward closure, and ``backward`` walks the recorded graph in
-exact reverse topological order. Only the primitives the forecasting model
-needs are provided; training runs in 64-bit precision so finite-difference
-checks have headroom, while 32-bit arrays are passed through untouched for
-inference.
+A small define-by-run engine on top of numpy: a node (``_node``) records its
+parents and a hand-written backward closure, and ``backward`` walks the
+recorded graph in exact reverse topological order. The engine provides no
+primitive ops: the model records whole blocks as nodes (the goal module,
+the rollout and the joint loss of a training window), and the tests keep
+the primitive chains those nodes are checked against. Training runs in
+64-bit precision so finite-difference checks have headroom, while 32-bit
+arrays are passed through untouched for inference.
 """
 
 from __future__ import annotations
@@ -78,36 +80,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
-    def __getitem__(self, key):
-        return narrow(self, key)
-
 
 class Parameter(Tensor):
     """A trainable leaf owned by a ``ParamStore``: its ``data`` and ``grad``
@@ -119,11 +91,6 @@ class Parameter(Tensor):
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(x):
-    """A leaf tensor that never takes gradients."""
-    return Tensor(x, requires_grad=False)
 
 
 def _recording(parents):
@@ -138,171 +105,10 @@ def _node(data, parents, bwd, op):
     return Tensor(data, False, op)
 
 
-def _unbroadcast(grad, shape):
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-# -- primitives ---------------------------------------------------------
-
-
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data + b.data
-    except ValueError as exc:
-        raise ShapeError(f"add: {a.shape} vs {b.shape}: {exc}") from None
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _node(out, (a, b), bwd, "add")
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub: {a.shape} vs {b.shape}: {exc}") from None
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _node(out, (a, b), bwd, "sub")
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: {a.shape} vs {b.shape}: {exc}") from None
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _node(out, (a, b), bwd, "mul")
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-
-    def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _node(out, (a, b), bwd, "matmul")
-
-
-def reshape(a, shape):
-    a = as_tensor(a)
-    try:
-        out = a.data.reshape(shape)
-    except ValueError as exc:
-        raise ShapeError(f"reshape: {a.shape} -> {shape}: {exc}") from None
-    src = a.shape
-
-    def bwd(g):
-        return (g.reshape(src),)
-
-    return _node(out, (a,), bwd, "reshape")
-
-
-def narrow(a, key):
-    """Slicing; the gradient scatters back into zeros (repeated indices add)."""
-    a = as_tensor(a)
-    out = a.data[key]
-    src_shape = a.shape
-    fancy = any(isinstance(k, np.ndarray) for k in (key if isinstance(key, tuple) else (key,)))
-
-    def bwd(g):
-        full = np.zeros(src_shape, dtype=g.dtype)
-        if fancy:
-            np.add.at(full, key, g)
-        else:
-            full[key] = g
-        return (full,)
-
-    return _node(out, (a,), bwd, "slice")
-
-
 def _relu_data(x):
-    """``np.maximum(x, 0.0)``: the forward of every relu inside a fused node,
-    in one place."""
+    """``np.maximum(x, 0.0)``: the forward of every relu inside a node, in
+    one place."""
     return np.maximum(x, 0.0)
-
-
-def scale(a, c):
-    a = as_tensor(a)
-    c = float(c)
-    out = a.data * c
-
-    def bwd(g):
-        return (g * c,)
-
-    return _node(out, (a,), bwd, "scale")
-
-
-def reduce_sum(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    src_shape = a.shape
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, src_shape).copy(),)
-
-    return _node(out, (a,), bwd, "sum")
-
-
-def reduce_mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    src_shape = a.shape
-    count = a.size if axis is None else np.prod(
-        [src_shape[i] for i in np.atleast_1d(axis)]
-    )
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, src_shape).copy(),)
-
-    return _node(out, (a,), bwd, "mean")
-
-
-def layer_norm(a, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance (pre-affine).
-
-    The variance is floored by ``eps`` inside the square root, so a constant
-    row maps to exact zeros instead of dividing by zero.
-    """
-    a = as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = centered * inv
-    n = a.shape[-1]
-
-    def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * out).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - out * gy),)
-
-    return _node(out, (a,), bwd, "layer_norm")
 
 
 def _gemm(x, w):
@@ -313,65 +119,6 @@ def _gemm(x, w):
     if len(x) > 1:
         return np.matmul(x, w)
     return np.matmul(np.repeat(x, 2, axis=0), w)[:1]
-
-
-# -- fused nodes ---------------------------------------------------------
-# Each repeats, in one node, the numpy arithmetic of the primitive chain it
-# replaces, so its forward is bit-identical to that chain; one hand-written
-# backward replaces the chain's walk.
-
-
-def linear(x, w, b):
-    """``x @ w + b`` for x (..., d_in), w (d_in, d_out) and b broadcast to
-    the output. The weight gradient is one 2-D matmul over all rows of x."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
-        raise ShapeError(f"linear: {x.shape} @ {w.shape}")
-    out = np.matmul(x.data, w.data) + b.data
-
-    def bwd(g):
-        gx = np.matmul(g, w.data.T) if x.requires_grad else None
-        gw = None
-        if w.requires_grad:
-            gw = x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
-        return gx, gw, gb
-
-    return _node(out, (x, w, b), bwd, "linear")
-
-
-def bce_with_logits_mean(logits, targets, axis=None):
-    """Mean binary cross-entropy of the probabilities 1 / (1 + e^-z) of the
-    logits z against targets in [0,1], over ``axis`` (all axes by default).
-
-    Uses the identity BCE = softplus(z) - t*z with the stable
-    softplus(z) = relu(z) + log(1 + e^{-|z|}), which avoids forming the
-    probabilities; the gradient is (sigmoid(z) - t) / count.
-    """
-    z, t = as_tensor(logits), as_tensor(targets)
-    zd = z.data
-    pos = np.maximum(zd, 0.0)
-    e = np.exp((pos + np.maximum(zd * -1.0, 0.0)) * -1.0)  # e^{-|z|}
-    e1 = e + 1.0
-    loss = (pos + np.log(e1)) - t.data * zd
-    out = loss.mean(axis=axis)
-    count = loss.size if axis is None else np.prod(
-        [loss.shape[i] for i in np.atleast_1d(axis)]
-    )
-
-    def bwd(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        g = g / count
-        gz = gt = None
-        if z.requires_grad:
-            sigmoid = np.where(zd >= 0, 1.0, e) / e1
-            gz = _unbroadcast((sigmoid - t.data) * g, z.shape)
-        if t.requires_grad:
-            gt = _unbroadcast(-zd * g, t.shape)
-        return gz, gt
-
-    return _node(out, (z, t), bwd, "bce_with_logits")
 
 
 # -- backward pass ------------------------------------------------------

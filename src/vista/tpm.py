@@ -3,9 +3,10 @@ fusion, social attention across agents, and displacement decoding with
 attention-trace capture.
 
 The fusion's cross-attention to a single goal token is exactly a linear goal
-term (``goal_feature``), computed once per rollout and added at every step.
+term (``_goal_term``), computed once per rollout and added at every step.
 
-``rollout`` is the one recursion, recorded as one graph node. It decodes a
+``rollout`` is the one recursion, recorded as one graph node together with
+its goal term. It decodes a
 scene's N agents under B goal sets at once, as a (B, N) batch: training and
 validation roll out one goal set (B=1), and best-of-k prediction rolls out
 all k goal samples as B=k. The observations are embedded once; every later
@@ -34,18 +35,7 @@ from .config import ModelConfig
 from .data import Scene, atomic_write
 from .errors import AlignmentError, ConfigError, DataError, DivergenceError
 from .params import ParamStore, glorot_uniform
-from .tensor import (
-    Tensor,
-    _gemm,
-    _node,
-    _recording,
-    _relu_data,
-    _unbroadcast,
-    as_tensor,
-    layer_norm,
-    linear,
-    sinusoidal_table,
-)
+from .tensor import Tensor, _gemm, _node, _recording, _relu_data, sinusoidal_table
 
 
 @dataclass
@@ -82,7 +72,7 @@ def init_tpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Gener
     store.add("tpm.pe.learn", np.zeros((config.t_total + 1, d)))
     init_mha_params(store, "tpm.fusion.self0", d, rng)
     if config.use_goal:
-        # goal_feature reads only wv, bv, wo and bo. wq, bq and wk stay in the
+        # _goal_term reads only wv, bv, wo and bo. wq, bq and wk stay in the
         # store, unread, so checkpoints keep their parameter names and the
         # draws that follow keep their order.
         init_mha_params(store, "tpm.fusion.cross", d, rng)
@@ -116,41 +106,48 @@ def _embed(rel, time_indices, params: ParamStore, config: ModelConfig):
     return (product + params["tpm.embed.b"].data) + per_index
 
 
-def embed_tokens(points, anchor, time_indices, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Tokens ``(points - anchor) @ W + b + (sinusoidal(t) + learnable(t))``
-    as one node, for points (..., 2) and one time index per token row: the
-    (len(time_indices), d) per-index terms broadcast against the trailing
-    axes of the output."""
-    points = as_tensor(points)
-    w, b, learn = params["tpm.embed.w"], params["tpm.embed.b"], params["tpm.pe.learn"]
-    idx = np.asarray(time_indices, dtype=np.int64)
-    rel = points.data - anchor
-    out = _embed(rel, idx, params, config)
+def _goal_term(goals, anchor, goal_params, params: ParamStore, config: ModelConfig):
+    """The normalized goal term (rows, d) of the fusion for goals (..., 2),
+    and the operands ``_goal_term_grads`` reads. ``goal_params`` are
+    ``tpm.fusion.cross``'s wv, bv, wo and bo, then ``tpm.fusion.norm``'s
+    gamma and beta.
 
-    def bwd(g):
-        glearn = np.zeros(learn.shape, dtype=g.dtype)
-        np.add.at(glearn, idx, _unbroadcast(g, idx.shape + learn.shape[1:]))
-        return (
-            np.matmul(g, w.data.T) if points.requires_grad else None,
-            rel.reshape(-1, 2).T @ g.reshape(-1, w.shape[1]),
-            _unbroadcast(g, b.shape),
-            glearn,
-        )
+    Each goal embeds as one token at index t_total. The term is the
+    cross-attention of ``tpm.fusion.cross`` from any query to that one
+    token, whose softmax weight is exactly 1.0, so it is the value/output
+    path alone, then the fusion's layer norm (1e-5 added to the variance)
+    and affine ``tpm.fusion.norm``."""
+    d = config.d_model
+    wv, bv, wo, bo, gamma, beta = (p.data for p in goal_params)
+    rel = goals - anchor
+    token = _embed(rel, [config.t_total], params, config).reshape(-1, 1, d)
+    value = np.matmul(token, wv) + bv
+    out = np.matmul(value, wo) + bo
+    centered = out - out.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    normed = centered * inv
+    return (normed * gamma + beta).reshape(-1, d), (rel, token, value, normed, inv)
 
-    return _node(out, (points, w, b, learn), bwd, "embed")
 
-
-def goal_feature(goal_tokens: Tensor, params: ParamStore) -> Tensor:
-    """The normalized goal term (N, d) of the fusion for goal tokens (N, 1, d).
-
-    This is the cross-attention of ``tpm.fusion.cross`` from any query to
-    the one goal token: its softmax weight is exactly 1.0, so the output is
-    the value/output path alone, bit for bit."""
-    n, _, d = goal_tokens.shape
-    value = linear(goal_tokens, params["tpm.fusion.cross.wv"], params["tpm.fusion.cross.bv"])
-    out = linear(value, params["tpm.fusion.cross.wo"], params["tpm.fusion.cross.bo"])
-    normed = layer_norm(out) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
-    return normed.reshape((n, d))
+def _goal_term_grads(g, saved, goal_params):
+    """For the goal term's gradient ``g`` (rows, d): the gradients of the
+    embedding weight and of the bias (which is also the share of the
+    learnable positional row t_total), then those of ``goal_params``."""
+    rel, token, value, normed, inv = saved
+    wv, _, wo, _, gamma, _ = (p.data for p in goal_params)
+    g = g.reshape(normed.shape)
+    g_norm = g * gamma
+    g_out = inv * (
+        g_norm
+        - g_norm.mean(axis=-1, keepdims=True)
+        - normed * (g_norm * normed).mean(axis=-1, keepdims=True)
+    )
+    g_value = np.matmul(g_out, wo.T)
+    g_token = np.matmul(g_value, wv.T)
+    return _outer(rel, g_token), _row_sum(g_token), [
+        _outer(token, g_value), _row_sum(g_value), _outer(value, g_out), _row_sum(g_out),
+        _row_sum(g * normed), _row_sum(g),
+    ]
 
 
 def _decode(feature, last, decoder):
@@ -231,12 +228,14 @@ def rollout(
     t_obs = 1: its one-row first block goes through BLAS gemv, which the
     re-embedding recursion replaced by gemm from step 2 on.
 
-    The whole recursion is one graph node, ``RolloutResult.positions``. Its
-    backward walks the steps in reverse and computes only data gradients
-    per step. A token's key, value and query gradients are complete once the
-    walk reaches the step that queried it, which converts them into the
-    token's gradient with one product. Every weight gradient is one product
-    over the stacked per-step operands at the end.
+    The whole recursion, goal term included, is one graph node,
+    ``RolloutResult.positions``. Its backward walks the steps in reverse and
+    computes only data gradients per step. A token's key, value and query
+    gradients are complete once the walk reaches the step that queried it,
+    which converts them into the token's gradient with one product. Every
+    weight gradient is one product over the stacked per-step operands at
+    the end, and the goal term's gradients, summed over the steps, are added
+    last.
     """
     obs_all = scene.positions()
     if obs_all.shape[1] < config.t_obs:
@@ -270,16 +269,18 @@ def rollout(
     # (numpy runs stacked matmuls one inner matrix at a time, and a 2-D
     # product's rows do not depend on its row count), so batch row j
     # repeats the arithmetic of an unbatched rollout of goals[j].
-    goal = None
+    goal = goal_saved = None
+    goal_params = ()
     if goals_arr is not None:
-        goal_tok = embed_tokens(goals_arr[..., order, :], anchor, [config.t_total], params, config)
-        goal = goal_feature(goal_tok.reshape((rows, 1, d)), params)
+        names = ("cross.wv", "cross.bv", "cross.wo", "cross.bo", "norm.gamma", "norm.beta")
+        goal_params = tuple(params[f"tpm.fusion.{name}"] for name in names)
+        goal, goal_saved = _goal_term(goals_arr[..., order, :], anchor, goal_params, params, config)
 
     embed = tuple(params[f"tpm.{name}"] for name in ("embed.w", "embed.b", "pe.learn"))
     temporal = mha_params(params, "tpm.fusion.self0")
     social = mha_params(params, "tpm.social0") if config.use_social else ()
     decoder = tuple(params[f"tpm.dec.{name}"] for name in ("w1", "b1", "w2", "b2"))
-    parents = (() if goal is None else (goal,)) + embed + temporal + social + decoder
+    parents = embed + temporal + social + decoder + goal_params
     record = _recording(parents)
     wq, bq, _, _, _, wo, bo = (p.data for p in temporal)
     if social:
@@ -307,7 +308,7 @@ def rollout(
         )
         fused = np.matmul(merged_t, wo) + bo
         if goal is not None:
-            fused = goal.data.reshape(fused.shape) + fused
+            fused = goal.reshape(fused.shape) + fused
         fused = fused.reshape(lead + (n, d))
         feature, merged_s, saved_s = fused, None, None
         if social:
@@ -377,7 +378,11 @@ def rollout(
         grads += [_outer(np.stack(feature), g_hidden), _row_sum(g_hidden)]
         grads += [_outer(np.stack(hidden), g_next), _row_sum(g_next)]
         if goal is not None:
-            grads.insert(0, g_fused.sum(axis=0).reshape(goal.shape))
+            g_w, g_b, g_goal = _goal_term_grads(g_fused.sum(axis=0), goal_saved, goal_params)
+            grads[0] += g_w
+            grads[1] += g_b
+            g_learn[config.t_total] += g_b
+            grads += g_goal
         return grads
 
     positions = np.stack(steps, axis=-2)

@@ -22,7 +22,7 @@ from .errors import DataError, DivergenceError
 from .gpm import encode_gpm_input, goal_target, gpm_forward_batch
 from .model import Model, init_params, stable_seed
 from .params import ParamStore
-from .tensor import backward, bce_with_logits_mean, constant, scale
+from .tensor import _node, backward
 from .tpm import rollout
 
 
@@ -56,32 +56,49 @@ def window_loss_graph(
     position feedback. ``constants`` may carry the window's precomputed
     ``window_constants``. Returns (total Tensor, goal part, traj part) with
     the parts as floats for reporting.
+
+    The total is one ``"loss"`` node over the rollout positions and, when
+    the goal term is on, the goal logits: lambda_traj times the sum over
+    agents of the mean squared error per step, plus lambda_goal times the
+    sum over agents of the mean binary cross-entropy of each heatmap. The
+    cross-entropy uses BCE = softplus(z) - t*z with the stable
+    softplus(z) = relu(z) + log(1 + e^-|z|), whose gradient is sigmoid(z) - t.
     """
     positions = scene.positions()
     gt_goals = positions[:, -1, :]
     gt_future = positions[:, model_cfg.t_obs :, :]
+    lambda_goal, lambda_traj = train_cfg.lambda_goal, train_cfg.lambda_traj
 
-    goal_sum = None
+    result = rollout(scene, gt_goals if model_cfg.use_goal else None, params, model_cfg)
+    diff = result.positions.data - gt_future[result.canonical_order]
+    per_agent_traj = (diff * diff).sum(axis=2).mean(axis=1)
+    traj_part = float(per_agent_traj.mean())
+    total = per_agent_traj.sum() * lambda_traj
+    parents = (result.positions,)
+
     goal_part = 0.0
-    if model_cfg.use_goal and train_cfg.lambda_goal != 0.0:
+    if model_cfg.use_goal and lambda_goal != 0.0:
         channels, targets = window_constants(scene, model_cfg) if constants is None else constants
         obs = positions[:, : model_cfg.t_obs, :]
         logits = gpm_forward_batch(obs, scene.raster, params, model_cfg, channels=channels)
-        per_agent = bce_with_logits_mean(logits, targets, axis=(1, 2))
-        goal_sum = per_agent.sum()
-        goal_part = float(per_agent.data.mean())
+        z = logits.data
+        pos = np.maximum(z, 0.0)
+        e = np.exp((pos + np.maximum(z * -1.0, 0.0)) * -1.0)  # e^{-|z|}
+        e1 = e + 1.0
+        per_agent = ((pos + np.log(e1)) - targets * z).mean(axis=(1, 2))
+        goal_part = float(per_agent.mean())
+        total = total + per_agent.sum() * lambda_goal
+        parents += (logits,)
 
-    result = rollout(scene, gt_goals if model_cfg.use_goal else None, params, model_cfg)
-    diff = result.positions - constant(gt_future[result.canonical_order])
-    sq = (diff * diff).sum(axis=2)  # (N, T_fut)
-    per_agent_traj = sq.mean(axis=1)
-    traj_sum = per_agent_traj.sum()
-    traj_part = float(per_agent_traj.data.mean())
+    def bwd(g):
+        g_diff = ((g * lambda_traj) / diff.shape[1]) * diff
+        grads = [g_diff + g_diff]
+        if len(parents) > 1:
+            sigmoid = np.where(z >= 0, 1.0, e) / e1
+            grads.append((sigmoid - targets) * ((g * lambda_goal) / (z.shape[1] * z.shape[2])))
+        return grads
 
-    total = scale(traj_sum, train_cfg.lambda_traj)
-    if goal_sum is not None:
-        total = total + scale(goal_sum, train_cfg.lambda_goal)
-    return total, goal_part, traj_part
+    return _node(total, parents, bwd, "loss"), goal_part, traj_part
 
 
 # -- optimizer and schedules -------------------------------------------------
@@ -381,7 +398,7 @@ def train(
                     raise DivergenceError(
                         f"non-finite loss in epoch {epoch}", report=report
                     )
-                backward(scale(total, 1.0 / len(batch)))
+                backward(total, seed=1.0 / len(batch))
                 goal_parts.append(goal_part)
                 traj_parts.append(traj_part)
                 totals.append(total.item())

@@ -1,16 +1,24 @@
-"""Engine ops that only the tests use: the softmax and transpose nodes of the
-unfused attention chain that ``reference_multi_head_attention`` rebuilds, the
-exp and log nodes of the unfused softplus the BCE node is checked against,
-the concat, relu and 3x3 convolution nodes of the per-layer chains that the
-goal module and rollout nodes are checked against, the check of a fused node
-against the chain it replaces, and the per-array Adam step that the
-flat-buffer Adam is checked against."""
+"""The engine's primitive library, which only the tests use, and the
+reference chains built from it.
+
+``vista.tensor`` is the engine core alone: the model records whole blocks
+as hand-written nodes. The primitives here (elementwise ``add``, ``sub``,
+``mul`` and ``scale``, ``matmul``, ``reshape``, ``narrow``, the sum and mean
+reductions, ``layer_norm``, ``linear``, ``bce_with_logits_mean``, the
+softmax, transpose, exp, log, concat, relu and 3x3 convolution nodes) are
+the ops of the unfused chains that those nodes are checked against:
+``embed_tokens`` and ``goal_feature`` are the token embedding and goal term
+of the rollout node's reference, ``reference_multi_head_attention`` and the
+per-layer goal module chain rebuild the attention and goal module nodes,
+and the loss node is checked against the chain of reductions it replaced.
+Also here: the check of a fused node against the chain it replaces, and the
+per-array Adam step that the flat-buffer Adam is checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vista import tensor
+from vista import tensor, tpm
 from vista.tensor import ShapeError, Tensor, _node, as_tensor, backward
 
 
@@ -32,6 +40,261 @@ def assert_fused_matches(fused, reference, arrays):
     for g, ref in zip(grads, ref_grads, strict=True):
         tol = 1e-12 * max(1.0, np.abs(ref).max())
         np.testing.assert_allclose(g, ref, rtol=0, atol=tol)
+
+
+def constant(x):
+    """A leaf tensor that never takes gradients."""
+    return Tensor(x, requires_grad=False)
+
+
+def _unbroadcast(grad, shape):
+    """Sum a broadcast gradient back down to ``shape``."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out = a.data + b.data
+    except ValueError as exc:
+        raise ShapeError(f"add: {a.shape} vs {b.shape}: {exc}") from None
+
+    def bwd(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+
+    return _node(out, (a, b), bwd, "add")
+
+
+def sub(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out = a.data - b.data
+    except ValueError as exc:
+        raise ShapeError(f"sub: {a.shape} vs {b.shape}: {exc}") from None
+
+    def bwd(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+
+    return _node(out, (a, b), bwd, "sub")
+
+
+def mul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out = a.data * b.data
+    except ValueError as exc:
+        raise ShapeError(f"mul: {a.shape} vs {b.shape}: {exc}") from None
+
+    def bwd(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+
+    return _node(out, (a, b), bwd, "mul")
+
+
+def matmul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
+    out = np.matmul(a.data, b.data)
+
+    def bwd(g):
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+    return _node(out, (a, b), bwd, "matmul")
+
+
+def reshape(a, shape):
+    a = as_tensor(a)
+    try:
+        out = a.data.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(f"reshape: {a.shape} -> {shape}: {exc}") from None
+    src = a.shape
+
+    def bwd(g):
+        return (g.reshape(src),)
+
+    return _node(out, (a,), bwd, "reshape")
+
+
+def narrow(a, key):
+    """Slicing; the gradient scatters back into zeros (repeated indices add)."""
+    a = as_tensor(a)
+    out = a.data[key]
+    src_shape = a.shape
+    fancy = any(isinstance(k, np.ndarray) for k in (key if isinstance(key, tuple) else (key,)))
+
+    def bwd(g):
+        full = np.zeros(src_shape, dtype=g.dtype)
+        if fancy:
+            np.add.at(full, key, g)
+        else:
+            full[key] = g
+        return (full,)
+
+    return _node(out, (a,), bwd, "slice")
+
+
+def scale(a, c):
+    a = as_tensor(a)
+    c = float(c)
+    out = a.data * c
+
+    def bwd(g):
+        return (g * c,)
+
+    return _node(out, (a,), bwd, "scale")
+
+
+def reduce_sum(a, axis=None, keepdims=False):
+    a = as_tensor(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+    src_shape = a.shape
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, src_shape).copy(),)
+
+    return _node(out, (a,), bwd, "sum")
+
+
+def reduce_mean(a, axis=None, keepdims=False):
+    a = as_tensor(a)
+    out = a.data.mean(axis=axis, keepdims=keepdims)
+    src_shape = a.shape
+    count = a.size if axis is None else np.prod(
+        [src_shape[i] for i in np.atleast_1d(axis)]
+    )
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / count, src_shape).copy(),)
+
+    return _node(out, (a,), bwd, "mean")
+
+
+def layer_norm(a, eps=1e-5):
+    """Normalize the last axis to zero mean / unit variance (pre-affine).
+
+    The variance is floored by ``eps`` inside the square root, so a constant
+    row maps to exact zeros instead of dividing by zero.
+    """
+    a = as_tensor(a)
+    mu = a.data.mean(axis=-1, keepdims=True)
+    centered = a.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = centered * inv
+    n = a.shape[-1]
+
+    def bwd(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * out).mean(axis=-1, keepdims=True)
+        return (inv * (g - gm - out * gy),)
+
+    return _node(out, (a,), bwd, "layer_norm")
+
+
+def linear(x, w, b):
+    """``x @ w + b`` for x (..., d_in), w (d_in, d_out) and b broadcast to
+    the output. The weight gradient is one 2-D matmul over all rows of x."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
+        raise ShapeError(f"linear: {x.shape} @ {w.shape}")
+    out = np.matmul(x.data, w.data) + b.data
+
+    def bwd(g):
+        gx = np.matmul(g, w.data.T) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _node(out, (x, w, b), bwd, "linear")
+
+
+def bce_with_logits_mean(logits, targets, axis=None):
+    """Mean binary cross-entropy of the probabilities 1 / (1 + e^-z) of the
+    logits z against targets in [0,1], over ``axis`` (all axes by default).
+
+    Uses the identity BCE = softplus(z) - t*z with the stable
+    softplus(z) = relu(z) + log(1 + e^{-|z|}), which avoids forming the
+    probabilities; the gradient is (sigmoid(z) - t) / count.
+    """
+    z, t = as_tensor(logits), as_tensor(targets)
+    zd = z.data
+    pos = np.maximum(zd, 0.0)
+    e = np.exp((pos + np.maximum(zd * -1.0, 0.0)) * -1.0)  # e^{-|z|}
+    e1 = e + 1.0
+    loss = (pos + np.log(e1)) - t.data * zd
+    out = loss.mean(axis=axis)
+    count = loss.size if axis is None else np.prod(
+        [loss.shape[i] for i in np.atleast_1d(axis)]
+    )
+
+    def bwd(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        g = g / count
+        gz = gt = None
+        if z.requires_grad:
+            sigmoid = np.where(zd >= 0, 1.0, e) / e1
+            gz = _unbroadcast((sigmoid - t.data) * g, z.shape)
+        if t.requires_grad:
+            gt = _unbroadcast(-zd * g, t.shape)
+        return gz, gt
+
+    return _node(out, (z, t), bwd, "bce_with_logits")
+
+
+def embed_tokens(points, anchor, time_indices, params, config):
+    """Tokens ``(points - anchor) @ W + b + (sinusoidal(t) + learnable(t))``
+    as one node, for points (..., 2) and one time index per token row: the
+    (len(time_indices), d) per-index terms broadcast against the trailing
+    axes of the output."""
+    points = as_tensor(points)
+    w, b, learn = params["tpm.embed.w"], params["tpm.embed.b"], params["tpm.pe.learn"]
+    idx = np.asarray(time_indices, dtype=np.int64)
+    rel = points.data - anchor
+    out = tpm._embed(rel, idx, params, config)
+
+    def bwd(g):
+        glearn = np.zeros(learn.shape, dtype=g.dtype)
+        np.add.at(glearn, idx, _unbroadcast(g, idx.shape + learn.shape[1:]))
+        return (
+            np.matmul(g, w.data.T) if points.requires_grad else None,
+            rel.reshape(-1, 2).T @ g.reshape(-1, w.shape[1]),
+            _unbroadcast(g, b.shape),
+            glearn,
+        )
+
+    return _node(out, (points, w, b, learn), bwd, "embed")
+
+
+def goal_feature(goal_tokens, params):
+    """The normalized goal term (N, d) of the fusion for goal tokens (N, 1, d).
+
+    This is the cross-attention of ``tpm.fusion.cross`` from any query to
+    the one goal token: its softmax weight is exactly 1.0, so the output is
+    the value/output path alone, bit for bit."""
+    n, _, d = goal_tokens.shape
+    value = linear(goal_tokens, params["tpm.fusion.cross.wv"], params["tpm.fusion.cross.bv"])
+    out = linear(value, params["tpm.fusion.cross.wo"], params["tpm.fusion.cross.bo"])
+    normed = add(
+        mul(layer_norm(out), params["tpm.fusion.norm.gamma"]), params["tpm.fusion.norm.beta"]
+    )
+    return reshape(normed, (n, d))
 
 
 def concat(tensors, axis=0):

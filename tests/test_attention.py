@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_ops import softmax, transpose
+from reference_ops import add, matmul, narrow, reshape, scale, softmax, transpose
 
 from vista.attention import KVCache, attend, init_mha_params, mha_params, multi_head_attention
 from vista.errors import ConfigError
 from vista.params import ParamStore
-from vista.tensor import ShapeError, Tensor, add, backward, matmul, narrow, scale
+from vista.tensor import ShapeError, Tensor, backward
 
 
 def reference_multi_head_attention(q, k, v, n_heads: int, params: ParamStore, prefix: str):
@@ -26,7 +26,7 @@ def reference_multi_head_attention(q, k, v, n_heads: int, params: ParamStore, pr
         # (..., L, d) -> (..., h, L, head_dim)
         batch = x.shape[:-2]
         length = x.shape[-2]
-        x = x.reshape(batch + (length, n_heads, head_dim))
+        x = reshape(x, batch + (length, n_heads, head_dim))
         axes = tuple(range(len(batch))) + (x.ndim - 2, x.ndim - 3, x.ndim - 1)
         return transpose(x, axes)
 
@@ -42,7 +42,7 @@ def reference_multi_head_attention(q, k, v, n_heads: int, params: ParamStore, pr
     batch = q.shape[:-2]
     lq = q.shape[-2]
     back = tuple(range(len(batch))) + (mixed.ndim - 2, mixed.ndim - 3, mixed.ndim - 1)
-    merged = transpose(mixed, back).reshape(batch + (lq, dim))
+    merged = reshape(transpose(mixed, back), batch + (lq, dim))
     out = add(matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
     attn = np.moveaxis(weights.data.copy(), -3, 0)  # heads leading

@@ -1,11 +1,13 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from vista.cli import main
+from vista.data import SCENARIOS
 
 
 def run(argv, capsys=None):
@@ -86,6 +88,28 @@ class TestSynth:
     def test_zero_speed_or_margin_is_valid(self, tmp_path, flag):
         assert main(["synth", "--scenario", "group", flag, "0", "--out", str(tmp_path / "x")]) == 0
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("frames", ["11", "20"])
+    @pytest.mark.parametrize(
+        "zeros", [("--speed",), ("--margin",), ("--speed", "--margin")], ids=str
+    )
+    def test_zero_speed_or_margin_exits_2_or_writes_finite_tracks(
+        self, tmp_path, capsys, scenario, frames, zeros
+    ):
+        out = tmp_path / "x"
+        argv = ["synth", "--scenario", scenario, "--frames", frames, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + [arg for flag in zeros for arg in (flag, "0")])
+        assert not caught
+        if code == 2:
+            assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+            assert not out.exists()
+            return
+        assert code == 0
+        tracks = sorted(out.glob(f"{scenario}__w*.txt"))
+        assert tracks and all(np.isfinite(np.loadtxt(path)).all() for path in tracks)
+
     def test_spec_values_kept_when_flags_unset(self, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text("scenario=crossing\nn_agents=4\nseed=5\nn_windows=3\n")
@@ -131,6 +155,31 @@ REMOVED_KEYS = [
     ("model", "use_fixed_pe", "false"),
     ("model", "use_learnable_pe", "false"),
 ]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("model", "d_model", "0"),
+        ("model", "n_heads", "0"),
+        ("model", "dec_width", "0"),
+        ("model", "n_classes", "0"),
+        ("model", "enc_widths", "0,32"),
+        ("model", "enc_widths", "16,0"),
+        ("model", "enc_widths", "16"),
+        ("train", "val_minade_every", "0"),
+        ("train", "val_k", "0"),
+    ],
+)
+def test_non_positive_count_exits_2(synth_dir, tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{key}={value}\n")
+    out = tmp_path / "o"
+    code = main(["train", "--data", str(synth_dir), "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key,value", REMOVED_KEYS)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fdcheck import finite_difference_check
+from reference_ops import constant, mul, reduce_sum, sub
 
 from vista.config import ModelConfig
 from vista.model import init_params
 from vista.params import ParamStore
-from vista.tensor import constant, reduce_sum
 from vista.tpm import rollout
 
 
@@ -16,7 +16,7 @@ def test_quadratic_loss_is_near_exact():
 
     def loss():
         x = store["x"]
-        return reduce_sum(x * x)
+        return reduce_sum(mul(x, x))
 
     err = finite_difference_check(store, loss, epsilon=1e-5)
     assert err < 1e-8
@@ -40,8 +40,8 @@ def test_goal_fusion_block_gradients(three_agent_scene):
     names = [n for n in params.names() if n.startswith("tpm.fusion.")]
 
     def loss():
-        diff = rollout(three_agent_scene, goals, params, cfg).positions - constant(target)
-        return reduce_sum(diff * diff)
+        diff = sub(rollout(three_agent_scene, goals, params, cfg).positions, constant(target))
+        return reduce_sum(mul(diff, diff))
 
     err = finite_difference_check(params, loss, epsilon=1e-5, names=names, seed=3)
     assert err < 1e-4

@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 
 from fdcheck import finite_difference_check
-from reference_ops import assert_fused_matches, concat, conv3x3, relu
+from reference_ops import (
+    assert_fused_matches,
+    bce_with_logits_mean,
+    concat,
+    constant,
+    conv3x3,
+    linear,
+    narrow,
+    reduce_mean,
+    reduce_sum,
+    relu,
+    reshape,
+)
 
 from vista import gpm
 from vista.config import ModelConfig
@@ -21,7 +33,7 @@ from vista.gpm import (
 )
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
-from vista.tensor import backward, bce_with_logits_mean, constant, linear, narrow, no_grad
+from vista.tensor import backward, no_grad
 from vista.training import window_constants
 
 
@@ -142,7 +154,7 @@ class TestForward:
         def loss():
             logits = gpm_forward_batch(obs, None, store, cfg)
             target = goal_target(goal, logits.shape[1:], cfg.goal_sigma)
-            return bce_with_logits_mean(logits[0], target)
+            return bce_with_logits_mean(narrow(logits, 0), target)
 
         err = finite_difference_check(store, loss, epsilon=1e-5, max_coords_per_param=4, seed=0)
         assert err < 1e-4
@@ -169,9 +181,9 @@ def reference_conv3x3(x, w, b):
         for di in range(3)
         for dj in range(3)
     ]
-    columns = concat(shifts, axis=3).reshape((n * h * wd, 9 * cin))
-    kernel = w.reshape((9 * cin, cout))
-    return linear(columns, kernel, b).reshape((n, h, wd, cout))
+    columns = reshape(concat(shifts, axis=3), (n * h * wd, 9 * cin))
+    kernel = reshape(w, (9 * cin, cout))
+    return reshape(linear(columns, kernel, b), (n, h, wd, cout))
 
 
 def reference_gpm_forward(channels, params, conv=conv3x3):
@@ -186,14 +198,14 @@ def reference_gpm_forward(channels, params, conv=conv3x3):
 
     def pool2(x):
         n, h, w, c = x.shape
-        return x.reshape((n, h // 2, 2, w // 2, 2, c)).mean(axis=(2, 4))
+        return reduce_mean(reshape(x, (n, h // 2, 2, w // 2, 2, c)), axis=(2, 4))
 
     def upsample2(x):
         n, h, w, c = x.shape
-        col = x.reshape((n, h, 1, w, 1, c))
+        col = reshape(x, (n, h, 1, w, 1, c))
         col = concat([col, col], axis=2)
         col = concat([col, col], axis=4)
-        return col.reshape((n, 2 * h, 2 * w, c))
+        return reshape(col, (n, 2 * h, 2 * w, c))
 
     c1 = conv_relu(constant(channels), "enc1")
     c2 = conv_relu(pool2(c1), "enc2")
@@ -201,8 +213,8 @@ def reference_gpm_forward(channels, params, conv=conv3x3):
     d2 = conv_relu(concat([upsample2(bott), c2], axis=3), "dec2")
     d1 = conv_relu(concat([upsample2(d2), c1], axis=3), "dec1")
     n, h, w, cd = d1.shape
-    logits = linear(d1.reshape((n * h * w, cd)), params["gpm.out.w"], params["gpm.out.b"])
-    return logits.reshape((n, h, w))
+    logits = linear(reshape(d1, (n * h * w, cd)), params["gpm.out.w"], params["gpm.out.b"])
+    return reshape(logits, (n, h, w))
 
 
 def conv_arrays(rng, n, h, w, c_in, c_out):
@@ -259,7 +271,7 @@ def gpm_outputs(forward, params, cfg, scene):
     channels, targets = window_constants(scene, cfg)
     params.zero_grad()
     logits = forward(channels)
-    backward(bce_with_logits_mean(logits, targets, axis=(1, 2)).sum())
+    backward(reduce_sum(bce_with_logits_mean(logits, targets, axis=(1, 2))))
     grads = {n: params[n].grad.copy() for n in params.names() if n.startswith("gpm.")}
     return logits.data, grads
 

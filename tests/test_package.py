@@ -54,3 +54,30 @@ def test_benchmark_traced_names_exist():
         if obj is None:
             missing.append(name)
     assert not missing
+
+
+def test_engine_names_are_pinned():
+    # ``vista.tensor`` is the engine core: the model records its blocks as
+    # hand-written nodes, and the primitive ops and Tensor operators that
+    # only tests use live in tests/reference_ops.py.
+    tree = ast.parse((ROOT / "src" / "vista" / "tensor.py").read_text())
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    defs = {node.name: node for node in tree.body if isinstance(node, kinds)}
+    assert sorted(defs) == [
+        "NumericsError",
+        "Parameter",
+        "ShapeError",
+        "Tensor",
+        "UsageError",
+        "_gemm",
+        "_node",
+        "_recording",
+        "_relu_data",
+        "_topo_order",
+        "as_tensor",
+        "backward",
+        "no_grad",
+        "sinusoidal_table",
+    ]
+    methods = [node.name for node in defs["Tensor"].body if isinstance(node, ast.FunctionDef)]
+    assert methods == ["__init__", "shape", "ndim", "size", "item", "__repr__"]

@@ -5,7 +5,22 @@ import numpy as np
 import pytest
 
 from fdcheck import record_activations
-from reference_ops import assert_fused_matches, concat, relu
+from reference_ops import (
+    add,
+    assert_fused_matches,
+    concat,
+    constant,
+    embed_tokens,
+    goal_feature,
+    layer_norm,
+    linear,
+    mul,
+    narrow,
+    relu,
+    reshape,
+    sub,
+)
+from test_attention import set_random_biases
 
 from vista import tpm, training
 from vista.attention import multi_head_attention
@@ -17,20 +32,9 @@ from vista.experiments import overfit_dataset
 from vista.gpm import ttst_sample
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
-from vista.tensor import (
-    as_tensor,
-    backward,
-    constant,
-    layer_norm,
-    linear,
-    narrow,
-    no_grad,
-    sinusoidal_table,
-)
+from vista.tensor import as_tensor, backward, no_grad, sinusoidal_table
 from vista.tpm import (
     RolloutResult,
-    embed_tokens,
-    goal_feature,
     load_prediction_txt,
     prediction_array,
     rollout,
@@ -120,13 +124,13 @@ def hybrid_positional_encoding(tokens, time_indices, params: ParamStore, config:
             f"time index out of positional-table range 0..{config.t_total}: {idx}"
         )
     fixed = constant(sinusoidal_table(config.t_total + 1, config.d_model)[idx])
-    return tokens + (fixed + narrow(params["tpm.pe.learn"], (idx,)))
+    return add(tokens, add(fixed, narrow(params["tpm.pe.learn"], (idx,))))
 
 
 def reference_decode_step(feature, last_pos, params: ParamStore):
     hidden = relu(linear(feature, params["tpm.dec.w1"], params["tpm.dec.b1"]))
     delta = linear(hidden, params["tpm.dec.w2"], params["tpm.dec.b2"])
-    return as_tensor(last_pos).reshape(delta.shape) + delta
+    return add(reshape(last_pos, delta.shape), delta)
 
 
 def embed_leaves(w, b, learn):
@@ -172,7 +176,7 @@ class TestFusedNodes:
         idx = np.arange(length)
 
         def chain(seq, *leaves):
-            tokens = embed_positions(seq - constant(anchor), embed_leaves(*leaves))
+            tokens = embed_positions(sub(seq, constant(anchor)), embed_leaves(*leaves))
             return hybrid_positional_encoding(tokens, idx, embed_leaves(*leaves), cfg)
 
         assert_fused_matches(
@@ -192,13 +196,13 @@ class TestFusedNodes:
         idx = np.array([cfg.t_total])
 
         def chain(goals, *leaves):
-            tokens = embed_positions(goals - constant(anchor), embed_leaves(*leaves))
-            tokens = tokens.reshape((rows, 1, cfg.d_model))
+            tokens = embed_positions(sub(goals, constant(anchor)), embed_leaves(*leaves))
+            tokens = reshape(tokens, (rows, 1, cfg.d_model))
             return hybrid_positional_encoding(tokens, idx, embed_leaves(*leaves), cfg)
 
         def fused(goals, *leaves):
             tokens = embed_tokens(goals, anchor, idx, embed_leaves(*leaves), cfg)
-            return tokens.reshape((rows, 1, cfg.d_model))
+            return reshape(tokens, (rows, 1, cfg.d_model))
 
         assert_fused_matches(fused, chain, embed_arrays(rng, lead + (n, 2), cfg))
 
@@ -234,12 +238,14 @@ def per_step_fusion(tokens, goal_tokens, params, config):
         query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
     )
     if goal_tokens is None:
-        return t_last.reshape((n, d))
+        return reshape(t_last, (n, d))
     z_last, _ = multi_head_attention(
         t_last, goal_tokens, goal_tokens, config.n_heads, params, "tpm.fusion.cross"
     )
-    normed = layer_norm(z_last) * params["tpm.fusion.norm.gamma"] + params["tpm.fusion.norm.beta"]
-    return normed.reshape((n, d)) + t_last.reshape((n, d))
+    normed = add(
+        mul(layer_norm(z_last), params["tpm.fusion.norm.gamma"]), params["tpm.fusion.norm.beta"]
+    )
+    return add(reshape(normed, (n, d)), reshape(t_last, (n, d)))
 
 
 class TestFusion:
@@ -300,6 +306,42 @@ class TestFusion:
             cfg.n_heads, params, "tpm.fusion.self0",
         )
         np.testing.assert_array_equal(attn, np.ones((cfg.n_heads, 1, 1)))
+
+    @pytest.mark.parametrize("lead, n", [((), 1), ((), 3), ((1,), 3), ((4,), 3)], ids=str)
+    def test_goal_term_matches_chain(self, lead, n):
+        # The rollout node's goal term and its gradients against
+        # ``goal_feature`` over ``embed_tokens``, the goal term of
+        # ``reference_rollout``: the forward bit for bit, and the gradients
+        # bit for bit for one goal set.
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = init_params(cfg, seed=n)
+        rng = np.random.default_rng(len(lead) * 10 + n)
+        for name in ("tpm.embed.b", "tpm.pe.learn", "tpm.fusion.norm.gamma", "tpm.fusion.norm.beta"):
+            params[name].data[...] = rng.normal(size=params[name].shape)
+        set_random_biases(params, "tpm.fusion.cross", rng)
+        goals, anchor = rng.uniform(1, 14, size=lead + (n, 2)), rng.normal(size=2)
+        names = [f"tpm.fusion.cross.{w}" for w in ("wv", "bv", "wo", "bo")]
+        names += ["tpm.fusion.norm.gamma", "tpm.fusion.norm.beta"]
+        goal_params = tuple(params[name] for name in names)
+        goal, saved = tpm._goal_term(goals, anchor, goal_params, params, cfg)
+        params.zero_grad()
+        tokens = embed_tokens(goals, anchor, [cfg.t_total], params, cfg)
+        ref = goal_feature(reshape(tokens, (goal.shape[0], 1, cfg.d_model)), params)
+        assert goal.tobytes() == ref.data.tobytes()
+
+        g = rng.normal(size=goal.shape)
+        backward(ref, seed=g)
+        g_w, g_b, g_goal = tpm._goal_term_grads(g, saved, goal_params)
+        g_learn = np.zeros(params["tpm.pe.learn"].shape)
+        g_learn[cfg.t_total] = g_b
+        names = ["tpm.embed.w", "tpm.embed.b", "tpm.pe.learn"] + names
+        for name, grad in zip(names, [g_w, g_b, g_learn, *g_goal], strict=True):
+            ref_grad = params[name].grad
+            if lead > (1,):  # the sums over B x N rows run in another order
+                tol = 1e-12 * max(1.0, np.abs(ref_grad).max())
+                np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=tol, err_msg=name)
+            else:
+                assert grad.tobytes() == ref_grad.tobytes(), name
 
     def test_goal_gradient_is_nonzero(self, cfg, params, tiny_scene):
         # The rollout node returns a gradient to its goal term, which reaches
@@ -519,8 +561,8 @@ def reference_fusion(tokens, goal, params, config):
     t_last, _ = multi_head_attention(
         query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
     )
-    fused = t_last if goal is None else goal.reshape((n, 1, d)) + t_last
-    return fused.reshape((n, d))
+    fused = t_last if goal is None else add(reshape(goal, (n, 1, d)), t_last)
+    return reshape(fused, (n, d))
 
 
 def reference_rollout(
@@ -557,7 +599,7 @@ def reference_rollout(
     goal = None
     if goals_arr is not None:
         goal_tok = embed_tokens(goals_arr[..., order, :], anchor, [config.t_total], params, config)
-        goal = goal_term(goal_tok.reshape((rows, 1, config.d_model)), params)
+        goal = goal_term(reshape(goal_tok, (rows, 1, config.d_model)), params)
 
     obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
     parts = [constant(obs_rows)]
@@ -569,7 +611,7 @@ def reference_rollout(
         tokens = embed_tokens(seq, anchor, np.arange(length), params, config)
         fused = fusion(tokens, goal, params, config)
         if lead:
-            fused = fused.reshape(lead + (n, config.d_model))
+            fused = reshape(fused, lead + (n, config.d_model))
         social, attn = social_attention(fused, params, config)
         last = narrow(seq, (slice(None), length - 1))
         nxt = reference_decode_step(social, last, params)
@@ -578,8 +620,8 @@ def reference_rollout(
                 f"non-finite prediction at step {step} of scene {scene.key()}",
                 step=step,
             )
-        parts.append(nxt.reshape((rows, 1, 2)))
-        step_tensors.append(nxt.reshape(lead + (n, 1, 2)))
+        parts.append(reshape(nxt, (rows, 1, 2)))
+        step_tensors.append(reshape(nxt, lead + (n, 1, 2)))
         if capture_trace:
             trace_steps.append(np.asarray(attn).reshape(b, n, n))
 

@@ -2,7 +2,17 @@ import gc
 
 import numpy as np
 import pytest
-from reference_ops import reference_adam_step
+from reference_ops import (
+    add,
+    bce_with_logits_mean,
+    constant,
+    mul,
+    reduce_mean,
+    reduce_sum,
+    reference_adam_step,
+    scale,
+    sub,
+)
 from test_attention import set_random_biases
 from test_gpm import zero_gpm_weights
 
@@ -10,10 +20,12 @@ from vista import training
 from vista.config import Config, ModelConfig, TrainConfig
 from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
 from vista.errors import DataError, DivergenceError
-from vista.experiments import overfit_dataset
+from vista.experiments import overfit_config, overfit_dataset
+from vista.gpm import gpm_forward_batch
 from vista.model import Model, init_params
 from vista.params import ParamStore
 from vista.tensor import backward
+from vista.tpm import rollout
 from vista.training import (
     Adam,
     EarlyStopper,
@@ -128,6 +140,71 @@ class TestJointLoss:
         assert total.item() == pytest.approx(1e3 * n * goal_part + 2.0 * n * traj_part, rel=1e-12)
 
 
+# The primitive chain that the one-node joint loss replaced, kept verbatim
+# as its reference.
+
+
+def reference_window_loss(params, model_cfg, train_cfg, scene):
+    positions = scene.positions()
+    gt_goals = positions[:, -1, :]
+    gt_future = positions[:, model_cfg.t_obs :, :]
+
+    goal_sum = None
+    goal_part = 0.0
+    if model_cfg.use_goal and train_cfg.lambda_goal != 0.0:
+        channels, targets = window_constants(scene, model_cfg)
+        obs = positions[:, : model_cfg.t_obs, :]
+        logits = gpm_forward_batch(obs, scene.raster, params, model_cfg, channels=channels)
+        per_agent = bce_with_logits_mean(logits, targets, axis=(1, 2))
+        goal_sum = reduce_sum(per_agent)
+        goal_part = float(per_agent.data.mean())
+
+    result = rollout(scene, gt_goals if model_cfg.use_goal else None, params, model_cfg)
+    diff = sub(result.positions, constant(gt_future[result.canonical_order]))
+    sq = reduce_sum(mul(diff, diff), axis=2)  # (N, T_fut)
+    per_agent_traj = reduce_mean(sq, axis=1)
+    traj_sum = reduce_sum(per_agent_traj)
+    traj_part = float(per_agent_traj.data.mean())
+
+    total = scale(traj_sum, train_cfg.lambda_traj)
+    if goal_sum is not None:
+        total = add(total, scale(goal_sum, train_cfg.lambda_goal))
+    return total, goal_part, traj_part
+
+
+class TestLossNode:
+    @pytest.mark.parametrize("window", [0, 7, 13, 19])
+    @pytest.mark.parametrize(
+        "model_overrides, lambda_goal",
+        [({}, None), ({}, 0.0), ({"use_goal": False}, None), ({"use_social": False}, None)],
+        ids=["full", "lambda_goal_0", "no_goal", "no_social"],
+    )
+    def test_matches_primitive_chain_bitwise(self, window, model_overrides, lambda_goal):
+        # ``train`` seeds the backward with 1/batch size where it used to
+        # scale the chain's total: values, parts and gradients bit for bit.
+        cfg = overfit_config(0)
+        for key, value in model_overrides.items():
+            setattr(cfg.model, key, value)
+        if lambda_goal is not None:
+            cfg.train.lambda_goal = lambda_goal
+        params = init_params(cfg.model, seed=3)
+        scene = overfit_dataset(0)[window]
+
+        params.zero_grad()
+        total, goal_part, traj_part = window_loss_graph(params, cfg.model, cfg.train, scene)
+        backward(total, seed=1.0 / 3)
+        grads = params.grads.copy()
+        params.zero_grad()
+        ref, ref_goal, ref_traj = reference_window_loss(params, cfg.model, cfg.train, scene)
+        backward(scale(ref, 1.0 / 3))
+
+        assert total.op == "loss"
+        assert total.data.tobytes() == ref.data.tobytes()
+        assert (goal_part, traj_part) == (ref_goal, ref_traj)
+        assert (goal_part > 0) == (cfg.model.use_goal and cfg.train.lambda_goal != 0.0)
+        assert grads.tobytes() == params.grads.tobytes()
+
+
 class TestGradientStructure:
     def test_total_gradient_is_linear_combination(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
@@ -172,7 +249,7 @@ class TestGradientStructure:
             assert changed == name.startswith("gpm."), name
 
         # The fusion's one-key cross-attention reduces to its value/output
-        # path (tpm.goal_feature), which no longer reads the query/key
+        # path (tpm._goal_term), which no longer reads the query/key
         # projections; they stay in the store for checkpoint compatibility.
         inert = {"tpm.fusion.cross.wq", "tpm.fusion.cross.wk", "tpm.fusion.cross.bq"}
         before, after = step_with(0.0, 1.0)  # trajectory loss only
@@ -184,10 +261,12 @@ class TestGradientStructure:
                 assert changed, name
 
     def test_training_window_graph_stays_small(self):
-        # The goal module's encoder-decoder is one node and the whole rollout
-        # is one more: a node per GPM layer, pool, upsample and concat
-        # recorded 46 nodes, one node per rollout step and layer 95,
-        # re-embedding the sequence every step 174, and primitive chains 333.
+        # Three hand-written nodes: the goal module's encoder-decoder, the
+        # rollout with its goal term, and the joint loss over both. The goal
+        # term and the loss as primitive chains recorded 20 nodes, a node
+        # per GPM layer, pool, upsample and concat 46, one node per rollout
+        # step and layer 95, re-embedding the sequence every step 174, and
+        # primitive chains throughout 333.
         cfg = ModelConfig()
         total, _, _ = window_loss_graph(
             init_params(cfg, seed=0), cfg, TrainConfig(), overfit_dataset(1)[0]
@@ -200,7 +279,7 @@ class TestGradientStructure:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        assert non_leaf <= 20
+        assert non_leaf <= 3
 
     def test_training_window_graph_has_no_reference_cycles(self, three_agent_scene):
         # A graph node that referred back to its ancestors (say, through the
