@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -158,10 +159,13 @@ def _build_parser():
 # -- shared helpers ----------------------------------------------------------
 
 
-def _config_from(args) -> Config:
-    cfg = Config()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
+def _config_from(args, overrides=()) -> Config:
+    """The --config file over the defaults, with each (section, key, flag
+    value) of ``overrides`` whose flag is set, validated once."""
+    cfg = load_config(args.config) if getattr(args, "config", None) else Config()
+    for section, key, value in overrides:
+        if value is not None:
+            setattr(getattr(cfg, section), key, value)
     cfg.validate()
     return cfg
 
@@ -205,9 +209,8 @@ def _write_manifest(out_dir, command, args, cfg, seed, inputs, outputs, t0):
 
 def _load_scenes(args, cfg: Config, data_attr="data"):
     data_path = getattr(args, data_attr)
-    stride = cfg.data.stride if cfg.data.stride > 0 else None
     scenes = load_trajectories(
-        data_path, t_obs=cfg.model.t_obs, t_fut=cfg.model.t_fut, stride=stride
+        data_path, t_obs=cfg.model.t_obs, t_fut=cfg.model.t_fut, stride=cfg.data.stride or None
     )
     raster_dir = getattr(args, "raster_dir", None)
     if raster_dir:
@@ -283,9 +286,7 @@ def _fold_sets(scenes, fold: str, cfg: Config):
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
-    cfg = _config_from(args)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
+    cfg = _config_from(args, [("train", "seed", args.seed)])
     scenes = _load_scenes(args, cfg)
     folds = _fold_sets(scenes, args.fold, cfg)
     # Reject any fold's bad input before the first fold writes its outputs.
@@ -402,18 +403,18 @@ def _eval_inputs_from_files(scenes, pred_dir, t_obs):
 
 def cmd_evaluate(args) -> int:
     t0 = time.monotonic()
-    cfg = _config_from(args)
+    cfg = _config_from(args, [("eval", "miss_threshold", args.miss_threshold)])
+    try:
+        epsilon = None if args.epsilon == "auto" else float(args.epsilon)
+    except ValueError:
+        epsilon = math.nan
+    if epsilon is not None and not 0 <= epsilon < math.inf:
+        raise ConfigError(f"--epsilon must be 'auto' or a finite number >= 0, got {args.epsilon!r}")
     scenes = _load_scenes(args, cfg, data_attr="gt")
     evals = _eval_inputs_from_files(scenes, args.pred, cfg.model.t_obs)
-    if args.epsilon == "auto":
+    if epsilon is None:
         epsilon = calibrate_epsilon(scenes)
-    else:
-        try:
-            epsilon = float(args.epsilon)
-        except ValueError:
-            raise ConfigError(f"--epsilon must be 'auto' or a number, got {args.epsilon!r}") from None
-    miss = args.miss_threshold if args.miss_threshold is not None else cfg.eval.miss_threshold
-    report = evaluate_windows(evals, epsilon, miss_threshold=miss)
+    report = evaluate_windows(evals, epsilon, miss_threshold=cfg.eval.miss_threshold)
 
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "metrics.json")

@@ -2,9 +2,32 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, asdict
 
 from .errors import ConfigError
+
+# Every int and float key of a config section or of data.ScenarioSpec must be
+# finite and positive; the keys in MAY_BE_ZERO may also be 0, and those in
+# BELOW_ONE must also be below 1.
+MAY_BE_ZERO = frozenset({
+    "seed", "stride", "lambda_goal", "lambda_traj", "target_loss_frac", "target_minade",
+    "beta1", "beta2", "speed", "margin",
+})
+BELOW_ONE = frozenset({"beta1", "beta2", "val_ratio", "lr_factor"})
+
+
+def check_domains(obj):
+    """Raise ConfigError naming the first int or float field of the dataclass
+    ``obj`` outside its domain. NaN fails every comparison, so it is rejected."""
+    for f in fields(obj):
+        if f.type in ("int", "float"):
+            value = getattr(obj, f.name)
+            zero_ok = f.name in MAY_BE_ZERO
+            high = 1 if f.name in BELOW_ONE else math.inf
+            if not ((0 <= value if zero_ok else 0 < value) and value < high):
+                low = "0 <=" if zero_ok else "0 <"
+                raise ConfigError(f"{f.name} must satisfy {low} {f.name} < {high}, got {value!r}")
 
 
 @dataclass
@@ -29,11 +52,7 @@ class ModelConfig:
         return self.t_obs + self.t_fut
 
     def validate(self):
-        for name in (
-            "d_model", "n_heads", "t_obs", "t_fut", "n_classes", "dec_width", "kmeans_iters",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive count")
+        check_domains(self)
         if len(self.enc_widths) != 2 or min(self.enc_widths) < 1:
             raise ConfigError(f"enc_widths must be two positive counts, got {self.enc_widths}")
         if self.d_model % self.n_heads != 0:
@@ -63,16 +82,6 @@ class TrainConfig:
     target_loss_frac: float = 0.0  # stop once total <= frac * first-epoch total; 0 disables
     target_minade: float = 0.0  # joint target with target_loss_frac; 0 disables
 
-    def validate(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        for name in (
-            "max_epochs", "plateau_patience", "early_stop_patience", "batch_size",
-            "val_k", "val_minade_every",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive count")
-
 
 @dataclass
 class DataConfig:
@@ -94,7 +103,11 @@ class Config:
 
     def validate(self):
         self.model.validate()
-        self.train.validate()
+        for section in (self.train, self.data, self.eval):
+            check_domains(section)
+        n_raw, val_k = self.model.n_raw_samples, self.train.val_k
+        if n_raw < val_k:
+            raise ConfigError(f"n_raw_samples must be >= val_k, got {n_raw} < {val_k}")
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -123,9 +136,11 @@ def _coerce(section, key, value, ftype):
         raise ConfigError(f"[{section}] {key}: cannot parse {value!r} as {ftype}") from None
 
 
-def parse_config_text(text: str, base: Config | None = None) -> Config:
-    """Parse '[section]' headers and 'key=value' lines over defaults."""
-    cfg = base if base is not None else Config()
+def parse_config_text(text: str) -> Config:
+    """Parse '[section]' headers and 'key=value' lines over defaults; a bad
+    line, key or value type is a ConfigError. Domains are left to
+    ``Config.validate``, so that flags can override a key first."""
+    cfg = Config()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,13 +161,12 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         if key not in ftypes:
             raise ConfigError(f"unknown config key [{section}] {key}")
         setattr(target, key, _coerce(section, key, value, ftypes[key]))
-    cfg.validate()
     return cfg
 
 
-def load_config(path, base: Config | None = None) -> Config:
+def load_config(path) -> Config:
     with open(path) as fh:
-        return parse_config_text(fh.read(), base)
+        return parse_config_text(fh.read())
 
 
 def format_config(cfg: Config) -> str:

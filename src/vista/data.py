@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import _coerce
+from .config import _coerce, check_domains
 from .errors import ConfigError, DataError
 
 SCENARIOS = ("constant-velocity", "crossing", "group", "diverge", "head-on-avoid")
@@ -377,9 +377,10 @@ def split_ratio(scenes: list[Scene], train_frac: float, seed: int = 0):
 @dataclass
 class ScenarioSpec:
     """One synthetic scenario: its name, agent count, ``speed`` (cells per
-    frame) and head-on ``margin`` (cells), both finite and non-negative
-    (and the speed positive for crossing), the seed, and the window count,
-    grid side and frames per window."""
+    frame), head-on ``margin`` (cells), seed, window count, grid side and
+    frames per window. Every number is finite and positive, except that
+    speed, margin and seed may be 0 (``config.check_domains``); crossing
+    needs a positive speed."""
 
     scenario: str
     n_agents: int = 2
@@ -413,7 +414,7 @@ class ScenarioSpec:
         return cls(**parsed)
 
 
-def synth_generate(spec: ScenarioSpec, seed: int | None = None) -> list[Scene]:
+def synth_generate(spec: ScenarioSpec) -> list[Scene]:
     """Deterministic synthetic scenes for desk-scale experiments.
 
     With ``randomize`` off the canonical layout is emitted; with it on,
@@ -425,17 +426,10 @@ def synth_generate(spec: ScenarioSpec, seed: int | None = None) -> list[Scene]:
         raise DataError(f"unknown scenario {spec.scenario!r}; choose from {SCENARIOS}")
     if spec.n_agents > 32:
         raise DataError("synthetic scenes support at most 32 agents")
-    for key in ("n_agents", "n_windows", "n_frames", "grid"):
-        if getattr(spec, key) < 1:
-            raise ConfigError(f"{key} must be a positive count, got {getattr(spec, key)}")
-    for key in ("speed", "margin"):
-        value = getattr(spec, key)
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{key} must be finite and non-negative, got {value}")
+    check_domains(spec)
     if spec.scenario == "crossing" and spec.speed == 0:
         raise ConfigError("speed must be positive for crossing: its agents would never move")
-    seed = spec.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     maker = {
         "constant-velocity": _make_constant_velocity,
         "crossing": _make_crossing,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import Config, ModelConfig, TrainConfig
 from .data import ScenarioSpec, Scene, synth_generate
-from .metrics import EvalInput, calibrate_epsilon, collision_rate, min_ade_k
+from .metrics import EvalInput, calibrate_epsilon, collision_rates, min_ade_k
 from .model import Model
 from .training import train
 
@@ -138,7 +138,7 @@ def evaluate_variant(model: Model, test_scenes, k: int, seed: int, epsilon: floa
             ground_truth=scene.positions()[:, model.config.t_obs :, :],
         )
         minades.append(min_ade_k(ev))
-        crs.append(collision_rate(ev, epsilon, mode="per-sample-mean"))
+        crs.append(collision_rates(ev, epsilon).mean())
     return {"min_ade": float(np.mean(minades)), "cr": float(np.mean(crs))}
 
 

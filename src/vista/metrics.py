@@ -138,20 +138,18 @@ def calibrate_epsilon(scenes) -> float:
     return best - 1e-9
 
 
-def collision_rate(ev: EvalInput, epsilon: float, mode: str = "per-sample-mean") -> float:
-    """Fraction of (ordered pair, step) events closer than ``epsilon``.
-
-    Each joint sample j is scored as
-    sum_t sum_{i != j} 1[dist < eps] / (N (N-1) T); ``per-sample-mean``
-    averages over the k samples, ``best-sample`` takes their minimum.
-    A strict inequality applies at the boundary.
+def collision_rates(ev: EvalInput, epsilon: float) -> np.ndarray:
+    """Per joint sample, the fraction of (ordered pair, step) events closer
+    than ``epsilon``: the (k,) scores sum_t sum_{i != j} 1[dist < eps] / (N (N-1) T).
+    Their mean is the per-sample-mean rate and their minimum the best-sample
+    rate. A strict inequality applies at the boundary.
     """
     if not epsilon >= 0:  # also rejects NaN
         raise DataError(f"epsilon must be >= 0, got {epsilon}")
     n, k, t, _ = ev.predictions.shape
     if n < 2:
         warnings.warn("collision rate over fewer than 2 agents is defined as 0")
-        return 0.0
+        return np.zeros(k)
     per_sample = np.empty(k)
     denom = n * (n - 1) * t
     offdiag = ~np.eye(n, dtype=bool)
@@ -160,11 +158,7 @@ def collision_rate(ev: EvalInput, epsilon: float, mode: str = "per-sample-mean")
         diff = traj[:, None, :, :] - traj[None, :, :, :]
         dist = np.sqrt((diff**2).sum(-1))  # (N, N, T)
         per_sample[j] = (dist < epsilon)[offdiag].sum() / denom
-    if mode == "per-sample-mean":
-        return float(per_sample.mean())
-    if mode == "best-sample":
-        return float(per_sample.min())
-    raise DataError(f"unknown collision-rate mode {mode!r}")
+    return per_sample
 
 
 # -- distribution metrics ------------------------------------------------------
@@ -231,14 +225,9 @@ def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0) -> dict
         [ev.n_agents * (ev.n_agents - 1) * ev.t_fut if ev.n_agents >= 2 else 0.0 for ev in evals]
     )
     if cr_w.sum() > 0:
-        crs_mean = np.array(
-            [collision_rate(ev, epsilon, "per-sample-mean") if w else 0.0 for ev, w in zip(evals, cr_w)]
-        )
-        crs_best = np.array(
-            [collision_rate(ev, epsilon, "best-sample") if w else 0.0 for ev, w in zip(evals, cr_w)]
-        )
-        cr_mean = float((crs_mean * cr_w).sum() / cr_w.sum())
-        cr_best = float((crs_best * cr_w).sum() / cr_w.sum())
+        rates = [collision_rates(ev, epsilon) if w else np.zeros(1) for ev, w in zip(evals, cr_w)]
+        cr_mean = float((np.array([r.mean() for r in rates]) * cr_w).sum() / cr_w.sum())
+        cr_best = float((np.array([r.min() for r in rates]) * cr_w).sum() / cr_w.sum())
     else:
         warnings.warn("no window has two co-present agents; collision rates are 0")
         cr_mean = cr_best = 0.0

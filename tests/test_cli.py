@@ -69,7 +69,7 @@ class TestSynth:
         [("--n", "0", "n_agents"), ("--n", "-1", "n_agents"), ("--windows", "0", "n_windows"),
          ("--frames", "0", "n_frames"), ("--grid", "-3", "grid"),
          ("--speed", "nan", "speed"), ("--speed", "inf", "speed"), ("--margin", "nan", "margin"),
-         ("--speed", "-1", "speed"), ("--margin", "-1", "margin")],
+         ("--speed", "-1", "speed"), ("--margin", "-1", "margin"), ("--seed", "-1", "seed")],
     )
     def test_bad_spec_value_exits_2_naming_key(self, tmp_path, capsys, flag, value, key):
         out = tmp_path / "x"
@@ -169,6 +169,20 @@ REMOVED_KEYS = [
         ("model", "enc_widths", "16"),
         ("train", "val_minade_every", "0"),
         ("train", "val_k", "0"),
+        ("data", "val_ratio", "0"),
+        ("data", "val_ratio", "1.5"),
+        ("data", "stride", "-1"),
+        ("train", "lr", "nan"),
+        ("model", "goal_sigma", "0"),
+        ("model", "traj_sigma", "-1"),
+        ("model", "grid", "0"),
+        ("train", "beta1", "1"),
+        ("train", "adam_eps", "-1"),
+        ("train", "lr_factor", "0"),
+        ("train", "lambda_goal", "-1"),
+        ("train", "seed", "-5"),
+        ("eval", "miss_threshold", "0"),
+        ("model", "n_raw_samples", "5"),  # below the default val_k of 20
     ],
 )
 def test_non_positive_count_exits_2(synth_dir, tmp_path, capsys, section, key, value):
@@ -279,6 +293,17 @@ class TestTrain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "learning_rate" in err["message"]
+
+    def test_negative_seed_flag_exits_2(self, synth_dir, quick_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main([
+            "train", "--data", str(synth_dir), "--config", str(quick_config),
+            "--seed", "-1", "--out", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "seed" in err["message"]
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -472,17 +497,24 @@ class TestEvaluate:
         report = json.loads((out / "metrics.json").read_text())
         assert report["epsilon"] == 0.125
 
-    @pytest.mark.parametrize("flag", ["--epsilon", "--miss-threshold"])
-    def test_nan_threshold_exits_4(self, synth_dir, quick_config, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--epsilon", "nan", "--epsilon"), ("--epsilon", "-1", "--epsilon"),
+         ("--epsilon", "inf", "--epsilon"), ("--epsilon", "wide", "--epsilon"),
+         ("--miss-threshold", "nan", "miss_threshold"), ("--miss-threshold", "-1", "miss_threshold"),
+         ("--miss-threshold", "0", "miss_threshold")],
+    )
+    def test_bad_threshold_exits_2(self, synth_dir, quick_config, tmp_path, capsys, flag, value, key):
         pred_dir = tmp_path / "preds"
         self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
         out = tmp_path / "metrics"
         code = main([
             "evaluate", "--pred", str(pred_dir), "--gt", str(synth_dir),
-            "--config", str(quick_config), flag, "nan", "--out", str(out),
+            "--config", str(quick_config), flag, value, "--out", str(out),
         ])
-        assert code == 4
-        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and key in err["message"]
         assert not out.exists()
 
     def test_alignment_failure_exits_4_with_key(self, synth_dir, quick_config, tmp_path, capsys):

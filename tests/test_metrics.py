@@ -13,7 +13,7 @@ from vista.metrics import (
     ade,
     auc,
     calibrate_epsilon,
-    collision_rate,
+    collision_rates,
     evaluate_windows,
     expected_error_curve,
     fde,
@@ -179,35 +179,35 @@ class TestCollisionRate:
         pred = np.zeros((2, 1, 12, 2))
         pred[1, :, :, 1] = 5.0
         gt = pred[:, 0]
-        assert collision_rate(eval_input(pred, gt), epsilon=1.0) == 0.0
+        assert collision_rates(eval_input(pred, gt), epsilon=1.0).tolist() == [0.0]
 
     def test_single_overlap_step_gives_one_twelfth(self):
         pred = np.zeros((2, 1, 12, 2))
         pred[1, :, :, 1] = 5.0
         pred[1, :, 3, 1] = 0.0  # closer than epsilon at exactly one step
         gt = pred[:, 0]
-        assert collision_rate(eval_input(pred, gt), epsilon=1.0) == pytest.approx(2 / (2 * 1 * 12))
+        assert collision_rates(eval_input(pred, gt), epsilon=1.0) == pytest.approx([2 / (2 * 1 * 12)])
 
     def test_distance_exactly_epsilon_is_no_collision(self):
         pred = np.zeros((2, 1, 4, 2))
         pred[1, :, :, 1] = 1.0
         gt = pred[:, 0]
-        assert collision_rate(eval_input(pred, gt), epsilon=1.0) == 0.0
+        assert collision_rates(eval_input(pred, gt), epsilon=1.0).tolist() == [0.0]
 
     def test_single_agent_warns_and_returns_zero(self):
         pred = np.zeros((1, 2, 4, 2))
         gt = pred[:, 0]
         with pytest.warns(UserWarning):
-            assert collision_rate(eval_input(pred, gt), epsilon=1.0) == 0.0
+            assert collision_rates(eval_input(pred, gt), epsilon=1.0).tolist() == [0.0, 0.0]
 
-    def test_best_sample_mode_takes_min(self):
+    def test_per_sample_rates_give_mean_and_best(self):
         pred = np.zeros((2, 2, 4, 2))
         pred[1, 0, :, 1] = 0.1  # sample 0 collides everywhere
         pred[1, 1, :, 1] = 9.0  # sample 1 never collides
         gt = pred[:, 1]
         ev = eval_input(pred, gt)
-        assert collision_rate(ev, 1.0, mode="per-sample-mean") == pytest.approx(0.5)
-        assert collision_rate(ev, 1.0, mode="best-sample") == 0.0
+        assert collision_rates(ev, 1.0).mean() == pytest.approx(0.5)
+        assert collision_rates(ev, 1.0).min() == 0.0
 
     def test_ground_truth_zero_at_calibrated_epsilon(self):
         rng = np.random.default_rng(3)
@@ -217,7 +217,7 @@ class TestCollisionRate:
         )
         eps = calibrate_epsilon([scene])
         ev = eval_input(tracks[:, None, :, :], tracks)
-        assert collision_rate(ev, eps) == 0.0
+        assert collision_rates(ev, eps).tolist() == [0.0]
 
 
 class TestKdeNll:
@@ -303,7 +303,7 @@ class TestOrderingProperties:
         assert auc(moved)[0] == pytest.approx(auc(ev)[0], abs=1e-9)
         assert kde_nll(moved) == pytest.approx(kde_nll(ev), abs=1e-9)
         assert miss_rate(moved, 2.0) == miss_rate(ev, 2.0)
-        assert collision_rate(moved, 1.5) == collision_rate(ev, 1.5)
+        assert collision_rates(moved, 1.5).mean() == collision_rates(ev, 1.5).mean()
 
 
 class TestReport:
