@@ -367,9 +367,27 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _read_prediction(path, scene, t_obs) -> np.ndarray:
+    """(N, k, T, 2) trajectories over ``scene``'s future frames from a
+    prediction file, k being its count of distinct sample ids; AlignmentError
+    names the first (sample, frame, agent) key that is missing or extra."""
+    records = load_prediction_txt(path)
+    k = len({j for j, _, _ in records})
+    frames = [int(f) for f in scene.frame_ids[t_obs:]]
+    try:
+        return prediction_array(records, scene.agent_ids, frames, k)
+    except AlignmentError:
+        # Only a failing window pays for the key sets that name the mismatch.
+        expected = {(j, f, a) for j in range(k) for f in frames for a in scene.agent_ids}
+        diff = sorted(expected.symmetric_difference(records))
+        raise AlignmentError(
+            f"{path}: prediction/ground-truth mismatch at (sample, frame, agent) = {diff[0]}",
+            first_mismatch=diff[0],
+        ) from None
+
+
 def _eval_inputs_from_files(scenes, pred_dir, t_obs):
     evals = []
-    k_global = None
     for scene in scenes:
         path = os.path.join(pred_dir, _pred_filename(scene))
         if not os.path.isfile(path):
@@ -377,27 +395,13 @@ def _eval_inputs_from_files(scenes, pred_dir, t_obs):
                 f"missing prediction file for {scene.key()}: {path}",
                 first_mismatch=scene.key(),
             )
-        records = load_prediction_txt(path)
-        samples = sorted({j for j, _, _ in records})
-        k = len(samples)
-        if samples != list(range(k)) or (k_global not in (None, k)):
+        ev = eval_from_scene(scene, _read_prediction(path, scene, t_obs), t_obs)
+        if evals and ev.k != evals[0].k:
             raise AlignmentError(
-                f"{path}: inconsistent sample ids", first_mismatch=scene.key()
+                f"{path}: {ev.k} samples where the first window has {evals[0].k}",
+                first_mismatch=scene.key(),
             )
-        k_global = k
-        frames = [int(f) for f in scene.frame_ids[t_obs:]]
-        agents = scene.agent_ids
-        try:
-            traj = prediction_array(records, agents, frames, k)
-        except AlignmentError:
-            # Only a failing window pays for the key sets that name the mismatch.
-            expected = {(j, f, a) for j in range(k) for f in frames for a in agents}
-            diff = sorted(expected.symmetric_difference(records))
-            raise AlignmentError(
-                f"{path}: prediction/ground-truth mismatch at (sample, frame, agent) = {diff[0]}",
-                first_mismatch=diff[0],
-            ) from None
-        evals.append(eval_from_scene(scene, traj, t_obs))
+        evals.append(ev)
     return evals
 
 
@@ -436,8 +440,8 @@ def cmd_evaluate(args) -> int:
 def _load_trace(path) -> dict:
     """A trace JSON written by ``predict --trace``, each step's matrix as an
     array; DataError names the file when it is not JSON or lacks a key that
-    ``render`` reads, or a step is not an integer ``t`` with an N x N
-    ``matrix`` for the N ``agent_ids``."""
+    ``render`` reads, an agent id is not an integer, or a step is not an
+    integer ``t`` with a finite N x N ``matrix`` for the N ``agent_ids``."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -447,6 +451,8 @@ def _load_trace(path) -> dict:
         raise DataError(f"{path}: a trace needs 'steps' and 'agent_ids'")
     if not isinstance(obj["steps"], list) or not isinstance(obj["agent_ids"], list):
         raise DataError(f"{path}: 'steps' and 'agent_ids' must be lists")
+    if any(type(a) is not int for a in obj["agent_ids"]):  # also refuses a JSON boolean
+        raise DataError(f"{path}: 'agent_ids' must be integers")
     n = len(obj["agent_ids"])
     for entry in obj["steps"]:
         if not isinstance(entry, dict) or not {"t", "matrix"} <= entry.keys():
@@ -454,10 +460,10 @@ def _load_trace(path) -> dict:
         try:
             matrix = np.asarray(entry["matrix"], dtype=np.float64)
         except (TypeError, ValueError):
-            matrix = None
-        if not isinstance(entry["t"], int) or matrix is None or matrix.shape != (n, n):
+            matrix = np.empty(0)
+        if type(entry["t"]) is not int or matrix.shape != (n, n) or not np.isfinite(matrix).all():
             raise DataError(
-                f"{path}: step t={entry['t']!r} needs an integer 't' and a {n}x{n} numeric 'matrix'"
+                f"{path}: step t={entry['t']!r} needs an integer 't' and a {n}x{n} finite 'matrix'"
             )
         entry["matrix"] = matrix
     return obj
@@ -476,15 +482,14 @@ def cmd_render(args) -> int:
             ) from None
     traces = [(path, _load_trace(path)) for path in args.trace]
     scenes = _load_scenes(args, cfg, data_attr="scene")
+    preds = []  # read in full before the output directory is made
+    for scene in scenes:  # a window without a prediction file is not drawn
+        path = os.path.join(args.pred, _pred_filename(scene))
+        if os.path.isfile(path):
+            preds.append((scene, _read_prediction(path, scene, cfg.model.t_obs)))
     os.makedirs(args.out_svg, exist_ok=True)
     outputs = []
-    for scene in scenes:
-        path = os.path.join(args.pred, _pred_filename(scene))
-        if not os.path.isfile(path):
-            continue
-        records = load_prediction_txt(path)
-        k = len({j for j, _, _ in records})
-        traj = prediction_array(records, scene.agent_ids, scene.frame_ids[cfg.model.t_obs :], k)
+    for scene, traj in preds:
         pred = PredictionSet(agent_ids=list(scene.agent_ids), trajectories=traj)
         out = os.path.join(args.out_svg, f"scene_{scene.scene_id}__w{scene.window_index:03d}.svg")
         write_svg(out, render_scene_svg(scene, pred, cfg.model.t_obs))

@@ -105,9 +105,11 @@ class Config:
         self.model.validate()
         for section in (self.train, self.data, self.eval):
             check_domains(section)
-        n_raw, val_k = self.model.n_raw_samples, self.train.val_k
+        n_raw, val_k, val_ratio = self.model.n_raw_samples, self.train.val_k, self.data.val_ratio
         if n_raw < val_k:
             raise ConfigError(f"n_raw_samples must be >= val_k, got {n_raw} < {val_k}")
+        if 1.0 - val_ratio == 1.0:  # the split trains on 1 - val_ratio of the windows
+            raise ConfigError(f"val_ratio {val_ratio!r} is too small: 1 - val_ratio is 1.0")
 
     def snapshot(self) -> dict:
         return asdict(self)

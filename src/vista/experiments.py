@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import Config, ModelConfig, TrainConfig
 from .data import ScenarioSpec, Scene, synth_generate
-from .metrics import EvalInput, calibrate_epsilon, collision_rates, min_ade_k
+from .metrics import calibrate_epsilon, collision_rates, eval_from_scene, min_ade_k
 from .model import Model
 from .training import train
 
@@ -133,10 +133,7 @@ def evaluate_variant(model: Model, test_scenes, k: int, seed: int, epsilon: floa
     crs = []
     for scene in test_scenes:
         pred = model.predict(scene, k=k, seed=seed)
-        ev = EvalInput(
-            predictions=pred.trajectories,
-            ground_truth=scene.positions()[:, model.config.t_obs :, :],
-        )
+        ev = eval_from_scene(scene, pred.trajectories, model.config.t_obs)
         minades.append(min_ade_k(ev))
         crs.append(collision_rates(ev, epsilon).mean())
     return {"min_ade": float(np.mean(minades)), "cr": float(np.mean(crs))}

@@ -32,52 +32,34 @@ class EvalInput:
     def __post_init__(self):
         self.predictions = np.asarray(self.predictions, dtype=np.float64)
         self.ground_truth = np.asarray(self.ground_truth, dtype=np.float64)
-        if self.predictions.ndim != 4 or self.ground_truth.ndim != 3:
+        n, k, t, two = self.predictions.shape if self.predictions.ndim == 4 else (0, 0, 0, 0)
+        if k < 1 or two != 2 or self.ground_truth.shape != (n, t, 2):
             raise DataError(
-                f"predictions must be (N, k, T, 2) and ground truth (N, T, 2); got "
+                f"predictions must be (N, k >= 1, T, 2) and ground truth (N, T, 2); got "
                 f"{self.predictions.shape} and {self.ground_truth.shape}"
-            )
-        n, k, t, _ = self.predictions.shape
-        if self.ground_truth.shape != (n, t, 2) or k < 1:
-            raise DataError(
-                f"inconsistent shapes: predictions {self.predictions.shape}, "
-                f"ground truth {self.ground_truth.shape}"
             )
         if not (np.isfinite(self.predictions).all() and np.isfinite(self.ground_truth).all()):
             raise DataError("evaluation inputs must be finite")
-
-    @property
-    def n_agents(self):
-        return self.predictions.shape[0]
-
-    @property
-    def k(self):
-        return self.predictions.shape[1]
-
-    @property
-    def t_fut(self):
-        return self.predictions.shape[2]
-
-    def step_errors(self) -> np.ndarray:
-        """(N, k, T) l2 distances to the ground truth."""
+        self.n_agents, self.k, self.t_fut = n, k, t
+        # (N, k, T) l2 distances to the ground truth, read by every displacement metric.
         diff = self.predictions - self.ground_truth[:, None, :, :]
-        return np.sqrt((diff**2).sum(-1))
+        self.errors = np.sqrt((diff**2).sum(-1))
 
 
 # -- displacement metrics ---------------------------------------------------
 
 
 def ade(ev: EvalInput) -> float:
-    return float(ev.step_errors().mean())
+    return float(ev.errors.mean())
 
 
 def fde(ev: EvalInput) -> float:
-    return float(ev.step_errors()[:, :, -1].mean())
+    return float(ev.errors[:, :, -1].mean())
 
 
 def per_sample_ade(ev: EvalInput) -> np.ndarray:
     """(N, k) mean-over-steps l2 error per trajectory sample."""
-    return ev.step_errors().mean(axis=2)
+    return ev.errors.mean(axis=2)
 
 
 def min_ade_k(ev: EvalInput) -> float:
@@ -85,29 +67,27 @@ def min_ade_k(ev: EvalInput) -> float:
 
 
 def min_fde_k(ev: EvalInput) -> float:
-    return float(ev.step_errors()[:, :, -1].min(axis=1).mean())
+    return float(ev.errors[:, :, -1].min(axis=1).mean())
 
 
 # -- binomial-weighted expected-error curve ----------------------------------
 
 
 def expected_error_curve(sample_errors) -> np.ndarray:
-    """E_K for K = 1..k from one agent's per-sample errors.
+    """E_K for K = 1..k from per-sample errors shaped (..., k), one curve
+    along the last axis per leading index.
 
     E_K is the expected error of the best sample within a uniformly random
     K-subset: with errors sorted ascending, the j-th smallest is that minimum
     with probability C(k-j, K-1)/C(k, K). E_1 is the plain mean and E_k the
     minimum, exactly.
     """
-    errors = np.sort(np.asarray(sample_errors, dtype=np.float64))
-    k = len(errors)
-    curve = np.empty(k)
-    for bigk in range(1, k + 1):
-        weights = np.zeros(k)
-        for j in range(1, k - bigk + 2):
-            weights[j - 1] = float(comb(k - j, bigk - 1))
-        curve[bigk - 1] = np.sum(weights * errors) / comb(k, bigk)
-    return curve
+    errors = np.sort(np.asarray(sample_errors, dtype=np.float64), axis=-1)
+    k = errors.shape[-1]
+    ranks = np.arange(1, k + 1)
+    binom = np.frompyfunc(comb, 2, 1)
+    counts = binom(k - ranks, ranks[:, None] - 1).astype(np.float64)  # row K-1, column j-1
+    return np.sum(counts * errors[..., None, :], axis=-1) / binom(k, ranks).astype(np.float64)
 
 
 def auc(ev: EvalInput):
@@ -116,10 +96,7 @@ def auc(ev: EvalInput):
     Also exposed per agent-mean as ``auc_mean`` in reports, since the summed
     form scales with the number of agents.
     """
-    errors = per_sample_ade(ev)
-    curve = np.zeros(ev.k)
-    for i in range(ev.n_agents):
-        curve += expected_error_curve(errors[i])
+    curve = expected_error_curve(per_sample_ade(ev)).sum(axis=0)
     return float(curve.sum()), curve
 
 
@@ -150,15 +127,10 @@ def collision_rates(ev: EvalInput, epsilon: float) -> np.ndarray:
     if n < 2:
         warnings.warn("collision rate over fewer than 2 agents is defined as 0")
         return np.zeros(k)
-    per_sample = np.empty(k)
-    denom = n * (n - 1) * t
-    offdiag = ~np.eye(n, dtype=bool)
-    for j in range(k):
-        traj = ev.predictions[:, j]  # (N, T, 2)
-        diff = traj[:, None, :, :] - traj[None, :, :, :]
-        dist = np.sqrt((diff**2).sum(-1))  # (N, N, T)
-        per_sample[j] = (dist < epsilon)[offdiag].sum() / denom
-    return per_sample
+    diff = ev.predictions[:, None] - ev.predictions[None, :]
+    close = np.sqrt((diff**2).sum(-1)) < epsilon  # (N, N, k, T)
+    close[np.diag_indices(n)] = False
+    return close.sum(axis=(0, 1, 3)) / (n * (n - 1) * t)
 
 
 # -- distribution metrics ------------------------------------------------------
@@ -173,24 +145,18 @@ def kde_nll(ev: EvalInput, bandwidth_floor: float = 1e-3) -> float:
     """
     if ev.k < 2:
         raise DataError("kde_nll needs k >= 2 samples")
-    n, k, t, _ = ev.predictions.shape
-    nll = 0.0
-    for i in range(n):
-        for step in range(t):
-            cloud = ev.predictions[i, :, step, :]  # (k, 2)
-            std = math.sqrt(cloud.var(axis=0).mean())
-            h = max(k ** (-1.0 / 3.0) * std, bandwidth_floor)
-            d2 = ((cloud - ev.ground_truth[i, step]) ** 2).sum(-1)
-            density = np.exp(-0.5 * d2 / (h * h)).mean() / (2.0 * math.pi * h * h)
-            nll -= math.log(max(density, 1e-300))
-    return nll / (n * t)
+    cloud = ev.predictions  # (N, k, T, 2)
+    h = np.maximum(ev.k ** (-1.0 / 3.0) * np.sqrt(cloud.var(axis=1).mean(-1)), bandwidth_floor)
+    d2 = ((cloud - ev.ground_truth[:, None]) ** 2).sum(-1)  # (N, k, T)
+    density = np.exp(-0.5 * d2 / (h * h)[:, None]).mean(axis=1) / (2.0 * math.pi * h * h)
+    return float(-np.log(np.maximum(density, 1e-300)).mean())
 
 
 def miss_rate(ev: EvalInput, threshold: float) -> float:
     """Fraction of agents whose best-of-k final displacement exceeds the threshold."""
     if not threshold > 0:  # also rejects NaN
         raise DataError(f"miss threshold must be positive, got {threshold}")
-    final = ev.step_errors()[:, :, -1].min(axis=1)
+    final = ev.errors[:, :, -1].min(axis=1)
     return float((final > threshold).mean())
 
 
@@ -207,23 +173,16 @@ def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0) -> dict
     """
     if not evals:
         raise DataError("no evaluation windows")
-    k = evals[0].k
     agents = np.array([ev.n_agents for ev in evals], dtype=np.float64)
     weights = agents / agents.sum()
 
     def pooled(fn):
         return float(sum(w * fn(ev) for w, ev in zip(weights, evals)))
 
-    auc_total = 0.0
-    curve_total = np.zeros(k)
-    for ev in evals:
-        a, curve = auc(ev)
-        auc_total += a
-        curve_total += curve
+    totals, curves = zip(*(auc(ev) for ev in evals))
+    auc_total, curve_total = sum(totals), sum(curves)
 
-    cr_w = np.array(
-        [ev.n_agents * (ev.n_agents - 1) * ev.t_fut if ev.n_agents >= 2 else 0.0 for ev in evals]
-    )
+    cr_w = np.array([ev.n_agents * (ev.n_agents - 1) * ev.t_fut for ev in evals], dtype=np.float64)
     if cr_w.sum() > 0:
         rates = [collision_rates(ev, epsilon) if w else np.zeros(1) for ev, w in zip(evals, cr_w)]
         cr_mean = float((np.array([r.mean() for r in rates]) * cr_w).sum() / cr_w.sum())
@@ -243,7 +202,7 @@ def evaluate_windows(evals, epsilon: float, miss_threshold: float = 2.0) -> dict
         "cr": cr_mean,
         "cr_mean": cr_mean,
         "cr_best": cr_best,
-        "kde_nll": pooled(lambda e: kde_nll(e)) if k >= 2 else None,
+        "kde_nll": pooled(kde_nll) if evals[0].k >= 2 else None,
         "miss_rate": pooled(lambda e: miss_rate(e, miss_threshold)),
         "epsilon": float(epsilon),
         "n_agents": int(agents.sum()),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -425,7 +426,9 @@ def save_prediction_txt(path, scene: Scene, pred: PredictionSet, t_obs: int):
 
 
 def load_prediction_txt(path):
-    """Returns {(sample_id, frame_id, agent_id): (x, y)}, one entry per line."""
+    """Returns {(sample_id, frame_id, agent_id): (x, y)}, one entry per line;
+    DataError names the file, and the line where there is one, when the file
+    holds no record or a line is malformed, non-finite or a duplicate."""
     records = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -439,9 +442,13 @@ def load_prediction_txt(path):
                 raise DataError(
                     f"{path}:{lineno}: expected 'sample frame agent x y', got {raw.strip()!r}"
                 ) from None
+            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+                raise DataError(f"{path}:{lineno}: non-finite coordinate in {raw.strip()!r}")
             if key in records:
                 raise DataError(f"{path}:{lineno}: duplicate record for (sample, frame, agent) = {key}")
             records[key] = xy
+    if not records:
+        raise DataError(f"{path}: no prediction records")
     return records
 
 

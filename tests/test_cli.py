@@ -1,10 +1,16 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import re
+import shutil
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from vista.cli import main
 from vista.data import SCENARIOS
@@ -249,6 +255,20 @@ class TestTrain:
             "--out", str(out), "--fold", "1",
         ]) == 0
         assert [f for f in os.listdir(out) if f.startswith("checkpoint_")] == ["checkpoint_fold0.bin"]
+
+    @pytest.mark.parametrize("fold", ["ratio", "all"])
+    def test_val_ratio_below_rounding_exits_2_before_output(self, synth_dir, tmp_path, capsys, fold):
+        # 1 - 1e-17 rounds to 1, which would leave no validation window.
+        cfg = tmp_path / "tiny_val.cfg"
+        cfg.write_text("[model]\nt_obs=4\nt_fut=3\ngrid=16\n[data]\nval_ratio=1e-17\n")
+        out = tmp_path / "o"
+        code = main([
+            "train", "--data", str(synth_dir), "--config", str(cfg), "--fold", fold, "--out", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "val_ratio" in err["message"]
+        assert not out.exists()
 
     def test_non_finite_coordinate_exits_4(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -581,6 +601,64 @@ class TestEvaluate:
         assert info.value.first_mismatch == key
         assert str(info.value).endswith(f"(sample, frame, agent) = {key}")
 
+    @pytest.mark.parametrize("command", ["evaluate", "render"])
+    @pytest.mark.parametrize("value, message", [
+        (None, ": no prediction records"),
+        ("nan", ":3: non-finite coordinate"),
+        ("-inf", ":3: non-finite coordinate"),
+        ("1e400", ":3: non-finite coordinate"),
+    ], ids=["empty_file", "nan", "minus_inf", "overflow"])
+    def test_empty_or_non_finite_prediction_exits_4_naming_file(
+        self, synth_dir, quick_config, tmp_path, capsys, command, value, message
+    ):
+        pred_dir = tmp_path / "preds"
+        scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
+        victim = pred_dir / f"pred_{scenes[0].scene_id}__w000.txt"
+        lines = victim.read_text().splitlines()
+        if value is not None:
+            lines[2] = " ".join(lines[2].split()[:3] + [value, "1.0"])
+        victim.write_text("\n".join(lines) + "\n" if value is not None else "")
+        out = tmp_path / "o"
+        code = main(cli_args(command, synth_dir, pred_dir, quick_config, out))
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and f"{victim}{message}" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "render"])
+    def test_sample_id_gap_names_first_missing_key(self, synth_dir, quick_config, tmp_path, capsys, command):
+        pred_dir = tmp_path / "preds"
+        scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
+        victim = pred_dir / f"pred_{scenes[0].scene_id}__w000.txt"
+        victim.write_text(re.sub(r"(?m)^1 ", "5 ", victim.read_text()))
+        out = tmp_path / "o"
+        code = main(cli_args(command, synth_dir, pred_dir, quick_config, out))
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        first = (1, int(scenes[0].frame_ids[4]), int(min(scenes[0].agent_ids)))
+        assert err["error"] == "AlignmentError" and err["message"].endswith(f"= {first}")
+        assert not out.exists()
+
+    def test_sample_count_differing_between_windows_exits_4(self, synth_dir, quick_config, tmp_path, capsys):
+        pred_dir = tmp_path / "preds"
+        scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4, k=2)
+        self.write_gt_as_predictions(synth_dir, pred_dir / "k3", t_obs=4)
+        first = f"pred_{scenes[0].scene_id}__w000.txt"
+        os.replace(pred_dir / "k3" / first, pred_dir / first)
+        code = main(cli_args("evaluate", synth_dir, pred_dir, quick_config, tmp_path / "o"))
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "AlignmentError" and "2 samples where the first window has 3" in err["message"]
+
+
+def cli_args(command, data, pred_dir, config, out):
+    """``evaluate`` or ``render`` over one data directory and prediction directory."""
+    if command == "evaluate":
+        return ["evaluate", "--pred", str(pred_dir), "--gt", str(data), "--config", str(config),
+                "--out", str(out)]
+    return ["render", "--scene", str(data), "--pred", str(pred_dir), "--config", str(config),
+            "--out-svg", str(out)]
+
 
 class TestRender:
     def test_single_agent_scene_svg_element_counts(self, tmp_path, quick_config):
@@ -649,9 +727,14 @@ class TestRender:
         json.dumps({"agent_ids": [0, 1], "steps": [{"t": 5, "matrix": "abc"}]}),
         json.dumps({"agent_ids": [0, 1], "steps": [{"t": "x", "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}),
         json.dumps({"agent_ids": [0], "steps": [{"t": 5, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}),
+        '{"agent_ids": [0, 1], "steps": [{"t": 5, "matrix": [[NaN, 0.0], [0.0, 1.0]]}]}',
+        '{"agent_ids": [0, 1], "steps": [{"t": 5, "matrix": [[1e400, 0.0], [0.0, 1.0]]}]}',
+        '{"agent_ids": [0, 1], "steps": [{"t": true, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}',
+        '{"agent_ids": [0, true], "steps": [{"t": 5, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}',
     ], ids=[
         "not_json", "no_steps", "no_agent_ids", "step_without_t", "step_without_matrix",
-        "matrix_not_numeric", "t_not_integer", "matrix_not_n_by_n",
+        "matrix_not_numeric", "t_not_integer", "matrix_not_n_by_n", "matrix_nan",
+        "matrix_overflow", "t_boolean", "agent_id_boolean",
     ])
     def test_malformed_trace_exits_4_naming_file(self, synth_dir, quick_config, tmp_path, capsys, text):
         tpath = tmp_path / "trace_bad.json"
@@ -666,6 +749,93 @@ class TestRender:
         assert err["error"] == "DataError"
         assert "trace_bad.json" in err["message"]
         assert not out.exists()
+
+
+# One field of a prediction or trace file set to a boundary value, as the
+# token written into the file; "empty" is an empty field, or the empty
+# string in JSON.
+BOUNDARY_TOKENS = {
+    "empty": ("", '""'), "nan": ("nan", "NaN"), "inf": ("inf", "Infinity"),
+    "-inf": ("-inf", "-Infinity"), "1e400": ("1e400", "1e400"), "true": ("true", "true"),
+}
+
+
+@pytest.fixture(scope="module")
+def boundary_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("boundary")
+    data = base / "data"
+    assert main([
+        "synth", "--scenario", "crossing", "--n", "2", "--seed", "3", "--windows", "2",
+        "--frames", "7", "--randomize", "--speed", "0.6", "--out", str(data),
+    ]) == 0
+    config = base / "quick.cfg"
+    config.write_text("[model]\nt_obs=4\nt_fut=3\ngrid=16\n")
+    scenes = TestEvaluate().write_gt_as_predictions(data, base / "preds", t_obs=4, k=2)
+    trace = {"agent_ids": [int(a) for a in scenes[0].agent_ids],
+             "steps": [{"t": 5, "matrix": [[0.75, 0.25], [0.5, 0.5]]}]}
+    return base, data, config, trace, itertools.count()
+
+
+@seed(18)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["evaluate", "render"]),
+    target=st.sampled_from(["prediction", "trace"]),
+    field=st.integers(0, 4),
+    value=st.sampled_from([*BOUNDARY_TOKENS, "duplicate key", "sample-id gap", "empty file"]),
+)
+def test_boundary_field_in_prediction_or_trace_exits_with_a_documented_code(
+    boundary_inputs, command, target, field, value
+):
+    # A run ends with a documented code and never a traceback; a rejected run
+    # prints the JSON error line and leaves no output directory, and an
+    # accepted one writes no non-finite coordinate.
+    base, data, config, trace, counter = boundary_inputs
+    run_dir = base / f"run{next(counter)}"
+    shutil.copytree(base / "preds", run_dir / "preds")
+    if target == "prediction":
+        victim = sorted((run_dir / "preds").iterdir())[0]
+        lines = victim.read_text().splitlines()
+        if value in BOUNDARY_TOKENS:
+            parts = lines[1].split()
+            parts[field] = BOUNDARY_TOKENS[value][0]
+            lines[1] = " ".join(parts)
+        elif value == "duplicate key":
+            lines.append(lines[1])
+        elif value == "sample-id gap":
+            lines = [re.sub(r"^1 ", "2 ", line) for line in lines]
+        text = "" if value == "empty file" else "\n".join(lines) + "\n"
+        victim.write_text(text)
+        extra = []
+    else:
+        slot = ("t", "matrix", "agent_ids", "t", "matrix")[field]
+        entry = dict(trace["steps"][0])
+        obj = {"agent_ids": list(trace["agent_ids"]), "steps": [entry]}
+        if slot == "t":
+            entry["t"] = "@"
+        elif slot == "matrix":
+            entry["matrix"] = [["@", 0.25], [0.5, 0.5]]
+        else:
+            obj["agent_ids"][1] = "@"
+        text = json.dumps(obj).replace('"@"', BOUNDARY_TOKENS.get(value, ("", "7"))[1])
+        if value == "duplicate key":
+            text = text.replace('"t": ', '"t": 5, "t": ', 1)
+        elif value == "empty file":
+            text = ""
+        (run_dir / "trace.json").write_text(text)
+        extra = ["--trace", str(run_dir / "trace.json")] if command == "render" else []
+    out = run_dir / "out"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(cli_args(command, data, run_dir / "preds", config, out) + extra)
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        assert json.loads(err.getvalue())["code"] == code
+        assert not out.exists()
+    else:
+        written = "".join(p.read_text() for p in out.iterdir()).lower()
+        assert "nan" not in written and "inf" not in written
+    if target == "prediction":
+        assert code == 4  # every edit breaks the file
 
 
 def test_unknown_command_shows_help(capsys):

@@ -331,3 +331,104 @@ class TestReport:
         lines = (tmp_path / "m.csv").read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].split(",")[0] == "ade"
+
+
+# -- loop references ------------------------------------------------------------
+# The per-agent, per-step and per-sample loops that the array forms in
+# vista.metrics replaced, kept as the oracle for them.
+
+
+def reference_errors(ev):
+    diff = ev.predictions - ev.ground_truth[:, None, :, :]
+    return np.sqrt((diff**2).sum(-1))
+
+
+def reference_curve(sample_errors):
+    errors = np.sort(np.asarray(sample_errors, dtype=np.float64))
+    k = len(errors)
+    curve = np.empty(k)
+    for bigk in range(1, k + 1):
+        weights = np.zeros(k)
+        for j in range(1, k - bigk + 2):
+            weights[j - 1] = float(math.comb(k - j, bigk - 1))
+        curve[bigk - 1] = np.sum(weights * errors) / math.comb(k, bigk)
+    return curve
+
+
+def reference_auc(ev):
+    errors = reference_errors(ev).mean(axis=2)
+    curve = np.zeros(ev.k)
+    for i in range(ev.n_agents):
+        curve += reference_curve(errors[i])
+    return float(curve.sum()), curve
+
+
+def reference_collision_rates(ev, epsilon):
+    n, k, t, _ = ev.predictions.shape
+    per_sample = np.empty(k)
+    offdiag = ~np.eye(n, dtype=bool)
+    for j in range(k):
+        traj = ev.predictions[:, j]
+        diff = traj[:, None, :, :] - traj[None, :, :, :]
+        dist = np.sqrt((diff**2).sum(-1))
+        per_sample[j] = (dist < epsilon)[offdiag].sum() / (n * (n - 1) * t)
+    return per_sample
+
+
+def reference_kde_nll(ev, bandwidth_floor=1e-3):
+    n, k, t, _ = ev.predictions.shape
+    nll = 0.0
+    for i in range(n):
+        for step in range(t):
+            cloud = ev.predictions[i, :, step, :]
+            std = math.sqrt(cloud.var(axis=0).mean())
+            h = max(k ** (-1.0 / 3.0) * std, bandwidth_floor)
+            d2 = ((cloud - ev.ground_truth[i, step]) ** 2).sum(-1)
+            density = np.exp(-0.5 * d2 / (h * h)).mean() / (2.0 * math.pi * h * h)
+            nll -= math.log(max(density, 1e-300))
+    return nll / (n * t)
+
+
+def assert_rel(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= rel * np.abs(want)), (got, want)
+
+
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 24),
+    t=st.integers(1, 15),
+    seed=st.integers(0, 2**31 - 1),
+    collapsed=st.booleans(),
+    epsilon=st.sampled_from([0.0, 0.5, 2.0, 6.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_array_metrics_match_loop_references(n, k, t, seed, collapsed, epsilon):
+    rng = np.random.default_rng(seed)
+    pred = rng.normal(scale=3.0, size=(n, k, t, 2)) + rng.normal(scale=4.0, size=(n, 1, t, 2))
+    if collapsed:  # every sample at one point: zero spread, floored bandwidth
+        pred[:] = pred[:, :1]
+    ev = eval_input(pred, rng.normal(scale=4.0, size=(n, t, 2)))
+    errors = reference_errors(ev)
+    assert ev.errors.tobytes() == errors.tobytes()
+    assert ade(ev) == float(errors.mean())
+    assert fde(ev) == float(errors[:, :, -1].mean())
+    assert per_sample_ade(ev).tobytes() == errors.mean(axis=2).tobytes()
+    assert min_ade_k(ev) == float(errors.mean(axis=2).min(axis=1).mean())
+    assert min_fde_k(ev) == float(errors[:, :, -1].min(axis=1).mean())
+    assert miss_rate(ev, 2.0) == float((errors[:, :, -1].min(axis=1) > 2.0).mean())
+    if n >= 2:
+        assert collision_rates(ev, epsilon).tobytes() == reference_collision_rates(ev, epsilon).tobytes()
+    total, curve = auc(ev)
+    ref_total, ref_curve = reference_auc(ev)
+    assert_rel(total, ref_total)
+    assert_rel(curve, ref_curve)
+    if k >= 2:
+        assert_rel(kde_nll(ev), reference_kde_nll(ev))
+
+
+def test_batched_curve_is_each_row_curve_bitwise():
+    errors = np.random.default_rng(4).uniform(0, 9, size=(3, 5, 24))
+    batched = expected_error_curve(errors)
+    for index in np.ndindex(3, 5):
+        assert batched[index].tobytes() == reference_curve(errors[index]).tobytes()
