@@ -218,15 +218,25 @@ def _load_scenes(args, cfg: Config, data_attr="data"):
         for scene in scenes:
             if scene.scene_id not in cache:
                 path = os.path.join(raster_dir, f"{scene.scene_id}.txt")
-                cache[scene.scene_id] = load_raster(path) if os.path.isfile(path) else None
+                raster = load_raster(path) if os.path.isfile(path) else None
+                if raster is not None and (
+                    raster.n_classes != cfg.model.n_classes or raster.height % 4 or raster.width % 4
+                ):
+                    raise DataError(
+                        f"{path}: the model reads {cfg.model.n_classes}-class rasters with sides "
+                        f"divisible by 4, got {raster.height}x{raster.width}x{raster.n_classes}"
+                    )
+                cache[scene.scene_id] = raster
             scene.raster = cache[scene.scene_id]
     if not scenes:
         raise DataError(f"{data_path}: no usable windows")
     return scenes
 
 
-def _pred_filename(scene) -> str:
-    return f"pred_{scene.scene_id}__w{scene.window_index:03d}.txt"
+def _window_file(prefix: str, scene, suffix: str) -> str:
+    """The file name of one window's output: ``prefix``, the window's stem
+    ``{scene_id}__w{window_index:03d}``, then ``suffix``."""
+    return f"{prefix}{scene.scene_id}__w{scene.window_index:03d}{suffix}"
 
 
 # -- commands -----------------------------------------------------------------
@@ -257,7 +267,7 @@ def cmd_synth(args) -> int:
     os.makedirs(raster_dir, exist_ok=True)
     outputs = []
     for scene in scenes:
-        path = os.path.join(args.out, f"{scene.scene_id}__w{scene.window_index:03d}.txt")
+        path = os.path.join(args.out, _window_file("", scene, ".txt"))
         save_trajectories(path, scene)
         outputs.append(path)
     raster_path = os.path.join(raster_dir, f"{spec.scenario}.txt")
@@ -347,15 +357,12 @@ def cmd_predict(args) -> int:
     for scene in scenes:
         pred = model.predict(scene, k=args.k, seed=args.seed, capture_trace=args.trace)
         os.makedirs(args.out, exist_ok=True)  # made at the first write: a rejected run leaves none
-        path = os.path.join(args.out, _pred_filename(scene))
+        path = os.path.join(args.out, _window_file("pred_", scene, ".txt"))
         save_prediction_txt(path, scene, pred, cfg.model.t_obs)
         outputs.append(path)
         if args.trace:
             for j, steps in enumerate(pred.traces):
-                tpath = os.path.join(
-                    args.out,
-                    f"trace_{scene.scene_id}__w{scene.window_index:03d}_s{j:02d}.json",
-                )
+                tpath = os.path.join(args.out, _window_file("trace_", scene, f"_s{j:02d}.json"))
                 save_trace_json(tpath, steps, pred.agent_ids, scene.key(), j, cfg.model.t_obs)
                 outputs.append(tpath)
     _write_manifest(
@@ -389,13 +396,17 @@ def _read_prediction(path, scene, t_obs) -> np.ndarray:
 def _eval_inputs_from_files(scenes, pred_dir, t_obs):
     evals = []
     for scene in scenes:
-        path = os.path.join(pred_dir, _pred_filename(scene))
+        path = os.path.join(pred_dir, _window_file("pred_", scene, ".txt"))
         if not os.path.isfile(path):
             raise AlignmentError(
                 f"missing prediction file for {scene.key()}: {path}",
                 first_mismatch=scene.key(),
             )
-        ev = eval_from_scene(scene, _read_prediction(path, scene, t_obs), t_obs)
+        trajectories = _read_prediction(path, scene, t_obs)
+        try:
+            ev = eval_from_scene(scene, trajectories, t_obs)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         if evals and ev.k != evals[0].k:
             raise AlignmentError(
                 f"{path}: {ev.k} samples where the first window has {evals[0].k}",
@@ -458,6 +469,8 @@ def _load_trace(path) -> dict:
         if not isinstance(entry, dict) or not {"t", "matrix"} <= entry.keys():
             raise DataError(f"{path}: every trace step needs 't' and 'matrix'")
         try:
+            if any(type(v) not in (int, float) for row in entry["matrix"] for v in row):
+                raise TypeError  # a JSON boolean or string is no weight
             matrix = np.asarray(entry["matrix"], dtype=np.float64)
         except (TypeError, ValueError):
             matrix = np.empty(0)
@@ -484,14 +497,14 @@ def cmd_render(args) -> int:
     scenes = _load_scenes(args, cfg, data_attr="scene")
     preds = []  # read in full before the output directory is made
     for scene in scenes:  # a window without a prediction file is not drawn
-        path = os.path.join(args.pred, _pred_filename(scene))
+        path = os.path.join(args.pred, _window_file("pred_", scene, ".txt"))
         if os.path.isfile(path):
             preds.append((scene, _read_prediction(path, scene, cfg.model.t_obs)))
     os.makedirs(args.out_svg, exist_ok=True)
     outputs = []
     for scene, traj in preds:
         pred = PredictionSet(agent_ids=list(scene.agent_ids), trajectories=traj)
-        out = os.path.join(args.out_svg, f"scene_{scene.scene_id}__w{scene.window_index:03d}.svg")
+        out = os.path.join(args.out_svg, _window_file("scene_", scene, ".svg"))
         write_svg(out, render_scene_svg(scene, pred, cfg.model.t_obs))
         outputs.append(out)
 

@@ -238,7 +238,10 @@ def load_raster(path) -> SceneRaster:
         raise DataError(f"{path}: raster sides must be positive, got {h} {w} {d}")
     if values.size != h * w * d:
         raise DataError(f"{path}: expected {h * w * d} raster values, got {values.size}")
-    return SceneRaster(values.reshape(h, w, d))
+    try:
+        return SceneRaster(values.reshape(h, w, d))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_raster(path, raster: SceneRaster):

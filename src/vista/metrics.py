@@ -38,12 +38,14 @@ class EvalInput:
                 f"predictions must be (N, k >= 1, T, 2) and ground truth (N, T, 2); got "
                 f"{self.predictions.shape} and {self.ground_truth.shape}"
             )
-        if not (np.isfinite(self.predictions).all() and np.isfinite(self.ground_truth).all()):
-            raise DataError("evaluation inputs must be finite")
         self.n_agents, self.k, self.t_fut = n, k, t
-        # (N, k, T) l2 distances to the ground truth, read by every displacement metric.
-        diff = self.predictions - self.ground_truth[:, None, :, :]
-        self.errors = np.sqrt((diff**2).sum(-1))
+        # (N, k, T) l2 distances to the ground truth, read by every displacement metric;
+        # a non-finite input or a distance beyond float64 leaves a non-finite one.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = self.predictions - self.ground_truth[:, None, :, :]
+            self.errors = np.sqrt((diff**2).sum(-1))
+        if not np.isfinite(self.errors).all():
+            raise DataError("evaluation inputs and their distances must be finite in float64")
 
 
 # -- displacement metrics ---------------------------------------------------

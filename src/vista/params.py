@@ -101,9 +101,6 @@ class ParamStore:
     def zero_grad(self):
         self.grads.fill(0.0)
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return self.split(self.values.copy())
-
     # -- persistence -----------------------------------------------------
 
     def save(self, path):

@@ -12,14 +12,15 @@ i.e. exactly ``early_stop_patience`` epochs after the best one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .config import Config, ModelConfig, TrainConfig
 from .data import Scene, atomic_write, reject_off_grid
-from .errors import DataError, DivergenceError
+from .errors import CheckpointError, DataError, DivergenceError
 from .gpm import encode_gpm_input, goal_target, gpm_forward_batch
+from .metrics import eval_from_scene, per_sample_ade
 from .model import Model, init_params, stable_seed
 from .params import ParamStore
 from .tensor import _node, backward
@@ -141,30 +142,11 @@ class Adam:
             values -= num
 
 
-class PlateauHalver:
-    """Halve the LR once a metric has failed to improve for ``patience``
-    consecutive updates; the best value persists across halvings."""
-
-    def __init__(self, patience: int, factor: float):
-        self.patience = patience
-        self.factor = factor
-        self.best = math.inf
-        self.bad = 0
-
-    def update(self, value: float, lr: float) -> float:
-        if value < self.best:
-            self.best = value
-            self.bad = 0
-            return lr
-        self.bad += 1
-        if self.bad >= self.patience:
-            self.bad = 0
-            return lr * self.factor
-        return lr
-
-
-class EarlyStopper:
-    """True once the metric has not improved for ``patience`` consecutive updates."""
+class Patience:
+    """Counts the consecutive updates in which a metric (lower is better)
+    fails to improve on its best value; ``update`` returns True once that
+    run reaches ``patience``. The best value and its epoch persist when a
+    caller restarts the run (``bad = 0``)."""
 
     def __init__(self, patience: int):
         self.patience = patience
@@ -174,9 +156,7 @@ class EarlyStopper:
 
     def update(self, value: float, epoch: int) -> bool:
         if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.bad = 0
+            self.best, self.best_epoch, self.bad = value, epoch, 0
             return False
         self.bad += 1
         return self.bad >= self.patience
@@ -198,19 +178,24 @@ class EpochRecord:
 
 @dataclass
 class TrainReport:
+    early_stop: Patience  # on validation minADE: the run's best epoch and value
     records: list = field(default_factory=list)
     stop_reason: str = "max_epochs"
-    best_epoch: int = 0
-    best_val_minade: float = math.inf
+
+    @property
+    def best_epoch(self) -> int:
+        return self.early_stop.best_epoch
+
+    @property
+    def best_val_minade(self) -> float:
+        return self.early_stop.best
 
     def to_csv(self, path):
-        lines = ["epoch,goal_loss,traj_loss,total,val_ade,val_minade,lr"]
+        """One column per ``EpochRecord`` field; a value that was not
+        evaluated (nan) is an empty cell."""
+        lines = [",".join(f.name for f in fields(EpochRecord))]
         for r in self.records:
-            minade = "" if math.isnan(r.val_minade) else repr(r.val_minade)
-            lines.append(
-                f"{r.epoch},{r.goal_loss!r},{r.traj_loss!r},{r.total!r},"
-                f"{r.val_ade!r},{minade},{r.lr!r}"
-            )
+            lines.append(",".join("" if math.isnan(v) else repr(v) for v in astuple(r)))
         atomic_write(path, "\n".join(lines) + "\n")
 
     def summary(self) -> str:
@@ -227,116 +212,102 @@ class TrainReport:
         return "\n".join(lines)
 
 
-# -- validation metrics -------------------------------------------------------
+# -- validation ----------------------------------------------------------------
 
 
-def _validation_ade(model: Model, scenes) -> float:
-    """k=1 rollout with the ground-truth goal; agent-weighted mean ADE."""
+def _validation_score(model: Model, scenes, k: int | None = None, seed: int = 0) -> float:
+    """Agent-weighted mean over ``scenes`` of each agent's best-of-k ADE:
+    validation ADE when ``k`` is None (the one rollout toward the
+    ground-truth goals), else validation minADE over k TTST samples drawn
+    with ``seed``."""
     total, count = 0.0, 0
     for scene in scenes:
-        gt = scene.positions()[:, model.config.t_obs :, :]
-        result = model.rollout_with_goals(scene, model.gt_goals(scene))
-        err = np.sqrt(((result.trajectories - gt) ** 2).sum(-1)).mean(axis=1)
-        total += err.sum()
-        count += len(err)
-    return total / count
-
-
-def _validation_minade(model: Model, scenes, k: int, seed: int) -> float:
-    """Best-of-k ADE over TTST-sampled goals with a fixed seed."""
-    total, count = 0.0, 0
-    for scene in scenes:
-        gt = scene.positions()[:, model.config.t_obs :, :]
-        pred = model.predict(scene, k=k, seed=seed)
-        err = np.sqrt(((pred.trajectories - gt[:, None]) ** 2).sum(-1)).mean(axis=2)
-        total += err.min(axis=1).sum()
-        count += err.shape[0]
-    return total / count
+        if k is None:
+            result = model.rollout_with_goals(scene, model.gt_goals(scene))
+            trajectories = result.trajectories[:, None]
+        else:
+            trajectories = model.predict(scene, k=k, seed=seed).trajectories
+        ev = eval_from_scene(scene, trajectories, model.config.t_obs)
+        best = per_sample_ade(ev).min(axis=1)
+        total += best.sum()
+        count += len(best)
+    return float(total / count)
 
 
 # -- training state (resume support) ------------------------------------------
 
 
-_STATE_SCALARS = (
-    "epoch",
-    "lr",
-    "adam_t",
-    "plateau_best",
-    "plateau_bad",
-    "stop_best",
-    "stop_best_epoch",
-    "stop_bad",
-    "first_total",
-)
+@dataclass
+class _Progress:
+    epoch: int  # the last completed epoch
+    lr: float
+    first_total: float = math.nan  # mean loss of the first epoch, for the target stop
 
 
-def save_train_state(path, params, adam, halver, stopper, best_values, epoch, lr, first_total):
+def _state_slots(progress: _Progress, adam: Adam, plateau: Patience, stop: Patience) -> dict:
+    """Every scalar a state file carries: entry name -> (owner, attribute).
+    Saving and resuming both walk this one table."""
+    slots = {f"_state.{attr}": (progress, attr) for attr in ("epoch", "lr", "first_total")}
+    slots["_state.adam_t"] = (adam, "t")
+    for prefix, counter in (("plateau", plateau), ("stop", stop)):
+        slots.update({f"_state.{prefix}_{a}": (counter, a) for a in ("best", "best_epoch", "bad")})
+    return slots
+
+
+def save_train_state(path, params: ParamStore, adam: Adam, best_values, slots: dict):
+    """The parameters, then Adam's moments and the best values as flat
+    vectors laid out like ``params.values``, then one entry per scalar slot."""
     blob = ParamStore()
     for name, t in params.items():
         blob.add(name, t.data)
-    m, v = params.split(adam.m), params.split(adam.v)
-    for name in params.names():
-        blob.add(f"_opt.m.{name}", m[name])
-        blob.add(f"_opt.v.{name}", v[name])
+    blob.add("_opt.m", adam.m)
+    blob.add("_opt.v", adam.v)
     if best_values is not None:
-        for name, arr in best_values.items():
-            blob.add(f"_best.{name}", arr)
-    scalars = dict(
-        epoch=epoch,
-        lr=lr,
-        adam_t=adam.t,
-        plateau_best=halver.best,
-        plateau_bad=halver.bad,
-        stop_best=stopper.best,
-        stop_best_epoch=stopper.best_epoch,
-        stop_bad=stopper.bad,
-        first_total=first_total,
-    )
-    for name in _STATE_SCALARS:
-        blob.add(f"_state.{name}", np.array([float(scalars[name])]))
+        blob.add("_best", best_values)
+    for name, (owner, attr) in slots.items():
+        blob.add(name, [float(getattr(owner, attr))])
     blob.save(path)
 
 
-def _split_state(blob: ParamStore):
-    params = ParamStore()
-    opt_m, opt_v, best, scalars = {}, {}, {}, {}
-    for name, t in blob.items():
-        if name.startswith("_opt.m."):
-            opt_m[name[len("_opt.m.") :]] = t.data
-        elif name.startswith("_opt.v."):
-            opt_v[name[len("_opt.v.") :]] = t.data
-        elif name.startswith("_best."):
-            best[name[len("_best.") :]] = t.data
-        elif name.startswith("_state."):
-            scalars[name[len("_state.") :]] = float(t.data[0])
-        else:
-            params.add(name, t.data)
-    return params, opt_m, opt_v, best, scalars
+def _restore_train_state(blob: ParamStore, adam: Adam, slots: dict):
+    """Load a state file's moments and scalars into ``adam`` and the slots;
+    returns its best values, or None if it has none."""
+    for name in ("_opt.m", "_opt.v", *slots):
+        if name not in blob:
+            raise CheckpointError(f"training state has no entry {name!r}")
+    if any(blob[n].shape != adam.m.shape for n in ("_opt.m", "_opt.v", "_best") if n in blob):
+        raise CheckpointError("training state vectors do not match the parameters")
+    adam.m[...] = blob["_opt.m"].data
+    adam.v[...] = blob["_opt.v"].data
+    for name, (owner, attr) in slots.items():
+        # Each slot keeps its type, so epochs and counts stay integers.
+        setattr(owner, attr, type(getattr(owner, attr))(blob[name].data[0]))
+    return blob["_best"].data if "_best" in blob else None
 
 
 def strip_train_state(blob: ParamStore) -> ParamStore:
-    """Model-only parameters from a checkpoint that may carry training state."""
-    return _split_state(blob)[0]
+    """Model-only parameters from a checkpoint that may carry training state:
+    every entry whose name does not start with ``_``."""
+    params = ParamStore()
+    for name, t in blob.items():
+        if not name.startswith("_"):
+            params.add(name, t.data)
+    return params
 
 
 # -- main loop -----------------------------------------------------------------
 
 
-def train(
-    train_scenes,
-    val_scenes,
-    config: Config,
-    resume_from=None,
-    state_out=None,
-):
+def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=None):
     """Optimize on ``train_scenes`` and schedule/stop on ``val_scenes``.
 
     Deterministic given config.train.seed: epoch shuffles are seeded by
     (seed, epoch), batches accumulate mean gradients in a fixed order, and
     the validation sampler seed is fixed. Returns (best_params, report);
     raises DataError, before the first epoch, on a position of any window
-    outside the grid, and DivergenceError (with the partial report attached)
-    on NaN loss.
+    outside the grid, CheckpointError on a ``resume_from`` state that lacks
+    an entry, and DivergenceError (with the partial report attached) on NaN
+    loss.
     """
     cfg = config.train
     mcfg = config.model
@@ -348,40 +319,22 @@ def train(
 
     if resume_from is not None:
         blob = resume_from if isinstance(resume_from, ParamStore) else ParamStore.load(resume_from)
-        params, opt_m, opt_v, best_values, scalars = _split_state(blob)
-        start_epoch = int(scalars["epoch"])
-        lr = scalars["lr"]
-        first_total = scalars["first_total"]
-        best_values = best_values or None
+        params = strip_train_state(blob)
     else:
         params = init_params(mcfg, seed=cfg.seed)
-        start_epoch = 0
-        lr = cfg.lr
-        first_total = math.nan
-        best_values = None
 
     model = Model(config=mcfg, params=params)
     adam = Adam(params, cfg)
-    halver = PlateauHalver(cfg.plateau_patience, cfg.lr_factor)
-    stopper = EarlyStopper(cfg.early_stop_patience)
-    if resume_from is not None:
-        adam.t = int(scalars["adam_t"])
-        m, v = params.split(adam.m), params.split(adam.v)
-        for name in params.names():
-            m[name][...] = opt_m[name]
-            v[name][...] = opt_v[name]
-        halver.best, halver.bad = scalars["plateau_best"], int(scalars["plateau_bad"])
-        stopper.best = scalars["stop_best"]
-        stopper.best_epoch = int(scalars["stop_best_epoch"])
-        stopper.bad = int(scalars["stop_bad"])
+    plateau = Patience(cfg.plateau_patience)
+    report = TrainReport(Patience(cfg.early_stop_patience))
+    progress = _Progress(epoch=0, lr=cfg.lr)
+    slots = _state_slots(progress, adam, plateau, report.early_stop)
+    best_values = None if resume_from is None else _restore_train_state(blob, adam, slots)
 
-    report = TrainReport()
-    report.best_epoch = stopper.best_epoch
-    report.best_val_minade = stopper.best
     val_seed = stable_seed(cfg.seed, "validation-ttst")
     constants = [window_constants(s, mcfg) for s in train_scenes]
 
-    for epoch in range(start_epoch + 1, cfg.max_epochs + 1):
+    for epoch in range(progress.epoch + 1, cfg.max_epochs + 1):
         shuffle = np.random.default_rng(stable_seed(cfg.seed, "shuffle", epoch))
         order = shuffle.permutation(len(train_scenes))
 
@@ -395,27 +348,23 @@ def train(
                 )
                 if not math.isfinite(total.item()):
                     report.stop_reason = "diverged"
-                    raise DivergenceError(
-                        f"non-finite loss in epoch {epoch}", report=report
-                    )
+                    raise DivergenceError(f"non-finite loss in epoch {epoch}", report=report)
                 backward(total, seed=1.0 / len(batch))
                 goal_parts.append(goal_part)
                 traj_parts.append(traj_part)
                 totals.append(total.item())
-            adam.step(lr)
+            adam.step(progress.lr)
 
         epoch_total = float(np.mean(totals))
-        if math.isnan(first_total):
-            first_total = epoch_total
+        if math.isnan(progress.first_total):
+            progress.first_total = epoch_total
 
         try:
-            val_ade = _validation_ade(model, val_scenes)
+            val_ade = _validation_score(model, val_scenes)
             evaluate_minade = epoch % cfg.val_minade_every == 0 or epoch == cfg.max_epochs
-            val_minade = (
-                _validation_minade(model, val_scenes, cfg.val_k, val_seed)
-                if evaluate_minade
-                else math.nan
-            )
+            val_minade = math.nan
+            if evaluate_minade:
+                val_minade = _validation_score(model, val_scenes, cfg.val_k, val_seed)
         except (DataError, DivergenceError) as exc:
             # A model whose heatmaps have no mass or whose rollouts blow up
             # is numerically degenerate even if every parameter is finite.
@@ -424,7 +373,9 @@ def train(
                 f"validation failed in epoch {epoch}: {exc}", report=report
             ) from exc
 
-        lr = halver.update(val_ade, lr)
+        if plateau.update(val_ade, epoch):
+            progress.lr *= cfg.lr_factor
+            plateau.bad = 0
         report.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -433,24 +384,22 @@ def train(
                 total=epoch_total,
                 val_ade=val_ade,
                 val_minade=val_minade,
-                lr=lr,
+                lr=progress.lr,
             )
         )
+        progress.epoch = epoch
 
         if evaluate_minade:
-            improved = val_minade < stopper.best
-            should_stop = stopper.update(val_minade, epoch)
-            if improved:
-                best_values = params.copy_values()
-                report.best_epoch = epoch
-                report.best_val_minade = val_minade
+            should_stop = report.early_stop.update(val_minade, epoch)
+            if report.best_epoch == epoch:
+                best_values = params.values.copy()
             if should_stop:
                 report.stop_reason = "early_stop"
                 break
             if (
                 cfg.target_loss_frac > 0.0
                 and cfg.target_minade > 0.0
-                and epoch_total <= cfg.target_loss_frac * first_total
+                and epoch_total <= cfg.target_loss_frac * progress.first_total
                 and val_minade < cfg.target_minade
             ):
                 report.stop_reason = "target_reached"
@@ -459,13 +408,9 @@ def train(
         report.stop_reason = "max_epochs"
 
     if state_out is not None:
-        save_train_state(
-            state_out, params, adam, halver, stopper, best_values,
-            epoch=report.records[-1].epoch if report.records else start_epoch,
-            lr=lr, first_total=first_total,
-        )
+        save_train_state(state_out, params, adam, best_values, slots)
 
     best = ParamStore()
-    for name, arr in (best_values or params.copy_values()).items():
-        best.add(name, arr)
+    for name, arr in params.split(params.values if best_values is None else best_values).items():
+        best.add(name, arr)  # add copies
     return best, report

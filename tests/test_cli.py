@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from vista.cli import main
@@ -288,8 +288,14 @@ class TestTrain:
             ("2 x 1\n1.0 1.0\n", "expected 'H W D' integers, then reals (invalid literal"),
             ("1 2 1\n1.0 abc\n", "expected 'H W D' integers, then reals (could not convert"),
             ("-1 -2 1\n0.5 0.5\n", "raster sides must be positive"),
+            ("16 16 2\n" + "0.5 " * 512, "the model reads 1-class rasters with sides divisible "
+             "by 4, got 16x16x2"),
+            ("18 18 1\n" + "1.0 " * 324, "the model reads 1-class rasters with sides divisible "
+             "by 4, got 18x18x1"),
+            ("1 1 1\n0.5\n", "raster class scores must sum to 1 per cell"),
         ],
-        ids=["header", "value", "negative_side"],
+        ids=["header", "value", "negative_side", "class_count", "side_not_divisible_by_4",
+             "class_sum"],
     )
     def test_malformed_raster_exits_4(self, synth_dir, quick_config, tmp_path, capsys, text, message):
         (synth_dir / "rasters" / "crossing.txt").write_text(text)
@@ -301,6 +307,7 @@ class TestTrain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
         assert f"crossing.txt: {message}" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_key_exits_2_naming_key(self, synth_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -360,9 +367,26 @@ class TestPredict:
             ]) == 0
             outs.append(out)
         names = sorted(f for f in os.listdir(outs[0]) if not f.startswith("manifest"))
-        assert any(f.startswith("trace_") for f in names)
+        assert {"pred_crossing__w000.txt", "trace_crossing__w000_s03.json"} <= set(names)
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("text", ["16 16 2\n" + "0.5 " * 512, "20 18 1\n" + "1.0 " * 360],
+                             ids=["class_count", "side_not_divisible_by_4"])
+    def test_raster_the_model_cannot_read_exits_4(
+        self, synth_dir, quick_config, trained, tmp_path, capsys, text
+    ):
+        (synth_dir / "rasters" / "crossing.txt").write_text(text)
+        out = tmp_path / "pred"
+        code = main([
+            "predict", "--checkpoint", str(trained), "--data", str(synth_dir),
+            "--raster-dir", str(synth_dir / "rasters"), "--config", str(quick_config),
+            "--out", str(out),
+        ])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and "crossing.txt: the model reads" in err["message"]
+        assert not out.exists()
 
     def test_checkpoint_config_mismatch_exits_3(self, synth_dir, trained, tmp_path, capsys):
         other_cfg = tmp_path / "other.cfg"
@@ -625,6 +649,37 @@ class TestEvaluate:
         assert err["error"] == "DataError" and f"{victim}{message}" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["prediction", "ground_truth"])
+    def test_distance_beyond_float64_exits_4_naming_file(
+        self, synth_dir, quick_config, tmp_path, capsys, where
+    ):
+        # A finite coordinate of 1e200 squares to infinity; the scores would
+        # read Infinity and NaN.
+        pred_dir = tmp_path / "preds"
+        scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
+        victim = pred_dir / f"pred_{scenes[0].scene_id}__w000.txt"
+        if where == "prediction":
+            lines = victim.read_text().splitlines()
+            lines[2] = " ".join(lines[2].split()[:3] + ["1e200", "1.0"])
+            victim.write_text("\n".join(lines) + "\n")
+        else:
+            source = scenes[0].source
+            rows = [line.split() for line in open(source).read().splitlines()]
+            frame = str(int(scenes[0].frame_ids[5]))
+            row = next(r for r in rows if r[0] == frame)
+            row[2] = "1e200"
+            with open(source, "w") as fh:
+                fh.write("\n".join(" ".join(r) for r in rows) + "\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(cli_args("evaluate", synth_dir, pred_dir, quick_config, out))
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and str(victim) in err["message"]
+        assert "finite" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "render"])
     def test_sample_id_gap_names_first_missing_key(self, synth_dir, quick_config, tmp_path, capsys, command):
         pred_dir = tmp_path / "preds"
@@ -784,6 +839,7 @@ def boundary_inputs(tmp_path_factory):
     field=st.integers(0, 4),
     value=st.sampled_from([*BOUNDARY_TOKENS, "duplicate key", "sample-id gap", "empty file"]),
 )
+@example(command="render", target="trace", field=1, value="true")  # a boolean weight
 def test_boundary_field_in_prediction_or_trace_exits_with_a_documented_code(
     boundary_inputs, command, target, field, value
 ):
@@ -834,8 +890,12 @@ def test_boundary_field_in_prediction_or_trace_exits_with_a_documented_code(
     else:
         written = "".join(p.read_text() for p in out.iterdir()).lower()
         assert "nan" not in written and "inf" not in written
-    if target == "prediction":
-        assert code == 4  # every edit breaks the file
+    # Every edit breaks a prediction file. A boundary token or an empty file
+    # breaks the trace that render reads; the other two edits leave it valid.
+    if target == "prediction" or (
+        command == "render" and value not in ("duplicate key", "sample-id gap")
+    ):
+        assert code == 4
 
 
 def test_unknown_command_shows_help(capsys):

@@ -19,7 +19,7 @@ from test_gpm import zero_gpm_weights
 from vista import training
 from vista.config import Config, ModelConfig, TrainConfig
 from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
-from vista.errors import DataError, DivergenceError
+from vista.errors import CheckpointError, DataError, DivergenceError
 from vista.experiments import overfit_config, overfit_dataset
 from vista.gpm import gpm_forward_batch
 from vista.model import Model, init_params
@@ -28,8 +28,7 @@ from vista.tensor import backward
 from vista.tpm import rollout
 from vista.training import (
     Adam,
-    EarlyStopper,
-    PlateauHalver,
+    Patience,
     train,
     window_constants,
     window_loss_graph,
@@ -233,7 +232,7 @@ class TestGradientStructure:
 
         def step_with(lambda_goal, lambda_traj):
             params = init_params(cfg, seed=0)
-            before = params.copy_values()
+            before = params.split(params.values.copy())
             adam = Adam(params, TrainConfig())
             params.zero_grad()
             total, _, _ = window_loss_graph(
@@ -298,20 +297,79 @@ class TestGradientStructure:
             gc.enable()
 
 
+# The two validation loops that the one validation score replaced, kept
+# verbatim as its references.
+
+
+def reference_validation_ade(model, scenes):
+    """k=1 rollout with the ground-truth goal; agent-weighted mean ADE."""
+    total, count = 0.0, 0
+    for scene in scenes:
+        gt = scene.positions()[:, model.config.t_obs :, :]
+        result = model.rollout_with_goals(scene, model.gt_goals(scene))
+        err = np.sqrt(((result.trajectories - gt) ** 2).sum(-1)).mean(axis=1)
+        total += err.sum()
+        count += len(err)
+    return total / count
+
+
+def reference_validation_minade(model, scenes, k, seed):
+    """Best-of-k ADE over TTST-sampled goals with a fixed seed."""
+    total, count = 0.0, 0
+    for scene in scenes:
+        gt = scene.positions()[:, model.config.t_obs :, :]
+        pred = model.predict(scene, k=k, seed=seed)
+        err = np.sqrt(((pred.trajectories - gt[:, None]) ** 2).sum(-1)).mean(axis=2)
+        total += err.min(axis=1).sum()
+        count += err.shape[0]
+    return total / count
+
+
+class TestValidationScore:
+    @pytest.mark.parametrize("use_goal", [True, False], ids=["goal", "no_goal"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_the_two_loops_bitwise(self, use_goal, seed):
+        cfg = overfit_config(0)
+        cfg.model.use_goal = use_goal
+        model = Model(cfg.model, init_params(cfg.model, seed=seed))
+        scenes = overfit_dataset(seed)[:6]
+        ade = training._validation_score(model, scenes)
+        minade = training._validation_score(model, scenes, 4, seed)
+        assert type(ade) is float and type(minade) is float
+        assert ade.hex() == float(reference_validation_ade(model, scenes)).hex()
+        assert minade.hex() == float(reference_validation_minade(model, scenes, 4, seed)).hex()
+
+    def test_a_non_finite_rollout_is_a_data_error(self, monkeypatch):
+        # ``train`` turns it into a DivergenceError with the partial report.
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        model = Model(cfg, init_params(cfg, seed=0))
+        real = model.rollout_with_goals
+
+        def blown_up(*args):
+            result = real(*args)
+            result.trajectories[0, 0, 0] = np.inf
+            return result
+
+        monkeypatch.setattr(model, "rollout_with_goals", blown_up)
+        with pytest.raises(DataError, match="finite"):
+            training._validation_score(model, small_dataset(1))
+
+
 class TestSchedules:
-    def test_plateau_halver_fires_at_patience_plus_one(self):
-        halver = PlateauHalver(patience=30, factor=0.5)
-        lr = 1.0
+    def test_plateau_counter_fires_at_patience_plus_one_when_restarted(self):
+        # The loop halves the LR when the plateau counter fires and restarts
+        # its run; the best value persists across halvings.
+        plateau = Patience(patience=30)
         fired_at = []
         for epoch in range(1, 100):
-            lr_new = halver.update(5.0, lr)
-            if lr_new != lr:
+            if plateau.update(5.0, epoch):
                 fired_at.append(epoch)
-            lr = lr_new
+                plateau.bad = 0
         assert fired_at[:3] == [31, 61, 91]
+        assert (plateau.best, plateau.best_epoch) == (5.0, 1)
 
-    def test_early_stopper_fires_patience_after_best(self):
-        stopper = EarlyStopper(patience=75)
+    def test_early_stop_counter_fires_patience_after_best(self):
+        stopper = Patience(patience=75)
         stopped_at = None
         for epoch in range(1, 200):
             if stopper.update(3.0, epoch):
@@ -321,11 +379,11 @@ class TestSchedules:
         assert stopper.best_epoch == 1
 
     def test_improvements_reset_the_counters(self):
-        stopper = EarlyStopper(patience=3)
+        stopper = Patience(patience=3)
         values = [5.0, 4.0, 4.5, 4.5, 3.9, 4.2, 4.2, 4.2]
         fired = [stopper.update(v, i + 1) for i, v in enumerate(values)]
         assert fired == [False] * 7 + [True]
-        assert stopper.best_epoch == 5
+        assert (stopper.best, stopper.best_epoch, stopper.bad) == (3.9, 5, 3)
 
     def test_frozen_training_halves_lr_at_plateau_boundary(self):
         scenes = small_dataset(2)
@@ -410,20 +468,58 @@ class TestTrainLoop:
         assert exc_info.value.report is not None
         assert exc_info.value.report.stop_reason == "diverged"
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize("split", [2, 4])
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, split):
+        # Split at epoch 4, the run is resumed between its first LR halving
+        # (epoch 3) and its early stop (epoch 5).
         scenes = small_dataset(3)
-        straight = small_config(max_epochs=4)
-        best_a, rep_a = train(scenes, scenes, straight)
+        schedules = dict(plateau_patience=1, early_stop_patience=3)
+        best_a, rep_a = train(scenes, scenes, small_config(max_epochs=12, **schedules))
+        lr = small_config().train.lr
+        assert [r.lr for r in rep_a.records] == [lr, lr, lr / 2, lr / 2, lr / 4]
+        assert (rep_a.stop_reason, len(rep_a.records), rep_a.best_epoch) == ("early_stop", 5, 2)
 
         state_path = tmp_path / "state.bin"
-        part1 = small_config(max_epochs=2)
-        train(scenes, scenes, part1, state_out=state_path)
-        part2 = small_config(max_epochs=4)
-        best_b, rep_b = train(scenes, scenes, part2, resume_from=str(state_path))
+        train(scenes, scenes, small_config(max_epochs=split, **schedules), state_out=state_path)
+        best_b, rep_b = train(
+            scenes, scenes, small_config(max_epochs=12, **schedules), resume_from=str(state_path)
+        )
 
-        assert [r.total for r in rep_b.records] == [r.total for r in rep_a.records[2:]]
-        for name in best_a.names():
-            np.testing.assert_array_equal(best_a[name].data, best_b[name].data)
+        assert rep_b.records == rep_a.records[split:]
+        assert (rep_b.stop_reason, rep_b.best_epoch) == (rep_a.stop_reason, rep_a.best_epoch)
+        assert rep_b.best_val_minade == rep_a.best_val_minade
+        assert best_b.values.tobytes() == best_a.values.tobytes()
+
+    def test_state_file_holds_flat_vectors(self, tmp_path):
+        scenes = small_dataset(2)
+        cfg = small_config(max_epochs=2)
+        state_path = tmp_path / "state.bin"
+        best, _ = train(scenes, scenes, cfg, state_out=state_path)
+        blob = ParamStore.load(state_path)
+        names = [n for n in blob.names() if n.startswith("_")]
+        assert names[:3] == ["_opt.m", "_opt.v", "_best"]
+        assert all(n.startswith("_state.") for n in names[3:])
+        assert blob["_best"].data.tobytes() == best.values.tobytes()
+        assert training.strip_train_state(blob).names() == init_params(cfg.model, 0).names()
+
+    def test_per_parameter_state_layout_is_a_checkpoint_error(self, tmp_path):
+        # The layout before flat vectors had one moment entry per parameter.
+        scenes = small_dataset(2)
+        cfg = small_config(max_epochs=2)
+        params = init_params(cfg.model, seed=0)
+        blob = ParamStore()
+        for name, t in params.items():
+            blob.add(name, t.data)
+        for name, t in params.items():
+            blob.add(f"_opt.m.{name}", np.zeros_like(t.data))
+            blob.add(f"_opt.v.{name}", np.zeros_like(t.data))
+        for name in ("epoch", "lr", "adam_t", "plateau_best", "plateau_bad", "stop_best",
+                     "stop_best_epoch", "stop_bad", "first_total"):
+            blob.add(f"_state.{name}", [1.0])
+        state_path = tmp_path / "old_state.bin"
+        blob.save(state_path)
+        with pytest.raises(CheckpointError, match="no entry '_opt.m'"):
+            train(scenes, scenes, cfg, resume_from=str(state_path))
 
     def test_best_checkpoint_is_returned(self):
         scenes = small_dataset(3)
@@ -441,9 +537,13 @@ class TestTrainLoop:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,goal_loss,traj_loss,total,val_ade,val_minade,lr"
         assert len(lines) == 4
-        row1 = lines[1].split(",")
-        assert row1[0] == "1"
-        assert row1[5] == ""  # minADE skipped on epoch 1 (evaluated every 2)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert [row[5] == "" for row in rows] == [True, False, False]  # minADE every 2, and last
+        for row in rows:
+            assert len(row) == 7
+            for cell in row:
+                assert cell == row[5] == "" or np.isfinite(float(cell)), row
 
     def test_target_stop(self):
         scenes = small_dataset(2)
@@ -500,7 +600,7 @@ class TestFlatBuffer:
         params.zero_grad()
         assert_store_views(params)
         assert not params.grads.any()
-        copies = params.copy_values()
+        copies = params.split(params.values.copy())
         assert_store_views(params)
         for name, arr in copies.items():
             assert not np.shares_memory(arr, params.values)
