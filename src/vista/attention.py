@@ -2,7 +2,8 @@
 
 ``attend`` and ``attend_backward`` are the one copy of the attention
 arithmetic: ``multi_head_attention`` wraps them in a graph node, and the
-rollout node (``tpm.rollout``) calls them once per step."""
+rollout node (``tpm.rollout``) calls them once per step over the keys and
+values it projects itself."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import ParamStore, glorot_uniform
-from .tensor import ShapeError, _gemm, _node, as_tensor
+from .tensor import ShapeError, _node, as_tensor
 
 MHA_WEIGHTS = ("wq", "wk", "wv", "wo")
 # No key bias: a constant added to every key contributes the same term to each
@@ -30,39 +31,6 @@ def init_mha_params(store: ParamStore, prefix: str, dim: int, rng: np.random.Gen
 def mha_params(params: ParamStore, prefix: str):
     """The layer's (wq, bq, wk, wv, bv, wo, bo), in graph-parent order."""
     return tuple(params[f"{prefix}.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
-
-
-class KVCache:
-    """Token data ``x``, keys ``x @ wk`` and values ``x @ wv + bv`` of one
-    attention layer for a token sequence that grows one position at a time;
-    each token is projected once, when it is appended.
-
-    The cache starts from a (rows, L, d) array of tokens and holds up to
-    ``capacity`` positions; ``append`` adds one (rows, d) position. Both
-    products keep their rows equal to a re-projection of the whole
-    sequence, bit for bit.
-    """
-
-    def __init__(self, tokens, capacity: int, params: ParamStore, prefix: str):
-        rows, length, dim = tokens.shape
-        self.wk, self.wv, self.bv = (params[f"{prefix}.{n}"] for n in ("wk", "wv", "bv"))
-        self.x, self.keys, self.values = (np.empty((rows, capacity, dim)) for _ in range(3))
-        self.x[:, :length] = tokens
-        self.keys[:, :length] = np.matmul(tokens, self.wk.data)
-        self.values[:, :length] = np.matmul(tokens, self.wv.data) + self.bv.data
-        self.length = length
-
-    def append(self, token):
-        """Append one position, ``token`` of shape (rows, d)."""
-        if token.shape != self.x.shape[:1] + self.x.shape[2:]:
-            raise ShapeError(f"cache of {self.x.shape} rows: token {token.shape}")
-        if self.length == self.x.shape[1]:
-            raise ShapeError(f"cache full at {self.length} positions")
-        i = self.length
-        self.x[:, i] = token
-        self.keys[:, i] = _gemm(token, self.wk.data)
-        self.values[:, i] = _gemm(token, self.wv.data) + self.bv.data
-        self.length += 1
 
 
 def _split_heads(x, n_heads):  # (..., L, d) -> (..., h, L, d/h), a view

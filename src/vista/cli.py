@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -46,17 +47,11 @@ from .metrics import (
     save_report_csv,
     save_report_json,
 )
-from .model import Model, init_params
+from .model import Model
 from .params import ParamStore
 from .render import render_scene_svg, render_trace_svg, write_svg
-from .tpm import (
-    PredictionSet,
-    load_prediction_txt,
-    prediction_array,
-    save_prediction_txt,
-    save_trace_json,
-)
-from .training import strip_train_state, train
+from .tpm import PredictionSet, load_prediction_txt, save_prediction_txt, save_trace_json
+from .training import check_model_params, strip_train_state, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -331,16 +326,7 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint(path, cfg: Config) -> ParamStore:
     params = strip_train_state(ParamStore.load(path))
-    expected = init_params(cfg.model, seed=0)
-    got = {n: params[n].shape for n in params.names()}
-    want = {n: expected[n].shape for n in expected.names()}
-    if got != want:
-        missing = sorted(set(want) - set(got))
-        extra = sorted(set(got) - set(want))
-        raise CheckpointError(
-            f"{path}: parameters do not match the model config "
-            f"(missing {missing[:3]}, unexpected {extra[:3]})"
-        )
+    check_model_params(params, cfg.model, path)
     return params
 
 
@@ -374,23 +360,29 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _read_prediction(path, scene, t_obs) -> np.ndarray:
-    """(N, k, T, 2) trajectories over ``scene``'s future frames from a
-    prediction file, k being its count of distinct sample ids; AlignmentError
-    names the first (sample, frame, agent) key that is missing or extra."""
+def _read_prediction(path, scene, t_obs):
+    """The window's ``EvalInput`` from a prediction file over ``scene``'s
+    future frames, k being the file's count of distinct sample ids.
+    AlignmentError names the first (sample, frame, agent) key that is
+    missing or extra, DataError the file when a distance is beyond float64."""
     records = load_prediction_txt(path)
     k = len({j for j, _, _ in records})
     frames = [int(f) for f in scene.frame_ids[t_obs:]]
-    try:
-        return prediction_array(records, scene.agent_ids, frames, k)
-    except AlignmentError:
+    agents = [int(a) for a in scene.agent_ids]
+    expected = [(j, f, a) for a in agents for j in range(k) for f in frames]
+    xy = list(map(records.get, expected))
+    if len(records) != len(expected) or None in xy:
         # Only a failing window pays for the key sets that name the mismatch.
-        expected = {(j, f, a) for j in range(k) for f in frames for a in scene.agent_ids}
-        diff = sorted(expected.symmetric_difference(records))
+        diff = sorted(set(expected).symmetric_difference(records))
         raise AlignmentError(
             f"{path}: prediction/ground-truth mismatch at (sample, frame, agent) = {diff[0]}",
             first_mismatch=diff[0],
-        ) from None
+        )
+    flat = np.fromiter(itertools.chain.from_iterable(xy), np.float64, count=2 * len(xy))
+    try:
+        return eval_from_scene(scene, flat.reshape(len(agents), k, len(frames), 2), t_obs)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _eval_inputs_from_files(scenes, pred_dir, t_obs):
@@ -402,11 +394,7 @@ def _eval_inputs_from_files(scenes, pred_dir, t_obs):
                 f"missing prediction file for {scene.key()}: {path}",
                 first_mismatch=scene.key(),
             )
-        trajectories = _read_prediction(path, scene, t_obs)
-        try:
-            ev = eval_from_scene(scene, trajectories, t_obs)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        ev = _read_prediction(path, scene, t_obs)
         if evals and ev.k != evals[0].k:
             raise AlignmentError(
                 f"{path}: {ev.k} samples where the first window has {evals[0].k}",
@@ -502,8 +490,8 @@ def cmd_render(args) -> int:
             preds.append((scene, _read_prediction(path, scene, cfg.model.t_obs)))
     os.makedirs(args.out_svg, exist_ok=True)
     outputs = []
-    for scene, traj in preds:
-        pred = PredictionSet(agent_ids=list(scene.agent_ids), trajectories=traj)
+    for scene, ev in preds:
+        pred = PredictionSet(agent_ids=list(scene.agent_ids), trajectories=ev.predictions)
         out = os.path.join(args.out_svg, _window_file("scene_", scene, ".svg"))
         write_svg(out, render_scene_svg(scene, pred, cfg.model.t_obs))
         outputs.append(out)

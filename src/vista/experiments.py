@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import Config, ModelConfig, TrainConfig
 from .data import ScenarioSpec, Scene, synth_generate
-from .metrics import calibrate_epsilon, collision_rates, eval_from_scene, min_ade_k
+from .metrics import calibrate_epsilon, eval_from_scene, evaluate_windows
 from .model import Model
 from .training import train
 
@@ -127,20 +127,10 @@ def ablation_config(variant: str, seed: int) -> Config:
     return cfg
 
 
-def evaluate_variant(model: Model, test_scenes, k: int, seed: int, epsilon: float) -> dict:
-    """Test-set minADE_20 and mean collision rate under TTST sampling."""
-    minades = []
-    crs = []
-    for scene in test_scenes:
-        pred = model.predict(scene, k=k, seed=seed)
-        ev = eval_from_scene(scene, pred.trajectories, model.config.t_obs)
-        minades.append(min_ade_k(ev))
-        crs.append(collision_rates(ev, epsilon).mean())
-    return {"min_ade": float(np.mean(minades)), "cr": float(np.mean(crs))}
-
-
 def run_ablation(seed: int, n_train: int = 50, n_test: int = 20, k: int = 20) -> dict:
-    """Train the three variants on one seed and evaluate the held-out windows."""
+    """Train the three variants on one seed and score the held-out windows
+    under TTST sampling with ``evaluate_windows`` (pooled ``min_ade`` and
+    ``cr``, the per-sample-mean collision rate, among its scores)."""
     train_scenes, test_scenes = head_on_dataset(seed, n_train, n_test)
     epsilon = calibrate_epsilon(train_scenes + test_scenes)
     results = {}
@@ -148,8 +138,10 @@ def run_ablation(seed: int, n_train: int = 50, n_test: int = 20, k: int = 20) ->
         cfg = ablation_config(variant, seed)
         best, report = train(train_scenes, train_scenes, cfg)
         model = Model(config=cfg.model, params=best)
-        scores = evaluate_variant(model, test_scenes, k, seed=seed, epsilon=epsilon)
-        scores["epochs"] = len(report.records)
-        results[variant] = scores
+        evals = [
+            eval_from_scene(s, model.predict(s, k=k, seed=seed).trajectories, cfg.model.t_obs)
+            for s in test_scenes
+        ]
+        results[variant] = evaluate_windows(evals, epsilon) | {"epochs": len(report.records)}
     results["epsilon"] = epsilon
     return results

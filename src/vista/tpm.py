@@ -10,8 +10,8 @@ its goal term. It decodes a
 scene's N agents under B goal sets at once, as a (B, N) batch: training and
 validation roll out one goal set (B=1), and best-of-k prediction rolls out
 all k goal samples as B=k. The observations are embedded once; every later
-step embeds only the previous step's prediction and appends its temporal
-key and value to a per-rollout cache, over which the newest token attends.
+step embeds only the previous step's prediction and appends it, its temporal
+key and its value to the rollout's buffers, over which the newest token attends.
 The node's backward runs back through time over the model's own feedback.
 Agents are processed in a canonical order
 (sorted by agent_id) internally and restored to input order on output, which
@@ -24,17 +24,16 @@ maps, one per batch row and step, which ``save_trace_json`` writes per row.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import KVCache, attend, attend_backward, heads_first, init_mha_params, mha_params
+from .attention import attend, attend_backward, heads_first, init_mha_params, mha_params
 from .config import ModelConfig
 from .data import Scene, atomic_write
-from .errors import AlignmentError, ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .params import ParamStore, glorot_uniform
 from .tensor import Tensor, _gemm, _node, _recording, _relu_data, sinusoidal_table
 
@@ -96,10 +95,6 @@ def _embed(rel, time_indices, params: ParamStore, config: ModelConfig):
     points through ``_gemm``, so each row equals that position's row of a
     (rows, L, 2) embedding bit for bit."""
     idx = np.asarray(time_indices, dtype=np.int64)
-    if idx.min() < 0 or idx.max() > config.t_total:
-        raise ConfigError(
-            f"time index out of positional-table range 0..{config.t_total}: {idx}"
-        )
     w = params["tpm.embed.w"].data
     table = sinusoidal_table(config.t_total + 1, config.d_model)
     per_index = table[idx] + params["tpm.pe.learn"].data[idx]
@@ -213,21 +208,21 @@ def rollout(
     rollout of the same observations and the result gains a leading B axis.
     Goals are ignored when the model is configured without goal
     conditioning. The observation window is the first t_obs frames of the
-    scene. ``n_steps`` truncates the recursion (default T_fut); because step
-    t+1 sees exactly the observations plus the predictions of steps <= t, a
-    truncated rollout is a bit-exact prefix of the full one.
+    scene. ``n_steps`` (None for T_fut, else 1..T_fut) truncates the
+    recursion; because step t+1 sees exactly the observations plus the
+    predictions of steps <= t, a truncated rollout is a bit-exact prefix.
 
     Each step is temporal attention of the newest token over the agent's
     tokens plus the goal term, social attention across the agents of a
     batch row, and the decoder. Step 1 embeds the t_obs observations as one
     (rows, t_obs, 2) block and queries with the last of them; each later
-    step embeds only the previous step's prediction, as a (rows, 2)
-    operand, appends it to the temporal layer's ``KVCache`` and queries with
-    it as a (rows, 1, d) operand. Each row of these products equals the row
-    that re-embedding the whole sequence at every step would compute, so
-    the outputs are bit for bit those of that recursion. The exception is
-    t_obs = 1: its one-row first block goes through BLAS gemv, which the
-    re-embedding recursion replaced by gemm from step 2 on.
+    step embeds only the previous step's prediction, as a (rows, 2) operand,
+    appends it and its ``_gemm`` key and value to the rollout's buffers and
+    queries with it as a (rows, 1, d) operand. Each row of these products
+    equals the row that re-embedding the whole sequence at every step would
+    compute, so the outputs are bit for bit those of that recursion. The
+    exception is t_obs = 1: its one-row first block goes through BLAS gemv,
+    which the re-embedding recursion replaced by gemm from step 2 on.
 
     The whole recursion, goal term included, is one graph node,
     ``RolloutResult.positions``. Its backward walks the steps in reverse and
@@ -238,6 +233,9 @@ def rollout(
     the end, and the goal term's gradients, summed over the steps, are added
     last.
     """
+    n_steps = config.t_fut if n_steps is None else n_steps
+    if n_steps not in range(1, config.t_fut + 1):
+        raise ConfigError(f"n_steps must be None or in 1..{config.t_fut}, got {n_steps!r}")
     obs_all = scene.positions()
     if obs_all.shape[1] < config.t_obs:
         raise DataError(
@@ -283,29 +281,31 @@ def rollout(
     decoder = tuple(params[f"tpm.dec.{name}"] for name in ("w1", "b1", "w2", "b2"))
     parents = embed + temporal + social + decoder + goal_params
     record = _recording(parents)
-    wq, bq, _, _, _, wo, bo = (p.data for p in temporal)
+    wq, bq, wk, wv, bv, wo, bo = (p.data for p in temporal)
     if social:
         swq, sbq, swk, swv, sbv, swo, sbo = (p.data for p in social)
 
-    n_steps = n_steps or config.t_fut
     obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, t_obs, 2)
     rel = obs_rows - anchor
-    tokens = _embed(rel, np.arange(t_obs), params, config)
-    cache = KVCache(tokens, t_obs + n_steps - 1, params, "tpm.fusion.self0")
-    query = tokens[:, -1]
+    # Every token of the sequence, with its temporal key and value.
+    n_tokens = t_obs + n_steps - 1
+    tokens, keys, values = (np.empty((rows, n_tokens, d)) for _ in range(3))
+    block = _embed(rel, np.arange(t_obs), params, config)
+    tokens[:, :t_obs] = block
+    keys[:, :t_obs] = np.matmul(block, wk)
+    values[:, :t_obs] = np.matmul(block, wv) + bv
+    query = block[:, -1]
     last = obs_rows[:, -1]
     tape, steps, trace_steps = [], [], []
     for step in range(1, n_steps + 1):
+        length = t_obs + step - 1  # tokens the step's query attends over
         if step > 1:
             rel = last.reshape(rows, 2) - anchor
-            query = _embed(rel, t_obs + step - 2, params, config)
-            cache.append(query)
-        length = cache.length
+            tokens[:, length - 1] = query = _embed(rel, length - 1, params, config)
+            keys[:, length - 1] = _gemm(query, wk)
+            values[:, length - 1] = _gemm(query, wv) + bv
         merged_t, saved_t = attend(
-            np.matmul(query[:, None], wq) + bq,
-            cache.keys[:, :length],
-            cache.values[:, :length],
-            heads,
+            np.matmul(query[:, None], wq) + bq, keys[:, :length], values[:, :length], heads
         )
         fused = np.matmul(merged_t, wo) + bo
         if goal is not None:
@@ -342,8 +342,8 @@ def rollout(
         w_s = _qkv_weights(social) if social else None
         # The query | key | value gradients of every temporal token, and the
         # token gradients they convert into.
-        g_qkv = np.zeros((rows, cache.length, 3 * d))
-        g_tok = np.empty((rows, cache.length, d))
+        g_qkv = np.zeros((rows, n_tokens, 3 * d))
+        g_tok = np.empty((rows, n_tokens, d))
         g_qkv_s = np.empty((n_steps, rows, 3 * d))
         g_hidden, g_feature, g_fused = (np.empty((n_steps, rows, d)) for _ in range(3))
         g_next = np.empty((n_steps, rows, 2))
@@ -370,10 +370,10 @@ def rollout(
         g_tok[:, :t_obs] = g_qkv[:, :t_obs] @ w_t.T
 
         g_learn = np.zeros(embed[2].shape)
-        g_learn[: cache.length] = g_tok.sum(axis=0)
+        g_learn[:n_tokens] = g_tok.sum(axis=0)
         rels = np.concatenate([rel[0]] + [r[:, None] for r in rel[1:]], axis=1)
         grads = [_outer(rels, g_tok), _row_sum(g_tok), g_learn]
-        grads += _mha_grads(cache.x, g_qkv, np.stack(merged_t), g_fused)
+        grads += _mha_grads(tokens, g_qkv, np.stack(merged_t), g_fused)
         if social:
             grads += _mha_grads(np.stack(fused), g_qkv_s, np.stack(merged_s), g_feature)
         grads += [_outer(np.stack(feature), g_hidden), _row_sum(g_hidden)]
@@ -450,29 +450,3 @@ def load_prediction_txt(path):
     if not records:
         raise DataError(f"{path}: no prediction records")
     return records
-
-
-def prediction_array(records, agent_ids, frames, k: int) -> np.ndarray:
-    """(N, k, T, 2) trajectories from ``load_prediction_txt`` records; the
-    records must hold exactly the window's k x T x N (sample, frame, agent) keys."""
-    agents = np.asarray(agent_ids, dtype=np.int64)
-    frames = np.asarray(frames, dtype=np.int64)
-    n, t = len(agents), len(frames)
-    mismatch = AlignmentError(f"prediction records do not form {k} samples x {t} frames x {n} agents")
-    flat = itertools.chain.from_iterable
-    try:
-        keys = np.fromiter(flat(records), np.int64, count=3 * len(records)).reshape(-1, 3)
-    except OverflowError:  # an id beyond int64 is no key of the window
-        raise mismatch from None
-    by_id = np.argsort(agents)
-    rows = by_id[np.minimum(np.searchsorted(agents, keys[:, 2], sorter=by_id), n - 1)]
-    steps = np.minimum(np.searchsorted(frames, keys[:, 1]), t - 1)
-    known = (agents[rows] == keys[:, 2]) & (frames[steps] == keys[:, 1])
-    known &= (keys[:, 0] >= 0) & (keys[:, 0] < k)
-    if len(keys) != n * k * t or not known.all():
-        raise mismatch
-    traj = np.empty((n, k, t, 2))
-    traj[rows, keys[:, 0], steps] = np.fromiter(
-        flat(records.values()), np.float64, count=2 * len(records)
-    ).reshape(-1, 2)
-    return traj

@@ -295,6 +295,22 @@ def strip_train_state(blob: ParamStore) -> ParamStore:
     return params
 
 
+def check_model_params(params: ParamStore, model_cfg: ModelConfig, source):
+    """CheckpointError naming ``source`` unless ``params`` holds exactly the
+    parameter names and shapes that ``init_params`` makes for ``model_cfg``."""
+    expected = init_params(model_cfg, seed=0)
+    got = {n: params[n].shape for n in params.names()}
+    want = {n: expected[n].shape for n in expected.names()}
+    if got != want:
+        missing = sorted(set(want) - set(got))
+        extra = sorted(set(got) - set(want))
+        reshaped = sorted(n for n in set(got) & set(want) if got[n] != want[n])
+        raise CheckpointError(
+            f"{source}: parameters do not match the model config "
+            f"(missing {missing[:3]}, unexpected {extra[:3]}, reshaped {reshaped[:3]})"
+        )
+
+
 # -- main loop -----------------------------------------------------------------
 
 
@@ -306,8 +322,8 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
     the validation sampler seed is fixed. Returns (best_params, report);
     raises DataError, before the first epoch, on a position of any window
     outside the grid, CheckpointError on a ``resume_from`` state that lacks
-    an entry, and DivergenceError (with the partial report attached) on NaN
-    loss.
+    an entry or whose parameters are not the model config's, and
+    DivergenceError (with the partial report attached) on NaN loss.
     """
     cfg = config.train
     mcfg = config.model
@@ -320,6 +336,7 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
     if resume_from is not None:
         blob = resume_from if isinstance(resume_from, ParamStore) else ParamStore.load(resume_from)
         params = strip_train_state(blob)
+        check_model_params(params, mcfg, "training state" if blob is resume_from else resume_from)
     else:
         params = init_params(mcfg, seed=cfg.seed)
 

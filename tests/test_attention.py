@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from reference_ops import add, matmul, narrow, reshape, scale, softmax, transpose
 
-from vista.attention import KVCache, attend, init_mha_params, mha_params, multi_head_attention
+from vista.attention import init_mha_params, multi_head_attention
 from vista.errors import ConfigError
 from vista.params import ParamStore
-from vista.tensor import ShapeError, Tensor, backward
+from vista.tensor import Tensor, backward
 
 
 def reference_multi_head_attention(q, k, v, n_heads: int, params: ParamStore, prefix: str):
@@ -201,49 +201,3 @@ def test_attention_records_one_node():
     assert out.op == "attention"
     assert not attn.flags.writeable  # a view of what the backward reads
     assert {id(p) for p in out._parents} == {id(q)} | {id(t) for _, t in store.items()}
-
-
-@pytest.mark.parametrize("rows", [1, 3])
-def test_cache_matches_whole_sequence(rows):
-    """A cache filled one position at a time against the whole sequence:
-    its keys and values against one projection of all tokens, and
-    ``attend`` of the newest token over them against ``multi_head_attention``
-    over all tokens, bit for bit at every length. (The rollout node's
-    gradients through the cache are checked against the re-embedding
-    recursion in test_tpm.)"""
-    rng = np.random.default_rng(rows)
-    store = ParamStore()
-    init_mha_params(store, "mha", 8, rng)
-    wq, bq, wk, wv, bv, wo, bo = (p.data for p in mha_params(store, "mha"))
-    data = rng.normal(size=(rows, 6, 8))
-    cache = KVCache(np.ascontiguousarray(data[:, :3]), 6, store, "mha")
-    for length in range(3, 7):
-        if length > 3:
-            cache.append(np.ascontiguousarray(data[:, length - 1]))
-        tokens = np.ascontiguousarray(data[:, :length])
-        assert cache.length == length
-        assert cache.keys[:, :length].tobytes() == np.matmul(tokens, wk).tobytes()
-        assert cache.values[:, :length].tobytes() == (np.matmul(tokens, wv) + bv).tobytes()
-        query = tokens[:, -1]
-        merged, _ = attend(
-            np.matmul(query[:, None], wq) + bq,
-            cache.keys[:, :length],
-            cache.values[:, :length],
-            2,
-        )
-        seq = Tensor(tokens)
-        ref, _ = multi_head_attention(
-            narrow(seq, (slice(None), slice(length - 1, length))), seq, seq, 2, store, "mha"
-        )
-        assert (np.matmul(merged, wo) + bo).tobytes() == ref.data.tobytes()
-
-
-def test_cache_rejects_misuse():
-    store = ParamStore()
-    init_mha_params(store, "mha", 4, np.random.default_rng(0))
-    cache = KVCache(np.zeros((2, 1, 4)), 2, store, "mha")
-    with pytest.raises(ShapeError, match="token"):
-        cache.append(np.zeros((3, 4)))
-    cache.append(np.zeros((2, 4)))
-    with pytest.raises(ShapeError, match="full"):
-        cache.append(np.zeros((2, 4)))

@@ -649,12 +649,13 @@ class TestEvaluate:
         assert err["error"] == "DataError" and f"{victim}{message}" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "render"])
     @pytest.mark.parametrize("where", ["prediction", "ground_truth"])
     def test_distance_beyond_float64_exits_4_naming_file(
-        self, synth_dir, quick_config, tmp_path, capsys, where
+        self, synth_dir, quick_config, tmp_path, capsys, where, command
     ):
         # A finite coordinate of 1e200 squares to infinity; the scores would
-        # read Infinity and NaN.
+        # read Infinity and NaN, and a figure 300-digit coordinates.
         pred_dir = tmp_path / "preds"
         scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
         victim = pred_dir / f"pred_{scenes[0].scene_id}__w000.txt"
@@ -673,7 +674,7 @@ class TestEvaluate:
         out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(cli_args("evaluate", synth_dir, pred_dir, quick_config, out))
+            code = main(cli_args(command, synth_dir, pred_dir, quick_config, out))
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError" and str(victim) in err["message"]

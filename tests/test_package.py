@@ -81,3 +81,36 @@ def test_engine_names_are_pinned():
     ]
     methods = [node.name for node in defs["Tensor"].body if isinstance(node, ast.FunctionDef)]
     assert methods == ["__init__", "shape", "ndim", "size", "item", "__repr__"]
+
+
+def test_every_public_definition_has_a_caller():
+    # Each public function, class and method of the package is referenced
+    # (a name, an attribute or an import) from the package itself, the
+    # scripts or the benchmark, or is a benchmark-traced "layer.name"; a
+    # definition that only the tests reach belongs in the tests.
+    sources = [*(ROOT / "src" / "vista").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    sources += (ROOT / "perfbench").glob("*.py")
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+    worker = (ROOT / "perfbench" / "worker.py").read_text()
+    traced = set(re.findall(r"\"(\w+(?:\.\w+)+)\"", worker))
+    unused = []
+    for path in sorted((ROOT / "src" / "vista").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            methods = [m.name for m in members if isinstance(m, ast.FunctionDef)]
+            qualnames = [node.name] + [f"{node.name}.{m}" for m in methods]
+            for qualname in qualnames:
+                name, dotted = qualname.split(".")[-1], f"{path.stem}.{qualname}"
+                if not name.startswith("_") and name not in used and dotted not in traced:
+                    unused.append(dotted)
+    assert not unused

@@ -24,7 +24,7 @@ from test_attention import set_random_biases
 
 from vista import tpm, training
 from vista.attention import multi_head_attention
-from vista.cli import main
+from vista.cli import _read_prediction, main
 from vista.config import ModelConfig, TrainConfig
 from vista.data import AgentTrack, Scene, save_trajectories
 from vista.errors import AlignmentError, ConfigError, DataError, DivergenceError
@@ -36,7 +36,6 @@ from vista.tensor import as_tensor, backward, no_grad, sinusoidal_table
 from vista.tpm import (
     RolloutResult,
     load_prediction_txt,
-    prediction_array,
     rollout,
     save_prediction_txt,
     save_trace_json,
@@ -99,11 +98,6 @@ class TestHybridPositionalEncoding:
         with_zero = embed_tokens(np.zeros_like(points), np.zeros(2), idx, params, cfg).data
         np.testing.assert_allclose(with_e - with_zero, e, atol=1e-12)
         np.testing.assert_array_equal(with_zero[0], with_zero[1])
-
-    def test_index_out_of_table_range(self, cfg, params):
-        points = np.zeros((1, 1, 2))
-        with pytest.raises(ConfigError, match="range"):
-            embed_tokens(points, np.zeros(2), np.array([cfg.t_total + 1]), params, cfg)
 
 
 # The token embedding and decoder chains that the one-node ``embed_tokens``
@@ -546,6 +540,13 @@ class TestRollout:
         with pytest.raises(DataError, match="goals must be"):
             rollout(tiny_scene, np.zeros((2, 3, 2)), params, cfg)
 
+    @pytest.mark.parametrize("n_steps", [-1, 0, 4, 5, 6, 2.5])
+    def test_n_steps_outside_horizon_rejected(self, cfg, params, tiny_scene, n_steps):
+        # t_fut is 3: 4 and 5 steps would decode past the horizon (the fifth
+        # token taking the goal token's positional row) and 6 past the table.
+        with pytest.raises(ConfigError, match="n_steps must be None or in 1..3"):
+            rollout(tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg, n_steps=n_steps)
+
 
 # The rollout that re-embedded the whole sequence at every step, kept
 # verbatim as the reference of the rollout node, with three changes:
@@ -796,7 +797,7 @@ class TestExports:
                         records[(j, int(f), aid)], pred.trajectories[i, j, s]
                     )
 
-    def test_prediction_array_matches_record_loop(self, cfg, params, three_agent_scene, tmp_path):
+    def test_read_prediction_matches_record_loop(self, cfg, params, three_agent_scene, tmp_path):
         scene = scene_from_positions(three_agent_scene.positions(), [7, 2, 5])
         pred = predict_with_goals(scene, fixed_goals(scene, 4, spread=0.7), params, cfg)
         path = tmp_path / "pred.txt"
@@ -808,16 +809,24 @@ class TestExports:
             for j in range(4):
                 for s, f in enumerate(frames):
                     looped[i, j, s] = records[(j, f, a)]
-        vectorised = prediction_array(records, scene.agent_ids, frames, 4)
-        np.testing.assert_array_equal(vectorised, looped)
-        np.testing.assert_array_equal(vectorised, pred.trajectories)
+        ev = _read_prediction(path, scene, cfg.t_obs)
+        np.testing.assert_array_equal(ev.predictions, looped)
+        np.testing.assert_array_equal(ev.predictions, pred.trajectories)
+        np.testing.assert_array_equal(ev.ground_truth, scene.positions()[:, cfg.t_obs :])
 
-        del records[(2, frames[1], scene.agent_ids[0])]
-        with pytest.raises(AlignmentError):
-            prediction_array(records, scene.agent_ids, frames, 4)
-        records[(4, frames[1], scene.agent_ids[0])] = (0.0, 0.0)
-        with pytest.raises(AlignmentError):
-            prediction_array(records, scene.agent_ids, frames, 4)
+        def first_mismatch(records):
+            lines = [f"{j} {f} {a} {x!r} {y!r}" for (j, f, a), (x, y) in records.items()]
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(AlignmentError) as info:
+                _read_prediction(path, scene, cfg.t_obs)
+            return info.value.first_mismatch
+
+        assert first_mismatch({**records, (0, 999, 7): (0.0, 0.0)}) == (0, 999, 7)
+        deleted = (2, frames[1], 7)
+        del records[deleted]
+        assert first_mismatch(records) == deleted
+        records[(4, frames[1], 7)] = (0.0, 0.0)
+        assert first_mismatch(records) == deleted
 
     def test_trace_json_schema(self, cfg, params, tiny_scene, tmp_path):
         import json

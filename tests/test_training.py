@@ -1,4 +1,6 @@
 import gc
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -519,6 +521,30 @@ class TestTrainLoop:
         state_path = tmp_path / "old_state.bin"
         blob.save(state_path)
         with pytest.raises(CheckpointError, match="no entry '_opt.m'"):
+            train(scenes, scenes, cfg, resume_from=str(state_path))
+
+    @pytest.mark.parametrize(
+        "saved, resumed",
+        [({"use_social": False}, {}), ({}, {"d_model": 16}), ({}, {"use_social": False})],
+        ids=["social_off_to_on", "d_model_32_to_16", "social_on_to_off"],
+    )
+    def test_state_of_another_model_config_is_a_checkpoint_error(
+        self, tmp_path, monkeypatch, saved, resumed
+    ):
+        scenes = small_dataset(2)
+        cfg = small_config(max_epochs=1)
+        cfg.model = replace(cfg.model, **saved)
+        state_path = tmp_path / "state.bin"
+        train(scenes, scenes, cfg, state_out=state_path)
+        cfg = small_config(max_epochs=2)
+        cfg.model = replace(cfg.model, **resumed)
+
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(training, "window_loss_graph", no_epoch)
+        match = re.escape(f"{state_path}: parameters do not match the model config")
+        with pytest.raises(CheckpointError, match=match):
             train(scenes, scenes, cfg, resume_from=str(state_path))
 
     def test_best_checkpoint_is_returned(self):
