@@ -21,11 +21,12 @@ MHA_WEIGHTS = ("wq", "wk", "wv", "wo")
 MHA_BIASES = ("bq", "bv", "bo")
 
 
-def init_mha_params(store: ParamStore, prefix: str, dim: int, rng: np.random.Generator):
+def init_mha_params(arrays: dict, prefix: str, dim: int, rng: np.random.Generator):
+    """Add one layer's Glorot weights, in rng draw order, and zero biases to ``arrays``."""
     for w in MHA_WEIGHTS:
-        store.add(f"{prefix}.{w}", glorot_uniform(rng, dim, dim, (dim, dim)))
+        arrays[f"{prefix}.{w}"] = glorot_uniform(rng, dim, dim, (dim, dim))
     for b in MHA_BIASES:
-        store.add(f"{prefix}.{b}", np.zeros(dim))
+        arrays[f"{prefix}.{b}"] = np.zeros(dim)
 
 
 def mha_params(params: ParamStore, prefix: str):

@@ -364,7 +364,8 @@ def _read_prediction(path, scene, t_obs):
     """The window's ``EvalInput`` from a prediction file over ``scene``'s
     future frames, k being the file's count of distinct sample ids.
     AlignmentError names the first (sample, frame, agent) key that is
-    missing or extra, DataError the file when a distance is beyond float64."""
+    missing or extra; DataError names the prediction file, then the window's
+    trajectory file, whose distances are beyond float64."""
     records = load_prediction_txt(path)
     k = len({j for j, _, _ in records})
     frames = [int(f) for f in scene.frame_ids[t_obs:]]
@@ -380,9 +381,15 @@ def _read_prediction(path, scene, t_obs):
         )
     flat = np.fromiter(itertools.chain.from_iterable(xy), np.float64, count=2 * len(xy))
     try:
-        return eval_from_scene(scene, flat.reshape(len(agents), k, len(frames), 2), t_obs)
+        ev = eval_from_scene(scene, flat.reshape(len(agents), k, len(frames), 2), t_obs)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    # calibrate_epsilon and the figure read observed frames too: the window's bounding-box
+    # diagonal bounds every distance between its positions.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.square(np.ptp(scene.positions(), axis=(0, 1))).sum()):
+            raise DataError(f"{scene.source or scene.key()}: distances must be finite in float64")
+    return ev
 
 
 def _eval_inputs_from_files(scenes, pred_dir, t_obs):

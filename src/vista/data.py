@@ -187,22 +187,25 @@ def _windows_from_file(path, span, stride):
         return []
 
     frames = sorted({f for f, _ in records})
-    step = int(min(np.diff(frames))) if len(frames) > 1 else 1
-    grid = list(range(frames[0], frames[-1] + 1, step))
+    step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
     agents = sorted({a for _, a in records})
     # Files named "<scene>__<part>.txt" group into one scene_id.
     stem = os.path.splitext(os.path.basename(path))[0].split("__")[0]
 
     scenes = []
-    for w_idx, s in enumerate(range(0, len(grid) - span + 1, stride)):
-        window = grid[s : s + span]
+    # Only a window starting at a recorded frame holds a track; a far frame makes the grid huge.
+    for first in frames:
+        s, off_grid = divmod(first - frames[0], step)
+        if off_grid or s % stride:
+            continue
+        window = range(first, first + span * step, step)
         tracks = []
         for a in agents:
             if all((f, a) in records for f in window):
                 pos = np.array([records[(f, a)] for f in window])
                 tracks.append(AgentTrack(a, pos, np.array(window)))
         if tracks:
-            scenes.append(Scene(stem, tracks, window_index=w_idx, source=str(path)))
+            scenes.append(Scene(stem, tracks, window_index=s // stride, source=str(path)))
     return scenes
 
 
@@ -443,7 +446,10 @@ def synth_generate(spec: ScenarioSpec) -> list[Scene]:
 
     scenes = []
     for w in range(spec.n_windows):
-        positions = maker(spec, rng if spec.randomize else None)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            positions = maker(spec, rng if spec.randomize else None)
+        if not np.isfinite(positions).all():  # before the clip turns an inf into a grid edge
+            raise ConfigError(f"{spec.scenario}: speed or margin too large for float64")
         positions = np.clip(positions, 0.0, spec.grid - 1.0)
         tracks = [
             AgentTrack(i, positions[i], np.arange(spec.n_frames))

@@ -28,23 +28,24 @@ from .tensor import Tensor, _node, _recording, _relu_data
 # -- parameters -----------------------------------------------------------
 
 
-def init_gpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Generator):
+def init_gpm_params(arrays: dict, config: ModelConfig, rng: np.random.Generator):
+    """Add the goal module's initial arrays to ``arrays``, in rng draw order."""
     c_in = config.n_classes + config.t_obs
     w1, w2 = config.enc_widths
     wd = config.dec_width
 
     def conv(name, cin, cout):
         fan_in, fan_out = 9 * cin, 9 * cout
-        store.add(f"gpm.{name}.w", glorot_uniform(rng, fan_in, fan_out, (3, 3, cin, cout)))
-        store.add(f"gpm.{name}.b", np.zeros(cout))
+        arrays[f"gpm.{name}.w"] = glorot_uniform(rng, fan_in, fan_out, (3, 3, cin, cout))
+        arrays[f"gpm.{name}.b"] = np.zeros(cout)
 
     conv("enc1", c_in, w1)
     conv("enc2", w1, w2)
     conv("bott", w2, w2)
     conv("dec2", w2 + w2, wd)
     conv("dec1", wd + w1, wd)
-    store.add("gpm.out.w", glorot_uniform(rng, wd, 1, (wd, 1)))
-    store.add("gpm.out.b", np.zeros(1))
+    arrays["gpm.out.w"] = glorot_uniform(rng, wd, 1, (wd, 1))
+    arrays["gpm.out.b"] = np.zeros(1)
 
 
 # -- the encoder-decoder node ------------------------------------------------

@@ -138,17 +138,17 @@ def collision_rates(ev: EvalInput, epsilon: float) -> np.ndarray:
 # -- distribution metrics ------------------------------------------------------
 
 
-def kde_nll(ev: EvalInput, bandwidth_floor: float = 1e-3) -> float:
+def kde_nll(ev: EvalInput) -> float:
     """Gaussian KDE negative log-likelihood of the ground truth.
 
     Per agent and step, an isotropic kernel over the k sample positions with
-    a Scott-style scalar bandwidth k^(-1/3) * std (floored) scores the true
+    a Scott-style scalar bandwidth k^(-1/3) * std (floored at 1e-3) scores the true
     position; the NLL averages over steps and agents.
     """
     if ev.k < 2:
         raise DataError("kde_nll needs k >= 2 samples")
     cloud = ev.predictions  # (N, k, T, 2)
-    h = np.maximum(ev.k ** (-1.0 / 3.0) * np.sqrt(cloud.var(axis=1).mean(-1)), bandwidth_floor)
+    h = np.maximum(ev.k ** (-1.0 / 3.0) * np.sqrt(cloud.var(axis=1).mean(-1)), 1e-3)
     d2 = ((cloud - ev.ground_truth[:, None]) ** 2).sum(-1)  # (N, k, T)
     density = np.exp(-0.5 * d2 / (h * h)[:, None]).mean(axis=1) / (2.0 * math.pi * h * h)
     return float(-np.log(np.maximum(density, 1e-300)).mean())

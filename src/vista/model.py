@@ -20,13 +20,14 @@ from .tpm import PredictionSet, init_tpm_params, rollout
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
+    """The initial store: the ``gpm.*`` arrays (with use_goal), then the ``tpm.*`` ones."""
     config.validate()
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    arrays = {}
     if config.use_goal:
-        init_gpm_params(store, config, rng)
-    init_tpm_params(store, config, rng)
-    return store
+        init_gpm_params(arrays, config, rng)
+    init_tpm_params(arrays, config, rng)
+    return ParamStore(arrays)
 
 
 def stable_seed(*parts) -> int:
@@ -39,10 +40,6 @@ def stable_seed(*parts) -> int:
 class Model:
     config: ModelConfig
     params: ParamStore
-
-    def gt_goals(self, scene: Scene) -> np.ndarray:
-        """Final ground-truth position per agent, scene units."""
-        return scene.positions()[:, -1, :].copy()
 
     def heatmaps(self, scene: Scene) -> np.ndarray:
         """(N, H, W) goal probabilities, one map per agent in scene order."""

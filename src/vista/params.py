@@ -1,4 +1,5 @@
-"""Named, ordered parameter collections and their binary checkpoint format.
+"""Named, ordered parameter collections, each built once from its arrays,
+and their binary checkpoint format.
 
 Checkpoint layout: the 6-byte magic ``VISTA1``, then one record per entry in
 store order: name length (u64 LE), UTF-8 name, rank (u64 LE), extents
@@ -21,7 +22,8 @@ MAGIC = b"VISTA1"
 
 
 class ParamStore:
-    """Ordered map of name -> trainable ``Parameter``.
+    """Ordered map of name -> trainable ``Parameter``, built once from an
+    ordered mapping of name -> array, whose arrays it copies.
 
     All values live in one contiguous float64 vector (``values``) and all
     gradients in another (``grads``), in store order; each parameter's
@@ -29,47 +31,22 @@ class ParamStore:
     (``p.data[...] = x``): rebinding ``p.data`` detaches it from the store.
     """
 
-    def __init__(self):
-        self._entries: dict[str, Parameter] = {}
-        self._size = 0
-        self._value_buf = np.empty(0)
-        self._grad_buf = np.empty(0)
+    def __init__(self, arrays):
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        self._values = np.concatenate([a.reshape(-1) for a in arrays.values()] or [np.empty(0)])
+        self._grads = np.zeros_like(self._values)
+        self._entries = {name: Parameter(a, requires_grad=True) for name, a in arrays.items()}
+        values, grads = self.split(self._values), self.split(self._grads)
+        for name, t in self._entries.items():  # point each entry at its slices
+            t.data, t.grad = values[name], grads[name]
 
     @property
     def values(self) -> np.ndarray:
-        return self._value_buf[: self._size]
+        return self._values
 
     @property
     def grads(self) -> np.ndarray:
-        return self._grad_buf[: self._size]
-
-    def add(self, name: str, array) -> Parameter:
-        """Copy ``array`` into the buffer as a new parameter with a zero gradient."""
-        if name in self._entries:
-            raise ValueError(f"duplicate parameter name: {name}")
-        arr = np.asarray(array, dtype=np.float64)
-        start, stop = self._size, self._size + arr.size
-        if stop > len(self._value_buf):
-            self._reallocate(max(stop, 2 * len(self._value_buf)))
-        t = Parameter(self._value_buf[start:stop].reshape(arr.shape), requires_grad=True)
-        t.data[...] = arr
-        t.grad = self._grad_buf[start:stop].reshape(arr.shape)
-        t.grad.fill(0.0)
-        self._size = stop
-        self._entries[name] = t
-        return t
-
-    def _reallocate(self, capacity: int):
-        """Move both buffers to ``capacity`` slots and re-point every view.
-        The slots past the last parameter stay unwritten, so their pages are
-        never touched."""
-        values, grads = np.empty(capacity), np.empty(capacity)
-        values[: self._size] = self.values
-        grads[: self._size] = self.grads
-        value_views, grad_views = self.split(values), self.split(grads)
-        for name, t in self._entries.items():
-            t.data, t.grad = value_views[name], grad_views[name]
-        self._value_buf, self._grad_buf = values, grads
+        return self._grads
 
     def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-name views of ``flat``, a vector laid out like ``values``."""
@@ -85,9 +62,6 @@ class ParamStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def names(self):
         return list(self._entries.keys())
@@ -109,11 +83,10 @@ class ParamStore:
             raw = name.encode("utf-8")
             blob += struct.pack("<Q", len(raw))
             blob += raw
-            arr = np.ascontiguousarray(t.data, dtype=np.float64)
-            blob += struct.pack("<Q", arr.ndim)
-            for extent in arr.shape:
+            blob += struct.pack("<Q", t.data.ndim)
+            for extent in t.data.shape:
                 blob += struct.pack("<Q", extent)
-            blob += arr.astype("<f8").tobytes()
+            blob += t.data.astype("<f8").tobytes()
         atomic_write(path, blob)
 
     @classmethod
@@ -145,12 +118,8 @@ class ParamStore:
             # Training-state scalars use inf and nan for "no best value yet".
             if not name.startswith("_state.") and not np.isfinite(values).all():
                 raise CheckpointError(f"{path}: entry {name!r} holds non-finite values")
-            entries[name] = values  # add() copies it into the store's buffer
-        store = cls()
-        store._reallocate(sum(arr.size for arr in entries.values()))  # one allocation
-        for name, arr in entries.items():
-            store.add(name, arr)
-        return store
+            entries[name] = values
+        return cls(entries)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape):

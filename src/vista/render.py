@@ -8,13 +8,9 @@ from .data import Scene, atomic_write
 from .tpm import PredictionSet
 
 
-def _polyline(points, color, width=0.15, dash=None):
+def _polyline(points, color):
     pts = " ".join(f"{x:.4f},{y:.4f}" for x, y in points)
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return (
-        f'<polyline points="{pts}" fill="none" stroke="{color}" '
-        f'stroke-width="{width}"{dash_attr} />'
-    )
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="0.15" />'
 
 
 def render_scene_svg(scene: Scene, pred: PredictionSet, t_obs: int) -> str:

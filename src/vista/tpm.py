@@ -65,25 +65,26 @@ class RolloutResult:
 # -- parameters -----------------------------------------------------------
 
 
-def init_tpm_params(store: ParamStore, config: ModelConfig, rng: np.random.Generator):
+def init_tpm_params(arrays: dict, config: ModelConfig, rng: np.random.Generator):
+    """Add the trajectory module's initial arrays to ``arrays``, in rng draw order."""
     d = config.d_model
-    store.add("tpm.embed.w", glorot_uniform(rng, 2, d, (2, d)))
-    store.add("tpm.embed.b", np.zeros(d))
-    store.add("tpm.pe.learn", np.zeros((config.t_total + 1, d)))
-    init_mha_params(store, "tpm.fusion.self0", d, rng)
+    arrays["tpm.embed.w"] = glorot_uniform(rng, 2, d, (2, d))
+    arrays["tpm.embed.b"] = np.zeros(d)
+    arrays["tpm.pe.learn"] = np.zeros((config.t_total + 1, d))
+    init_mha_params(arrays, "tpm.fusion.self0", d, rng)
     if config.use_goal:
         # _goal_term reads only wv, bv, wo and bo. wq, bq and wk stay in the
         # store, unread, so checkpoints keep their parameter names and the
         # draws that follow keep their order.
-        init_mha_params(store, "tpm.fusion.cross", d, rng)
-        store.add("tpm.fusion.norm.gamma", np.ones(d))
-        store.add("tpm.fusion.norm.beta", np.zeros(d))
+        init_mha_params(arrays, "tpm.fusion.cross", d, rng)
+        arrays["tpm.fusion.norm.gamma"] = np.ones(d)
+        arrays["tpm.fusion.norm.beta"] = np.zeros(d)
     if config.use_social:
-        init_mha_params(store, "tpm.social0", d, rng)
-    store.add("tpm.dec.w1", glorot_uniform(rng, d, d, (d, d)))
-    store.add("tpm.dec.b1", np.zeros(d))
-    store.add("tpm.dec.w2", glorot_uniform(rng, d, 2, (d, 2)))
-    store.add("tpm.dec.b2", np.zeros(2))
+        init_mha_params(arrays, "tpm.social0", d, rng)
+    arrays["tpm.dec.w1"] = glorot_uniform(rng, d, d, (d, d))
+    arrays["tpm.dec.b1"] = np.zeros(d)
+    arrays["tpm.dec.w2"] = glorot_uniform(rng, d, 2, (d, 2))
+    arrays["tpm.dec.b2"] = np.zeros(2)
 
 
 # -- building blocks -------------------------------------------------------

@@ -223,7 +223,7 @@ def _validation_score(model: Model, scenes, k: int | None = None, seed: int = 0)
     total, count = 0.0, 0
     for scene in scenes:
         if k is None:
-            result = model.rollout_with_goals(scene, model.gt_goals(scene))
+            result = model.rollout_with_goals(scene, scene.positions()[:, -1])
             trajectories = result.trajectories[:, None]
         else:
             trajectories = model.predict(scene, k=k, seed=seed).trajectories
@@ -237,17 +237,21 @@ def _validation_score(model: Model, scenes, k: int | None = None, seed: int = 0)
 # -- training state (resume support) ------------------------------------------
 
 
+STOP_REASONS = ("max_epochs", "early_stop", "target_reached")
+
+
 @dataclass
 class _Progress:
     epoch: int  # the last completed epoch
     lr: float
     first_total: float = math.nan  # mean loss of the first epoch, for the target stop
+    stop: int = 0  # STOP_REASONS index; a state resumes training only from 0
 
 
 def _state_slots(progress: _Progress, adam: Adam, plateau: Patience, stop: Patience) -> dict:
     """Every scalar a state file carries: entry name -> (owner, attribute).
     Saving and resuming both walk this one table."""
-    slots = {f"_state.{attr}": (progress, attr) for attr in ("epoch", "lr", "first_total")}
+    slots = {f"_state.{attr}": (progress, attr) for attr in ("epoch", "lr", "first_total", "stop")}
     slots["_state.adam_t"] = (adam, "t")
     for prefix, counter in (("plateau", plateau), ("stop", stop)):
         slots.update({f"_state.{prefix}_{a}": (counter, a) for a in ("best", "best_epoch", "bad")})
@@ -257,16 +261,12 @@ def _state_slots(progress: _Progress, adam: Adam, plateau: Patience, stop: Patie
 def save_train_state(path, params: ParamStore, adam: Adam, best_values, slots: dict):
     """The parameters, then Adam's moments and the best values as flat
     vectors laid out like ``params.values``, then one entry per scalar slot."""
-    blob = ParamStore()
-    for name, t in params.items():
-        blob.add(name, t.data)
-    blob.add("_opt.m", adam.m)
-    blob.add("_opt.v", adam.v)
+    arrays = {name: t.data for name, t in params.items()}
+    arrays.update({"_opt.m": adam.m, "_opt.v": adam.v})
     if best_values is not None:
-        blob.add("_best", best_values)
-    for name, (owner, attr) in slots.items():
-        blob.add(name, [float(getattr(owner, attr))])
-    blob.save(path)
+        arrays["_best"] = best_values
+    arrays.update({name: [float(getattr(owner, attr))] for name, (owner, attr) in slots.items()})
+    ParamStore(arrays).save(path)
 
 
 def _restore_train_state(blob: ParamStore, adam: Adam, slots: dict):
@@ -288,11 +288,7 @@ def _restore_train_state(blob: ParamStore, adam: Adam, slots: dict):
 def strip_train_state(blob: ParamStore) -> ParamStore:
     """Model-only parameters from a checkpoint that may carry training state:
     every entry whose name does not start with ``_``."""
-    params = ParamStore()
-    for name, t in blob.items():
-        if not name.startswith("_"):
-            params.add(name, t.data)
-    return params
+    return ParamStore({name: t.data for name, t in blob.items() if not name.startswith("_")})
 
 
 def check_model_params(params: ParamStore, model_cfg: ModelConfig, source):
@@ -319,11 +315,13 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
 
     Deterministic given config.train.seed: epoch shuffles are seeded by
     (seed, epoch), batches accumulate mean gradients in a fixed order, and
-    the validation sampler seed is fixed. Returns (best_params, report);
-    raises DataError, before the first epoch, on a position of any window
-    outside the grid, CheckpointError on a ``resume_from`` state that lacks
-    an entry or whose parameters are not the model config's, and
-    DivergenceError (with the partial report attached) on NaN loss.
+    the validation sampler seed is fixed. A ``resume_from`` state whose run
+    stopped early or reached its target runs no epoch; any other trains on
+    to ``max_epochs``. Returns (best_params, report); raises DataError,
+    before the first epoch, on a position of any window outside the grid,
+    CheckpointError on a ``resume_from`` state that lacks an entry or whose
+    parameters are not the model config's, and DivergenceError (with the
+    partial report attached) on NaN loss.
     """
     cfg = config.train
     mcfg = config.model
@@ -347,11 +345,15 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
     progress = _Progress(epoch=0, lr=cfg.lr)
     slots = _state_slots(progress, adam, plateau, report.early_stop)
     best_values = None if resume_from is None else _restore_train_state(blob, adam, slots)
+    if not 0 <= progress.stop < len(STOP_REASONS):
+        raise CheckpointError(f"training state has no stop reason {progress.stop}")
+    report.stop_reason = STOP_REASONS[progress.stop]
+    last_epoch = cfg.max_epochs if report.stop_reason == "max_epochs" else progress.epoch
 
     val_seed = stable_seed(cfg.seed, "validation-ttst")
     constants = [window_constants(s, mcfg) for s in train_scenes]
 
-    for epoch in range(progress.epoch + 1, cfg.max_epochs + 1):
+    for epoch in range(progress.epoch + 1, last_epoch + 1):
         shuffle = np.random.default_rng(stable_seed(cfg.seed, "shuffle", epoch))
         order = shuffle.permutation(len(train_scenes))
 
@@ -421,13 +423,9 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
             ):
                 report.stop_reason = "target_reached"
                 break
-    else:
-        report.stop_reason = "max_epochs"
 
     if state_out is not None:
+        progress.stop = STOP_REASONS.index(report.stop_reason)
         save_train_state(state_out, params, adam, best_values, slots)
 
-    best = ParamStore()
-    for name, arr in params.split(params.values if best_values is None else best_values).items():
-        best.add(name, arr)  # add copies
-    return best, report
+    return ParamStore(params.split(params.values if best_values is None else best_values)), report

@@ -50,12 +50,9 @@ def reference_multi_head_attention(q, k, v, n_heads: int, params: ParamStore, pr
 
 
 def identity_params(dim, prefix="mha"):
-    store = ParamStore()
-    for w in ("wq", "wk", "wv", "wo"):
-        store.add(f"{prefix}.{w}", np.eye(dim))
-    for b in ("bq", "bv", "bo"):
-        store.add(f"{prefix}.{b}", np.zeros(dim))
-    return store
+    arrays = {f"{prefix}.{w}": np.eye(dim) for w in ("wq", "wk", "wv", "wo")}
+    arrays.update({f"{prefix}.{b}": np.zeros(dim) for b in ("bq", "bv", "bo")})
+    return ParamStore(arrays)
 
 
 def test_single_key_attends_fully():
@@ -108,8 +105,9 @@ def test_key_value_row_mismatch():
 
 def test_batched_matches_per_sequence():
     rng = np.random.default_rng(5)
-    store = ParamStore()
-    init_mha_params(store, "mha", 8, rng)
+    arrays = {}
+    init_mha_params(arrays, "mha", 8, rng)
+    store = ParamStore(arrays)
     x = rng.normal(size=(3, 5, 8))
     out_b, attn_b = multi_head_attention(Tensor(x), Tensor(x), Tensor(x), 4, store, "mha")
     for i in range(3):
@@ -129,8 +127,9 @@ def test_batched_matches_per_sequence():
 def test_rows_stochastic_for_random_inputs(lq, lk, heads, seed):
     rng = np.random.default_rng(seed)
     dim = 8
-    store = ParamStore()
-    init_mha_params(store, "mha", dim, rng)
+    arrays = {}
+    init_mha_params(arrays, "mha", dim, rng)
+    store = ParamStore(arrays)
     q = Tensor(rng.normal(scale=3.0, size=(lq, dim)))
     kv = Tensor(rng.normal(scale=3.0, size=(lk, dim)))
     out, attn = multi_head_attention(q, kv, kv, heads, store, "mha")
@@ -170,8 +169,9 @@ def attend_and_grads(attend, case):
     """Output, attention and the gradient of every input and parameter for
     a random upstream gradient, with seeded inputs and parameters."""
     rng = np.random.default_rng(9)
-    store = ParamStore()
-    init_mha_params(store, "mha", 8, rng)
+    arrays = {}
+    init_mha_params(arrays, "mha", 8, rng)
+    store = ParamStore(arrays)
     set_random_biases(store, "mha", rng)
     leaves, (q, k, v) = case(rng)
     out, attn = attend(q, k, v, 2, store, "mha")
@@ -195,8 +195,9 @@ def test_one_node_attention_matches_reference(case):
 
 def test_attention_records_one_node():
     _, (q, k, v) = social_case(np.random.default_rng(0))
-    store = ParamStore()
-    init_mha_params(store, "mha", 8, np.random.default_rng(1))
+    arrays = {}
+    init_mha_params(arrays, "mha", 8, np.random.default_rng(1))
+    store = ParamStore(arrays)
     out, attn = multi_head_attention(q, k, v, 2, store, "mha")
     assert out.op == "attention"
     assert not attn.flags.writeable  # a view of what the backward reads

@@ -116,6 +116,20 @@ class TestSynth:
         tracks = sorted(out.glob(f"{scenario}__w*.txt"))
         assert tracks and all(np.isfinite(np.loadtxt(path)).all() for path in tracks)
 
+    @pytest.mark.parametrize("randomize", [[], ["--randomize"]], ids=["fixed", "randomized"])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_speed_beyond_float64_exits_2(self, tmp_path, capsys, scenario, randomize):
+        # t * speed leaves float64 at the second frame; clipping would hide the inf.
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synth", "--scenario", scenario, "--speed", "1e308", "--out", str(out)] + randomize)
+        assert not caught
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "float64" in err["message"]
+        assert not out.exists()
+
     def test_spec_values_kept_when_flags_unset(self, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text("scenario=crossing\nn_agents=4\nseed=5\nn_windows=3\n")
@@ -682,6 +696,30 @@ class TestEvaluate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "render"])
+    def test_observed_distance_beyond_float64_exits_4_naming_trajectory_file(
+        self, synth_dir, quick_config, tmp_path, capsys, command
+    ):
+        # Observed frames never reach a prediction check, but calibrate_epsilon
+        # and the figure's viewBox read them.
+        pred_dir = tmp_path / "preds"
+        scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
+        source = scenes[0].source
+        rows = [line.split() for line in open(source).read().splitlines()]
+        frame = str(int(scenes[0].frame_ids[1]))
+        next(r for r in rows if r[0] == frame)[2] = "1e200"
+        with open(source, "w") as fh:
+            fh.write("\n".join(" ".join(r) for r in rows) + "\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(cli_args(command, synth_dir, pred_dir, quick_config, out))
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and source in err["message"]
+        assert "finite" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "render"])
     def test_sample_id_gap_names_first_missing_key(self, synth_dir, quick_config, tmp_path, capsys, command):
         pred_dir = tmp_path / "preds"
         scenes = self.write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
@@ -818,14 +856,19 @@ BOUNDARY_TOKENS = {
 
 @pytest.fixture(scope="module")
 def boundary_inputs(tmp_path_factory):
+    """Six synthesized windows, a config, a checkpoint trained on them, their
+    ground truth written as k=2 predictions, and a trace of the first window."""
     base = tmp_path_factory.mktemp("boundary")
     data = base / "data"
     assert main([
-        "synth", "--scenario", "crossing", "--n", "2", "--seed", "3", "--windows", "2",
+        "synth", "--scenario", "crossing", "--n", "2", "--seed", "3", "--windows", "6",
         "--frames", "7", "--randomize", "--speed", "0.6", "--out", str(data),
     ]) == 0
     config = base / "quick.cfg"
-    config.write_text("[model]\nt_obs=4\nt_fut=3\ngrid=16\n")
+    config.write_text("[model]\nt_obs=4\nt_fut=3\ngrid=16\n[train]\nmax_epochs=1\nval_k=2\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--data", str(data), "--config", str(config), "--fold", "ratio",
+                     "--out", str(base / "trained")]) == 0
     scenes = TestEvaluate().write_gt_as_predictions(data, base / "preds", t_obs=4, k=2)
     trace = {"agent_ids": [int(a) for a in scenes[0].agent_ids],
              "steps": [{"t": 5, "matrix": [[0.75, 0.25], [0.5, 0.5]]}]}
@@ -844,9 +887,6 @@ def boundary_inputs(tmp_path_factory):
 def test_boundary_field_in_prediction_or_trace_exits_with_a_documented_code(
     boundary_inputs, command, target, field, value
 ):
-    # A run ends with a documented code and never a traceback; a rejected run
-    # prints the JSON error line and leaves no output directory, and an
-    # accepted one writes no non-finite coordinate.
     base, data, config, trace, counter = boundary_inputs
     run_dir = base / f"run{next(counter)}"
     shutil.copytree(base / "preds", run_dir / "preds")
@@ -882,21 +922,124 @@ def test_boundary_field_in_prediction_or_trace_exits_with_a_documented_code(
         (run_dir / "trace.json").write_text(text)
         extra = ["--trace", str(run_dir / "trace.json")] if command == "render" else []
     out = run_dir / "out"
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(cli_args(command, data, run_dir / "preds", config, out) + extra)
-    assert code in (0, 2, 3, 4, 5)
-    if code:
-        assert json.loads(err.getvalue())["code"] == code
-        assert not out.exists()
-    else:
-        written = "".join(p.read_text() for p in out.iterdir()).lower()
-        assert "nan" not in written and "inf" not in written
+    code = assert_documented_exit(cli_args(command, data, run_dir / "preds", config, out) + extra, out)
     # Every edit breaks a prediction file. A boundary token or an empty file
     # breaks the trace that render reads; the other two edits leave it valid.
     if target == "prediction" or (
         command == "render" and value not in ("duplicate key", "sample-id gap")
     ):
         assert code == 4
+
+
+# Boundary tokens of the trajectory, raster and synth spec properties beyond
+# BOUNDARY_TOKENS: a negative, a zero and one, and finite values whose
+# squares, or sums, leave float64.
+EXTRA_TOKENS = ("-1", "0", "1", "1e200", "1e308", "1e20")
+NON_FINITE = re.compile(r"(?i)(?<![a-z])(nan|inf|infinity)(?![a-z])")
+
+
+def assert_documented_exit(argv, out):
+    """Run ``argv``: it ends with a documented code and never a traceback; a
+    rejected run prints the JSON error line and leaves no ``out``, and an
+    accepted one writes no non-finite number outside its manifest and its
+    binary checkpoints."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        assert json.loads(err.getvalue())["code"] == code
+        assert not out.exists()
+    else:
+        for path in out.rglob("*"):
+            if path.is_file() and path.suffix != ".bin" and not path.name.startswith("manifest"):
+                assert not NON_FINITE.search(path.read_text()), path
+    return code
+
+
+def token(value):
+    """The file token of ``value``, a key of BOUNDARY_TOKENS or an extra token."""
+    return BOUNDARY_TOKENS[value][0] if value in BOUNDARY_TOKENS else value
+
+
+@seed(19)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["train", "predict", "evaluate"]),
+    field=st.integers(0, 3),
+    value=st.sampled_from([*BOUNDARY_TOKENS, *EXTRA_TOKENS, "duplicate line", "empty file"]),
+)
+def test_boundary_field_in_trajectory_file_exits_with_a_documented_code(
+    boundary_inputs, command, field, value
+):
+    # One field of the second line (frame, agent, x or y) of one trajectory file.
+    base, data, config, _, counter = boundary_inputs
+    run_dir = base / f"run{next(counter)}"
+    shutil.copytree(data, run_dir / "data")
+    victim = sorted((run_dir / "data").glob("*.txt"))[0]
+    lines = victim.read_text().splitlines()
+    if value == "duplicate line":
+        lines.append(lines[1])
+    else:
+        parts = lines[1].split()
+        parts[field] = token(value)
+        lines[1] = " ".join(parts)
+    victim.write_text("" if value == "empty file" else "\n".join(lines) + "\n")
+    out = run_dir / "out"
+    argv = {
+        "train": ["train", "--data", str(run_dir / "data"), "--fold", "ratio"],
+        "predict": ["predict", "--data", str(run_dir / "data"), "--k", "2",
+                    "--checkpoint", str(base / "trained" / "checkpoint_fold0.bin")],
+        "evaluate": ["evaluate", "--gt", str(run_dir / "data"), "--pred", str(base / "preds")],
+    }[command]
+    code = assert_documented_exit(argv + ["--config", str(config), "--out", str(out)], out)
+    if value in ("nan", "inf", "-inf", "1e400", "true", "empty", "duplicate line"):
+        assert code == 4
+
+
+@seed(20)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    field=st.integers(0, 3),
+    value=st.sampled_from([*BOUNDARY_TOKENS, *EXTRA_TOKENS, "empty file"]),
+)
+def test_boundary_field_in_raster_file_exits_with_a_documented_code(boundary_inputs, field, value):
+    # One header extent (H, W or D) or the first class score of the raster
+    # that ``train --raster-dir`` reads.
+    base, data, config, _, counter = boundary_inputs
+    run_dir = base / f"run{next(counter)}"
+    shutil.copytree(data / "rasters", run_dir / "rasters")
+    victim = run_dir / "rasters" / "crossing.txt"
+    header, body = victim.read_text().split("\n", 1)
+    parts = header.split() + body.split(None, 1)
+    parts[field] = token(value)
+    victim.write_text("" if value == "empty file" else f"{' '.join(parts[:3])}\n{' '.join(parts[3:])}\n")
+    out = run_dir / "out"
+    code = assert_documented_exit([
+        "train", "--data", str(data), "--raster-dir", str(run_dir / "rasters"), "--fold", "ratio",
+        "--config", str(config), "--out", str(out),
+    ], out)
+    # The raster is 16 16 1 of ones: D = 1 or a first score of 1 leaves it as it was.
+    assert code == (0 if value == "1" and field >= 2 else 4)
+
+
+@seed(21)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    key=st.sampled_from(["scenario", "n_agents", "speed", "margin", "seed", "n_windows",
+                         "grid", "n_frames", "randomize"]),
+    value=st.sampled_from([*BOUNDARY_TOKENS, *EXTRA_TOKENS, *SCENARIOS]),
+)
+def test_boundary_value_in_synth_spec_exits_with_a_documented_code(tmp_path_factory, key, value):
+    # One key of a spec file that ``synth --spec`` reads with ScenarioSpec.from_text.
+    base = tmp_path_factory.mktemp("spec")
+    spec = {"scenario": "head-on-avoid", "n_agents": "2", "n_windows": "2", "n_frames": "7",
+            "grid": "16", "randomize": "true"}
+    spec[key] = token(value)
+    (base / "run.spec").write_text("".join(f"{k}={v}\n" for k, v in spec.items()))
+    out = base / "out"
+    code = assert_documented_exit(["synth", "--spec", str(base / "run.spec"), "--out", str(out)], out)
+    if value in ("nan", "inf", "-inf", "1e400", "empty"):
+        assert code in (2, 4)
 
 
 def test_unknown_command_shows_help(capsys):

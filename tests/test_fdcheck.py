@@ -11,8 +11,7 @@ from vista.tpm import rollout
 
 
 def test_quadratic_loss_is_near_exact():
-    store = ParamStore()
-    store.add("x", np.array([1.0, 2.0, 3.0]))
+    store = ParamStore({"x": np.array([1.0, 2.0, 3.0])})
 
     def loss():
         x = store["x"]
@@ -23,8 +22,7 @@ def test_quadratic_loss_is_near_exact():
 
 
 def test_epsilon_outside_range_rejected():
-    store = ParamStore()
-    store.add("x", np.ones(2))
+    store = ParamStore({"x": np.ones(2)})
     with pytest.raises(ValueError):
         finite_difference_check(store, lambda: reduce_sum(store["x"]), epsilon=1e-2)
 

@@ -146,8 +146,9 @@ class TestForward:
     def test_bce_gradient_matches_finite_differences(self, tiny_model_config):
         cfg = tiny_model_config
         rng = np.random.default_rng(2)
-        store = ParamStore()
-        init_gpm_params(store, cfg, rng)
+        arrays = {}
+        init_gpm_params(arrays, cfg, rng)
+        store = ParamStore(arrays)
         obs = rng.uniform(3, 12, size=(1, cfg.t_obs, 2))
         goal = rng.uniform(3, 12, size=2)
 

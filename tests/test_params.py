@@ -7,11 +7,11 @@ from vista.params import MAGIC, ParamStore
 
 def random_store(seed=0):
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    store.add("alpha.w", rng.normal(size=(3, 4)))
-    store.add("alpha.b", rng.normal(size=(4,)))
-    store.add("beta", rng.normal(size=(2, 2, 5)))
-    return store
+    return ParamStore({
+        "alpha.w": rng.normal(size=(3, 4)),
+        "alpha.b": rng.normal(size=(4,)),
+        "beta": rng.normal(size=(2, 2, 5)),
+    })
 
 
 def test_roundtrip_bit_identical(tmp_path):
@@ -26,9 +26,7 @@ def test_roundtrip_bit_identical(tmp_path):
 
 
 def test_iteration_order_stable_across_save_load(tmp_path):
-    store = ParamStore()
-    for name in ["z.last", "a.first", "m.middle"]:
-        store.add(name, np.zeros(2))
+    store = ParamStore({name: np.zeros(2) for name in ["z.last", "a.first", "m.middle"]})
     path = tmp_path / "ckpt.bin"
     store.save(path)
     assert ParamStore.load(path).names() == ["z.last", "a.first", "m.middle"]
@@ -63,21 +61,16 @@ def test_non_finite_entry_rejected_by_name(tmp_path, bad):
 
 def test_training_state_scalars_may_be_non_finite(tmp_path):
     # The schedulers start from inf ("no best yet") and nan ("no first epoch").
-    store = random_store()
-    store.add("_state.stop_best", np.array([np.inf]))
-    store.add("_state.first_total", np.array([np.nan]))
+    store = ParamStore({
+        **{name: t.data for name, t in random_store().items()},
+        "_state.stop_best": np.array([np.inf]),
+        "_state.first_total": np.array([np.nan]),
+    })
     path = tmp_path / "state.bin"
     store.save(path)
     loaded = ParamStore.load(path)
     assert loaded["_state.stop_best"].data[0] == np.inf
     assert np.isnan(loaded["_state.first_total"].data[0])
-
-
-def test_duplicate_name_rejected():
-    store = ParamStore()
-    store.add("w", np.zeros(2))
-    with pytest.raises(ValueError, match="duplicate"):
-        store.add("w", np.zeros(2))
 
 
 def test_grad_slots_match_shapes():
@@ -89,8 +82,7 @@ def test_grad_slots_match_shapes():
 
 
 def test_file_layout_is_the_documented_binary_format(tmp_path):
-    store = ParamStore()
-    store.add("ab", np.array([[1.0, 2.0]]))
+    store = ParamStore({"ab": np.array([[1.0, 2.0]])})
     path = tmp_path / "ckpt.bin"
     store.save(path)
     blob = path.read_bytes()

@@ -107,8 +107,8 @@ class TestBackwardExamples:
         # The reshape hands the seed itself down as x's gradient: the second
         # call must add into a new array, not into the caller's seed, while
         # the store parameter adds into its buffer view.
-        store = ParamStore()
-        p = store.add("p", np.zeros(2))
+        store = ParamStore({"p": np.zeros(2)})
+        p = store["p"]
         x = Tensor([1.0, -2.0], requires_grad=True)
         seed = np.array([[0.5, 3.0]])
         y = reshape(add(x, p), (1, 2))

@@ -420,11 +420,12 @@ class TestDecodeStep:
 
     def test_hand_unit_mlp(self):
         # d=2 feature, hidden 2, out 2.
-        store = ParamStore()
-        store.add("tpm.dec.w1", np.array([[1.0, 0.0], [0.0, -1.0]]))
-        store.add("tpm.dec.b1", np.array([0.0, 0.5]))
-        store.add("tpm.dec.w2", np.array([[2.0, 0.0], [0.0, 1.0]]))
-        store.add("tpm.dec.b2", np.array([0.1, -0.1]))
+        store = ParamStore({
+            "tpm.dec.w1": np.array([[1.0, 0.0], [0.0, -1.0]]),
+            "tpm.dec.b1": np.array([0.0, 0.5]),
+            "tpm.dec.w2": np.array([[2.0, 0.0], [0.0, 1.0]]),
+            "tpm.dec.b2": np.array([0.1, -0.1]),
+        })
         feat = np.array([[1.5, 2.0]])
         hidden = np.maximum(feat @ store["tpm.dec.w1"].data + store["tpm.dec.b1"].data, 0)
         expected = hidden @ store["tpm.dec.w2"].data + store["tpm.dec.b2"].data

@@ -1,6 +1,6 @@
 import gc
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -308,7 +308,7 @@ def reference_validation_ade(model, scenes):
     total, count = 0.0, 0
     for scene in scenes:
         gt = scene.positions()[:, model.config.t_obs :, :]
-        result = model.rollout_with_goals(scene, model.gt_goals(scene))
+        result = model.rollout_with_goals(scene, scene.positions()[:, -1])
         err = np.sqrt(((result.trajectories - gt) ** 2).sum(-1)).mean(axis=1)
         total += err.sum()
         count += len(err)
@@ -492,6 +492,47 @@ class TestTrainLoop:
         assert rep_b.best_val_minade == rep_a.best_val_minade
         assert best_b.values.tobytes() == best_a.values.tobytes()
 
+    @pytest.mark.parametrize("schedule, stop, epochs", [
+        (dict(plateau_patience=1, early_stop_patience=4, lr=3e-3), "early_stop", 10),
+        (dict(target_loss_frac=0.9, target_minade=5.0), "target_reached", 2),
+        (dict(max_epochs=4), "max_epochs", 4),
+    ], ids=["early_stop", "target_reached", "max_epochs"])
+    def test_saved_and_resumed_run_equals_straight_run_at_every_split(
+        self, tmp_path, schedule, stop, epochs
+    ):
+        # A state saved where its run stopped resumes without another epoch;
+        # one saved at a smaller max_epochs trains on to the larger one.
+        scenes = small_dataset(3)
+        schedule = {"max_epochs": 12, **schedule}
+        best, rep = train(scenes, scenes, small_config(**schedule))
+        assert (rep.stop_reason, len(rep.records)) == (stop, epochs)
+        state_path = tmp_path / "state.bin"
+        for split in range(1, epochs + 1):
+            _, rep_a = train(scenes, scenes, small_config(**{**schedule, "max_epochs": split}),
+                             state_out=state_path)
+            best_b, rep_b = train(scenes, scenes, small_config(**schedule),
+                                  resume_from=str(state_path))
+            records = [repr(astuple(r)) for r in rep_a.records + rep_b.records]
+            assert records == [repr(astuple(r)) for r in rep.records], split
+            assert best_b.values.tobytes() == best.values.tobytes(), split
+            assert (rep_b.stop_reason, rep_b.best_epoch) == (rep.stop_reason, rep.best_epoch)
+            assert rep_b.best_val_minade.hex() == rep.best_val_minade.hex()
+
+    @pytest.mark.parametrize("stop, match", [
+        (None, "no entry '_state.stop'"), (3.0, "no stop reason 3"), (-1.0, "no stop reason -1"),
+    ], ids=["missing", "past_the_last", "negative"])
+    def test_state_without_a_stop_reason_is_a_checkpoint_error(self, tmp_path, stop, match):
+        # A state file written before the slot lacks it.
+        scenes = small_dataset(2)
+        state_path = tmp_path / "state.bin"
+        train(scenes, scenes, small_config(max_epochs=1), state_out=state_path)
+        arrays = {n: t.data for n, t in ParamStore.load(state_path).items() if n != "_state.stop"}
+        if stop is not None:
+            arrays["_state.stop"] = [stop]
+        ParamStore(arrays).save(state_path)
+        with pytest.raises(CheckpointError, match=match):
+            train(scenes, scenes, small_config(max_epochs=2), resume_from=str(state_path))
+
     def test_state_file_holds_flat_vectors(self, tmp_path):
         scenes = small_dataset(2)
         cfg = small_config(max_epochs=2)
@@ -509,17 +550,15 @@ class TestTrainLoop:
         scenes = small_dataset(2)
         cfg = small_config(max_epochs=2)
         params = init_params(cfg.model, seed=0)
-        blob = ParamStore()
+        arrays = {name: t.data for name, t in params.items()}
         for name, t in params.items():
-            blob.add(name, t.data)
-        for name, t in params.items():
-            blob.add(f"_opt.m.{name}", np.zeros_like(t.data))
-            blob.add(f"_opt.v.{name}", np.zeros_like(t.data))
+            arrays[f"_opt.m.{name}"] = np.zeros_like(t.data)
+            arrays[f"_opt.v.{name}"] = np.zeros_like(t.data)
         for name in ("epoch", "lr", "adam_t", "plateau_best", "plateau_bad", "stop_best",
                      "stop_best_epoch", "stop_bad", "first_total"):
-            blob.add(f"_state.{name}", [1.0])
+            arrays[f"_state.{name}"] = [1.0]
         state_path = tmp_path / "old_state.bin"
-        blob.save(state_path)
+        ParamStore(arrays).save(state_path)
         with pytest.raises(CheckpointError, match="no entry '_opt.m'"):
             train(scenes, scenes, cfg, resume_from=str(state_path))
 
