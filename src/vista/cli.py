@@ -40,6 +40,7 @@ from .errors import (
     DataError,
     DivergenceError,
 )
+from .gpm import check_raster
 from .metrics import (
     calibrate_epsilon,
     eval_from_scene,
@@ -214,13 +215,7 @@ def _load_scenes(args, cfg: Config, data_attr="data"):
             if scene.scene_id not in cache:
                 path = os.path.join(raster_dir, f"{scene.scene_id}.txt")
                 raster = load_raster(path) if os.path.isfile(path) else None
-                if raster is not None and (
-                    raster.n_classes != cfg.model.n_classes or raster.height % 4 or raster.width % 4
-                ):
-                    raise DataError(
-                        f"{path}: the model reads {cfg.model.n_classes}-class rasters with sides "
-                        f"divisible by 4, got {raster.height}x{raster.width}x{raster.n_classes}"
-                    )
+                check_raster(raster, cfg.model, path)
                 cache[scene.scene_id] = raster
             scene.raster = cache[scene.scene_id]
     if not scenes:

@@ -117,19 +117,44 @@ class Scene:
 # -- trajectory text IO ---------------------------------------------------
 
 
-def _parse_track_line(line: str, lineno: int, path):
-    parts = line.split()
-    if len(parts) != 4:
-        raise DataError(f"{path}:{lineno}: expected 'frame agent x y', got {line!r}")
+def read_records(path, fields: str) -> dict:
+    """{ids: (x, y)} from a file whose lines hold ``fields``, integer ids
+    then x and y ("frame agent x y"); blank and ``#`` lines are skipped.
+    DataError names ``path:line`` for another field count, a non-numeric
+    field, an id that is not an integer (780.0 is one), a non-finite
+    coordinate, or ids that an earlier line holds."""
+    names = fields.split()
+    records = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != len(names):
+                raise DataError(f"{path}:{lineno}: expected '{fields}', got {raw.strip()!r}")
+            try:  # int() first: only an id such as 780.0 pays for the checks
+                key, xy = tuple(map(int, parts[:-2])), (float(parts[-2]), float(parts[-1]))
+            except ValueError:
+                key, xy = _checked_fields(parts, names, f"{path}:{lineno}", raw.strip())
+            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+                raise DataError(f"{path}:{lineno}: non-finite coordinate in {raw.strip()!r}")
+            if key in records:
+                raise DataError(f"{path}:{lineno}: duplicate record for ({', '.join(names[:-2])}) = {key}")
+            records[key] = xy
+    return records
+
+
+def _checked_fields(parts, names, where, line):
+    """The ids and coordinates of a record line whose ids ``int()`` refused."""
     try:
-        frame, agent, x, y = (float(p) for p in parts)
+        *ids, x, y = map(float, parts)
     except ValueError:
-        raise DataError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-    if not all(map(math.isfinite, (frame, agent, x, y))):
-        raise DataError(f"{path}:{lineno}: non-finite field in {line!r}")
-    if not (frame.is_integer() and agent.is_integer()):
-        raise DataError(f"{path}:{lineno}: frame and agent ids must be integers, got {line!r}")
-    return int(frame), int(agent), x, y
+        raise DataError(f"{where}: non-numeric field in {line!r}") from None
+    if not all(map(math.isfinite, ids)):
+        raise DataError(f"{where}: non-finite id in {line!r}")
+    if not all(v.is_integer() for v in ids):
+        raise DataError(f"{where}: {' and '.join(names[:-2])} ids must be integers, got {line!r}")
+    return tuple(map(int, ids)), (x, y)
 
 
 def load_trajectories(
@@ -150,7 +175,6 @@ def load_trajectories(
         stride = t_fut
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
-    files = []
     if os.path.isdir(path):
         files = sorted(
             os.path.join(path, f) for f in os.listdir(path) if f.endswith(".txt")
@@ -173,19 +197,7 @@ def load_trajectories(
 
 
 def _windows_from_file(path, span, stride):
-    records = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            frame, agent, x, y = _parse_track_line(line, lineno, path)
-            if (frame, agent) in records:
-                raise DataError(f"{path}:{lineno}: duplicate record for frame {frame}, agent {agent}")
-            records[(frame, agent)] = (x, y)
-    if not records:
-        return []
-
+    records = read_records(path, "frame agent x y")
     frames = sorted({f for f, _ in records})
     step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
     agents = sorted({a for _, a in records})
@@ -205,7 +217,7 @@ def _windows_from_file(path, span, stride):
                 pos = np.array([records[(f, a)] for f in window])
                 tracks.append(AgentTrack(a, pos, np.array(window)))
         if tracks:
-            scenes.append(Scene(stem, tracks, window_index=s // stride, source=str(path)))
+            scenes.append(Scene(stem, tracks, source=str(path)))
     return scenes
 
 

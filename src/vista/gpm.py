@@ -132,21 +132,37 @@ def _upsample2_grad(g: np.ndarray) -> np.ndarray:
     return (g[:, ::2, ::2] + g[:, ::2, 1::2]) + (g[:, 1::2, ::2] + g[:, 1::2, 1::2])
 
 
+def check_raster(raster: SceneRaster | None, config: ModelConfig, source):
+    """DataError naming ``source`` unless ``raster`` is None or has the
+    model's ``n_classes`` classes and sides divisible by 4, which the goal
+    module's two 2x poolings need."""
+    if raster is not None and (
+        raster.n_classes != config.n_classes or raster.height % 4 or raster.width % 4
+    ):
+        raise DataError(
+            f"{source}: the model reads {config.n_classes}-class rasters with sides "
+            f"divisible by 4, got {raster.height}x{raster.width}x{raster.n_classes}"
+        )
+
+
 def encode_gpm_input(
     obs: np.ndarray, raster: SceneRaster | None, config: ModelConfig
 ) -> np.ndarray:
-    """Stack raster class channels with one Gaussian channel per observed step.
-
-    ``obs`` is (N, t_obs, 2) in grid-cell units. Scenes without a raster get a
-    uniform single-class one.
-    """
+    """The goal module's input (N, H, W, n_classes + t_obs): the raster's
+    class channels, then one Gaussian channel per observed step of ``obs``
+    (N, t_obs, 2) in grid-cell units; a scene without a raster gets a uniform
+    one. DataError on another ``obs`` shape or a raster that ``check_raster``
+    refuses."""
+    if obs.ndim != 3 or obs.shape[1:] != (config.t_obs, 2):
+        raise DataError(f"observed batch must be (N, {config.t_obs}, 2), got {obs.shape}")
+    check_raster(raster, config, "raster")
     if raster is None:
         raster = uniform_raster(config.grid, config.n_classes)
     h, w = raster.height, raster.width
     n = obs.shape[0]
     channels = np.empty((n, h, w, raster.n_classes + config.t_obs))
+    channels[..., : raster.n_classes] = raster.scores
     for i in range(n):
-        channels[i, :, :, : raster.n_classes] = raster.scores
         for t in range(config.t_obs):
             channels[i, :, :, raster.n_classes + t] = rasterize_gaussian(
                 obs[i, t], (h, w), config.traj_sigma
@@ -154,31 +170,16 @@ def encode_gpm_input(
     return channels
 
 
-def gpm_forward_batch(
-    obs: np.ndarray,
-    raster: SceneRaster | None,
-    params: ParamStore,
-    config: ModelConfig,
-    channels: np.ndarray | None = None,
-) -> Tensor:
-    """Goal logits of shape (N, H, W) for a batch of co-observed agents.
-
-    ``channels`` may carry a precomputed ``encode_gpm_input`` result (the
-    encoding is a pure function of the observations, so callers that revisit
-    the same window can cache it). The logits are one node whose parents are
-    the twelve ``gpm.*`` parameters; outside recording it keeps none of the
-    layers' intermediates.
-    """
-    if obs.ndim != 3 or obs.shape[1] != config.t_obs:
-        raise ConfigError(f"observed batch must be (N, {config.t_obs}, 2), got {obs.shape}")
-    if raster is not None and (raster.height % 4 or raster.width % 4):
-        raise ConfigError(f"raster {raster.height}x{raster.width} must be divisible by 4")
-
-    x = encode_gpm_input(obs, raster, config) if channels is None else channels
+def gpm_forward_batch(channels: np.ndarray, params: ParamStore, config: ModelConfig) -> Tensor:
+    """Goal logits (N, H, W) of the ``encode_gpm_input`` channels of a batch
+    of co-observed agents under the model ``config``; a caller that revisits
+    a window may cache its channels. The logits are one node whose parents
+    are the twelve ``gpm.*`` parameters; outside recording it keeps none of
+    the layers' intermediates."""
     weights = tuple(params[f"gpm.{layer}.{p}"] for layer in _LAYERS for p in "wb")
     w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
     columns = [] if _recording(weights) else None  # kept only for backward
-    c1 = _conv_relu(_padded(x), w1, b1, columns)
+    c1 = _conv_relu(_padded(channels), w1, b1, columns)
     c2 = _conv_relu(_padded(_pool2(c1)), w2, b2, columns)
     bott = _conv_relu(_padded(_pool2(c2)), w3, b3, columns)
     d2 = _conv_relu(_upsample2_concat(bott, c2), w4, b4, columns)
@@ -201,13 +202,10 @@ def gpm_forward_batch(
 
 
 def heatmap_from_logits(logits: np.ndarray) -> np.ndarray:
-    """Per-cell sigmoid of (N, H, W) goal logits, stable at both tails."""
-    grid = np.empty_like(logits, dtype=np.float64)
-    pos = logits >= 0
-    grid[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-    e = np.exp(logits[~pos])
-    grid[~pos] = e / (1.0 + e)
-    return grid
+    """Per-cell sigmoid of goal logits z, stable at both tails: with
+    e = exp(-|z|), 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(logits))
+    return np.where(logits >= 0, 1.0, e) / (1.0 + e)
 
 
 # -- goal sampling ---------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 from .config import ModelConfig
 from .data import Scene, reject_off_grid
 from .errors import ConfigError
-from .gpm import gpm_forward_batch, heatmap_from_logits, init_gpm_params, ttst_sample
+from .gpm import encode_gpm_input, gpm_forward_batch, heatmap_from_logits, init_gpm_params, ttst_sample
 from .params import ParamStore
 from .tensor import no_grad
 from .tpm import PredictionSet, init_tpm_params, rollout
@@ -46,8 +46,9 @@ class Model:
         if not self.config.use_goal:
             raise ConfigError("goal conditioning is disabled in this configuration")
         obs = scene.positions()[:, : self.config.t_obs, :]
+        channels = encode_gpm_input(obs, scene.raster, self.config)
         with no_grad():
-            logits = gpm_forward_batch(obs, scene.raster, self.params, self.config)
+            logits = gpm_forward_batch(channels, self.params, self.config)
         return heatmap_from_logits(logits.data)
 
     def sample_goals(self, scene: Scene, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +65,8 @@ class Model:
         """k joint samples of the scene's future; sample j pairs the j-th
         goal of every agent, and all k run as one batched rollout. Without
         goal conditioning the k samples coincide, so one rollout is repeated
-        k times. Raises DataError on an observed position outside the grid."""
+        k times. Raises DataError on an observed position outside the grid,
+        and ``encode_gpm_input``'s on a window the goal module cannot read."""
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
         reject_off_grid(scene, self.config.t_obs, self.config.grid)

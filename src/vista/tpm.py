@@ -25,14 +25,13 @@ maps, one per batch row and step, which ``save_trace_json`` writes per row.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import attend, attend_backward, heads_first, init_mha_params, mha_params
 from .config import ModelConfig
-from .data import Scene, atomic_write
+from .data import Scene, atomic_write, read_records
 from .errors import ConfigError, DataError, DivergenceError
 from .params import ParamStore, glorot_uniform
 from .tensor import Tensor, _gemm, _node, _recording, _relu_data, sinusoidal_table
@@ -427,27 +426,10 @@ def save_prediction_txt(path, scene: Scene, pred: PredictionSet, t_obs: int):
 
 
 def load_prediction_txt(path):
-    """Returns {(sample_id, frame_id, agent_id): (x, y)}, one entry per line;
-    DataError names the file, and the line where there is one, when the file
-    holds no record or a line is malformed, non-finite or a duplicate."""
-    records = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            try:
-                j, f, a, x, y = parts
-                key, xy = (int(j), int(f), int(a)), (float(x), float(y))
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'sample frame agent x y', got {raw.strip()!r}"
-                ) from None
-            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
-                raise DataError(f"{path}:{lineno}: non-finite coordinate in {raw.strip()!r}")
-            if key in records:
-                raise DataError(f"{path}:{lineno}: duplicate record for (sample, frame, agent) = {key}")
-            records[key] = xy
+    """Returns {(sample_id, frame_id, agent_id): (x, y)}, one entry per
+    record line (``data.read_records``); DataError names the file when it
+    holds no record."""
+    records = read_records(path, "sample frame agent x y")
     if not records:
         raise DataError(f"{path}: no prediction records")
     return records

@@ -19,7 +19,7 @@ import numpy as np
 from .config import Config, ModelConfig, TrainConfig
 from .data import Scene, atomic_write, reject_off_grid
 from .errors import CheckpointError, DataError, DivergenceError
-from .gpm import encode_gpm_input, goal_target, gpm_forward_batch
+from .gpm import check_raster, encode_gpm_input, goal_target, gpm_forward_batch, heatmap_from_logits
 from .metrics import eval_from_scene, per_sample_ade
 from .model import Model, init_params, stable_seed
 from .params import ParamStore
@@ -80,8 +80,7 @@ def window_loss_graph(
     goal_part = 0.0
     if model_cfg.use_goal and lambda_goal != 0.0:
         channels, targets = window_constants(scene, model_cfg) if constants is None else constants
-        obs = positions[:, : model_cfg.t_obs, :]
-        logits = gpm_forward_batch(obs, scene.raster, params, model_cfg, channels=channels)
+        logits = gpm_forward_batch(channels, params, model_cfg)
         z = logits.data
         pos = np.maximum(z, 0.0)
         e = np.exp((pos + np.maximum(z * -1.0, 0.0)) * -1.0)  # e^{-|z|}
@@ -95,7 +94,7 @@ def window_loss_graph(
         g_diff = ((g * lambda_traj) / diff.shape[1]) * diff
         grads = [g_diff + g_diff]
         if len(parents) > 1:
-            sigmoid = np.where(z >= 0, 1.0, e) / e1
+            sigmoid = heatmap_from_logits(z)
             grads.append((sigmoid - targets) * ((g * lambda_goal) / (z.shape[1] * z.shape[2])))
         return grads
 
@@ -281,7 +280,10 @@ def _restore_train_state(blob: ParamStore, adam: Adam, slots: dict):
     adam.v[...] = blob["_opt.v"].data
     for name, (owner, attr) in slots.items():
         # Each slot keeps its type, so epochs and counts stay integers.
-        setattr(owner, attr, type(getattr(owner, attr))(blob[name].data[0]))
+        kind, value = type(getattr(owner, attr)), blob[name].data[0]
+        if kind is int and not value.is_integer():
+            raise CheckpointError(f"training state entry {name!r} holds {value}, not an integer")
+        setattr(owner, attr, kind(value))
     return blob["_best"].data if "_best" in blob else None
 
 
@@ -310,6 +312,7 @@ def check_model_params(params: ParamStore, model_cfg: ModelConfig, source):
 # -- main loop -----------------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # a non-finite value ends the run in DivergenceError instead
 def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=None):
     """Optimize on ``train_scenes`` and schedule/stop on ``val_scenes``.
 
@@ -318,9 +321,11 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
     the validation sampler seed is fixed. A ``resume_from`` state whose run
     stopped early or reached its target runs no epoch; any other trains on
     to ``max_epochs``. Returns (best_params, report); raises DataError,
-    before the first epoch, on a position of any window outside the grid,
-    CheckpointError on a ``resume_from`` state that lacks an entry or whose
-    parameters are not the model config's, and DivergenceError (with the
+    before the first epoch, naming the file of a window with a frame count
+    other than t_obs + t_fut, a raster ``check_raster`` refuses or a
+    position outside the grid; CheckpointError on a ``resume_from`` file
+    that lacks an entry, holds a non-integer in an integer slot or whose
+    parameters are not the model config's; and DivergenceError (with the
     partial report attached) on NaN loss.
     """
     cfg = config.train
@@ -329,12 +334,16 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
     if not train_scenes or not val_scenes:
         raise DataError("train and validation sets must be non-empty")
     for scene in (*train_scenes, *val_scenes):  # training reads every frame of a window
+        source = scene.source or scene.key()
+        if scene.n_frames != mcfg.t_total:
+            raise DataError(f"{source}: {scene.n_frames} frames, not t_obs + t_fut = {mcfg.t_total}")
+        check_raster(scene.raster, mcfg, source)
         reject_off_grid(scene, scene.n_frames, mcfg.grid)
 
     if resume_from is not None:
-        blob = resume_from if isinstance(resume_from, ParamStore) else ParamStore.load(resume_from)
+        blob = ParamStore.load(resume_from)
         params = strip_train_state(blob)
-        check_model_params(params, mcfg, "training state" if blob is resume_from else resume_from)
+        check_model_params(params, mcfg, resume_from)
     else:
         params = init_params(mcfg, seed=cfg.seed)
 

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import vista
 from vista.cli import main
 from vista.data import SCENARIOS
 
@@ -322,6 +325,24 @@ class TestTrain:
         assert err["error"] == "DataError"
         assert f"crossing.txt: {message}" in err["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_diverging_run_writes_only_its_json_error_line(self, tmp_path):
+        # beta2 = 0 overflows the attention logits within three epochs; numpy's
+        # RuntimeWarnings used to precede the error line. A child process shows
+        # stderr as a user sees it, warnings included.
+        data = tmp_path / "data"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--scenario", "crossing", "--windows", "6", "--out", str(data)]) == 0
+        config = tmp_path / "diverge.cfg"
+        config.write_text("[train]\nmax_epochs=3\nbeta2=0\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vista.__file__))}
+        proc = subprocess.run([
+            sys.executable, "-W", "default", "-m", "vista.cli", "train", "--data", str(data),
+            "--fold", "ratio", "--config", str(config), "--out", str(tmp_path / "o"),
+        ], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 5
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DivergenceError"
 
     def test_bad_config_key_exits_2_naming_key(self, synth_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

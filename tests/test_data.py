@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from test_cli import BOUNDARY_TOKENS, EXTRA_TOKENS, token
 
 from vista.data import (
     AgentTrack,
@@ -15,6 +16,7 @@ from vista.data import (
     load_raster,
     load_trajectories,
     min_pairwise_distance,
+    read_records,
     rasterize_gaussian,
     reject_off_grid,
     save_raster,
@@ -25,6 +27,7 @@ from vista.data import (
     uniform_raster,
 )
 from vista.errors import ConfigError, DataError
+from vista.tpm import load_prediction_txt
 
 
 def write_track_file(path, rows):
@@ -133,6 +136,134 @@ class TestLoading:
         loaded = load_trajectories(path, t_obs=8, t_fut=12)[0]
         np.testing.assert_array_equal(loaded.positions(), scene.positions())
         assert loaded.agent_ids == scene.agent_ids
+
+
+# -- one record reader ------------------------------------------------------
+# The two loops that ``read_records`` replaced, kept verbatim as its
+# references: the trajectory loop (with its line parser) and the prediction
+# loop of ``load_prediction_txt``.
+
+
+def reference_track_line(line, lineno, path):
+    parts = line.split()
+    if len(parts) != 4:
+        raise DataError(f"{path}:{lineno}: expected 'frame agent x y', got {line!r}")
+    try:
+        frame, agent, x, y = (float(p) for p in parts)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+    if not all(map(math.isfinite, (frame, agent, x, y))):
+        raise DataError(f"{path}:{lineno}: non-finite field in {line!r}")
+    if not (frame.is_integer() and agent.is_integer()):
+        raise DataError(f"{path}:{lineno}: frame and agent ids must be integers, got {line!r}")
+    return int(frame), int(agent), x, y
+
+
+def reference_track_records(path):
+    records = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            frame, agent, x, y = reference_track_line(line, lineno, path)
+            if (frame, agent) in records:
+                raise DataError(f"{path}:{lineno}: duplicate record for frame {frame}, agent {agent}")
+            records[(frame, agent)] = (x, y)
+    return records
+
+
+def reference_load_prediction_txt(path):
+    records = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            try:
+                j, f, a, x, y = parts
+                key, xy = (int(j), int(f), int(a)), (float(x), float(y))
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: expected 'sample frame agent x y', got {raw.strip()!r}"
+                ) from None
+            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+                raise DataError(f"{path}:{lineno}: non-finite coordinate in {raw.strip()!r}")
+            if key in records:
+                raise DataError(f"{path}:{lineno}: duplicate record for (sample, frame, agent) = {key}")
+            records[key] = xy
+    if not records:
+        raise DataError(f"{path}: no prediction records")
+    return records
+
+
+# Each file kind: the reader, its reference, and its id count.
+RECORD_READERS = {
+    "trajectory": (lambda path: read_records(path, "frame agent x y"), reference_track_records, 2),
+    "prediction": (load_prediction_txt, reference_load_prediction_txt, 3),
+}
+
+
+@st.composite
+def record_text(draw, kind):
+    """A valid record file: unique ids, finite coordinates in several
+    spellings, whitespace runs and blank lines, and in trajectory files,
+    which the old loop already read so, ``#`` lines and ids such as 780.0."""
+    n_ids = RECORD_READERS[kind][2]
+    keys = draw(st.lists(st.tuples(*[st.integers(-3, 10**6)] * n_ids), min_size=1, max_size=25, unique=True))
+    fillers = ["", "   ", "\t"] + (["# frame agent x y", "#3 1 0.0 0.0"] if kind == "trajectory" else [])
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    spell = st.sampled_from([repr, "{:.3f}".format, "{:e}".format, "{:+}".format])
+    lines = []
+    for key in keys:
+        lines += draw(st.lists(st.sampled_from(fillers), max_size=2))
+        ids = [f"{i}.0" if kind == "trajectory" and draw(st.booleans()) else str(i) for i in key]
+        xy = [draw(spell)(draw(coord)) for _ in range(2)]
+        lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(ids + xy))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_READERS))
+@seed(24)
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_reader_equals_the_loop_it_replaced(tmp_path_factory, kind, data):
+    path = tmp_path_factory.getbasetemp() / f"records.{kind}.txt"
+    path.write_text(data.draw(record_text(kind)))
+    read, reference, _ = RECORD_READERS[kind]
+    assert repr(read(path)) == repr(reference(path))
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_READERS))
+def test_reader_decides_boundary_tokens_as_the_loop_it_replaced(tmp_path, kind):
+    # Each boundary token of the CLI properties in each field of the second
+    # line, and a "#" line. Prediction files widen the rule in two ways: they
+    # skip "#" lines and take an integral float id (1e20), as trajectory
+    # files do; every other decision is the old loop's.
+    read, reference, n_ids = RECORD_READERS[kind]
+    rows = [[str(i), "1", *(["0"] if n_ids == 3 else []), "0.5", "2.5"] for i in range(3)]
+    cases = [(None, "# comment")] + [
+        (field, token(value)) for field in range(n_ids + 2) for value in [*BOUNDARY_TOKENS, *EXTRA_TOKENS]
+    ]
+    for field, value in cases:
+        lines = [" ".join(row) for row in rows]
+        if field is None:
+            lines.insert(1, value)
+        else:
+            lines[1] = " ".join(rows[1][:field] + [value] + rows[1][field + 1 :])
+        path = tmp_path / f"{kind}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        decisions = []
+        for load in (read, reference):
+            try:
+                load(path)
+                decisions.append("accept")
+            except DataError:
+                decisions.append("reject")
+        widened = kind == "prediction" and (
+            field is None or (field < n_ids and value in ("1e200", "1e308", "1e20"))
+        )
+        assert decisions == (["accept", "reject"] if widened else decisions[:1] * 2), (field, value)
 
 
 class TestRasterIO:

@@ -25,6 +25,7 @@ from vista.data import ScenarioSpec, synth_generate, uniform_raster
 from vista.errors import ConfigError, DataError
 from vista.experiments import overfit_config, overfit_dataset
 from vista.gpm import (
+    encode_gpm_input,
     goal_target,
     gpm_forward_batch,
     heatmap_from_logits,
@@ -123,7 +124,7 @@ class TestForward:
         params = init_params(cfg, seed=0)
         raster = uniform_raster(32, 3)
         obs = np.random.default_rng(0).uniform(2, 29, size=(8, 2))
-        logits = gpm_forward_batch(obs[None], raster, params, cfg)
+        logits = gpm_forward_batch(encode_gpm_input(obs[None], raster, cfg), params, cfg)
         hm = heatmap_from_logits(logits.data)
         assert hm.shape == (1, 32, 32)
         assert ((hm >= 0) & (hm <= 1)).all()
@@ -134,7 +135,7 @@ class TestForward:
         params = init_params(cfg, seed=0)
         zero_gpm_weights(params, out_bias=0.3)
         obs = np.full((4, 2), 8.0)
-        hm = heatmap_from_logits(gpm_forward_batch(obs[None], None, params, cfg).data)
+        hm = heatmap_from_logits(gpm_forward_batch(encode_gpm_input(obs[None], None, cfg), params, cfg).data)
         expected = 1 / (1 + math.exp(-0.3))
         np.testing.assert_allclose(hm, expected, atol=1e-12)
 
@@ -153,18 +154,18 @@ class TestForward:
         goal = rng.uniform(3, 12, size=2)
 
         def loss():
-            logits = gpm_forward_batch(obs, None, store, cfg)
+            logits = gpm_forward_batch(encode_gpm_input(obs, None, cfg), store, cfg)
             target = goal_target(goal, logits.shape[1:], cfg.goal_sigma)
             return bce_with_logits_mean(narrow(logits, 0), target)
 
         err = finite_difference_check(store, loss, epsilon=1e-5, max_coords_per_param=4, seed=0)
         assert err < 1e-4
 
-    def test_grid_mismatch_is_config_error(self):
+    def test_grid_mismatch_is_data_error(self):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=0)
-        with pytest.raises(ConfigError):
-            gpm_forward_batch(np.zeros((1, 4, 2)), uniform_raster(10), params, cfg)
+        with pytest.raises(DataError):
+            gpm_forward_batch(encode_gpm_input(np.zeros((1, 4, 2)), uniform_raster(10), cfg), params, cfg)
 
 
 def reference_conv3x3(x, w, b):
@@ -255,7 +256,7 @@ class TestConvNode:
         # The whole encoder-decoder is one node over the twelve GPM parameters.
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=0)
-        logits = gpm_forward_batch(np.full((2, 4, 2), 8.0), None, params, cfg)
+        logits = gpm_forward_batch(encode_gpm_input(np.full((2, 4, 2), 8.0), None, cfg), params, cfg)
         gpm_names = [name for name in params.names() if name.startswith("gpm.")]
         assert logits.op == "gpm"
         assert sorted(id(p) for p in logits._parents) == sorted(id(params[n]) for n in gpm_names)
@@ -278,11 +279,7 @@ def gpm_outputs(forward, params, cfg, scene):
 
 
 def node_and_reference(params, cfg, scene, conv=conv3x3):
-    obs = scene.positions()[:, : cfg.t_obs]
-    node = gpm_outputs(
-        lambda channels: gpm_forward_batch(obs, scene.raster, params, cfg, channels=channels),
-        params, cfg, scene,
-    )
+    node = gpm_outputs(lambda channels: gpm_forward_batch(channels, params, cfg), params, cfg, scene)
     return node, gpm_outputs(lambda c: reference_gpm_forward(c, params, conv), params, cfg, scene)
 
 
@@ -326,10 +323,11 @@ class TestGpmNode:
         scene, cfg = crowd_window()
         params = init_params(cfg, seed=0)
         obs = scene.positions()[:, : cfg.t_obs]
+        channels = encode_gpm_input(obs, scene.raster, cfg)
         with no_grad():
-            logits = gpm_forward_batch(obs, scene.raster, params, cfg)
+            logits = gpm_forward_batch(channels, params, cfg)
         assert logits._bwd is None and logits._parents == () and not logits.requires_grad
-        recorded = gpm_forward_batch(obs, scene.raster, params, cfg)
+        recorded = gpm_forward_batch(channels, params, cfg)
         assert logits.data.tobytes() == recorded.data.tobytes()
 
 

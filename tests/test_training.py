@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 from dataclasses import astuple, replace
 
@@ -20,7 +21,7 @@ from test_gpm import zero_gpm_weights
 
 from vista import training
 from vista.config import Config, ModelConfig, TrainConfig
-from vista.data import AgentTrack, ScenarioSpec, Scene, synth_generate
+from vista.data import AgentTrack, ScenarioSpec, Scene, SceneRaster, synth_generate
 from vista.errors import CheckpointError, DataError, DivergenceError
 from vista.experiments import overfit_config, overfit_dataset
 from vista.gpm import gpm_forward_batch
@@ -101,6 +102,39 @@ class TestLibraryRejectsOffGrid:
         with pytest.raises(DataError, match="agent 0 at frame 6 .* outside the 16x16 raster"):
             train(fit, val, small_config(max_epochs=1))
 
+    @pytest.mark.parametrize("which", ["train", "validation"])
+    @pytest.mark.parametrize("n_frames", [5, 9])
+    def test_train_rejects_a_window_of_another_length(self, which, n_frames):
+        # t_obs + t_fut is 7: a 5-frame window trained on a broadcast loss
+        # and then diverged, a 9-frame one ended in a numpy broadcast error.
+        scenes = small_dataset(3)
+        bad = replace(small_dataset(1, t_fut=n_frames - 4)[0], source="odd.txt")
+        fit, val = ([bad, scenes[1]], scenes[2:]) if which == "train" else (scenes[1:], [bad])
+        with pytest.raises(DataError, match=f"odd.txt: {n_frames} frames, not t_obs \\+ t_fut = 7"):
+            train(fit, val, small_config(max_epochs=1))
+
+    @pytest.mark.parametrize("which", ["train", "validation"])
+    @pytest.mark.parametrize("shape", [(16, 16, 2), (20, 18, 1)], ids=["two_classes", "side_18"])
+    def test_train_rejects_a_raster_the_goal_module_cannot_read(self, which, shape):
+        scenes = small_dataset(3)
+        bad = replace(scenes[0], raster=SceneRaster(np.full(shape, 1 / shape[2])), source="odd.txt")
+        fit, val = ([bad, scenes[1]], scenes[2:]) if which == "train" else (scenes[1:], [bad])
+        with pytest.raises(DataError, match="odd.txt: the model reads 1-class rasters"):
+            train(fit, val, small_config(max_epochs=1))
+
+    @pytest.mark.parametrize("edit", ["two_classes", "side_18", "three_frames"])
+    def test_predict_rejects_what_the_goal_module_cannot_read(self, edit):
+        # Ended in a numpy ValueError, a ConfigError and a ConfigError.
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=100)
+        model = Model(cfg, init_params(cfg, seed=0))
+        scene = {
+            "two_classes": replace(still_scene(), raster=SceneRaster(np.full((16, 16, 2), 0.5))),
+            "side_18": replace(still_scene(), raster=SceneRaster(np.ones((18, 18, 1)))),
+            "three_frames": still_scene(t_obs=3, t_fut=0),
+        }[edit]
+        with pytest.raises(DataError, match="raster|observed batch"):
+            model.predict(scene, k=2, seed=0)
+
 
 class TestJointLoss:
     """With a zero decoder every agent stays at its last observed position."""
@@ -154,8 +188,7 @@ def reference_window_loss(params, model_cfg, train_cfg, scene):
     goal_part = 0.0
     if model_cfg.use_goal and train_cfg.lambda_goal != 0.0:
         channels, targets = window_constants(scene, model_cfg)
-        obs = positions[:, : model_cfg.t_obs, :]
-        logits = gpm_forward_batch(obs, scene.raster, params, model_cfg, channels=channels)
+        logits = gpm_forward_batch(channels, params, model_cfg)
         per_agent = bce_with_logits_mean(logits, targets, axis=(1, 2))
         goal_sum = reduce_sum(per_agent)
         goal_part = float(per_agent.data.mean())
@@ -531,6 +564,22 @@ class TestTrainLoop:
             arrays["_state.stop"] = [stop]
         ParamStore(arrays).save(state_path)
         with pytest.raises(CheckpointError, match=match):
+            train(scenes, scenes, small_config(max_epochs=2), resume_from=str(state_path))
+
+    @pytest.mark.parametrize("slot, value", [
+        *((slot, math.nan) for slot in ("epoch", "stop", "adam_t", "plateau_best_epoch",
+                                        "plateau_bad", "stop_best_epoch", "stop_bad")),
+        ("epoch", math.inf), ("adam_t", 2.5),
+    ])
+    def test_non_integer_in_an_integer_slot_is_a_checkpoint_error(self, tmp_path, slot, value):
+        # int(nan) used to end the resume in a ValueError traceback.
+        scenes = small_dataset(2)
+        state_path = tmp_path / "state.bin"
+        train(scenes, scenes, small_config(max_epochs=1), state_out=state_path)
+        arrays = {n: t.data for n, t in ParamStore.load(state_path).items()}
+        arrays[f"_state.{slot}"] = [value]
+        ParamStore(arrays).save(state_path)
+        with pytest.raises(CheckpointError, match=f"'_state.{slot}' holds {value}, not an integer"):
             train(scenes, scenes, small_config(max_epochs=2), resume_from=str(state_path))
 
     def test_state_file_holds_flat_vectors(self, tmp_path):
