@@ -146,16 +146,16 @@ def check_raster(raster: SceneRaster | None, config: ModelConfig, source):
 
 
 def encode_gpm_input(
-    obs: np.ndarray, raster: SceneRaster | None, config: ModelConfig
+    obs: np.ndarray, raster: SceneRaster | None, config: ModelConfig, source="raster"
 ) -> np.ndarray:
     """The goal module's input (N, H, W, n_classes + t_obs): the raster's
     class channels, then one Gaussian channel per observed step of ``obs``
     (N, t_obs, 2) in grid-cell units; a scene without a raster gets a uniform
     one. DataError on another ``obs`` shape or a raster that ``check_raster``
-    refuses."""
+    refuses, naming ``source``, the window's name."""
     if obs.ndim != 3 or obs.shape[1:] != (config.t_obs, 2):
         raise DataError(f"observed batch must be (N, {config.t_obs}, 2), got {obs.shape}")
-    check_raster(raster, config, "raster")
+    check_raster(raster, config, source)
     if raster is None:
         raster = uniform_raster(config.grid, config.n_classes)
     h, w = raster.height, raster.width
@@ -170,12 +170,12 @@ def encode_gpm_input(
     return channels
 
 
-def gpm_forward_batch(channels: np.ndarray, params: ParamStore, config: ModelConfig) -> Tensor:
+def gpm_forward_batch(channels: np.ndarray, params: ParamStore) -> Tensor:
     """Goal logits (N, H, W) of the ``encode_gpm_input`` channels of a batch
-    of co-observed agents under the model ``config``; a caller that revisits
-    a window may cache its channels. The logits are one node whose parents
-    are the twelve ``gpm.*`` parameters; outside recording it keeps none of
-    the layers' intermediates."""
+    of co-observed agents; a caller that revisits a window may cache its
+    channels. The logits are one node whose parents are the twelve ``gpm.*``
+    parameters; outside recording it keeps none of the layers'
+    intermediates."""
     weights = tuple(params[f"gpm.{layer}.{p}"] for layer in _LAYERS for p in "wb")
     w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
     columns = [] if _recording(weights) else None  # kept only for backward
@@ -216,8 +216,10 @@ def ttst_sample(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Goal sampling for the A heatmaps ``grids`` (A, H, W) of one window:
     each agent draws ``n_raw`` cells from its heatmap with a generator seeded
-    from ``seeds[i]``, and one batched K-means (farthest-point seeding, at most
-    ``kmeans_iters`` iterations) reduces each agent's draws to k goals.
+    from ``seeds[i]``, and one batched K-means (farthest-point seeding, then
+    at most ``kmeans_iters`` Lloyd iterations that score each agent's points
+    against its centres with one BLAS product) reduces each agent's draws to
+    k goals, equal bit for bit to a dense per-agent K-means's.
 
     Returns goals (A, k, 2) and their cluster mass fractions (A, k), each
     agent's ordered by descending weight, then x, then y."""
@@ -239,10 +241,10 @@ def ttst_sample(
     return np.take_along_axis(centers, order[..., None], 1), np.take_along_axis(weights, order, 1)
 
 
-# Relative and absolute slack on every distance bound, far above the few ulps
-# of error in a computed distance: a point whose label could tie fails the
-# bound test and has its distances computed.
-_SLACK = 1e-9
+# A point's label is read off its scores when one centre's beats every
+# other's by more than _MARGIN x (1 + the set's largest |p|^2 + |c|^2): far
+# above the few ulps of rounding in a score or a squared distance that size.
+_MARGIN = 1e-9
 
 
 def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
@@ -252,61 +254,56 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
     Ties in seeding and assignment resolve to the lowest index; empty clusters
     reseed to the point farthest from every current center.
 
-    The assignment is exact but pruned by Elkan's triangle-inequality bounds
-    (ICML 2003): each point keeps an upper bound on its distance to its own
-    centre and a lower bound on its distance to every other centre. After a
-    centre update each centre's shift widens them; only points whose upper
-    bound reaches a lower bound get their (k,) distances computed, with the
-    dense arithmetic, so labels and centres equal a dense Lloyd loop's bit
-    for bit. Every bound carries a relative and an absolute slack of
-    ``_SLACK``. A set that reseeds a cluster recomputes all its points.
+    The assignment ranks a set's centres by the score |c|^2 - 2c.p, the
+    squared distance less the |p|^2 that every centre shares: one (k, 3) @
+    (3, n) BLAS product of (-2cx, -2cy, |c|^2) with (x, y, 1). A float32
+    product of the (1, j) of each centre j with the mask of scores within
+    the margin of the best gives each point the count of those centres and
+    the sum of their indices; where the count is 1, that sum is the label.
+    A tie, a near tie, a NaN or an overflow gives another count, and those
+    points get their (k,) squared distances in the dense loop's arithmetic,
+    so labels and centres equal that loop's bit for bit.
     """
     a, n, _ = points.shape
-    px, py = points[:, :, 0], points[:, :, 1]
+    px, py = np.moveaxis(points, 2, 0).copy()
     sets = np.arange(a)
     centers = np.empty((a, k, 2))
-    # (A, k, n): first the seeding's squared distances, which are the first
-    # assignment's; from then on the lower bounds, the own centre's at +inf.
-    lower = np.empty((a, k, n))
-    pick = [rng.integers(n) for rng in rngs]
-    for j in range(k):
-        centers[:, j] = points[sets, pick]
-        _sq_dist(px, py, centers[:, j], out=lower[:, j])
-        d2 = lower[:, 0] if j == 0 else np.minimum(d2, lower[:, j])
-        pick = np.argmax(d2, axis=1)
+    centers[:, 0] = points[sets, [rng.integers(n) for rng in rngs]]
+    d2 = _sq_dist(px, py, centers[:, 0])
+    for j in range(1, k):
+        centers[:, j] = points[sets, np.argmax(d2, axis=1)]
+        d2 = np.minimum(d2, _sq_dist(px, py, centers[:, j]))
 
+    xy1 = np.stack([px, py, np.ones((a, n))], axis=1)
+    scale = 1 + (px * px + py * py).max(axis=1)
+    tally = np.stack([np.ones(k), np.arange(k)]).astype(np.float32)
     labels = np.zeros((a, n), dtype=np.int64)
-    upper = np.empty((a, n))
-    full = np.ones(a, dtype=bool)  # bounds void: compute every point's distances
-    live = sets
-    for step in range(max_iters):
+    live, lx, ly, prev = sets, px, py, labels
+    for _ in range(max_iters):
         m, old = len(live), centers[live]
-        new_labels = labels[live]
+        c2 = (old * old).sum(axis=2)
+        coef = np.concatenate([old * -2, c2[..., None]], axis=2)
+        margin = _MARGIN * (scale[live] + c2.max(axis=1))
+        new_labels = np.empty((m, n), dtype=np.int64)
         for i, s in enumerate(live):
-            if full[s]:
-                if step:
-                    _sq_dist(px[s], py[s], old[i], out=lower[s])
-                near = np.argmin(lower[s], axis=0)
-                new_labels[i] = near
-                upper[s] = _bounds(lower[s], near)
-                full[s] = False
-                continue
-            rows = np.flatnonzero(upper[s] >= lower[s].min(axis=0))
-            d2 = _sq_dist(px[s, rows], py[s, rows], old[i])
-            near = np.argmin(d2, axis=0)
-            new_labels[i, rows] = near
-            upper[s, rows] = _bounds(d2, near)
-            lower[s][:, rows] = d2
+            score = coef[i] @ xy1[s]
+            best = score.min(axis=0)
+            best += margin[i]
+            count, index = tally @ (score <= best).astype(np.float32)
+            new_labels[i] = index
+            rows = np.flatnonzero(count != 1)
+            if len(rows):
+                d2 = _sq_dist(lx[i, rows], ly[i, rows], old[i])
+                new_labels[i, rows] = np.argmin(d2, axis=0)
         # bincount sums each cluster in point order, as points[mask].mean(axis=0) does.
         flat = (new_labels + k * np.arange(m)[:, None]).reshape(-1)
         counts = np.bincount(flat, minlength=m * k)
-        sums = [np.bincount(flat, c[live].reshape(-1), m * k) for c in (px, py)]
+        sums = [np.bincount(flat, c.reshape(-1), m * k) for c in (lx, ly)]
         centers[live] = (np.stack(sums, axis=1) / np.maximum(counts, 1)[:, None]).reshape(m, k, 2)
         for i in np.flatnonzero((counts.reshape(m, k) == 0).any(axis=1)):
             # Empty cluster j takes the farthest point, which leaves its own
             # cluster before the clusters after j are averaged.
             s, lab = live[i], new_labels[i]
-            full[s] = True
             nearest = ((points[s, :, None] - old[i]) ** 2).sum(axis=2).min(axis=1)
             for j in range(k):
                 mask = lab == j
@@ -316,42 +313,26 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
                     far = int(np.argmax(nearest))
                     centers[s, j] = points[s, far]
                     lab[far] = j
-        settled = (new_labels == labels[live]).all(axis=1)
+        going = (new_labels != prev).any(axis=1)
         labels[live] = new_labels
-        shift = np.sqrt(((centers[live] - old) ** 2).sum(axis=2)) * (1 + _SLACK) + _SLACK
-        for i in np.flatnonzero(~settled):
-            s = live[i]
-            if not full[s]:
-                upper[s] += shift[i, new_labels[i]]
-                lower[s] -= shift[i, :, None]
-        live = live[~settled]
-        if not len(live):
-            break
+        if not going.all():
+            live, lx, ly, new_labels = live[going], lx[going], ly[going], new_labels[going]
+            if not len(live):
+                break
+        prev = new_labels
     return centers, labels
 
 
-def _sq_dist(px: np.ndarray, py: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:
+def _sq_dist(px: np.ndarray, py: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distances (k, r) of r points to k centres (k, 2), or (A, n) of
     each set's points to its one centre (A, 2), as dx*dx + dy*dy: the float
     arithmetic of ((p - c) ** 2).sum(-1), so argmin breaks ties alike."""
-    d2 = np.subtract(px, centers[:, :1], out=out)
+    dx = px - centers[:, :1]
     dy = py - centers[:, 1:]
-    d2 *= d2
+    dx *= dx
     dy *= dy
-    return np.add(d2, dy, out=d2)
-
-
-def _bounds(d2: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Turn squared distances (k, r) in place into lower bounds on each
-    centre's distance, with the own centre ``near`` at +inf, and return upper
-    bounds (r,) on the own centre's distance."""
-    dist = np.sqrt(d2, out=d2)
-    cols = np.arange(dist.shape[1])
-    upper = dist[near, cols] * (1 + _SLACK) + _SLACK
-    dist *= 1 - _SLACK
-    dist -= _SLACK
-    dist[near, cols] = np.inf
-    return upper
+    dx += dy
+    return dx
 
 
 # -- training target -----------------------------------------------------

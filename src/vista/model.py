@@ -46,9 +46,9 @@ class Model:
         if not self.config.use_goal:
             raise ConfigError("goal conditioning is disabled in this configuration")
         obs = scene.positions()[:, : self.config.t_obs, :]
-        channels = encode_gpm_input(obs, scene.raster, self.config)
+        channels = encode_gpm_input(obs, scene.raster, self.config, scene.source or scene.key())
         with no_grad():
-            logits = gpm_forward_batch(channels, self.params, self.config)
+            logits = gpm_forward_batch(channels, self.params)
         return heatmap_from_logits(logits.data)
 
     def sample_goals(self, scene: Scene, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

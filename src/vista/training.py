@@ -37,7 +37,9 @@ def window_constants(scene: Scene, model_cfg: ModelConfig):
     if not model_cfg.use_goal:
         return None
     positions = scene.positions()
-    channels = encode_gpm_input(positions[:, : model_cfg.t_obs], scene.raster, model_cfg)
+    channels = encode_gpm_input(
+        positions[:, : model_cfg.t_obs], scene.raster, model_cfg, scene.source or scene.key()
+    )
     targets = np.stack(
         [goal_target(g, channels.shape[1:3], model_cfg.goal_sigma) for g in positions[:, -1]]
     )
@@ -80,7 +82,7 @@ def window_loss_graph(
     goal_part = 0.0
     if model_cfg.use_goal and lambda_goal != 0.0:
         channels, targets = window_constants(scene, model_cfg) if constants is None else constants
-        logits = gpm_forward_batch(channels, params, model_cfg)
+        logits = gpm_forward_batch(channels, params)
         z = logits.data
         pos = np.maximum(z, 0.0)
         e = np.exp((pos + np.maximum(z * -1.0, 0.0)) * -1.0)  # e^{-|z|}

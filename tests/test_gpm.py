@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fdcheck import finite_difference_check
 from reference_ops import (
@@ -124,7 +126,7 @@ class TestForward:
         params = init_params(cfg, seed=0)
         raster = uniform_raster(32, 3)
         obs = np.random.default_rng(0).uniform(2, 29, size=(8, 2))
-        logits = gpm_forward_batch(encode_gpm_input(obs[None], raster, cfg), params, cfg)
+        logits = gpm_forward_batch(encode_gpm_input(obs[None], raster, cfg), params)
         hm = heatmap_from_logits(logits.data)
         assert hm.shape == (1, 32, 32)
         assert ((hm >= 0) & (hm <= 1)).all()
@@ -135,7 +137,7 @@ class TestForward:
         params = init_params(cfg, seed=0)
         zero_gpm_weights(params, out_bias=0.3)
         obs = np.full((4, 2), 8.0)
-        hm = heatmap_from_logits(gpm_forward_batch(encode_gpm_input(obs[None], None, cfg), params, cfg).data)
+        hm = heatmap_from_logits(gpm_forward_batch(encode_gpm_input(obs[None], None, cfg), params).data)
         expected = 1 / (1 + math.exp(-0.3))
         np.testing.assert_allclose(hm, expected, atol=1e-12)
 
@@ -154,7 +156,7 @@ class TestForward:
         goal = rng.uniform(3, 12, size=2)
 
         def loss():
-            logits = gpm_forward_batch(encode_gpm_input(obs, None, cfg), store, cfg)
+            logits = gpm_forward_batch(encode_gpm_input(obs, None, cfg), store)
             target = goal_target(goal, logits.shape[1:], cfg.goal_sigma)
             return bce_with_logits_mean(narrow(logits, 0), target)
 
@@ -165,7 +167,7 @@ class TestForward:
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=0)
         with pytest.raises(DataError):
-            gpm_forward_batch(encode_gpm_input(np.zeros((1, 4, 2)), uniform_raster(10), cfg), params, cfg)
+            gpm_forward_batch(encode_gpm_input(np.zeros((1, 4, 2)), uniform_raster(10), cfg), params)
 
 
 def reference_conv3x3(x, w, b):
@@ -256,7 +258,7 @@ class TestConvNode:
         # The whole encoder-decoder is one node over the twelve GPM parameters.
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=0)
-        logits = gpm_forward_batch(encode_gpm_input(np.full((2, 4, 2), 8.0), None, cfg), params, cfg)
+        logits = gpm_forward_batch(encode_gpm_input(np.full((2, 4, 2), 8.0), None, cfg), params)
         gpm_names = [name for name in params.names() if name.startswith("gpm.")]
         assert logits.op == "gpm"
         assert sorted(id(p) for p in logits._parents) == sorted(id(params[n]) for n in gpm_names)
@@ -279,7 +281,7 @@ def gpm_outputs(forward, params, cfg, scene):
 
 
 def node_and_reference(params, cfg, scene, conv=conv3x3):
-    node = gpm_outputs(lambda channels: gpm_forward_batch(channels, params, cfg), params, cfg, scene)
+    node = gpm_outputs(lambda channels: gpm_forward_batch(channels, params), params, cfg, scene)
     return node, gpm_outputs(lambda c: reference_gpm_forward(c, params, conv), params, cfg, scene)
 
 
@@ -325,9 +327,9 @@ class TestGpmNode:
         obs = scene.positions()[:, : cfg.t_obs]
         channels = encode_gpm_input(obs, scene.raster, cfg)
         with no_grad():
-            logits = gpm_forward_batch(channels, params, cfg)
+            logits = gpm_forward_batch(channels, params)
         assert logits._bwd is None and logits._parents == () and not logits.requires_grad
-        recorded = gpm_forward_batch(channels, params, cfg)
+        recorded = gpm_forward_batch(channels, params)
         assert logits.data.tobytes() == recorded.data.tobytes()
 
 
@@ -479,12 +481,12 @@ class TestTTSTMatchesReference:
             np.testing.assert_array_equal(labels[i], ref_labels)
 
     def test_random_cases_match_reference_bitwise(self):
-        # The pruned assignment against the dense reference, set by set, over
+        # The batched assignment against the dense reference, set by set, over
         # 1-10 agents, k in {1, n_raw, random}, 1 or 50 or a random number of
         # iterations, and three kinds of points: uniform, a 0.1 lattice full
         # of exact ties, and a few repeated locations. Those repeats make
-        # seeding repeat a centre, so a set reseeds at iteration 2 (after
-        # bounds were set) beside sets that run on their bounds.
+        # seeding repeat a centre, so a set reseeds at iteration 2 beside
+        # sets that do not.
         rng = np.random.default_rng(8)
         late_reseeds = 0
         for case in range(54):
@@ -513,6 +515,63 @@ class TestTTSTMatchesReference:
                 if kind == 2 and iters > 2 and a > 1:
                     late_reseeds += reseeds_at(points[i], k, seed, 2)
         assert late_reseeds >= 3
+
+    @seed(26)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_score_assignment_matches_reference_bitwise(self, data):
+        # The margin-screened score assignment against the dense reference,
+        # set by set, on four kinds of points: uniform, a 0.1 lattice full of
+        # exact ties, a few repeated spots, and a 1e-3 spread around an
+        # offset of 1e5-1e6, where the margin sends every point to the
+        # squared distances.
+        a, n = data.draw(st.integers(1, 10)), data.draw(st.integers(2, 300))
+        k = data.draw(st.sampled_from([1, n]) | st.integers(1, min(n, 20)))
+        iters = data.draw(st.integers(1, 50))
+        kind = data.draw(st.sampled_from(["uniform", "lattice", "spots", "far"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "uniform":
+            points = rng.uniform(-0.5, 23.5, size=(a, n, 2))
+        elif kind == "lattice":
+            points = np.round(rng.uniform(0, 2, size=(a, n, 2)), 1)
+        elif kind == "spots":
+            spots = np.round(rng.uniform(0, 5, size=(a, 4, 2)), 1)
+            points = spots[np.arange(a)[:, None], rng.integers(0, 4, size=(a, n))]
+        else:
+            offsets = rng.uniform(1e5, 1e6, size=(a, 1, 2))
+            points = offsets + rng.uniform(0, 1e-3, size=(a, n, 2))
+        seeds = rng.integers(0, 1 << 31, size=a)
+        centers, labels = gpm._kmeans(
+            points.copy(), k, [np.random.default_rng(s) for s in seeds], iters
+        )
+        for i, s in enumerate(seeds):
+            ref_centers, ref_labels = reference_kmeans(
+                points[i].copy(), k, np.random.default_rng(s), iters
+            )
+            np.testing.assert_array_equal(centers[i], ref_centers)
+            np.testing.assert_array_equal(labels[i], ref_labels)
+
+    def test_uniform_points_never_need_squared_distances(self, monkeypatch):
+        # Uniform points have no ties: the margin must settle every label
+        # from the scores, or a margin widened by mistake would run the
+        # squared distances everywhere and still pass the bitwise tests.
+        k, exact = 20, []
+        real = gpm._sq_dist
+
+        def counting(px, py, centers):
+            exact.append(centers.shape == (k, 2))
+            return real(px, py, centers)
+
+        monkeypatch.setattr(gpm, "_sq_dist", counting)
+        points = np.random.default_rng(5).uniform(-0.5, 23.5, size=(3, 2000, 2))
+        centers, labels = gpm._kmeans(
+            points.copy(), k, [np.random.default_rng(s) for s in range(3)], 50
+        )
+        assert exact and not any(exact)
+        for i in range(3):
+            ref_centers, ref_labels = reference_kmeans(points[i], k, np.random.default_rng(i), 50)
+            np.testing.assert_array_equal(centers[i], ref_centers)
+            np.testing.assert_array_equal(labels[i], ref_labels)
 
     def test_model_sample_goals_matches_reference(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)

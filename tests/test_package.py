@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import vista
@@ -114,3 +115,20 @@ def test_every_public_definition_has_a_caller():
                 if not name.startswith("_") and name not in used and dotted not in traced:
                     unused.append(dotted)
     assert not unused
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # The package runs on numpy alone (pyproject.toml): an import of another
+    # installed package, such as scipy, would pass every other test here.
+    allowed = sys.stdlib_module_names | {"numpy", "vista"}
+    foreign = []
+    for path in sorted((ROOT / "src" / "vista").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["vista" if node.level else node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert not foreign

@@ -135,6 +135,17 @@ class TestLibraryRejectsOffGrid:
         with pytest.raises(DataError, match="raster|observed batch"):
             model.predict(scene, k=2, seed=0)
 
+    @pytest.mark.parametrize("source", ["odd.txt", None])
+    def test_predict_names_the_window_whose_raster_it_refuses(self, source):
+        # Named only "raster" before: a caller with many windows could not
+        # tell which one failed. A window not read from a file has its key.
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=100)
+        model = Model(cfg, init_params(cfg, seed=0))
+        scene = replace(still_scene(), raster=SceneRaster(np.ones((18, 18, 1))), source=source)
+        name = re.escape(source or scene.key())
+        with pytest.raises(DataError, match=f"^{name}: the model reads 1-class rasters"):
+            model.predict(scene, k=2, seed=0)
+
 
 class TestJointLoss:
     """With a zero decoder every agent stays at its last observed position."""
@@ -188,7 +199,7 @@ def reference_window_loss(params, model_cfg, train_cfg, scene):
     goal_part = 0.0
     if model_cfg.use_goal and train_cfg.lambda_goal != 0.0:
         channels, targets = window_constants(scene, model_cfg)
-        logits = gpm_forward_batch(channels, params, model_cfg)
+        logits = gpm_forward_batch(channels, params)
         per_agent = bce_with_logits_mean(logits, targets, axis=(1, 2))
         goal_sum = reduce_sum(per_agent)
         goal_part = float(per_agent.data.mean())
