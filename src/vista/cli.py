@@ -2,9 +2,9 @@
 
 Exit codes: 0 ok, 2 configuration, 3 checkpoint, 4 data/alignment,
 5 numeric divergence. Failures print a machine-readable JSON object to
-stderr; stdout carries the human summary. Every artifact-producing run
-writes a manifest (command, config snapshot, seed, input digests, outputs,
-timings) next to its outputs.
+stderr; stdout carries the human summary. ``main`` times each run and
+writes its manifest (command, config snapshot, seed, the digest of every
+file its path flags name, outputs, timings) next to its outputs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     DataError,
     DivergenceError,
+    read_text,
 )
 from .gpm import check_raster
 from .metrics import (
@@ -70,13 +71,16 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_CONFIG
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        out_dir, cfg, seed, outputs = args.func(args)
+        _write_manifest(out_dir, args, cfg, seed, outputs, {"wall_s": time.monotonic() - t0})
+        return EXIT_OK
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except CheckpointError as exc:
         return _fail(exc, EXIT_CHECKPOINT)
-    except (AlignmentError, DataError, FileNotFoundError) as exc:
+    except (AlignmentError, DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         return _fail(exc, EXIT_DATA)
     except DivergenceError as exc:
         return _fail(exc, EXIT_DIVERGED)
@@ -109,7 +113,7 @@ def _build_parser():
     p.add_argument("--frames", type=int, default=None, help="frames per window")
     p.add_argument("--randomize", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, inputs=("spec",))
 
     p = sub.add_parser("train", help="train with leave-one-out or ratio folds")
     p.add_argument("--data", required=True)
@@ -118,7 +122,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--fold", default="all", help="index | all | ratio")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, inputs=("data", "raster_dir", "config"))
 
     p = sub.add_parser("predict", help="multimodal prediction from a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -129,7 +133,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, inputs=("checkpoint", "data", "raster_dir", "config"))
 
     p = sub.add_parser("evaluate", help="metric suite over prediction files")
     p.add_argument("--pred", required=True)
@@ -139,7 +143,7 @@ def _build_parser():
     p.add_argument("--epsilon", default="auto")
     p.add_argument("--miss-threshold", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, inputs=("pred", "gt", "raster_dir", "config"))
 
     p = sub.add_parser("render", help="SVG figures for scenes and attention traces")
     p.add_argument("--scene", required=True, help="trajectory data path")
@@ -148,7 +152,7 @@ def _build_parser():
     p.add_argument("--config")
     p.add_argument("--steps", default="all", help="all | comma-separated step list")
     p.add_argument("--out-svg", required=True)
-    p.set_defaults(func=cmd_render)
+    p.set_defaults(func=cmd_render, inputs=("scene", "pred", "trace", "config"))
     return parser
 
 
@@ -158,7 +162,7 @@ def _build_parser():
 def _config_from(args, overrides=()) -> Config:
     """The --config file over the defaults, with each (section, key, flag
     value) of ``overrides`` whose flag is set, validated once."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else Config()
+    cfg = load_config(args.config) if args.config else Config()
     for section, key, value in overrides:
         if value is not None:
             setattr(getattr(cfg, section), key, value)
@@ -174,7 +178,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _digest_inputs(paths) -> dict:
+def _digest_inputs(args) -> dict:
+    """sha256 of each file named by the command's path flags (``args.inputs``),
+    and of each file directly inside a directory so named."""
+    paths = []
+    for flag in args.inputs:  # each holds None, a path, or a list of paths (render --trace)
+        value = getattr(args, flag)
+        paths += value if isinstance(value, list) else [value]
     digests = {}
     for p in paths:
         if p is None:
@@ -189,26 +199,24 @@ def _digest_inputs(paths) -> dict:
     return digests
 
 
-def _write_manifest(out_dir, command, args, cfg, seed, inputs, outputs, t0):
+def _write_manifest(out_dir, args, cfg, seed, outputs, timings):
     manifest = {
-        "command": command,
-        "args": {k: v for k, v in vars(args).items() if k != "func"},
+        "command": args.command,
+        "args": {k: v for k, v in vars(args).items() if k not in ("func", "inputs")},
         "config": cfg.snapshot() if cfg is not None else None,
         "seed": seed,
-        "input_digests": _digest_inputs(inputs),
+        "input_digests": _digest_inputs(args),
         "outputs": sorted(outputs),
-        "timings": {"wall_s": time.monotonic() - t0},
+        "timings": timings,
     }
-    path = os.path.join(out_dir, f"manifest_{command}.json")
+    path = os.path.join(out_dir, f"manifest_{args.command}.json")
     atomic_write(path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _load_scenes(args, cfg: Config, data_attr="data"):
-    data_path = getattr(args, data_attr)
+def _load_scenes(data_path, raster_dir, cfg: Config):
     scenes = load_trajectories(
         data_path, t_obs=cfg.model.t_obs, t_fut=cfg.model.t_fut, stride=cfg.data.stride or None
     )
-    raster_dir = getattr(args, "raster_dir", None)
     if raster_dir:
         cache = {}
         for scene in scenes:
@@ -230,13 +238,12 @@ def _window_file(prefix: str, scene, suffix: str) -> str:
 
 
 # -- commands -----------------------------------------------------------------
+# Each returns (output directory, config or None, seed, output paths) for main's manifest.
 
 
-def cmd_synth(args) -> int:
-    t0 = time.monotonic()
+def cmd_synth(args):
     if args.spec:
-        with open(args.spec) as fh:
-            spec = ScenarioSpec.from_text(fh.read())
+        spec = ScenarioSpec.from_text(read_text(args.spec, ConfigError))
     else:
         if not args.scenario:
             raise ConfigError("synth needs --scenario or --spec")
@@ -263,9 +270,8 @@ def cmd_synth(args) -> int:
     raster_path = os.path.join(raster_dir, f"{spec.scenario}.txt")
     save_raster(raster_path, scenes[0].raster)
     outputs.append(raster_path)
-    _write_manifest(args.out, "synth", args, None, spec.seed, [args.spec], outputs, t0)
     print(f"wrote {len(scenes)} windows of '{spec.scenario}' to {args.out}")
-    return EXIT_OK
+    return args.out, None, spec.seed, outputs
 
 
 def _fold_sets(scenes, fold: str, cfg: Config):
@@ -284,10 +290,9 @@ def _fold_sets(scenes, fold: str, cfg: Config):
     return [folds[index]]
 
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
+def cmd_train(args):
     cfg = _config_from(args, [("train", "seed", args.seed)])
-    scenes = _load_scenes(args, cfg)
+    scenes = _load_scenes(args.data, args.raster_dir, cfg)
     folds = _fold_sets(scenes, args.fold, cfg)
     # Reject any fold's bad input before the first fold writes its outputs.
     for i, (train_scenes, _test) in enumerate(folds):
@@ -310,27 +315,16 @@ def cmd_train(args) -> int:
         report.to_csv(report_path)
         outputs.extend([ckpt, report_path, state_path])
         print(f"fold {i}: {report.summary()}")
-    _write_manifest(
-        args.out, "train", args, cfg, cfg.train.seed,
-        [args.data, getattr(args, "raster_dir", None), getattr(args, "config", None)],
-        outputs, t0,
-    )
     print(f"{len(folds)} fold(s) trained; outputs in {args.out}")
-    return EXIT_OK
+    return args.out, cfg, cfg.train.seed, outputs
 
 
-def _load_checkpoint(path, cfg: Config) -> ParamStore:
-    params = strip_train_state(ParamStore.load(path))
-    check_model_params(params, cfg.model, path)
-    return params
-
-
-def cmd_predict(args) -> int:
-    t0 = time.monotonic()
+def cmd_predict(args):
     cfg = _config_from(args)
-    params = _load_checkpoint(args.checkpoint, cfg)
+    params = strip_train_state(ParamStore.load(args.checkpoint))
+    check_model_params(params, cfg.model, args.checkpoint)
     model = Model(config=cfg.model, params=params)
-    scenes = _load_scenes(args, cfg)
+    scenes = _load_scenes(args.data, args.raster_dir, cfg)
     for scene in scenes:  # a bad window fails the run before the first file is written
         reject_off_grid(scene, cfg.model.t_obs, cfg.model.grid)
 
@@ -346,13 +340,8 @@ def cmd_predict(args) -> int:
                 tpath = os.path.join(args.out, _window_file("trace_", scene, f"_s{j:02d}.json"))
                 save_trace_json(tpath, steps, pred.agent_ids, scene.key(), j, cfg.model.t_obs)
                 outputs.append(tpath)
-    _write_manifest(
-        args.out, "predict", args, cfg, args.seed,
-        [args.data, args.checkpoint, getattr(args, "raster_dir", None), getattr(args, "config", None)],
-        outputs, t0,
-    )
     print(f"predicted {len(scenes)} windows (k={args.k}) into {args.out}")
-    return EXIT_OK
+    return args.out, cfg, args.seed, outputs
 
 
 def _read_prediction(path, scene, t_obs):
@@ -406,8 +395,7 @@ def _eval_inputs_from_files(scenes, pred_dir, t_obs):
     return evals
 
 
-def cmd_evaluate(args) -> int:
-    t0 = time.monotonic()
+def cmd_evaluate(args):
     cfg = _config_from(args, [("eval", "miss_threshold", args.miss_threshold)])
     try:
         epsilon = None if args.epsilon == "auto" else float(args.epsilon)
@@ -415,7 +403,7 @@ def cmd_evaluate(args) -> int:
         epsilon = math.nan
     if epsilon is not None and not 0 <= epsilon < math.inf:
         raise ConfigError(f"--epsilon must be 'auto' or a finite number >= 0, got {args.epsilon!r}")
-    scenes = _load_scenes(args, cfg, data_attr="gt")
+    scenes = _load_scenes(args.gt, args.raster_dir, cfg)
     evals = _eval_inputs_from_files(scenes, args.pred, cfg.model.t_obs)
     if epsilon is None:
         epsilon = calibrate_epsilon(scenes)
@@ -426,16 +414,12 @@ def cmd_evaluate(args) -> int:
     csv_path = os.path.join(args.out, "metrics.csv")
     save_report_json(json_path, report)
     save_report_csv(csv_path, report)
-    _write_manifest(
-        args.out, "evaluate", args, cfg, None,
-        [args.pred, args.gt, getattr(args, "config", None)], [json_path, csv_path], t0,
-    )
     print(
         f"ADE {report['ade']:.4f}  FDE {report['fde']:.4f}  "
         f"minADE {report['min_ade']:.4f}  minFDE {report['min_fde']:.4f}  "
         f"AUC {report['auc']:.4f}  CR {report['cr']:.4%} (eps {report['epsilon']:.4g})"
     )
-    return EXIT_OK
+    return args.out, cfg, None, [json_path, csv_path]
 
 
 def _load_trace(path) -> dict:
@@ -444,9 +428,8 @@ def _load_trace(path) -> dict:
     ``render`` reads, an agent id is not an integer, or a step is not an
     integer ``t`` with a finite N x N ``matrix`` for the N ``agent_ids``."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        obj = json.loads(read_text(path, DataError))
+    except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or not {"steps", "agent_ids"} <= obj.keys():
         raise DataError(f"{path}: a trace needs 'steps' and 'agent_ids'")
@@ -472,8 +455,7 @@ def _load_trace(path) -> dict:
     return obj
 
 
-def cmd_render(args) -> int:
-    t0 = time.monotonic()
+def cmd_render(args):
     cfg = _config_from(args)
     wanted = None
     if args.steps != "all":
@@ -484,7 +466,7 @@ def cmd_render(args) -> int:
                 f"--steps must be 'all' or comma-separated integers, got {args.steps!r}"
             ) from None
     traces = [(path, _load_trace(path)) for path in args.trace]
-    scenes = _load_scenes(args, cfg, data_attr="scene")
+    scenes = _load_scenes(args.scene, None, cfg)
     preds = []  # read in full before the output directory is made
     for scene in scenes:  # a window without a prediction file is not drawn
         path = os.path.join(args.pred, _window_file("pred_", scene, ".txt"))
@@ -510,12 +492,8 @@ def cmd_render(args) -> int:
                 render_trace_svg(entry["matrix"], obj["agent_ids"], entry["t"]),
             )
             outputs.append(out)
-    _write_manifest(
-        args.out_svg, "render", args, cfg, None,
-        [args.scene, args.pred, *args.trace], outputs, t0,
-    )
     print(f"rendered {len(outputs)} SVG file(s) into {args.out_svg}")
-    return EXIT_OK
+    return args.out_svg, cfg, None, outputs
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, asdict
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 # Every int and float key of a config section or of data.ScenarioSpec must be
 # finite and positive; the keys in MAY_BE_ZERO may also be 0, and those in
@@ -167,8 +167,7 @@ def parse_config_text(text: str) -> Config:
 
 
 def load_config(path) -> Config:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_text(path, ConfigError))
 
 
 def format_config(cfg: Config) -> str:

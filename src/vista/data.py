@@ -9,6 +9,7 @@ square grid of side L, with row = y growing downward.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import warnings
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import _coerce, check_domains
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 
 SCENARIOS = ("constant-velocity", "crossing", "group", "diverge", "head-on-avoid")
 
@@ -125,22 +126,22 @@ def read_records(path, fields: str) -> dict:
     coordinate, or ids that an earlier line holds."""
     names = fields.split()
     records = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != len(names):
-                raise DataError(f"{path}:{lineno}: expected '{fields}', got {raw.strip()!r}")
-            try:  # int() first: only an id such as 780.0 pays for the checks
-                key, xy = tuple(map(int, parts[:-2])), (float(parts[-2]), float(parts[-1]))
-            except ValueError:
-                key, xy = _checked_fields(parts, names, f"{path}:{lineno}", raw.strip())
-            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
-                raise DataError(f"{path}:{lineno}: non-finite coordinate in {raw.strip()!r}")
-            if key in records:
-                raise DataError(f"{path}:{lineno}: duplicate record for ({', '.join(names[:-2])}) = {key}")
-            records[key] = xy
+    # StringIO splits lines as a file does: at "\n" alone, after the newline translation.
+    for lineno, raw in enumerate(io.StringIO(read_text(path, DataError)), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != len(names):
+            raise DataError(f"{path}:{lineno}: expected '{fields}', got {raw.strip()!r}")
+        try:  # int() first: only an id such as 780.0 pays for the checks
+            key, xy = tuple(map(int, parts[:-2])), (float(parts[-2]), float(parts[-1]))
+        except ValueError:
+            key, xy = _checked_fields(parts, names, f"{path}:{lineno}", raw.strip())
+        if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+            raise DataError(f"{path}:{lineno}: non-finite coordinate in {raw.strip()!r}")
+        if key in records:
+            raise DataError(f"{path}:{lineno}: duplicate record for ({', '.join(names[:-2])}) = {key}")
+        records[key] = xy
     return records
 
 
@@ -243,12 +244,12 @@ def atomic_write(path, content):
 
 def load_raster(path) -> SceneRaster:
     """Raster text format: header 'H W D', then H*W*D reals, class-fastest."""
-    with open(path) as fh:
-        try:
-            h, w, d = (int(v) for v in fh.readline().split())
-            values = np.array(fh.read().split(), dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"{path}: expected 'H W D' integers, then reals ({exc})") from None
+    header, _, body = read_text(path, DataError).partition("\n")
+    try:
+        h, w, d = (int(v) for v in header.split())
+        values = np.array(body.split(), dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"{path}: expected 'H W D' integers, then reals ({exc})") from None
     if min(h, w, d) < 1:
         raise DataError(f"{path}: raster sides must be positive, got {h} {w} {d}")
     if values.size != h * w * d:

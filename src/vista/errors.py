@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text reader that
+raises them."""
 
 
 class VistaError(Exception):
@@ -32,3 +33,13 @@ class DivergenceError(VistaError):
         super().__init__(message)
         self.step = step
         self.report = report
+
+
+def read_text(path, error) -> str:
+    """The contents of the file ``path`` decoded as UTF-8; ``error``, an
+    exception class, names the file when its bytes are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None

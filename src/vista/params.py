@@ -10,6 +10,7 @@ scalars of a training-state file.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -108,11 +109,18 @@ class ParamStore:
 
         while off < len(blob):
             (name_len,) = struct.unpack("<Q", take(8))
-            name = take(name_len).decode("utf-8")
+            raw = take(name_len)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = off - name_len + exc.start
+                raise CheckpointError(f"{path}: entry name is not UTF-8 at byte {where}") from None
             (rank,) = struct.unpack("<Q", take(8))
             shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
-            count = int(np.prod(shape)) if shape else 1
-            values = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
+            try:  # Python ints: numpy's int64 product wraps, (2**62, 4) to 0
+                values = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
+            except ValueError:  # an empty entry with an extent beyond int64
+                raise CheckpointError(f"{path}: entry {name!r} has extents {shape}") from None
             if name in entries:
                 raise CheckpointError(f"{path}: duplicate entry {name!r}")
             # Training-state scalars use inf and nan for "no best value yet".

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -483,6 +484,23 @@ class TestPredict:
         assert err["error"] == "CheckpointError"
         assert "'tpm.dec.b2'" in err["message"]
 
+    @pytest.mark.parametrize("how", ["name_not_utf8", "extents_wrap_int64"])
+    def test_corrupt_checkpoint_header_exits_3(self, synth_dir, quick_config, tmp_path, capsys, how):
+        from test_params import corrupt_first_entry
+        from vista.config import load_config
+        from vista.model import init_params
+
+        ckpt = tmp_path / "model.bin"
+        init_params(load_config(quick_config).model, seed=0).save(ckpt)
+        ckpt.write_bytes(corrupt_first_entry(ckpt.read_bytes(), how))
+        code = main([
+            "predict", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+            "--config", str(quick_config), "--out", str(tmp_path / "p"),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CheckpointError" and "model.bin" in err["message"]
+
 
 def write_off_grid_walk(data_dir):
     """Two agents over 13 frames (three windows) inside a 16x16 grid, except
@@ -864,6 +882,100 @@ class TestRender:
         assert err["error"] == "DataError"
         assert "trace_bad.json" in err["message"]
         assert not out.exists()
+
+
+# Each command with every path flag it takes; the manifest digests every file they name.
+MANIFEST_INPUTS = {
+    "synth": ["--spec"],
+    "train": ["--data", "--raster-dir", "--config"],
+    "predict": ["--checkpoint", "--data", "--raster-dir", "--config"],
+    "evaluate": ["--pred", "--gt", "--raster-dir", "--config"],
+    "render": ["--scene", "--pred", "--trace", "--config"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_INPUTS))
+def test_manifest_digests_every_file_its_path_flags_name(
+    synth_dir, quick_config, trained, tmp_path, command
+):
+    preds = tmp_path / "preds"
+    assert main(["predict", "--checkpoint", str(trained), "--data", str(synth_dir), "--k", "2",
+                 "--trace", "--config", str(quick_config), "--out", str(preds)]) == 0
+    spec = tmp_path / "run.spec"
+    spec.write_text("scenario=crossing\nn_agents=2\nn_windows=2\nn_frames=7\ngrid=16\n")
+    paths = {
+        "--spec": [spec], "--data": [synth_dir], "--gt": [synth_dir], "--scene": [synth_dir],
+        "--raster-dir": [synth_dir / "rasters"], "--config": [quick_config],
+        "--checkpoint": [trained], "--pred": [preds], "--trace": sorted(preds.glob("trace_*"))[:2],
+    }
+    out = tmp_path / "out"
+    argv = [command, "--out-svg" if command == "render" else "--out", str(out)]
+    for flag in MANIFEST_INPUTS[command]:
+        argv += [flag, *map(str, paths[flag])]
+    if command == "train":
+        argv += ["--fold", "ratio"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    digests = json.loads((out / f"manifest_{command}.json").read_text())["input_digests"]
+    named = [f for flag in MANIFEST_INPUTS[command] for p in paths[flag]
+             for f in (sorted(p.iterdir()) if p.is_dir() else [p]) if f.is_file()]
+    assert len(named) >= len(MANIFEST_INPUTS[command])
+    for f in named:
+        assert digests.get(str(f)) == hashlib.sha256(f.read_bytes()).hexdigest(), f
+
+
+# Each text file kind with a byte that is not UTF-8: the exit code of its kind, naming the file.
+@pytest.mark.parametrize("kind, code", [
+    ("config", 2), ("spec", 2), ("trajectory", 4), ("prediction", 4), ("raster", 4), ("trace", 4),
+])
+def test_undecodable_byte_exits_with_its_file_kinds_code(
+    synth_dir, quick_config, tmp_path, capsys, kind, code
+):
+    preds = tmp_path / "preds"
+    TestEvaluate().write_gt_as_predictions(synth_dir, preds, t_obs=4)
+    out = tmp_path / "out"
+    argv = ["evaluate", "--pred", str(preds), "--gt", str(synth_dir), "--raster-dir",
+            str(synth_dir / "rasters"), "--config", str(quick_config), "--out", str(out)]
+    victim = {
+        "config": quick_config, "trajectory": synth_dir / "crossing__w000.txt",
+        "prediction": preds / "pred_crossing__w000.txt", "spec": tmp_path / "run.spec",
+        "raster": synth_dir / "rasters" / "crossing.txt", "trace": tmp_path / "trace.json",
+    }[kind]
+    if kind == "spec":
+        victim.write_text("scenario=crossing\n")
+        argv = ["synth", "--spec", str(victim), "--out", str(out)]
+    elif kind == "trace":
+        victim.write_text("{}")
+        argv = cli_args("render", synth_dir, preds, quick_config, out) + ["--trace", str(victim)]
+    with open(victim, "ab") as fh:
+        fh.write(b"\xff\n")
+    assert main(argv) == code
+    err = json.loads(capsys.readouterr().err)
+    assert f"{victim}: not UTF-8 text" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, error", [
+    ("directory", "IsADirectoryError"), ("below_a_file", "NotADirectoryError"),
+])
+@pytest.mark.parametrize("flag", ["--config", "--checkpoint", "--spec", "--trace"])
+def test_directory_or_path_below_a_file_as_an_input_file_exits_4(
+    synth_dir, quick_config, tmp_path, capsys, flag, where, error
+):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    path = folder if where == "directory" else quick_config / "x"
+    out = tmp_path / "out"
+    argv = {
+        "--config": ["evaluate", "--pred", str(tmp_path), "--gt", str(synth_dir), "--out", str(out)],
+        "--checkpoint": ["predict", "--data", str(synth_dir), "--out", str(out)],
+        "--spec": ["synth", "--out", str(out)],
+        "--trace": cli_args("render", synth_dir, tmp_path, quick_config, out),
+    }[flag]
+    assert main(argv + [flag, str(path)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and str(path) in err["message"]
+    assert not out.exists()
 
 
 # One field of a prediction or trace file set to a boundary value, as the

@@ -266,6 +266,19 @@ def test_reader_decides_boundary_tokens_as_the_loop_it_replaced(tmp_path, kind):
         assert decisions == (["accept", "reject"] if widened else decisions[:1] * 2), (field, value)
 
 
+@pytest.mark.parametrize("kind", sorted(RECORD_READERS))
+@pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028"])
+def test_reader_breaks_lines_where_file_iteration_does(tmp_path, kind, sep):
+    # str.splitlines would break the first line at ``sep``; to the file loop
+    # it is whitespace between fields, and the bad line is the second.
+    read, reference, n_ids = RECORD_READERS[kind]
+    path = tmp_path / "records.txt"
+    path.write_bytes(f"{sep.join(['1'] * n_ids + ['0.5', '2.5'])}\nbad line\n".encode())
+    for load in (read, reference):
+        with pytest.raises(DataError, match="records.txt:2: expected"):
+            load(path)
+
+
 class TestRasterIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,34 @@ def test_truncated_file_errors_without_partial_load(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 7])
     with pytest.raises(CheckpointError, match="truncated"):
+        ParamStore.load(path)
+
+
+def corrupt_first_entry(blob, how):
+    """``blob``, a saved checkpoint, with its first entry's header broken:
+    a name that is not UTF-8, extents (2^62, 4) whose int64 product wraps to
+    0, or an empty entry with an extent beyond int64."""
+    name_end = len(MAGIC) + 8 + int.from_bytes(blob[6:14], "little")
+    if how == "name_not_utf8":
+        return blob[:14] + b"\xff" + blob[15:]
+    extents = {"extents_wrap_int64": (2**62, 4), "empty_extent_beyond_int64": (2**63, 0)}[how]
+    header = struct.pack("<3Q", 2, *extents)
+    return blob[:name_end] + header + b"\x00" * 64
+
+
+CORRUPT_HEADERS = {
+    "name_not_utf8": "not UTF-8 at byte 14",
+    "extents_wrap_int64": "truncated",
+    "empty_extent_beyond_int64": r"extents \(9223372036854775808, 0\)",
+}
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPT_HEADERS))
+def test_corrupt_entry_header_raises_checkpoint_error(tmp_path, how):
+    path = tmp_path / "ckpt.bin"
+    random_store().save(path)
+    path.write_bytes(corrupt_first_entry(path.read_bytes(), how))
+    with pytest.raises(CheckpointError, match=CORRUPT_HEADERS[how]):
         ParamStore.load(path)
 
 
