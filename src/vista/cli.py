@@ -214,6 +214,8 @@ def _write_manifest(out_dir, args, cfg, seed, outputs, timings):
 
 
 def _load_scenes(data_path, raster_dir, cfg: Config):
+    if raster_dir and not os.path.isdir(raster_dir):
+        raise DataError(f"--raster-dir {raster_dir}: not a directory")
     scenes = load_trajectories(
         data_path, t_obs=cfg.model.t_obs, t_fut=cfg.model.t_fut, stride=cfg.data.stride or None
     )
@@ -465,7 +467,16 @@ def cmd_render(args):
             raise ConfigError(
                 f"--steps must be 'all' or comma-separated integers, got {args.steps!r}"
             ) from None
-    traces = [(path, _load_trace(path)) for path in args.trace]
+    stems = {}  # each trace's SVGs are named after its file's stem
+    for path in args.trace:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if stem in stems:
+            raise ConfigError(
+                f"--trace {stems[stem]} and {path} share the stem {stem!r}: "
+                "their SVG files would overwrite each other"
+            )
+        stems[stem] = path
+    traces = [(stem, _load_trace(path)) for stem, path in stems.items()]
     scenes = _load_scenes(args.scene, None, cfg)
     preds = []  # read in full before the output directory is made
     for scene in scenes:  # a window without a prediction file is not drawn
@@ -480,11 +491,10 @@ def cmd_render(args):
         write_svg(out, render_scene_svg(scene, pred, cfg.model.t_obs))
         outputs.append(out)
 
-    for trace_path, obj in traces:
+    for stem, obj in traces:
         steps = obj["steps"]
         if wanted is not None:
             steps = [s for s in steps if s["t"] in wanted]
-        stem = os.path.splitext(os.path.basename(trace_path))[0]
         for entry in steps:
             out = os.path.join(args.out_svg, f"{stem}_t{entry['t']:02d}.svg")
             write_svg(

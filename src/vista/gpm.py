@@ -10,7 +10,12 @@ nearest-neighbour duplication, written with its skip connection straight
 into the padded input of the next convolution; a 1x1 head gives the logits.
 The hand-written backward walks the layers in reverse, and each
 convolution's input gradient is one more im2col matmul, over its masked
-output gradient. Grid cell (r, c) is centered at (x=c, y=r).
+output gradient. Outside recording no backward reads the im2col matrices,
+so a convolution builds and multiplies its matrix in blocks of whole agents
+of at least ``_BLOCK_ROWS`` rows, writing each block's relu into the layer
+output: the peak memory is then a block's matrix, not the window's, and the
+logits equal the recorded forward's bit for bit. Grid cell (r, c) is
+centered at (x=c, y=r).
 """
 
 from __future__ import annotations
@@ -92,16 +97,34 @@ def _upsample2_concat(low: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return xp
 
 
+# Outside recording, a convolution builds its im2col matrix in blocks of
+# whole agents, each of at least this many rows, the last block taking the
+# remainder. On OpenBLAS 0.3.31 a block of 128 rows or more takes the same
+# path as the whole product, so each row equals the unblocked product's bit
+# for bit; a 1-row product (gemv) or a 64-row one with K = 576 does not.
+_BLOCK_ROWS = 1024
+
+
 def _conv_relu(xp: np.ndarray, w: np.ndarray, b: np.ndarray, columns: list | None) -> np.ndarray:
     """relu of the 3x3 convolution of the zero-padded ``xp`` with kernel w
-    (3, 3, c_in, c_out) and bias b, as one im2col matmul, shaped (n, h, w,
-    c_out). Appends the im2col matrix to ``columns`` unless that is None."""
+    (3, 3, c_in, c_out) and bias b, as im2col matmuls, shaped (n, h, w,
+    c_out). With ``columns`` a list, one matmul whose im2col matrix it
+    appends there; with None, one matmul per block of ``_BLOCK_ROWS``."""
     n, hp, wp, _ = xp.shape
-    cols = _columns(xp)
+    h, wd, cout = hp - 2, wp - 2, w.shape[-1]
+    kernel = w.reshape(-1, cout)
     if columns is not None:
+        cols = _columns(xp)
         columns.append(cols)
-    out = np.matmul(cols, w.reshape(-1, w.shape[-1])) + b
-    return _relu_data(out).reshape(n, hp - 2, wp - 2, w.shape[-1])
+        return _relu_data(np.matmul(cols, kernel) + b).reshape(n, h, wd, cout)
+    per_block = -(-_BLOCK_ROWS // (h * wd))  # agents in each block but the last
+    starts = range(0, max(n // per_block, 1) * per_block, per_block)
+    ends = [*starts[1:], n]
+    out = np.empty((n, h, wd, cout))
+    for start, end in zip(starts, ends):
+        block = np.matmul(_columns(xp[start:end]), kernel) + b
+        out[start:end] = _relu_data(block).reshape(end - start, h, wd, cout)
+    return out
 
 
 def _conv_relu_grads(g, columns, out, w, input_grad=True):

@@ -416,12 +416,12 @@ def save_trace_json(path, steps, agent_ids, scene_id: str, sample_index: int, t_
 
 def save_prediction_txt(path, scene: Scene, pred: PredictionSet, t_obs: int):
     """Trajectory text format extended with a sample_id column."""
-    future_frames = scene.frame_ids[t_obs:]
+    frames = [int(f) for f in scene.frame_ids[t_obs:]]
+    heads = [[f"{f} {int(agent)} " for f in frames] for agent in pred.agent_ids]
     lines = []
-    for j in range(pred.k):
-        for i, agent in enumerate(pred.agent_ids):
-            for f, (x, y) in zip(future_frames, pred.trajectories[i, j]):
-                lines.append(f"{j} {int(f)} {int(agent)} {float(x)!r} {float(y)!r}")
+    for j, sample in enumerate(pred.trajectories.transpose(1, 0, 2, 3).tolist()):
+        for agent_heads, steps in zip(heads, sample):
+            lines += [f"{j} {head}{x!r} {y!r}" for head, (x, y) in zip(agent_heads, steps)]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -851,6 +851,21 @@ class TestRender:
         assert "--steps" in err["message"]
         assert not out.exists()
 
+    def test_traces_sharing_a_stem_exit_2(self, synth_dir, quick_config, tmp_path, capsys):
+        # Both would write x_t05.svg.
+        trace = {"agent_ids": [0, 1], "steps": [{"t": 5, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}
+        paths = [tmp_path / folder / "x.json" for folder in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text(json.dumps(trace))
+        out = tmp_path / "svg"
+        argv = cli_args("render", synth_dir, tmp_path / "preds", quick_config, out)
+        assert main(argv + ["--trace", *map(str, paths)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert all(str(path) in err["message"] for path in paths)
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         '{"steps": [',
         json.dumps({"agent_ids": [0, 1]}),
@@ -975,6 +990,33 @@ def test_directory_or_path_below_a_file_as_an_input_file_exits_4(
     assert main(argv + [flag, str(path)]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and str(path) in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["file", "missing"])
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+def test_raster_dir_that_is_not_a_directory_exits_4(
+    synth_dir, quick_config, tmp_path, capsys, command, where
+):
+    from vista.config import load_config
+    from vista.model import init_params
+
+    raster_dir = quick_config if where == "file" else tmp_path / "missing"
+    if command == "train":
+        argv = ["train", "--data", str(synth_dir), "--fold", "ratio"]
+    elif command == "predict":
+        ckpt = tmp_path / "model.bin"
+        init_params(load_config(quick_config).model, seed=0).save(ckpt)
+        argv = ["predict", "--checkpoint", str(ckpt), "--data", str(synth_dir)]
+    else:
+        preds = tmp_path / "preds"
+        TestEvaluate().write_gt_as_predictions(synth_dir, preds, t_obs=4)
+        argv = ["evaluate", "--pred", str(preds), "--gt", str(synth_dir)]
+    out = tmp_path / "out"
+    argv += ["--raster-dir", str(raster_dir), "--config", str(quick_config), "--out", str(out)]
+    assert main(argv) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError" and str(raster_dir) in err["message"]
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +332,37 @@ class TestGpmNode:
         assert logits._bwd is None and logits._parents == () and not logits.requires_grad
         recorded = gpm_forward_batch(channels, params)
         assert logits.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("side", [4, 8, 16, 24, 32, 40, 64])
+    def test_blocked_inference_matches_recorded_bitwise(self, side):
+        # Outside recording each convolution runs in blocks of whole agents;
+        # the recorded forward is one matmul per layer. Agent counts run
+        # 1-16, capped at 16384 input rows because the recorded forward
+        # holds every layer's im2col matrix; odd counts at side 24 and 9-11
+        # at side 16 leave a remainder for the last block.
+        cfg = ModelConfig(grid=side)
+        params = init_params(cfg, seed=side)
+        rng = np.random.default_rng(side)
+        for n in range(1, min(16, 16384 // side**2) + 1):
+            channels = rng.normal(size=(n, side, side, cfg.n_classes + cfg.t_obs))
+            recorded = gpm_forward_batch(channels, params).data
+            with no_grad():
+                blocked = gpm_forward_batch(channels, params).data
+            assert blocked.tobytes() == recorded.tobytes(), (side, n)
+
+    def test_heatmaps_peak_memory(self):
+        # One im2col matrix for all ten agents would be 10240 x 288 float64
+        # (23.6 MB) at dec1 alone.
+        scene, cfg = crowd_window()
+        model = Model(cfg, init_params(cfg, seed=0))
+        model.heatmaps(scene)
+        tracemalloc.start()
+        try:
+            model.heatmaps(scene)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestTTST:

@@ -798,6 +798,20 @@ class TestExports:
                         records[(j, int(f), aid)], pred.trajectories[i, j, s]
                     )
 
+    def test_prediction_txt_matches_line_loop(self, cfg, params, three_agent_scene, tmp_path):
+        # The per-line loop that save_prediction_txt replaced, kept as its
+        # reference, on agent ids out of order.
+        scene = scene_from_positions(three_agent_scene.positions(), [7, 2, 5])
+        pred = predict_with_goals(scene, fixed_goals(scene, 4, spread=0.7), params, cfg)
+        lines = []
+        for j in range(pred.k):
+            for i, agent in enumerate(pred.agent_ids):
+                for f, (x, y) in zip(scene.frame_ids[cfg.t_obs :], pred.trajectories[i, j]):
+                    lines.append(f"{j} {int(f)} {int(agent)} {float(x)!r} {float(y)!r}")
+        path = tmp_path / "pred.txt"
+        save_prediction_txt(path, scene, pred, cfg.t_obs)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_read_prediction_matches_record_loop(self, cfg, params, three_agent_scene, tmp_path):
         scene = scene_from_positions(three_agent_scene.positions(), [7, 2, 5])
         pred = predict_with_goals(scene, fixed_goals(scene, 4, spread=0.7), params, cfg)
