@@ -80,7 +80,10 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_CONFIG)
     except CheckpointError as exc:
         return _fail(exc, EXIT_CHECKPOINT)
-    except (AlignmentError, DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (
+        AlignmentError, DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+        PermissionError,
+    ) as exc:
         return _fail(exc, EXIT_DATA)
     except DivergenceError as exc:
         return _fail(exc, EXIT_DIVERGED)
@@ -219,6 +222,8 @@ def _load_scenes(data_path, raster_dir, cfg: Config):
     scenes = load_trajectories(
         data_path, t_obs=cfg.model.t_obs, t_fut=cfg.model.t_fut, stride=cfg.data.stride or None
     )
+    if not scenes:
+        raise DataError(f"{data_path}: no usable windows")
     if raster_dir:
         cache = {}
         for scene in scenes:
@@ -228,8 +233,9 @@ def _load_scenes(data_path, raster_dir, cfg: Config):
                 check_raster(raster, cfg.model, path)
                 cache[scene.scene_id] = raster
             scene.raster = cache[scene.scene_id]
-    if not scenes:
-        raise DataError(f"{data_path}: no usable windows")
+        # A scene may have no raster, but a directory with none is the wrong one.
+        if all(raster is None for raster in cache.values()):
+            raise DataError(f"--raster-dir {raster_dir}: holds no <scene_id>.txt of {sorted(cache)}")
     return scenes
 
 

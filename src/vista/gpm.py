@@ -4,18 +4,18 @@ Gaussian targets of their training loss, and multi-goal (TTST) sampling.
 The heatmap head is a small encoder-decoder with skip connections (two
 2x-downsampling stages, channel widths from the config), recorded as one
 graph node, "gpm", from the input channels to the (N, H, W) logits. Each of
-its five 3x3 convolutions is one im2col matmul over the zero-padded input's
+its five 3x3 convolutions is an im2col matmul over the zero-padded input's
 3x3 neighbourhoods, then relu; pooling is a 2x2 block mean, and upsampling
 nearest-neighbour duplication, written with its skip connection straight
 into the padded input of the next convolution; a 1x1 head gives the logits.
-The hand-written backward walks the layers in reverse, and each
-convolution's input gradient is one more im2col matmul, over its masked
-output gradient. Outside recording no backward reads the im2col matrices,
-so a convolution builds and multiplies its matrix in blocks of whole agents
-of at least ``_BLOCK_ROWS`` rows, writing each block's relu into the layer
-output: the peak memory is then a block's matrix, not the window's, and the
-logits equal the recorded forward's bit for bit. Grid cell (r, c) is
-centered at (x=c, y=r).
+The node keeps each convolution's padded input, not its 9x larger im2col
+matrix, and its hand-written backward walks the layers in reverse: a weight
+gradient rebuilds its layer's matrix for one matmul, and an input gradient
+convolves the masked output gradient with the flipped kernel. Every
+convolution multiplies its matrix in blocks of whole agents of at least
+``_BLOCK_ROWS`` rows, so it never holds the window's whole matrix, and each
+value equals the whole product's bit for bit. Grid cell (r, c) is centered
+at (x=c, y=r).
 """
 
 from __future__ import annotations
@@ -97,48 +97,48 @@ def _upsample2_concat(low: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return xp
 
 
-# Outside recording, a convolution builds its im2col matrix in blocks of
-# whole agents, each of at least this many rows, the last block taking the
-# remainder. On OpenBLAS 0.3.31 a block of 128 rows or more takes the same
-# path as the whole product, so each row equals the unblocked product's bit
+# Every convolution, recorded or not, forward or input gradient, multiplies
+# its im2col matrix in blocks of whole agents of at least this many rows, the
+# last block taking the remainder. On OpenBLAS 0.3.31 a block of 128 rows or
+# more takes the whole product's path, so each row equals that product's bit
 # for bit; a 1-row product (gemv) or a 64-row one with K = 576 does not.
 _BLOCK_ROWS = 1024
 
 
-def _conv_relu(xp: np.ndarray, w: np.ndarray, b: np.ndarray, columns: list | None) -> np.ndarray:
-    """relu of the 3x3 convolution of the zero-padded ``xp`` with kernel w
-    (3, 3, c_in, c_out) and bias b, as im2col matmuls, shaped (n, h, w,
-    c_out). With ``columns`` a list, one matmul whose im2col matrix it
-    appends there; with None, one matmul per block of ``_BLOCK_ROWS``."""
+def _conv(xp: np.ndarray, w: np.ndarray, b=None, keep: list | None = None) -> np.ndarray:
+    """The 3x3 convolution (n, h, w, c_out) of the zero-padded ``xp`` (n,
+    h+2, w+2, c) with the kernel ``w`` (3, 3, c, c_out), one im2col matmul
+    per block of ``_BLOCK_ROWS``; with a bias ``b``, each block then takes b
+    and relu in place. ``xp`` joins the list ``keep`` unless that is None."""
+    if keep is not None:
+        keep.append(xp)
     n, hp, wp, _ = xp.shape
-    h, wd, cout = hp - 2, wp - 2, w.shape[-1]
-    kernel = w.reshape(-1, cout)
-    if columns is not None:
-        cols = _columns(xp)
-        columns.append(cols)
-        return _relu_data(np.matmul(cols, kernel) + b).reshape(n, h, wd, cout)
-    per_block = -(-_BLOCK_ROWS // (h * wd))  # agents in each block but the last
+    rows = (hp - 2) * (wp - 2)
+    kernel = w.reshape(-1, w.shape[-1])
+    out = np.empty((n * rows, w.shape[-1]))
+    per_block = -(-_BLOCK_ROWS // rows)  # agents in each block but the last
     starts = range(0, max(n // per_block, 1) * per_block, per_block)
-    ends = [*starts[1:], n]
-    out = np.empty((n, h, wd, cout))
-    for start, end in zip(starts, ends):
-        block = np.matmul(_columns(xp[start:end]), kernel) + b
-        out[start:end] = _relu_data(block).reshape(end - start, h, wd, cout)
-    return out
+    for start, end in zip(starts, [*starts[1:], n]):
+        block = out[start * rows : end * rows]
+        np.matmul(_columns(xp[start:end]), kernel, out=block)
+        if b is not None:
+            block += b
+            block[...] = _relu_data(block)
+    return out.reshape(n, hp - 2, wp - 2, -1)
 
 
-def _conv_relu_grads(g, columns, out, w, input_grad=True):
-    """Gradients (input, weight, bias) of ``_conv_relu`` for its output
-    gradient ``g``; the input gradient is None without ``input_grad``. It is
-    the same convolution of the masked output gradient with the kernel
-    flipped in (di, dj) and transposed in channels, so one im2col matmul."""
+def _conv_relu_grads(g, xp, out, w, input_grad=True):
+    """Gradients (input, weight, bias) of relu(``_conv(xp, w)`` + b), whose
+    output is ``out``, for its output gradient ``g``; the input gradient is
+    None without ``input_grad``. The weight gradient is one matmul over the
+    rebuilt im2col matrix of ``xp``; the input gradient is the convolution of
+    the masked ``g`` with w flipped in (di, dj) and transposed in channels."""
     n, h, wd, cout = out.shape
     gz = (g * (out > 0)).reshape(n * h * wd, cout)
     gx = None
     if input_grad:
-        flipped = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
-        gx = np.matmul(_columns(_padded(gz.reshape(out.shape))), flipped).reshape(n, h, wd, -1)
-    return gx, (columns.T @ gz).reshape(w.shape), gz.sum(axis=0)
+        gx = _conv(_padded(gz.reshape(out.shape)), w[::-1, ::-1].transpose(0, 1, 3, 2))
+    return gx, (_columns(xp).T @ gz).reshape(w.shape), gz.sum(axis=0)
 
 
 def _pool2_grad(g: np.ndarray, skip: np.ndarray) -> np.ndarray:
@@ -201,24 +201,24 @@ def gpm_forward_batch(channels: np.ndarray, params: ParamStore) -> Tensor:
     intermediates."""
     weights = tuple(params[f"gpm.{layer}.{p}"] for layer in _LAYERS for p in "wb")
     w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
-    columns = [] if _recording(weights) else None  # kept only for backward
-    c1 = _conv_relu(_padded(channels), w1, b1, columns)
-    c2 = _conv_relu(_padded(_pool2(c1)), w2, b2, columns)
-    bott = _conv_relu(_padded(_pool2(c2)), w3, b3, columns)
-    d2 = _conv_relu(_upsample2_concat(bott, c2), w4, b4, columns)
-    d1 = _conv_relu(_upsample2_concat(d2, c1), w5, b5, columns)
+    xp = [] if _recording(weights) else None  # padded inputs, kept only for backward
+    c1 = _conv(_padded(channels), w1, b1, xp)
+    c2 = _conv(_padded(_pool2(c1)), w2, b2, xp)
+    bott = _conv(_padded(_pool2(c2)), w3, b3, xp)
+    d2 = _conv(_upsample2_concat(bott, c2), w4, b4, xp)
+    d1 = _conv(_upsample2_concat(d2, c1), w5, b5, xp)
     n, h, w, cd = d1.shape
     logits = np.matmul(d1.reshape(n * h * w, cd), wo) + bo
 
     def bwd(g):
         g = g.reshape(n * h * w, 1)
         g_out = (d1.reshape(n * h * w, cd).T @ g, g.sum(axis=0))
-        gx5, *g_dec1 = _conv_relu_grads(np.matmul(g, wo.T).reshape(d1.shape), columns[4], d1, w5)
-        gx4, *g_dec2 = _conv_relu_grads(_upsample2_grad(gx5[..., :cd]), columns[3], d2, w4)
+        gx5, *g_dec1 = _conv_relu_grads(np.matmul(g, wo.T).reshape(d1.shape), xp[4], d1, w5)
+        gx4, *g_dec2 = _conv_relu_grads(_upsample2_grad(gx5[..., :cd]), xp[3], d2, w4)
         cb = bott.shape[-1]
-        gx3, *g_bott = _conv_relu_grads(_upsample2_grad(gx4[..., :cb]), columns[2], bott, w3)
-        gx2, *g_enc2 = _conv_relu_grads(_pool2_grad(gx3, gx4[..., cb:]), columns[1], c2, w2)
-        _, *g_enc1 = _conv_relu_grads(_pool2_grad(gx2, gx5[..., cd:]), columns[0], c1, w1, False)
+        gx3, *g_bott = _conv_relu_grads(_upsample2_grad(gx4[..., :cb]), xp[2], bott, w3)
+        gx2, *g_enc2 = _conv_relu_grads(_pool2_grad(gx3, gx4[..., cb:]), xp[1], c2, w2)
+        _, *g_enc1 = _conv_relu_grads(_pool2_grad(gx2, gx5[..., cd:]), xp[0], c1, w1, False)
         return (*g_enc1, *g_enc2, *g_bott, *g_dec2, *g_dec1, *g_out)
 
     return _node(logits.reshape(n, h, w), weights, bwd, "gpm")

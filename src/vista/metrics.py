@@ -106,7 +106,9 @@ def auc(ev: EvalInput):
 
 
 def calibrate_epsilon(scenes) -> float:
-    """Largest threshold with zero ground-truth collisions, minus a 1e-9 guard.
+    """Largest threshold with zero ground-truth collisions, minus a 1e-9 guard
+    and at least 0: with two coincident agents the minimum distance is 0, and
+    under the strict ``<`` of ``collision_rates`` 0 counts no collision.
 
     The infimum runs over all co-observed timesteps and agent pairs of every
     scene (full windows, observation and future alike).
@@ -114,7 +116,7 @@ def calibrate_epsilon(scenes) -> float:
     best = min((min_pairwise_distance(scene) for scene in scenes), default=math.inf)
     if not math.isfinite(best):
         raise DataError("epsilon calibration needs at least one scene with two co-present agents")
-    return best - 1e-9
+    return max(best - 1e-9, 0.0)
 
 
 def collision_rates(ev: EvalInput, epsilon: float) -> np.ndarray:

@@ -320,9 +320,10 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
 
     Deterministic given config.train.seed: epoch shuffles are seeded by
     (seed, epoch), batches accumulate mean gradients in a fixed order, and
-    the validation sampler seed is fixed. A ``resume_from`` state whose run
-    stopped early or reached its target runs no epoch; any other trains on
-    to ``max_epochs``. Returns (best_params, report); raises DataError,
+    the validation sampler seed is fixed. It holds one window's graph at a
+    time, releasing each once its backward has run. A ``resume_from`` state
+    whose run stopped early or reached its target runs no epoch; any other
+    trains on to ``max_epochs``. Returns (best_params, report); raises DataError,
     before the first epoch, naming the file of a window with a frame count
     other than t_obs + t_fut, a raster ``check_raster`` refuses or a
     position outside the grid; CheckpointError on a ``resume_from`` file
@@ -373,16 +374,17 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
             batch = order[start : start + cfg.batch_size]
             params.zero_grad()
             for i in batch:
-                total, goal_part, traj_part = window_loss_graph(
+                graph, goal_part, traj_part = window_loss_graph(
                     params, mcfg, cfg, train_scenes[i], constants[i]
                 )
-                if not math.isfinite(total.item()):
+                totals.append(graph.item())
+                if not math.isfinite(totals[-1]):
                     report.stop_reason = "diverged"
                     raise DivergenceError(f"non-finite loss in epoch {epoch}", report=report)
-                backward(total, seed=1.0 / len(batch))
+                backward(graph, seed=1.0 / len(batch))
+                del graph  # before the next window's graph is built
                 goal_parts.append(goal_part)
                 traj_parts.append(traj_part)
-                totals.append(total.item())
             adam.step(progress.lr)
 
         epoch_total = float(np.mean(totals))

@@ -551,12 +551,12 @@ def test_off_grid_window_writes_nothing(trained, quick_config, tmp_path, capsys,
 
 
 class TestEvaluate:
-    def write_gt_as_predictions(self, synth_dir, out_dir, t_obs, k=3):
+    def write_gt_as_predictions(self, synth_dir, out_dir, t_obs, k=3, t_fut=3):
         from vista.data import load_trajectories
         from vista.tpm import PredictionSet, save_prediction_txt
 
         os.makedirs(out_dir, exist_ok=True)
-        scenes = load_trajectories(synth_dir, t_obs=4, t_fut=3)
+        scenes = load_trajectories(synth_dir, t_obs=t_obs, t_fut=t_fut)
         for scene in scenes:
             gt = scene.positions()[:, t_obs:, :]
             pred = PredictionSet(
@@ -582,6 +582,21 @@ class TestEvaluate:
         assert report["min_ade"] == 0.0
         assert report["auc"] == 0.0
         assert report["cr"] == 0.0  # calibrated epsilon reproduces CR=0 on GT
+
+    def test_coincident_ground_truth_agents_give_zero_auto_epsilon(self, tmp_path):
+        # This run clips agents onto one grid-edge cell, so every window's
+        # minimum distance is 0; the default config, 8 + 12 frames.
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--scenario", "crossing", "--n", "6", "--windows", "4", "--seed", "3",
+            "--out", str(data),
+        ]) == 0
+        pred_dir = tmp_path / "preds"
+        self.write_gt_as_predictions(data, pred_dir, t_obs=8, t_fut=12)
+        out = tmp_path / "metrics"
+        assert main(["evaluate", "--pred", str(pred_dir), "--gt", str(data), "--out", str(out)]) == 0
+        report = json.loads((out / "metrics.json").read_text())
+        assert report["epsilon"] == 0.0 and report["cr"] == 0.0
 
     def test_epsilon_override_lands_in_report(self, synth_dir, quick_config, tmp_path):
         pred_dir = tmp_path / "preds"
@@ -993,30 +1008,86 @@ def test_directory_or_path_below_a_file_as_an_input_file_exits_4(
     assert not out.exists()
 
 
+def raster_dir_argv(command, synth_dir, quick_config, tmp_path):
+    """The argv of ``command`` on ``synth_dir``, up to its ``--raster-dir``."""
+    from vista.config import load_config
+    from vista.model import init_params
+
+    if command == "train":
+        return ["train", "--data", str(synth_dir), "--fold", "ratio"]
+    if command == "predict":
+        ckpt = tmp_path / "model.bin"
+        init_params(load_config(quick_config).model, seed=0).save(ckpt)
+        return ["predict", "--checkpoint", str(ckpt), "--data", str(synth_dir)]
+    preds = tmp_path / "preds"
+    TestEvaluate().write_gt_as_predictions(synth_dir, preds, t_obs=4)
+    return ["evaluate", "--pred", str(preds), "--gt", str(synth_dir)]
+
+
 @pytest.mark.parametrize("where", ["file", "missing"])
 @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
 def test_raster_dir_that_is_not_a_directory_exits_4(
     synth_dir, quick_config, tmp_path, capsys, command, where
 ):
-    from vista.config import load_config
-    from vista.model import init_params
-
     raster_dir = quick_config if where == "file" else tmp_path / "missing"
-    if command == "train":
-        argv = ["train", "--data", str(synth_dir), "--fold", "ratio"]
-    elif command == "predict":
-        ckpt = tmp_path / "model.bin"
-        init_params(load_config(quick_config).model, seed=0).save(ckpt)
-        argv = ["predict", "--checkpoint", str(ckpt), "--data", str(synth_dir)]
-    else:
-        preds = tmp_path / "preds"
-        TestEvaluate().write_gt_as_predictions(synth_dir, preds, t_obs=4)
-        argv = ["evaluate", "--pred", str(preds), "--gt", str(synth_dir)]
     out = tmp_path / "out"
+    argv = raster_dir_argv(command, synth_dir, quick_config, tmp_path)
     argv += ["--raster-dir", str(raster_dir), "--config", str(quick_config), "--out", str(out)]
     assert main(argv) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataError" and str(raster_dir) in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("held", ["nothing", "another_scenes_raster"])
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+def test_raster_dir_with_no_loaded_scenes_raster_exits_4(
+    synth_dir, quick_config, tmp_path, capsys, command, held
+):
+    # Every window would silently get the uniform raster: the wrong directory.
+    raster_dir = tmp_path / "rasters"
+    raster_dir.mkdir()
+    if held == "another_scenes_raster":
+        shutil.copy(synth_dir / "rasters" / "crossing.txt", raster_dir / "elsewhere.txt")
+    out = tmp_path / "out"
+    argv = raster_dir_argv(command, synth_dir, quick_config, tmp_path)
+    argv += ["--raster-dir", str(raster_dir), "--config", str(quick_config), "--out", str(out)]
+    assert main(argv) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError" and str(raster_dir) in err["message"]
+    assert "crossing" in err["message"]
+    assert not out.exists()
+
+
+def test_raster_dir_may_miss_some_scenes(synth_dir, quick_config, tmp_path):
+    # A scene without a raster file is a scene without a raster, so long as
+    # the directory holds another loaded scene's.
+    shutil.copy(synth_dir / "crossing__w000.txt", synth_dir / "bare__w000.txt")
+    out = tmp_path / "out"
+    argv = raster_dir_argv("evaluate", synth_dir, quick_config, tmp_path)
+    argv += ["--raster-dir", str(synth_dir / "rasters"), "--config", str(quick_config),
+             "--out", str(out)]
+    assert main(argv) == 0
+
+
+def test_unreadable_input_file_exits_4(synth_dir, quick_config, tmp_path, capsys, monkeypatch):
+    # A root session reads every file, so the reader is made to refuse one.
+    import vista.data
+    from vista.errors import read_text
+
+    victim = str(synth_dir / "crossing__w000.txt")
+
+    def refusing(path, error):
+        if str(path) == victim:
+            raise PermissionError(13, "Permission denied", victim)
+        return read_text(path, error)
+
+    out = tmp_path / "out"
+    argv = raster_dir_argv("evaluate", synth_dir, quick_config, tmp_path)
+    monkeypatch.setattr(vista.data, "read_text", refusing)
+    assert main(argv + ["--config", str(quick_config), "--out", str(out)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PermissionError" and victim in err["message"]
     assert not out.exists()
 
 

@@ -37,7 +37,7 @@ from vista.gpm import (
 )
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
-from vista.tensor import backward, no_grad
+from vista.tensor import _node, backward, no_grad
 from vista.training import window_constants
 
 
@@ -295,6 +295,54 @@ def grid_four_window():
 WINDOWS = [(scene, overfit_config(0).model, 3) for scene in overfit_dataset(0)]
 
 
+def full_matrix_gpm_forward(channels, params):
+    """The recorded goal-module node as it was when it kept each
+    convolution's whole im2col matrix for its backward, kept as the
+    reference of the node that keeps padded inputs: one matmul per
+    convolution, and the weight gradients read the kept matrices."""
+
+    def conv_relu(xp, w, b):
+        columns.append(gpm._columns(xp))
+        n, hp, wp, _ = xp.shape
+        return np.maximum(np.matmul(columns[-1], w.reshape(-1, w.shape[-1])) + b, 0.0).reshape(
+            n, hp - 2, wp - 2, -1
+        )
+
+    def conv_relu_grads(g, cols, out, w, input_grad=True):
+        n, h, wd, cout = out.shape
+        gz = (g * (out > 0)).reshape(n * h * wd, cout)
+        gx = None
+        if input_grad:
+            flipped = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
+            gx = np.matmul(gpm._columns(gpm._padded(gz.reshape(out.shape))), flipped)
+            gx = gx.reshape(n, h, wd, -1)
+        return gx, (cols.T @ gz).reshape(w.shape), gz.sum(axis=0)
+
+    weights = tuple(params[f"gpm.{layer}.{p}"] for layer in gpm._LAYERS for p in "wb")
+    w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
+    columns = []
+    c1 = conv_relu(gpm._padded(channels), w1, b1)
+    c2 = conv_relu(gpm._padded(gpm._pool2(c1)), w2, b2)
+    bott = conv_relu(gpm._padded(gpm._pool2(c2)), w3, b3)
+    d2 = conv_relu(gpm._upsample2_concat(bott, c2), w4, b4)
+    d1 = conv_relu(gpm._upsample2_concat(d2, c1), w5, b5)
+    n, h, w, cd = d1.shape
+    logits = np.matmul(d1.reshape(n * h * w, cd), wo) + bo
+
+    def bwd(g):
+        g = g.reshape(n * h * w, 1)
+        g_out = (d1.reshape(n * h * w, cd).T @ g, g.sum(axis=0))
+        gx5, *g_dec1 = conv_relu_grads(np.matmul(g, wo.T).reshape(d1.shape), columns[4], d1, w5)
+        gx4, *g_dec2 = conv_relu_grads(gpm._upsample2_grad(gx5[..., :cd]), columns[3], d2, w4)
+        cb = bott.shape[-1]
+        gx3, *g_bott = conv_relu_grads(gpm._upsample2_grad(gx4[..., :cb]), columns[2], bott, w3)
+        gx2, *g_enc2 = conv_relu_grads(gpm._pool2_grad(gx3, gx4[..., cb:]), columns[1], c2, w2)
+        _, *g_enc1 = conv_relu_grads(gpm._pool2_grad(gx2, gx5[..., cd:]), columns[0], c1, w1, False)
+        return (*g_enc1, *g_enc2, *g_bott, *g_dec2, *g_dec1, *g_out)
+
+    return _node(logits.reshape(n, h, w), weights, bwd, "gpm")
+
+
 class TestGpmNode:
     @pytest.mark.parametrize(
         "scene, cfg, seed", WINDOWS + [(*crowd_window(), 0), (*grid_four_window(), 5)],
@@ -335,10 +383,9 @@ class TestGpmNode:
 
     @pytest.mark.parametrize("side", [4, 8, 16, 24, 32, 40, 64])
     def test_blocked_inference_matches_recorded_bitwise(self, side):
-        # Outside recording each convolution runs in blocks of whole agents;
-        # the recorded forward is one matmul per layer. Agent counts run
+        # The no-grad logits against the recorded ones. Agent counts run
         # 1-16, capped at 16384 input rows because the recorded forward
-        # holds every layer's im2col matrix; odd counts at side 24 and 9-11
+        # keeps every layer's padded input; odd counts at side 24 and 9-11
         # at side 16 leave a remainder for the last block.
         cfg = ModelConfig(grid=side)
         params = init_params(cfg, seed=side)
@@ -349,6 +396,39 @@ class TestGpmNode:
             with no_grad():
                 blocked = gpm_forward_batch(channels, params).data
             assert blocked.tobytes() == recorded.tobytes(), (side, n)
+
+    @pytest.mark.parametrize("side", [4, 8, 16, 24, 32, 40, 64])
+    def test_blocked_conv_matches_one_matmul_bitwise(self, side):
+        # Each convolution, forward (its kernel) or input gradient (the
+        # flipped kernel; enc1 has none), against one matmul over the whole
+        # im2col matrix. Agent counts run 1-16, capped at 2^22 values in
+        # that matrix; odd counts at side 24 and 9-11 at side 16 leave a
+        # remainder for the last block.
+        params = init_params(ModelConfig(grid=side), seed=side)
+        rng = np.random.default_rng(side)
+        for layer, scale in {"enc1": 1, "enc2": 2, "bott": 4, "dec2": 2, "dec1": 1}.items():
+            w = params[f"gpm.{layer}.w"].data
+            h = side // scale
+            for kernel in [w] if layer == "enc1" else [w, w[::-1, ::-1].transpose(0, 1, 3, 2)]:
+                c = kernel.shape[2]
+                for n in range(1, min(16, 2**22 // (h * h * 9 * c)) + 1):
+                    xp = gpm._padded(rng.normal(size=(n, h, h, c)))
+                    whole = np.matmul(gpm._columns(xp), kernel.reshape(9 * c, -1))
+                    assert gpm._conv(xp, kernel).tobytes() == whole.tobytes(), (layer, c, h, n)
+
+    @pytest.mark.parametrize(
+        "scene, cfg, seed", [WINDOWS[3], (*crowd_window(), 0), (*grid_four_window(), 5)],
+        ids=["overfit0_w3", "crowd_10x32", "grid_4"],
+    )
+    def test_gradients_match_full_matrix_node_bitwise(self, scene, cfg, seed):
+        params = init_params(cfg, seed=seed)
+        logits, grads = gpm_outputs(lambda c: gpm_forward_batch(c, params), params, cfg, scene)
+        ref_logits, ref_grads = gpm_outputs(
+            lambda c: full_matrix_gpm_forward(c, params), params, cfg, scene
+        )
+        assert logits.tobytes() == ref_logits.tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
 
     def test_heatmaps_peak_memory(self):
         # One im2col matrix for all ten agents would be 10240 x 288 float64

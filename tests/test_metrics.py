@@ -168,6 +168,18 @@ class TestCalibration:
         eps = calibrate_epsilon([self.scene_from([a, b, c])])
         assert eps == pytest.approx(0.4 - 1e-9, abs=1e-12)
 
+    def test_coincident_agents_give_zero(self):
+        # The minimum distance is 0, and 0 - 1e-9 is a threshold that
+        # collision_rates refuses; under its strict < the ground truth,
+        # coincident step included, has no collision at 0.
+        a = [(float(t), 0.0) for t in range(12)]
+        b = [(float(t), 1.0) if t != 9 else (9.0, 0.0) for t in range(12)]
+        scene = self.scene_from([a, b])
+        eps = calibrate_epsilon([scene])
+        assert eps == 0.0
+        gt = scene.positions()[:, None, 8:]  # (N, k=1, T_fut, 2)
+        assert collision_rates(EvalInput(gt, gt[:, 0]), eps).tolist() == [0.0]
+
     def test_single_agent_errors(self):
         a = [(float(t), 0.0) for t in range(12)]
         with pytest.raises(DataError, match="two co-present"):

@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -341,6 +342,51 @@ class TestGradientStructure:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def crowd_windows(n_windows):
+    """10-agent windows on a 32x32 grid, with their config for one epoch."""
+    spec = ScenarioSpec(
+        "crossing", n_agents=10, grid=32, randomize=True, seed=4, n_windows=n_windows
+    )
+    cfg = Config()
+    cfg.model = ModelConfig(grid=32)
+    cfg.train = TrainConfig(max_epochs=1)
+    return synth_generate(spec), cfg
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemory:
+    def test_dense_window_peak(self):
+        # The goal module's graph keeps each convolution's padded input and
+        # its backward rebuilds one layer's im2col matrix at a time (dec1's,
+        # 10240 x 288 float64, 23.6 MB, is the peak); a graph that kept all
+        # five matrices peaked at 68 MB.
+        (scene, *_), cfg = crowd_windows(1)
+        params = init_params(cfg.model, seed=0)
+        constants = window_constants(scene, cfg.model)
+
+        def step():
+            total, _, _ = window_loss_graph(params, cfg.model, cfg.train, scene, constants)
+            backward(total)
+
+        step()
+        assert traced_peak(step) < 45e6
+
+    def test_one_epoch_holds_one_window_graph(self):
+        # A loop variable that kept the last window's graph while the next
+        # one was built held two graphs at once: 110 MB over three windows.
+        scenes, cfg = crowd_windows(4)
+        assert traced_peak(lambda: train(scenes[:3], scenes[3:], cfg)) < 60e6
 
 
 # The two validation loops that the one validation score replaced, kept
