@@ -189,9 +189,7 @@ def _digest_inputs(args) -> dict:
         value = getattr(args, flag)
         paths += value if isinstance(value, list) else [value]
     digests = {}
-    for p in paths:
-        if p is None:
-            continue
+    for p in filter(None, paths):
         if os.path.isdir(p):
             for name in sorted(os.listdir(p)):
                 full = os.path.join(p, name)
@@ -267,9 +265,8 @@ def cmd_synth(args):
         spec.randomize = True
 
     scenes = synth_generate(spec)
-    os.makedirs(args.out, exist_ok=True)
     raster_dir = os.path.join(args.out, "rasters")
-    os.makedirs(raster_dir, exist_ok=True)
+    os.makedirs(raster_dir, exist_ok=True)  # and args.out
     outputs = []
     for scene in scenes:
         path = os.path.join(args.out, _window_file("", scene, ".txt"))
@@ -483,6 +480,11 @@ def cmd_render(args):
             )
         stems[stem] = path
     traces = [(stem, _load_trace(path)) for stem, path in stems.items()]
+    held = {stems[stem]: sorted({s["t"] for s in obj["steps"]}) for stem, obj in traces}
+    missing = sorted(wanted - {t for ts in held.values() for t in ts}) if wanted and held else []
+    if missing:  # checked before any SVG is written
+        listing = "; ".join(f"{path} holds t {ts}" for path, ts in held.items())
+        raise ConfigError(f"--steps {missing} in no --trace file: {listing}")
     scenes = _load_scenes(args.scene, None, cfg)
     preds = []  # read in full before the output directory is made
     for scene in scenes:  # a window without a prediction file is not drawn
@@ -503,10 +505,7 @@ def cmd_render(args):
             steps = [s for s in steps if s["t"] in wanted]
         for entry in steps:
             out = os.path.join(args.out_svg, f"{stem}_t{entry['t']:02d}.svg")
-            write_svg(
-                out,
-                render_trace_svg(entry["matrix"], obj["agent_ids"], entry["t"]),
-            )
+            write_svg(out, render_trace_svg(entry["matrix"], obj["agent_ids"], entry["t"]))
             outputs.append(out)
     print(f"rendered {len(outputs)} SVG file(s) into {args.out_svg}")
     return args.out_svg, cfg, None, outputs

@@ -87,9 +87,7 @@ class Scene:
         base = self.tracks[0].frame_ids
         for t in self.tracks[1:]:
             if not np.array_equal(t.frame_ids, base):
-                raise DataError(
-                    f"scene {self.scene_id}: tracks do not share one frame window"
-                )
+                raise DataError(f"scene {self.scene_id}: tracks do not share one frame window")
 
     @property
     def n_agents(self):
@@ -172,16 +170,12 @@ def load_trajectories(
     window only when present at every frame of it. Scenes are numbered by
     window within each scene_id, in file order.
     """
-    if stride is None:
-        stride = t_fut
+    stride = t_fut if stride is None else stride
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
+    files = [path]
     if os.path.isdir(path):
-        files = sorted(
-            os.path.join(path, f) for f in os.listdir(path) if f.endswith(".txt")
-        )
-    else:
-        files = [path]
+        files = sorted(os.path.join(path, f) for f in os.listdir(path) if f.endswith(".txt"))
     if not files:
         raise DataError(f"{path}: no trajectory files found")
 

@@ -4,18 +4,18 @@ Gaussian targets of their training loss, and multi-goal (TTST) sampling.
 The heatmap head is a small encoder-decoder with skip connections (two
 2x-downsampling stages, channel widths from the config), recorded as one
 graph node, "gpm", from the input channels to the (N, H, W) logits. Each of
-its five 3x3 convolutions is an im2col matmul over the zero-padded input's
+its five 3x3 convolutions is one im2col matmul over the zero-padded input's
 3x3 neighbourhoods, then relu; pooling is a 2x2 block mean, and upsampling
 nearest-neighbour duplication, written with its skip connection straight
 into the padded input of the next convolution; a 1x1 head gives the logits.
 The node keeps each convolution's padded input, not its 9x larger im2col
 matrix, and its hand-written backward walks the layers in reverse: a weight
 gradient rebuilds its layer's matrix for one matmul, and an input gradient
-convolves the masked output gradient with the flipped kernel. Every
-convolution multiplies its matrix in blocks of whole agents of at least
-``_BLOCK_ROWS`` rows, so it never holds the window's whole matrix, and each
-value equals the whole product's bit for bit. Grid cell (r, c) is centered
-at (x=c, y=r).
+convolves the masked output gradient with the flipped kernel. No agent's
+logits depend on another's, so inference runs the whole network on blocks of
+whole agents of at least ``_BLOCK_ROWS`` cells and holds no whole-window
+layer; each logit equals the recorded forward's bit for bit. Grid cell (r, c)
+is centered at (x=c, y=r).
 """
 
 from __future__ import annotations
@@ -97,33 +97,27 @@ def _upsample2_concat(low: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return xp
 
 
-# Every convolution, recorded or not, forward or input gradient, multiplies
-# its im2col matrix in blocks of whole agents of at least this many rows, the
-# last block taking the remainder. On OpenBLAS 0.3.31 a block of 128 rows or
-# more takes the whole product's path, so each row equals that product's bit
-# for bit; a 1-row product (gemv) or a 64-row one with K = 576 does not.
+# Outside recording the encoder-decoder runs on blocks of whole agents of at
+# least this many input-grid cells, the last taking the remainder, so no
+# whole-window layer, padded input or im2col matrix exists. On OpenBLAS
+# 0.3.31 every layer's product over such a block (64+ rows at the bottleneck)
+# takes the whole product's path, so logits equal the recorded ones bit for bit.
 _BLOCK_ROWS = 1024
 
 
 def _conv(xp: np.ndarray, w: np.ndarray, b=None, keep: list | None = None) -> np.ndarray:
     """The 3x3 convolution (n, h, w, c_out) of the zero-padded ``xp`` (n,
-    h+2, w+2, c) with the kernel ``w`` (3, 3, c, c_out), one im2col matmul
-    per block of ``_BLOCK_ROWS``; with a bias ``b``, each block then takes b
-    and relu in place. ``xp`` joins the list ``keep`` unless that is None."""
+    h+2, w+2, c) with the kernel ``w`` (3, 3, c, c_out): one im2col matmul,
+    whose output then takes a bias ``b`` and relu in place. ``xp`` joins the
+    list ``keep`` unless that is None."""
     if keep is not None:
         keep.append(xp)
     n, hp, wp, _ = xp.shape
-    rows = (hp - 2) * (wp - 2)
-    kernel = w.reshape(-1, w.shape[-1])
-    out = np.empty((n * rows, w.shape[-1]))
-    per_block = -(-_BLOCK_ROWS // rows)  # agents in each block but the last
-    starts = range(0, max(n // per_block, 1) * per_block, per_block)
-    for start, end in zip(starts, [*starts[1:], n]):
-        block = out[start * rows : end * rows]
-        np.matmul(_columns(xp[start:end]), kernel, out=block)
-        if b is not None:
-            block += b
-            block[...] = _relu_data(block)
+    out = np.empty((n * (hp - 2) * (wp - 2), w.shape[-1]))  # made before the matrix: lower peak RSS
+    np.matmul(_columns(xp), w.reshape(-1, w.shape[-1]), out=out)
+    if b is not None:
+        out += b
+        out[...] = _relu_data(out)
     return out.reshape(n, hp - 2, wp - 2, -1)
 
 
@@ -197,9 +191,16 @@ def gpm_forward_batch(channels: np.ndarray, params: ParamStore) -> Tensor:
     """Goal logits (N, H, W) of the ``encode_gpm_input`` channels of a batch
     of co-observed agents; a caller that revisits a window may cache its
     channels. The logits are one node whose parents are the twelve ``gpm.*``
-    parameters; outside recording it keeps none of the layers'
-    intermediates."""
+    parameters; outside recording it runs on blocks of whole agents of at
+    least ``_BLOCK_ROWS`` cells, one call each, and keeps no intermediate."""
     weights = tuple(params[f"gpm.{layer}.{p}"] for layer in _LAYERS for p in "wb")
+    n, h, w, _ = channels.shape
+    per_block = -(-_BLOCK_ROWS // (h * w))  # agents in each block but the last
+    if n >= 2 * per_block and not _recording(weights):
+        starts = range(0, n // per_block * per_block, per_block)
+        ends = [*starts[1:], n]
+        logits = [gpm_forward_batch(channels[i:j], params).data for i, j in zip(starts, ends)]
+        return Tensor(np.concatenate(logits), False, "gpm")
     w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
     xp = [] if _recording(weights) else None  # padded inputs, kept only for backward
     c1 = _conv(_padded(channels), w1, b1, xp)
@@ -207,7 +208,7 @@ def gpm_forward_batch(channels: np.ndarray, params: ParamStore) -> Tensor:
     bott = _conv(_padded(_pool2(c2)), w3, b3, xp)
     d2 = _conv(_upsample2_concat(bott, c2), w4, b4, xp)
     d1 = _conv(_upsample2_concat(d2, c1), w5, b5, xp)
-    n, h, w, cd = d1.shape
+    cd = d1.shape[-1]
     logits = np.matmul(d1.reshape(n * h * w, cd), wo) + bo
 
     def bwd(g):

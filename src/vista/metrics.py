@@ -111,7 +111,10 @@ def calibrate_epsilon(scenes) -> float:
     under the strict ``<`` of ``collision_rates`` 0 counts no collision.
 
     The infimum runs over all co-observed timesteps and agent pairs of every
-    scene (full windows, observation and future alike).
+    scene (full windows, observation and future alike), so one window with
+    two coincident agents sets the threshold to 0 for all windows, and every
+    collision rate then reads 0 whatever the predictions: pass an explicit
+    epsilon (``evaluate --epsilon``) on such data.
     """
     best = min((min_pairwise_distance(scene) for scene in scenes), default=math.inf)
     if not math.isfinite(best):

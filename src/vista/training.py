@@ -327,9 +327,9 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
     before the first epoch, naming the file of a window with a frame count
     other than t_obs + t_fut, a raster ``check_raster`` refuses or a
     position outside the grid; CheckpointError on a ``resume_from`` file
-    that lacks an entry, holds a non-integer in an integer slot or whose
-    parameters are not the model config's; and DivergenceError (with the
-    partial report attached) on NaN loss.
+    that cannot be read, lacks an entry, holds a non-integer in an integer
+    slot or whose parameters are not the model config's; and DivergenceError
+    (with the partial report attached) on NaN loss.
     """
     cfg = config.train
     mcfg = config.model
@@ -344,7 +344,10 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
         reject_off_grid(scene, scene.n_frames, mcfg.grid)
 
     if resume_from is not None:
-        blob = ParamStore.load(resume_from)
+        try:
+            blob = ParamStore.load(resume_from)
+        except OSError as exc:  # a missing path, a directory, an unreadable file
+            raise CheckpointError(f"{resume_from}: {exc.strerror}") from None
         params = strip_train_state(blob)
         check_model_params(params, mcfg, resume_from)
     else:

@@ -808,6 +808,13 @@ def cli_args(command, data, pred_dir, config, out):
             "--out-svg", str(out)]
 
 
+def write_trace(path, steps):
+    """A two-agent trace file holding the steps ``steps``; returns ``path``."""
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    path.write_text(json.dumps({"agent_ids": [0, 1], "steps": [{"t": t, "matrix": eye} for t in steps]}))
+    return path
+
+
 class TestRender:
     def test_single_agent_scene_svg_element_counts(self, tmp_path, quick_config):
         data = tmp_path / "data"
@@ -880,6 +887,29 @@ class TestRender:
         assert err["error"] == "ConfigError"
         assert all(str(path) in err["message"] for path in paths)
         assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["1", "99", "9,99"])
+    def test_steps_in_no_trace_exit_2(self, synth_dir, quick_config, tmp_path, capsys, steps):
+        # A trace holds t = t_obs+1 ... t_obs+t_fut; a step outside them
+        # used to draw no trace SVG and exit 0.
+        tpath = write_trace(tmp_path / "trace_x.json", [9, 10, 11])
+        out = tmp_path / "svg"
+        argv = cli_args("render", synth_dir, tmp_path / "preds", quick_config, out)
+        assert main(argv + ["--trace", str(tpath), "--steps", steps]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "--steps [" + steps.split(",")[-1] + "]" in err["message"]
+        assert f"{tpath} holds t [9, 10, 11]" in err["message"]
+        assert not out.exists()
+
+    def test_steps_held_by_a_trace_render_only_those(self, synth_dir, quick_config, tmp_path):
+        tpath = write_trace(tmp_path / "trace_x.json", [9, 10, 11])
+        out = tmp_path / "svg"
+        argv = cli_args("render", synth_dir, tmp_path / "preds", quick_config, out)
+        assert main(argv + ["--trace", str(tpath), "--steps", "9,11"]) == 0
+        assert sorted(p.name for p in out.glob("trace_x_*.svg")) == [
+            "trace_x_t09.svg", "trace_x_t11.svg",
+        ]
 
     @pytest.mark.parametrize("text", [
         '{"steps": [',
@@ -1202,6 +1232,23 @@ def assert_documented_exit(argv, out):
     return code
 
 
+def reader_argv(command, base, data=None, preds=None, checkpoint=None, out=None):
+    """The argv of ``command`` over the ``boundary_inputs`` files under
+    ``base``, any of its data directory, prediction directory and checkpoint
+    replaced."""
+    data = data or base / "data"
+    preds = preds or base / "preds"
+    checkpoint = checkpoint or base / "trained" / "checkpoint_fold0.bin"
+    argv = {
+        "train": ["train", "--data", str(data), "--fold", "ratio"],
+        "predict": ["predict", "--data", str(data), "--k", "2", "--checkpoint", str(checkpoint)],
+        "evaluate": ["evaluate", "--gt", str(data), "--pred", str(preds)],
+        "render": ["render", "--scene", str(data), "--pred", str(preds)],
+    }[command]
+    flag = "--out-svg" if command == "render" else "--out"
+    return argv + ["--config", str(base / "quick.cfg"), flag, str(out)]
+
+
 def token(value):
     """The file token of ``value``, a key of BOUNDARY_TOKENS or an extra token."""
     return BOUNDARY_TOKENS[value][0] if value in BOUNDARY_TOKENS else value
@@ -1218,7 +1265,7 @@ def test_boundary_field_in_trajectory_file_exits_with_a_documented_code(
     boundary_inputs, command, field, value
 ):
     # One field of the second line (frame, agent, x or y) of one trajectory file.
-    base, data, config, _, counter = boundary_inputs
+    base, data, _, _, counter = boundary_inputs
     run_dir = base / f"run{next(counter)}"
     shutil.copytree(data, run_dir / "data")
     victim = sorted((run_dir / "data").glob("*.txt"))[0]
@@ -1231,13 +1278,7 @@ def test_boundary_field_in_trajectory_file_exits_with_a_documented_code(
         lines[1] = " ".join(parts)
     victim.write_text("" if value == "empty file" else "\n".join(lines) + "\n")
     out = run_dir / "out"
-    argv = {
-        "train": ["train", "--data", str(run_dir / "data"), "--fold", "ratio"],
-        "predict": ["predict", "--data", str(run_dir / "data"), "--k", "2",
-                    "--checkpoint", str(base / "trained" / "checkpoint_fold0.bin")],
-        "evaluate": ["evaluate", "--gt", str(run_dir / "data"), "--pred", str(base / "preds")],
-    }[command]
-    code = assert_documented_exit(argv + ["--config", str(config), "--out", str(out)], out)
+    code = assert_documented_exit(reader_argv(command, base, data=run_dir / "data", out=out), out)
     if value in ("nan", "inf", "-inf", "1e400", "true", "empty", "duplicate line"):
         assert code == 4
 
@@ -1286,6 +1327,115 @@ def test_boundary_value_in_synth_spec_exits_with_a_documented_code(tmp_path_fact
     code = assert_documented_exit(["synth", "--spec", str(base / "run.spec"), "--out", str(out)], out)
     if value in ("nan", "inf", "-inf", "1e400", "empty"):
         assert code in (2, 4)
+
+
+# One byte edit of a file: a byte flipped (xor with a non-zero byte),
+# deleted or inserted at a position taken modulo the file's length, the file
+# truncated there, or a directory in the file's place.
+BYTE_EDITS = st.tuples(
+    st.sampled_from(["flip", "delete", "insert", "truncate", "directory"]),
+    st.integers(0, 2**24),
+    st.integers(1, 255),
+)
+
+
+def edit_bytes(path, edit):
+    """Apply ``edit``, one of BYTE_EDITS, to the file ``path``."""
+    kind, where, byte = edit
+    blob = path.read_bytes()
+    i = where % len(blob)
+    path.unlink()
+    if kind == "directory":
+        path.mkdir()
+        return
+    path.write_bytes({
+        "flip": blob[:i] + bytes([blob[i] ^ byte]) + blob[i + 1 :],
+        "delete": blob[:i] + blob[i + 1 :],
+        "insert": blob[:i] + bytes([byte]) + blob[i:],
+        "truncate": blob[:i],
+    }[kind])
+
+
+def edited_copy(boundary_inputs, source, edit, pick=lambda folder: sorted(folder.iterdir())[0]):
+    """A fresh run directory holding a copy of the ``boundary_inputs``
+    directory ``source``, one of whose files (``pick``'s) took ``edit``;
+    returns the run directory and the copy."""
+    base, *_, counter = boundary_inputs
+    run_dir = base / f"run{next(counter)}"
+    copy = run_dir / source
+    shutil.copytree(base / source, copy)
+    edit_bytes(pick(copy), edit)
+    return run_dir, copy
+
+
+@seed(30)
+@settings(max_examples=60, deadline=None, database=None)
+@given(command=st.sampled_from(["train", "predict", "evaluate"]), edit=BYTE_EDITS)
+def test_byte_edit_of_trajectory_file_exits_with_a_documented_code(boundary_inputs, command, edit):
+    run_dir, data = edited_copy(
+        boundary_inputs, "data", edit, lambda folder: sorted(folder.glob("*.txt"))[0]
+    )
+    out = run_dir / "out"
+    code = assert_documented_exit(reader_argv(command, boundary_inputs[0], data=data, out=out), out)
+    if edit[0] == "directory":
+        assert code == 4
+
+
+@seed(31)
+@settings(max_examples=40, deadline=None, database=None)
+@given(edit=BYTE_EDITS)
+def test_byte_edit_of_raster_file_exits_with_a_documented_code(boundary_inputs, edit):
+    base = boundary_inputs[0]
+    run_dir, data = edited_copy(
+        boundary_inputs, "data", edit, lambda folder: folder / "rasters" / "crossing.txt"
+    )
+    out = run_dir / "out"
+    argv = reader_argv("train", base, data=data, out=out) + ["--raster-dir", str(data / "rasters")]
+    code = assert_documented_exit(argv, out)
+    if edit[0] == "directory":
+        assert code == 4
+
+
+@seed(32)
+@settings(max_examples=60, deadline=None, database=None)
+@given(command=st.sampled_from(["evaluate", "render"]), edit=BYTE_EDITS)
+def test_byte_edit_of_prediction_file_exits_with_a_documented_code(boundary_inputs, command, edit):
+    run_dir, preds = edited_copy(boundary_inputs, "preds", edit)
+    out = run_dir / "out"
+    code = assert_documented_exit(reader_argv(command, boundary_inputs[0], preds=preds, out=out), out)
+    if edit[0] == "directory" and command == "evaluate":
+        assert code == 4
+
+
+@seed(33)
+@settings(max_examples=40, deadline=None, database=None)
+@given(edit=BYTE_EDITS)
+def test_byte_edit_of_trace_file_exits_with_a_documented_code(boundary_inputs, edit):
+    base, _, _, trace, counter = boundary_inputs
+    run_dir = base / f"run{next(counter)}"
+    run_dir.mkdir()
+    tpath = run_dir / "trace.json"
+    tpath.write_text(json.dumps(trace))
+    edit_bytes(tpath, edit)
+    out = run_dir / "out"
+    code = assert_documented_exit(reader_argv("render", base, out=out) + ["--trace", str(tpath)], out)
+    if edit[0] == "directory":
+        assert code == 4
+
+
+@seed(34)
+@settings(max_examples=60, deadline=None, database=None)
+@given(edit=BYTE_EDITS)
+def test_byte_edit_of_checkpoint_exits_with_a_documented_code(boundary_inputs, edit):
+    run_dir, trained = edited_copy(
+        boundary_inputs, "trained", edit, lambda folder: folder / "checkpoint_fold0.bin"
+    )
+    out = run_dir / "out"
+    checkpoint = trained / "checkpoint_fold0.bin"
+    code = assert_documented_exit(
+        reader_argv("predict", boundary_inputs[0], checkpoint=checkpoint, out=out), out
+    )
+    assert code == 4 if edit[0] == "directory" else code in (0, 3)
 
 
 def test_unknown_command_shows_help(capsys):

@@ -23,7 +23,7 @@ from reference_ops import (
 )
 
 from vista import gpm
-from vista.config import ModelConfig
+from vista.config import ModelConfig, TrainConfig
 from vista.data import ScenarioSpec, synth_generate, uniform_raster
 from vista.errors import ConfigError, DataError
 from vista.experiments import overfit_config, overfit_dataset
@@ -38,7 +38,7 @@ from vista.gpm import (
 from vista.model import Model, init_params, stable_seed
 from vista.params import ParamStore
 from vista.tensor import _node, backward, no_grad
-from vista.training import window_constants
+from vista.training import window_constants, window_loss_graph
 
 
 # The per-agent TTST that the batched ``ttst_sample`` replaced, kept verbatim
@@ -271,6 +271,16 @@ def crowd_window():
     return synth_generate(spec)[0], ModelConfig(grid=32)
 
 
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def gpm_outputs(forward, params, cfg, scene):
     """Logits and every ``gpm.*`` gradient of the window's summed goal BCE."""
     channels, targets = window_constants(scene, cfg)
@@ -383,10 +393,12 @@ class TestGpmNode:
 
     @pytest.mark.parametrize("side", [4, 8, 16, 24, 32, 40, 64])
     def test_blocked_inference_matches_recorded_bitwise(self, side):
-        # The no-grad logits against the recorded ones. Agent counts run
-        # 1-16, capped at 16384 input rows because the recorded forward
-        # keeps every layer's padded input; odd counts at side 24 and 9-11
-        # at side 16 leave a remainder for the last block.
+        # The no-grad forward, run on blocks of whole agents, against the
+        # recorded one, which runs the whole window through one matmul per
+        # convolution. Agent counts run 1-16, capped at 16384 input cells
+        # because the recorded forward builds each layer's whole im2col
+        # matrix; 9-11 agents at side 16 and odd counts at side 24 leave a
+        # remainder that joins the last block.
         cfg = ModelConfig(grid=side)
         params = init_params(cfg, seed=side)
         rng = np.random.default_rng(side)
@@ -396,25 +408,6 @@ class TestGpmNode:
             with no_grad():
                 blocked = gpm_forward_batch(channels, params).data
             assert blocked.tobytes() == recorded.tobytes(), (side, n)
-
-    @pytest.mark.parametrize("side", [4, 8, 16, 24, 32, 40, 64])
-    def test_blocked_conv_matches_one_matmul_bitwise(self, side):
-        # Each convolution, forward (its kernel) or input gradient (the
-        # flipped kernel; enc1 has none), against one matmul over the whole
-        # im2col matrix. Agent counts run 1-16, capped at 2^22 values in
-        # that matrix; odd counts at side 24 and 9-11 at side 16 leave a
-        # remainder for the last block.
-        params = init_params(ModelConfig(grid=side), seed=side)
-        rng = np.random.default_rng(side)
-        for layer, scale in {"enc1": 1, "enc2": 2, "bott": 4, "dec2": 2, "dec1": 1}.items():
-            w = params[f"gpm.{layer}.w"].data
-            h = side // scale
-            for kernel in [w] if layer == "enc1" else [w, w[::-1, ::-1].transpose(0, 1, 3, 2)]:
-                c = kernel.shape[2]
-                for n in range(1, min(16, 2**22 // (h * h * 9 * c)) + 1):
-                    xp = gpm._padded(rng.normal(size=(n, h, h, c)))
-                    whole = np.matmul(gpm._columns(xp), kernel.reshape(9 * c, -1))
-                    assert gpm._conv(xp, kernel).tobytes() == whole.tobytes(), (layer, c, h, n)
 
     @pytest.mark.parametrize(
         "scene, cfg, seed", [WINDOWS[3], (*crowd_window(), 0), (*grid_four_window(), 5)],
@@ -430,19 +423,29 @@ class TestGpmNode:
         for name, g in grads.items():
             assert g.tobytes() == ref_grads[name].tobytes(), name
 
+    # Inference runs the encoder-decoder on blocks of whole agents, so no
+    # whole-window layer output, padded input or im2col matrix exists: the
+    # ten agents' dec1 matrix alone would be 10240 x 288 float64 (23.6 MB),
+    # and a forward that built each convolution's matrix in agent blocks but
+    # kept whole-window layers peaked at 12 MB.
+
     def test_heatmaps_peak_memory(self):
-        # One im2col matrix for all ten agents would be 10240 x 288 float64
-        # (23.6 MB) at dec1 alone.
         scene, cfg = crowd_window()
         model = Model(cfg, init_params(cfg, seed=0))
         model.heatmaps(scene)
-        tracemalloc.start()
-        try:
-            model.heatmaps(scene)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        assert traced_peak(lambda: model.heatmaps(scene)) < 6e6
+
+    def test_no_grad_window_loss_peak_memory(self):
+        scene, cfg = crowd_window()
+        params = init_params(cfg, seed=0)
+        constants = window_constants(scene, cfg)
+
+        def loss():
+            with no_grad():
+                window_loss_graph(params, cfg, TrainConfig(), scene, constants)
+
+        loss()
+        assert traced_peak(loss) < 6e6
 
 
 class TestTTST:

@@ -1,11 +1,12 @@
 import gc
+import itertools
 import math
 import re
-import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
 from reference_ops import (
     add,
     bce_with_logits_mean,
@@ -18,7 +19,8 @@ from reference_ops import (
     sub,
 )
 from test_attention import set_random_biases
-from test_gpm import zero_gpm_weights
+from test_cli import BYTE_EDITS, edit_bytes
+from test_gpm import traced_peak, zero_gpm_weights
 
 from vista import training
 from vista.config import Config, ModelConfig, TrainConfig
@@ -353,16 +355,6 @@ def crowd_windows(n_windows):
     cfg.model = ModelConfig(grid=32)
     cfg.train = TrainConfig(max_epochs=1)
     return synth_generate(spec), cfg
-
-
-def traced_peak(fn):
-    """The tracemalloc peak, in bytes, of calling ``fn``."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestTrainingMemory:
@@ -731,6 +723,33 @@ def assert_store_views(params):
     for name, t in params.items():
         assert np.shares_memory(t.data, params.values), name
         assert np.shares_memory(t.grad, params.grads), name
+
+
+@pytest.fixture(scope="module")
+def saved_state(tmp_path_factory):
+    """Two small windows and the training state of one epoch on them."""
+    scenes = small_dataset(2)
+    path = tmp_path_factory.mktemp("state") / "state.bin"
+    train(scenes, scenes, small_config(max_epochs=1), state_out=path)
+    return scenes, path, itertools.count()
+
+
+@seed(35)
+@settings(max_examples=60, deadline=None, database=None)
+@given(edit=BYTE_EDITS)
+def test_byte_edit_of_state_file_resumes_or_raises_a_domain_error(saved_state, edit):
+    # A directory in the file's place used to escape as IsADirectoryError.
+    scenes, path, counter = saved_state
+    victim = path.with_name(f"edited{next(counter)}.bin")
+    victim.write_bytes(path.read_bytes())
+    edit_bytes(victim, edit)
+    try:
+        train(scenes, scenes, small_config(max_epochs=2), resume_from=str(victim))
+        error = None
+    except (CheckpointError, DataError, DivergenceError) as exc:
+        error = type(exc)
+    # Every edit but a flip leaves no file of whole records.
+    assert error is CheckpointError or edit[0] == "flip"
 
 
 class TestFlatBuffer:
