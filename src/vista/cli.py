@@ -470,6 +470,10 @@ def cmd_render(args):
             raise ConfigError(
                 f"--steps must be 'all' or comma-separated integers, got {args.steps!r}"
             ) from None
+        if not args.trace:
+            raise ConfigError(
+                f"--steps {args.steps} selects trace steps, but no --trace file is named"
+            )
     stems = {}  # each trace's SVGs are named after its file's stem
     for path in args.trace:
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -487,9 +491,9 @@ def cmd_render(args):
         raise ConfigError(f"--steps {missing} in no --trace file: {listing}")
     scenes = _load_scenes(args.scene, None, cfg)
     preds = []  # read in full before the output directory is made
-    for scene in scenes:  # a window without a prediction file is not drawn
+    for scene in scenes:  # a window with nothing at its prediction path is not drawn
         path = os.path.join(args.pred, _window_file("pred_", scene, ".txt"))
-        if os.path.isfile(path):
+        if os.path.exists(path):  # a directory there fails to open: exit 4
             preds.append((scene, _read_prediction(path, scene, cfg.model.t_obs)))
     os.makedirs(args.out_svg, exist_ok=True)
     outputs = []

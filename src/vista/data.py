@@ -219,9 +219,10 @@ def _windows_from_file(path, span, stride):
 def save_trajectories(path, scene: Scene):
     """Write one scene window as 'frame agent x y' lines."""
     lines = []
-    for t in scene.tracks:
-        for f, (x, y) in zip(t.frame_ids, t.positions):
-            lines.append(f"{int(f)} {int(t.agent_id)} {float(x)!r} {float(y)!r}")
+    for t in scene.tracks:  # tolist() gives Python ints and floats, not one numpy scalar a value
+        agent = int(t.agent_id)
+        rows = zip(t.frame_ids.tolist(), t.positions.tolist())
+        lines += [f"{f} {agent} {x!r} {y!r}" for f, (x, y) in rows]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -241,9 +241,12 @@ def ttst_sample(
     """Goal sampling for the A heatmaps ``grids`` (A, H, W) of one window:
     each agent draws ``n_raw`` cells from its heatmap with a generator seeded
     from ``seeds[i]``, and one batched K-means (farthest-point seeding, then
-    at most ``kmeans_iters`` Lloyd iterations that score each agent's points
-    against its centres with one BLAS product) reduces each agent's draws to
-    k goals, equal bit for bit to a dense per-agent K-means's.
+    at most ``kmeans_iters`` Lloyd iterations) reduces each agent's draws to
+    k goals, equal bit for bit to a dense per-agent K-means's. Each iteration
+    scores an agent's points against its centres, both centred on the
+    agent's mean, with one float32 BLAS product; a point whose best score
+    does not clear the float32 rounding bound (``_MARGIN32``) is scored again
+    in float64, and one that ties there too gets its squared distances.
 
     Returns goals (A, k, 2) and their cluster mass fractions (A, k), each
     agent's ordered by descending weight, then x, then y."""
@@ -265,12 +268,30 @@ def ttst_sample(
     return np.take_along_axis(centers, order[..., None], 1), np.take_along_axis(weights, order, 1)
 
 
-# A point's label is read off its scores when one centre's beats every
-# other's by more than _MARGIN x (1 + the set's largest |p|^2 + |c|^2): far
-# above the few ulps of rounding in a score or a squared distance that size.
+# A point's label is read off its float64 scores when one centre's beats
+# every other's by more than _MARGIN x (1 + the set's largest |p-mu|^2 +
+# |c-mu|^2), mu the set's mean: far above the few ulps of rounding in a
+# score or a squared distance that size.
 _MARGIN = 1e-9
 
+# The margin of the float32 scores, on points p and centres c centred on
+# their set's mean mu. With u = 2^-24, each float32 input of a score
+# |c-mu|^2 - 2(c-mu).(p-mu) is off by at most u relative, and a three-term
+# float32 dot product adds at most 3u/(1-3u) of its terms' absolute sum, in
+# any summation order, with or without FMA, so at any BLAS thread count.
+# Those terms sum to at most 2|c-mu||p-mu| + |c-mu|^2 <= 2(|c-mu|^2 +
+# |p-mu|^2), so each score is off by under 10u(|c-mu|^2 + |p-mu|^2) <= 10u S,
+# where S is the set's largest |p-mu|^2 + |c-mu|^2. Two scores differ from
+# their exact difference by under 20u S, adding the margin to the best score
+# rounds by at most u(2S + margin), and the float64 centring and the
+# reference's squared distances add about 1e-15 S: under 23u S = 1.4e-6 S in
+# all, inside 2e-6 (1 + S). A wider margin sends more points on to the
+# float64 scores: at 5e-6 to 1e-5 about one point per set-iteration, which
+# costs more than the float32 product saves.
+_MARGIN32 = 2e-6
 
+
+@np.errstate(over="ignore", invalid="ignore")  # the screens pass overflow on, unwarned
 def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
     """Lloyd iterations with greedy farthest-point seeding on A point sets
     (A, n, 2) at once, one generator per set; a set stops once its labels do.
@@ -279,14 +300,17 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
     reseed to the point farthest from every current center.
 
     The assignment ranks a set's centres by the score |c|^2 - 2c.p, the
-    squared distance less the |p|^2 that every centre shares: one (k, 3) @
-    (3, n) BLAS product of (-2cx, -2cy, |c|^2) with (x, y, 1). A float32
-    product of the (1, j) of each centre j with the mask of scores within
-    the margin of the best gives each point the count of those centres and
-    the sum of their indices; where the count is 1, that sum is the label.
-    A tie, a near tie, a NaN or an overflow gives another count, and those
-    points get their (k,) squared distances in the dense loop's arithmetic,
-    so labels and centres equal that loop's bit for bit.
+    squared distance less the |p|^2 that every centre shares, with points
+    and centres centred on the set's float64 mean, in three screens. First,
+    one float32 (k, 3) @ (3, n) product of (-2cx, -2cy, |c|^2) with (x, y, 1)
+    scores every point; a float32 product of the (1, j) of each centre j with
+    the mask of scores within ``_MARGIN32`` of the best gives each point the
+    count of those centres and the sum of their indices, and where the count
+    is 1, that sum is the label. The few other points are scored again in
+    float64 and counted the same way within ``_MARGIN``. A tie, a near tie, a
+    NaN or an overflow passes neither, and those points get their (k,)
+    squared distances in the dense loop's arithmetic, so labels and centres
+    equal that loop's bit for bit.
     """
     a, n, _ = points.shape
     px, py = np.moveaxis(points, 2, 0).copy()
@@ -298,53 +322,84 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
         centers[:, j] = points[sets, np.argmax(d2, axis=1)]
         d2 = np.minimum(d2, _sq_dist(px, py, centers[:, j]))
 
-    xy1 = np.stack([px, py, np.ones((a, n))], axis=1)
-    scale = 1 + (px * px + py * py).max(axis=1)
+    mu = points.mean(axis=1)
+    cx, cy = px - mu[:, :1], py - mu[:, 1:]
+    p2 = (cx * cx + cy * cy).max(axis=1)
+    xy1 = np.stack([cx, cy, np.ones((a, n))], axis=1).astype(np.float32)
     tally = np.stack([np.ones(k), np.arange(k)]).astype(np.float32)
+    offsets = k * sets[:, None]
+    # live, lx, ly, lmu and lp2 hold the rows of the sets still iterating; a
+    # set's labels are written to ``labels`` when it settles or the loop ends.
     labels = np.zeros((a, n), dtype=np.int64)
-    live, lx, ly, prev = sets, px, py, labels
+    live, lx, ly, lmu, lp2, prev = sets, px, py, mu, p2, labels
     for _ in range(max_iters):
         m, old = len(live), centers[live]
-        c2 = (old * old).sum(axis=2)
-        coef = np.concatenate([old * -2, c2[..., None]], axis=2)
-        margin = _MARGIN * (scale[live] + c2.max(axis=1))
+        shifted = old - lmu[:, None]
+        c2 = (shifted * shifted).sum(axis=2)
+        coef = np.concatenate([shifted * -2, c2[..., None]], axis=2)
+        coef32 = coef.astype(np.float32)
+        scale = 1 + lp2 + c2.max(axis=1)
+        margin32 = _margin(_MARGIN32, scale, np.float32)
+        margin = _margin(_MARGIN, scale, np.float64)
         new_labels = np.empty((m, n), dtype=np.int64)
-        for i, s in enumerate(live):
-            score = coef[i] @ xy1[s]
-            best = score.min(axis=0)
-            best += margin[i]
-            count, index = tally @ (score <= best).astype(np.float32)
-            new_labels[i] = index
+        for i in range(m):
+            count, new_labels[i] = _screen(coef32[i], xy1[i], margin32[i], tally)
             rows = np.flatnonzero(count != 1)
             if len(rows):
-                d2 = _sq_dist(lx[i, rows], ly[i, rows], old[i])
-                new_labels[i, rows] = np.argmin(d2, axis=0)
+                rx, ry = lx[i, rows], ly[i, rows]
+                xy = np.stack([rx - lmu[i, 0], ry - lmu[i, 1], np.ones(len(rows))])
+                count, new_labels[i, rows] = _screen(coef[i], xy, margin[i], tally)
+                tie = count != 1
+                if tie.any():
+                    d2 = _sq_dist(rx[tie], ry[tie], old[i])
+                    new_labels[i, rows[tie]] = np.argmin(d2, axis=0)
         # bincount sums each cluster in point order, as points[mask].mean(axis=0) does.
-        flat = (new_labels + k * np.arange(m)[:, None]).reshape(-1)
+        flat = (new_labels + offsets[:m]).reshape(-1)
         counts = np.bincount(flat, minlength=m * k)
         sums = [np.bincount(flat, c.reshape(-1), m * k) for c in (lx, ly)]
         centers[live] = (np.stack(sums, axis=1) / np.maximum(counts, 1)[:, None]).reshape(m, k, 2)
-        for i in np.flatnonzero((counts.reshape(m, k) == 0).any(axis=1)):
-            # Empty cluster j takes the farthest point, which leaves its own
-            # cluster before the clusters after j are averaged.
-            s, lab = live[i], new_labels[i]
-            nearest = ((points[s, :, None] - old[i]) ** 2).sum(axis=2).min(axis=1)
-            for j in range(k):
-                mask = lab == j
-                if mask.any():
-                    centers[s, j] = points[s, mask].mean(axis=0)
-                else:
-                    far = int(np.argmax(nearest))
-                    centers[s, j] = points[s, far]
-                    lab[far] = j
+        if not counts.all():
+            for i in np.flatnonzero((counts.reshape(m, k) == 0).any(axis=1)):
+                # Empty cluster j takes the farthest point, which leaves its
+                # own cluster before the clusters after j are averaged.
+                s, lab = live[i], new_labels[i]
+                nearest = ((points[s, :, None] - old[i]) ** 2).sum(axis=2).min(axis=1)
+                for j in range(k):
+                    mask = lab == j
+                    if mask.any():
+                        centers[s, j] = points[s, mask].mean(axis=0)
+                    else:
+                        far = int(np.argmax(nearest))
+                        centers[s, j] = points[s, far]
+                        lab[far] = j
         going = (new_labels != prev).any(axis=1)
-        labels[live] = new_labels
         if not going.all():
-            live, lx, ly, new_labels = live[going], lx[going], ly[going], new_labels[going]
-            if not len(live):
-                break
+            labels[live[~going]] = new_labels[~going]
+            if not going.any():
+                return centers, labels
+            live, lx, ly, lmu, lp2, xy1, new_labels = (
+                v[going] for v in (live, lx, ly, lmu, lp2, xy1, new_labels)
+            )
         prev = new_labels
+    labels[live] = prev
     return centers, labels
+
+
+def _margin(fraction: float, scale: np.ndarray, dtype) -> np.ndarray:
+    """``fraction`` x ``scale`` in ``dtype``, or inf where a set's scale is a
+    quarter of the dtype's largest float or more (or NaN): there a score's
+    terms may overflow, so no point of that set passes its screen."""
+    return np.where(scale < np.finfo(dtype).max / 4, fraction * scale, np.inf).astype(dtype)
+
+
+def _screen(coef: np.ndarray, xy1: np.ndarray, margin, tally: np.ndarray) -> np.ndarray:
+    """The count (row 0) and index sum (row 1) of the centres whose scores
+    ``coef`` @ ``xy1`` (k, r) come within ``margin`` of each point's best, in
+    the dtype of the inputs; ``tally`` holds (1, j) for each centre j."""
+    score = coef @ xy1
+    best = score.min(axis=0)
+    best += margin
+    return tally @ (score <= best).astype(np.float32)
 
 
 def _sq_dist(px: np.ndarray, py: np.ndarray, centers: np.ndarray) -> np.ndarray:

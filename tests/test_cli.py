@@ -902,6 +902,29 @@ class TestRender:
         assert f"{tpath} holds t [9, 10, 11]" in err["message"]
         assert not out.exists()
 
+    def test_steps_without_a_trace_exit_2(self, synth_dir, quick_config, tmp_path, capsys):
+        # --steps selects trace steps, so it needs a --trace file to select from.
+        out = tmp_path / "svg"
+        argv = cli_args("render", synth_dir, tmp_path / "preds", quick_config, out)
+        assert main(argv + ["--steps", "9"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "--steps 9" in err["message"] and "--trace" in err["message"]
+        assert not out.exists()
+
+    def test_prediction_path_that_is_a_directory_exits_4(self, synth_dir, quick_config, tmp_path, capsys):
+        # evaluate exits 4 on the same tree, and render must not skip the window.
+        pred_dir = tmp_path / "preds"
+        TestEvaluate().write_gt_as_predictions(synth_dir, pred_dir, t_obs=4)
+        victim = pred_dir / "pred_crossing__w000.txt"
+        victim.unlink()
+        victim.mkdir()
+        out = tmp_path / "svg"
+        assert main(cli_args("render", synth_dir, pred_dir, quick_config, out)) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IsADirectoryError" and str(victim) in err["message"]
+        assert not out.exists()
+
     def test_steps_held_by_a_trace_render_only_those(self, synth_dir, quick_config, tmp_path):
         tpath = write_trace(tmp_path / "trace_x.json", [9, 10, 11])
         out = tmp_path / "svg"

@@ -137,6 +137,24 @@ class TestLoading:
         np.testing.assert_array_equal(loaded.positions(), scene.positions())
         assert loaded.agent_ids == scene.agent_ids
 
+    def test_trajectory_file_bytes_match_per_value_formatting(self, tmp_path):
+        # save_trajectories formats from tolist(); the loop it replaced read
+        # one numpy scalar a value, and the files must not change a byte.
+        rng = np.random.default_rng(4)
+        special = [-0.0, 0.0, 1e-300, -1e-300, 1e17, -1e17, 5e-324, 0.1, 1 / 3, 1.7976931348623157e308]
+        values = np.concatenate([special, rng.uniform(-50, 50, 30), rng.normal(size=20) * 1e-8])
+        values = values.reshape(-1, 2)
+        frames = 2**40 + 2 * np.arange(15)
+        tracks = [AgentTrack(np.int64(7), values[:15], frames), AgentTrack(2, values[15:], frames)]
+        scene = Scene("s", tracks, raster=None, unit_scale=1.0)
+        path = tmp_path / "s.txt"
+        save_trajectories(path, scene)
+        old = [
+            f"{int(f)} {int(t.agent_id)} {float(x)!r} {float(y)!r}"
+            for t in tracks for f, (x, y) in zip(t.frame_ids, t.positions)
+        ]
+        assert path.read_bytes() == ("\n".join(old) + "\n").encode()
+
 
 # -- one record reader ------------------------------------------------------
 # The two loops that ``read_records`` replaced, kept verbatim as its

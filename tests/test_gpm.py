@@ -632,29 +632,41 @@ class TestTTSTMatchesReference:
         assert late_reseeds >= 3
 
     @seed(26)
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=80, deadline=None, database=None)
     @given(data=st.data())
     def test_score_assignment_matches_reference_bitwise(self, data):
         # The margin-screened score assignment against the dense reference,
-        # set by set, on four kinds of points: uniform, a 0.1 lattice full of
-        # exact ties, a few repeated spots, and a 1e-3 spread around an
-        # offset of 1e5-1e6, where the margin sends every point to the
-        # squared distances.
+        # set by set, on seven kinds of points: uniform; a 0.1 lattice full
+        # of exact ties; a few repeated spots; a 1e-3 spread around an offset
+        # of 1e5-1e6, which leaves the float32 scores no margin to settle a
+        # label; and three kinds that hold float32 to its rounding: a lattice
+        # moved by 1e-9 to 1e-6, which puts points within float32 rounding
+        # of the bisectors of its tied centres; a 10-1e4 spread around an
+        # offset of 1e5-1e6, whose raw coordinates float32 could not hold;
+        # and one far outlier that sets the set's scale and margin.
         a, n = data.draw(st.integers(1, 10)), data.draw(st.integers(2, 300))
         k = data.draw(st.sampled_from([1, n]) | st.integers(1, min(n, 20)))
         iters = data.draw(st.integers(1, 50))
-        kind = data.draw(st.sampled_from(["uniform", "lattice", "spots", "far"]))
+        kinds = ["uniform", "lattice", "spots", "far", "bisector", "spread", "outlier"]
+        kind = data.draw(st.sampled_from(kinds))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        if kind == "uniform":
+        if kind in ("uniform", "outlier"):
             points = rng.uniform(-0.5, 23.5, size=(a, n, 2))
-        elif kind == "lattice":
+            if kind == "outlier":
+                turn = rng.uniform(0, 2 * np.pi, size=a)
+                far = 10 ** rng.uniform(2, 6, size=a)
+                points[:, 0] += (far * np.stack([np.cos(turn), np.sin(turn)])).T
+        elif kind in ("lattice", "bisector"):
             points = np.round(rng.uniform(0, 2, size=(a, n, 2)), 1)
+            if kind == "bisector":
+                points += rng.uniform(-1, 1, size=(a, n, 2)) * 10 ** rng.uniform(-9, -6)
         elif kind == "spots":
             spots = np.round(rng.uniform(0, 5, size=(a, 4, 2)), 1)
             points = spots[np.arange(a)[:, None], rng.integers(0, 4, size=(a, n))]
         else:
             offsets = rng.uniform(1e5, 1e6, size=(a, 1, 2))
-            points = offsets + rng.uniform(0, 1e-3, size=(a, n, 2))
+            spread = 1e-3 if kind == "far" else 10 ** rng.uniform(1, 4)
+            points = offsets + rng.uniform(0, spread, size=(a, n, 2))
         seeds = rng.integers(0, 1 << 31, size=a)
         centers, labels = gpm._kmeans(
             points.copy(), k, [np.random.default_rng(s) for s in seeds], iters
@@ -663,6 +675,58 @@ class TestTTSTMatchesReference:
             ref_centers, ref_labels = reference_kmeans(
                 points[i].copy(), k, np.random.default_rng(s), iters
             )
+            np.testing.assert_array_equal(centers[i], ref_centers)
+            np.testing.assert_array_equal(labels[i], ref_labels)
+
+    def test_float32_overflow_matches_reference(self):
+        # Squares up to 8e38 pass float32's largest float, 3.4e38: an
+        # overflowed float32 score can pass for a clear winner, so these sets
+        # must skip the float32 screen and still match the reference.
+        points = np.random.default_rng(0).uniform(-2e19, 2e19, size=(6, 200, 2))
+        centers, labels = gpm._kmeans(
+            points.copy(), 8, [np.random.default_rng(s) for s in range(6)], 20
+        )
+        for i in range(6):
+            ref_centers, ref_labels = reference_kmeans(points[i].copy(), 8, np.random.default_rng(i), 20)
+            np.testing.assert_array_equal(centers[i], ref_centers)
+            np.testing.assert_array_equal(labels[i], ref_labels)
+
+    @staticmethod
+    def count_screens(monkeypatch, k):
+        """Points scored in float32 and in float64, and points given their
+        (k,) squared distances, by the ``_kmeans`` calls after this one."""
+        seen = {"float32": 0, "float64": 0, "exact": 0}
+        screen, sq_dist = gpm._screen, gpm._sq_dist
+
+        def counting_screen(coef, xy1, margin, tally):
+            seen[xy1.dtype.name] += xy1.shape[1]
+            return screen(coef, xy1, margin, tally)
+
+        def counting_sq_dist(px, py, centers):
+            seen["exact"] += len(px) if centers.shape == (k, 2) else 0
+            return sq_dist(px, py, centers)
+
+        monkeypatch.setattr(gpm, "_screen", counting_screen)
+        monkeypatch.setattr(gpm, "_sq_dist", counting_sq_dist)
+        return seen
+
+    def test_near_ties_reach_every_screen(self, monkeypatch):
+        # The lattice of test_lattice_ties_match_reference, plus a copy moved
+        # by up to 1e-7: its exact ties need the squared distances, its
+        # moved points fall inside the float32 margin but not the float64
+        # one, and the rest settle in float32.
+        k = 7
+        xs, ys = np.meshgrid(np.arange(10) * 0.1 + 0.3, np.arange(10) * 0.7 + 0.1)
+        lattice = np.stack([xs.ravel(), ys.ravel()], axis=1)
+        moved = lattice + np.random.default_rng(0).uniform(-1e-7, 1e-7, size=lattice.shape)
+        points = np.stack([np.concatenate([lattice, moved])] * 3)
+        seen = self.count_screens(monkeypatch, k)
+        centers, labels = gpm._kmeans(
+            points.copy(), k, [np.random.default_rng(s) for s in range(3)], 50
+        )
+        assert seen["float32"] > seen["float64"] > seen["exact"] > 0
+        for i in range(3):
+            ref_centers, ref_labels = reference_kmeans(points[i].copy(), k, np.random.default_rng(i), 50)
             np.testing.assert_array_equal(centers[i], ref_centers)
             np.testing.assert_array_equal(labels[i], ref_labels)
 
@@ -687,6 +751,17 @@ class TestTTSTMatchesReference:
             ref_centers, ref_labels = reference_kmeans(points[i], k, np.random.default_rng(i), 50)
             np.testing.assert_array_equal(centers[i], ref_centers)
             np.testing.assert_array_equal(labels[i], ref_labels)
+
+    def test_uniform_points_rarely_need_float64_scores(self, monkeypatch):
+        # The float32 margin must settle nearly every label, or a margin
+        # widened by mistake would re-score in float64 and lose the speed
+        # while passing the bitwise tests. At 2e-6 the float64 scores take
+        # 3 of these 144000 point-iterations, at 1e-5 29 and at 1e-3 2344.
+        seen = self.count_screens(monkeypatch, 20)
+        points = np.random.default_rng(5).uniform(-0.5, 23.5, size=(3, 2000, 2))
+        gpm._kmeans(points, 20, [np.random.default_rng(s) for s in range(3)], 50)
+        assert seen["float32"] == 144000
+        assert seen["float64"] < 1e-4 * seen["float32"]
 
     def test_model_sample_goals_matches_reference(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)
