@@ -53,7 +53,7 @@ from .model import Model
 from .params import ParamStore
 from .render import render_scene_svg, render_trace_svg, write_svg
 from .tpm import PredictionSet, load_prediction_txt, save_prediction_txt, save_trace_json
-from .training import check_model_params, strip_train_state, train
+from .training import model_params, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -326,8 +326,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     cfg = _config_from(args)
-    params = strip_train_state(ParamStore.load(args.checkpoint))
-    check_model_params(params, cfg.model, args.checkpoint)
+    params = model_params(ParamStore.load(args.checkpoint), cfg.model, args.checkpoint)
     model = Model(config=cfg.model, params=params)
     scenes = _load_scenes(args.data, args.raster_dir, cfg)
     for scene in scenes:  # a bad window fails the run before the first file is written

@@ -191,25 +191,25 @@ def gpm_forward_batch(channels: np.ndarray, params: ParamStore) -> Tensor:
     """Goal logits (N, H, W) of the ``encode_gpm_input`` channels of a batch
     of co-observed agents; a caller that revisits a window may cache its
     channels. The logits are one node whose parents are the twelve ``gpm.*``
-    parameters; outside recording it runs on blocks of whole agents of at
-    least ``_BLOCK_ROWS`` cells, one call each, and keeps no intermediate."""
+    parameters. Recording runs the window as one block; otherwise each block
+    of whole agents of at least ``_BLOCK_ROWS`` cells, the last taking the
+    remainder, writes its logits into the output and keeps no intermediate."""
     weights = tuple(params[f"gpm.{layer}.{p}"] for layer in _LAYERS for p in "wb")
+    w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
+    record = _recording(weights)
     n, h, w, _ = channels.shape
     per_block = -(-_BLOCK_ROWS // (h * w))  # agents in each block but the last
-    if n >= 2 * per_block and not _recording(weights):
-        starts = range(0, n // per_block * per_block, per_block)
-        ends = [*starts[1:], n]
-        logits = [gpm_forward_batch(channels[i:j], params).data for i, j in zip(starts, ends)]
-        return Tensor(np.concatenate(logits), False, "gpm")
-    w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
-    xp = [] if _recording(weights) else None  # padded inputs, kept only for backward
-    c1 = _conv(_padded(channels), w1, b1, xp)
-    c2 = _conv(_padded(_pool2(c1)), w2, b2, xp)
-    bott = _conv(_padded(_pool2(c2)), w3, b3, xp)
-    d2 = _conv(_upsample2_concat(bott, c2), w4, b4, xp)
-    d1 = _conv(_upsample2_concat(d2, c1), w5, b5, xp)
-    cd = d1.shape[-1]
-    logits = np.matmul(d1.reshape(n * h * w, cd), wo) + bo
+    starts = [0] if record else range(0, max(n // per_block, 1) * per_block, per_block)
+    logits = np.empty((n, h, w))
+    xp = [] if record else None  # padded inputs, kept only for backward
+    for i, j in zip(starts, [*starts[1:], n]):
+        c1 = _conv(_padded(channels[i:j]), w1, b1, xp)
+        c2 = _conv(_padded(_pool2(c1)), w2, b2, xp)
+        bott = _conv(_padded(_pool2(c2)), w3, b3, xp)
+        d2 = _conv(_upsample2_concat(bott, c2), w4, b4, xp)
+        d1 = _conv(_upsample2_concat(d2, c1), w5, b5, xp)
+        cd = d1.shape[-1]
+        logits[i:j] = (np.matmul(d1.reshape(-1, cd), wo) + bo).reshape(j - i, h, w)
 
     def bwd(g):
         g = g.reshape(n * h * w, 1)
@@ -222,7 +222,7 @@ def gpm_forward_batch(channels: np.ndarray, params: ParamStore) -> Tensor:
         _, *g_enc1 = _conv_relu_grads(_pool2_grad(gx2, gx5[..., cd:]), xp[0], c1, w1, False)
         return (*g_enc1, *g_enc2, *g_bott, *g_dec2, *g_dec1, *g_out)
 
-    return _node(logits.reshape(n, h, w), weights, bwd, "gpm")
+    return _node(logits, weights, bwd, "gpm")
 
 
 def heatmap_from_logits(logits: np.ndarray) -> np.ndarray:

@@ -84,6 +84,6 @@ class Model:
             list(scene.agent_ids), trajectories.transpose(1, 0, 2, 3), traces, weights
         )
 
-    def rollout_with_goals(self, scene: Scene, goals, capture_trace: bool = False):
+    def rollout_with_goals(self, scene: Scene, goals):
         with no_grad():
-            return rollout(scene, goals, self.params, self.config, capture_trace)
+            return rollout(scene, goals, self.params, self.config)

@@ -5,9 +5,8 @@ parents and a hand-written backward closure, and ``backward`` walks the
 recorded graph in exact reverse topological order. The engine provides no
 primitive ops: the model records whole blocks as nodes (the goal module,
 the rollout and the joint loss of a training window), and the tests keep
-the primitive chains those nodes are checked against. Training runs in
-64-bit precision so finite-difference checks have headroom, while 32-bit
-arrays are passed through untouched for inference.
+the primitive chains those nodes are checked against. Every tensor holds
+float64, so finite-difference checks have headroom.
 """
 
 from __future__ import annotations
@@ -47,15 +46,12 @@ def no_grad():
 
 
 class Tensor:
-    """An n-d float array plus an optional gradient slot and graph linkage."""
+    """An n-d float64 array plus an optional gradient slot and graph linkage."""
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_bwd")
 
     def __init__(self, data, requires_grad=False, op="leaf", _parents=(), _bwd=None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = op

@@ -63,6 +63,12 @@ class RolloutResult:
 
 # -- parameters -----------------------------------------------------------
 
+# The query and key projections of the fusion's cross-attention, which
+# ``_goal_term`` does not read: with one goal token the softmax weight is 1
+# whatever they are. They are drawn but not stored; checkpoints written with
+# them still load (``training.model_params`` drops them).
+RETIRED_PARAMS = ("tpm.fusion.cross.wq", "tpm.fusion.cross.bq", "tpm.fusion.cross.wk")
+
 
 def init_tpm_params(arrays: dict, config: ModelConfig, rng: np.random.Generator):
     """Add the trajectory module's initial arrays to ``arrays``, in rng draw order."""
@@ -72,10 +78,9 @@ def init_tpm_params(arrays: dict, config: ModelConfig, rng: np.random.Generator)
     arrays["tpm.pe.learn"] = np.zeros((config.t_total + 1, d))
     init_mha_params(arrays, "tpm.fusion.self0", d, rng)
     if config.use_goal:
-        # _goal_term reads only wv, bv, wo and bo. wq, bq and wk stay in the
-        # store, unread, so checkpoints keep their parameter names and the
-        # draws that follow keep their order.
-        init_mha_params(arrays, "tpm.fusion.cross", d, rng)
+        init_mha_params(arrays, "tpm.fusion.cross", d, rng)  # draws keep their order
+        for name in RETIRED_PARAMS:
+            del arrays[name]
         arrays["tpm.fusion.norm.gamma"] = np.ones(d)
         arrays["tpm.fusion.norm.beta"] = np.zeros(d)
     if config.use_social:

@@ -24,7 +24,7 @@ from .metrics import eval_from_scene, per_sample_ade
 from .model import Model, init_params, stable_seed
 from .params import ParamStore
 from .tensor import _node, backward
-from .tpm import rollout
+from .tpm import RETIRED_PARAMS, rollout
 
 
 # -- loss -----------------------------------------------------------------
@@ -289,17 +289,17 @@ def _restore_train_state(blob: ParamStore, adam: Adam, slots: dict):
     return blob["_best"].data if "_best" in blob else None
 
 
-def strip_train_state(blob: ParamStore) -> ParamStore:
-    """Model-only parameters from a checkpoint that may carry training state:
-    every entry whose name does not start with ``_``."""
-    return ParamStore({name: t.data for name, t in blob.items() if not name.startswith("_")})
-
-
-def check_model_params(params: ParamStore, model_cfg: ModelConfig, source):
-    """CheckpointError naming ``source`` unless ``params`` holds exactly the
-    parameter names and shapes that ``init_params`` makes for ``model_cfg``."""
+def model_params(blob: ParamStore, model_cfg: ModelConfig, source) -> ParamStore:
+    """The model parameters of a checkpoint or training state ``blob``: every
+    entry but the ``_``-prefixed training state and ``tpm.RETIRED_PARAMS``.
+    CheckpointError naming ``source`` unless they are exactly the parameter
+    names and shapes that ``init_params`` makes for ``model_cfg``."""
+    arrays = {
+        name: t.data for name, t in blob.items()
+        if not name.startswith("_") and name not in RETIRED_PARAMS
+    }
     expected = init_params(model_cfg, seed=0)
-    got = {n: params[n].shape for n in params.names()}
+    got = {n: a.shape for n, a in arrays.items()}
     want = {n: expected[n].shape for n in expected.names()}
     if got != want:
         missing = sorted(set(want) - set(got))
@@ -309,6 +309,7 @@ def check_model_params(params: ParamStore, model_cfg: ModelConfig, source):
             f"{source}: parameters do not match the model config "
             f"(missing {missing[:3]}, unexpected {extra[:3]}, reshaped {reshaped[:3]})"
         )
+    return ParamStore(arrays)
 
 
 # -- main loop -----------------------------------------------------------------
@@ -348,8 +349,7 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
             blob = ParamStore.load(resume_from)
         except OSError as exc:  # a missing path, a directory, an unreadable file
             raise CheckpointError(f"{resume_from}: {exc.strerror}") from None
-        params = strip_train_state(blob)
-        check_model_params(params, mcfg, resume_from)
+        params = model_params(blob, mcfg, resume_from)
     else:
         params = init_params(mcfg, seed=cfg.seed)
 

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import vista
 from vista.cli import main
 from vista.data import SCENARIOS
+from vista.params import ParamStore
+from vista.tpm import RETIRED_PARAMS
 
 
 def run(argv, capsys=None):
@@ -406,6 +408,32 @@ class TestPredict:
         assert {"pred_crossing__w000.txt", "trace_crossing__w000_s03.json"} <= set(names)
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_retired_parameters_in_a_checkpoint_change_no_byte(
+        self, synth_dir, quick_config, trained, tmp_path
+    ):
+        # A checkpoint written while the store held tpm.RETIRED_PARAMS loads
+        # without them: the same checkpoint with them, whatever their values,
+        # writes the same prediction and trace files.
+        arrays = {name: t.data for name, t in ParamStore.load(trained).items()}
+        d = arrays["tpm.embed.w"].shape[1]
+        rng = np.random.default_rng(0)
+        for name in RETIRED_PARAMS:
+            arrays[name] = rng.normal(size=(d,) if name.endswith(".bq") else (d, d))
+        with_retired = tmp_path / "with_retired.bin"
+        ParamStore(arrays).save(with_retired)
+        files = []
+        for checkpoint in (trained, with_retired):
+            out = tmp_path / f"pred_{checkpoint.stem}"
+            assert main([
+                "predict", "--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                "--raster-dir", str(synth_dir / "rasters"), "--config", str(quick_config),
+                "--k", "4", "--seed", "11", "--trace", "--out", str(out),
+            ]) == 0
+            names = sorted(f for f in os.listdir(out) if not f.startswith("manifest"))
+            files.append({name: (out / name).read_bytes() for name in names})
+        assert "trace_crossing__w000_s03.json" in files[0]
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("text", ["16 16 2\n" + "0.5 " * 512, "20 18 1\n" + "1.0 " * 360],
                              ids=["class_count", "side_not_divisible_by_4"])

@@ -23,6 +23,7 @@ from reference_ops import (
 )
 
 from vista import gpm
+from vista import model as model_module
 from vista.config import ModelConfig, TrainConfig
 from vista.data import ScenarioSpec, synth_generate, uniform_raster
 from vista.errors import ConfigError, DataError
@@ -434,6 +435,22 @@ class TestGpmNode:
         model = Model(cfg, init_params(cfg, seed=0))
         model.heatmaps(scene)
         assert traced_peak(lambda: model.heatmaps(scene)) < 6e6
+
+    def test_heatmaps_run_the_network_in_one_call(self, monkeypatch):
+        # The ten one-agent blocks run as one loop inside one call, so the
+        # benchmark's encodings per forward reads 1 on a crowd window.
+        scene, cfg = crowd_window()
+        model = Model(cfg, init_params(cfg, seed=0))
+        calls = []
+
+        def counted(*args, real=gpm.gpm_forward_batch):
+            calls.append(1)
+            return real(*args)
+
+        for module in (gpm, model_module):
+            monkeypatch.setattr(module, "gpm_forward_batch", counted)
+        model.heatmaps(scene)
+        assert len(calls) == 1
 
     def test_no_grad_window_loss_peak_memory(self):
         scene, cfg = crowd_window()

@@ -20,7 +20,6 @@ from reference_ops import (
     reshape,
     sub,
 )
-from test_attention import set_random_biases
 
 from vista import tpm, training
 from vista.attention import multi_head_attention
@@ -221,58 +220,53 @@ class TestFusedNodes:
         assert fused_trace == chain_trace and len(fused_trace) == 1
 
 
-def per_step_fusion(tokens, goal_tokens, params, config):
-    """The fusion before ``goal_feature``: temporal attention of the last of
-    the tokens (N, L, d) over all of them, plus the one-key cross-attention
-    to the goal tokens (N, 1, d) and its layer norm, rebuilt at every
-    rollout step."""
-    n, length, d = tokens.shape
-    query = narrow(tokens, (slice(None), slice(length - 1, length)))
-    t_last, _ = multi_head_attention(
-        query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
-    )
-    if goal_tokens is None:
-        return reshape(t_last, (n, d))
-    z_last, _ = multi_head_attention(
-        t_last, goal_tokens, goal_tokens, config.n_heads, params, "tpm.fusion.cross"
-    )
-    normed = add(
-        mul(layer_norm(z_last), params["tpm.fusion.norm.gamma"]), params["tpm.fusion.norm.beta"]
-    )
-    return add(reshape(normed, (n, d)), reshape(t_last, (n, d)))
+def query_key_params(d, seed=0):
+    """Random query and key projections (``tpm.RETIRED_PARAMS``) for the
+    fusion's cross-attention, which the model does not store."""
+    rng = np.random.default_rng(seed)
+    shapes = {"wq": (d, d), "bq": (d,), "wk": (d, d)}
+    return ParamStore({name: rng.normal(size=shapes[name[-2:]]) for name in tpm.RETIRED_PARAMS})
+
+
+def cross_layer(params, query_key):
+    """The fusion's whole cross-attention layer, for ``multi_head_attention``:
+    the model's value and output projections and the ``query_key`` ones."""
+    names = [f"tpm.fusion.cross.{w}" for w in ("wv", "bv", "wo", "bo")]
+    return {**{name: params[name] for name in names}, **dict(query_key.items())}
 
 
 class TestFusion:
-    def test_matches_block_composition(self, cfg, params):
+    def test_block_composition_is_the_linear_goal_term(self, cfg, params):
         # ``reference_fusion``, the oracle of the rollout node's fusion, is
         # the paper's block composition: temporal self-attention of the last
-        # token plus the layer-normed cross-attention to the goal token.
+        # token plus the layer-normed cross-attention to the goal token. For
+        # any query and key projections that cross-attention weighs the one
+        # goal token by 1, so it is ``goal_feature`` bit for bit.
         rng = np.random.default_rng(3)
         history = constant(rng.normal(size=(1, 5, cfg.d_model)))
         goal = constant(rng.normal(size=(1, 1, cfg.d_model)))
-        fused = reference_fusion(history, goal_feature(goal, params), params, cfg)
-        assert fused.shape == (1, cfg.d_model)
-
-        query = constant(history.data[:, -1:])
         t_last, _ = multi_head_attention(
-            query, history, history, cfg.n_heads, params, "tpm.fusion.self0"
+            constant(history.data[:, -1:]), history, history, cfg.n_heads, params,
+            "tpm.fusion.self0",
         )
-        z, cross_attn = multi_head_attention(
-            t_last, goal, goal, cfg.n_heads, params, "tpm.fusion.cross"
-        )
-        np.testing.assert_array_equal(cross_attn, np.ones((cfg.n_heads, 1, 1, 1)))
-        normed = layer_norm(z).data * params["tpm.fusion.norm.gamma"].data + params[
-            "tpm.fusion.norm.beta"
-        ].data
-        np.testing.assert_array_equal(fused.data, (normed + t_last.data).reshape(1, -1))
+        linear_term = goal_feature(goal, params).data + t_last.data.reshape(1, -1)
+        for seed in range(3):
+            layer = cross_layer(params, query_key_params(cfg.d_model, seed))
+            fused = reference_fusion(history, goal, layer, params, cfg)
+            _, cross_attn = multi_head_attention(
+                t_last, goal, goal, cfg.n_heads, layer, "tpm.fusion.cross"
+            )
+            np.testing.assert_array_equal(cross_attn, np.ones((cfg.n_heads, 1, 1, 1)))
+            assert fused.data.tobytes() == linear_term.tobytes()
 
     def test_hoisted_goal_term_matches_per_step_fusion(self, three_agent_scene, monkeypatch):
-        # The rollout node adds the goal term computed once per rollout; the
-        # reference recursion driven with ``per_step_fusion`` rebuilds the
-        # cross-attention to the goal token at every step.
+        # The rollout node adds the goal term computed once per rollout;
+        # ``reference_rollout`` rebuilds the whole cross-attention to the goal
+        # token at every step, whose query and key projections get no gradient.
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=2)
         tcfg = TrainConfig()
+        query_key = query_key_params(cfg.d_model)
 
         def loss_and_grads():
             params.zero_grad()
@@ -282,16 +276,30 @@ class TestFusion:
 
         total, grads = loss_and_grads()
         monkeypatch.setattr(
-            training,
-            "rollout",
-            functools.partial(
-                reference_rollout, fusion=per_step_fusion, goal_term=lambda tokens, _: tokens
-            ),
+            training, "rollout", functools.partial(reference_rollout, query_key=query_key)
         )
         ref_total, ref_grads = loss_and_grads()
         assert total == ref_total
         for name, ref in ref_grads.items():
             np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
+        assert not query_key.grads.any()
+
+    @pytest.mark.parametrize("overrides", [{}, {"use_social": False}], ids=["full", "no_social"])
+    def test_retired_parameters_are_drawn_but_not_stored(self, monkeypatch, overrides):
+        # Every stored parameter keeps the value it had when the store also
+        # held tpm.RETIRED_PARAMS: 2080 values of the default model's 43603.
+        cfg = ModelConfig(**overrides)
+        for seed in range(4):
+            params = init_params(cfg, seed)
+            with monkeypatch.context() as m:
+                m.setattr(tpm, "RETIRED_PARAMS", ())
+                full = init_params(cfg, seed)
+            assert set(full.names()) - set(params.names()) == set(tpm.RETIRED_PARAMS)
+            assert full.values.size - params.values.size == 2080
+            for name, t in params.items():
+                assert t.data.tobytes() == full[name].data.tobytes(), name
+        if not overrides:
+            assert params.values.size == 41523
 
     def test_single_history_token_self_attends_fully(self, cfg, params):
         token = np.random.default_rng(4).normal(size=(1, cfg.d_model))
@@ -304,15 +312,16 @@ class TestFusion:
     @pytest.mark.parametrize("lead, n", [((), 1), ((), 3), ((1,), 3), ((4,), 3)], ids=str)
     def test_goal_term_matches_chain(self, lead, n):
         # The rollout node's goal term and its gradients against
-        # ``goal_feature`` over ``embed_tokens``, the goal term of
-        # ``reference_rollout``: the forward bit for bit, and the gradients
-        # bit for bit for one goal set.
+        # ``goal_feature`` over ``embed_tokens``, the value/output path that
+        # ``reference_fusion``'s cross-attention reduces to: the forward bit
+        # for bit, and the gradients bit for bit for one goal set.
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
         params = init_params(cfg, seed=n)
         rng = np.random.default_rng(len(lead) * 10 + n)
         for name in ("tpm.embed.b", "tpm.pe.learn", "tpm.fusion.norm.gamma", "tpm.fusion.norm.beta"):
             params[name].data[...] = rng.normal(size=params[name].shape)
-        set_random_biases(params, "tpm.fusion.cross", rng)
+        for name in ("tpm.fusion.cross.bv", "tpm.fusion.cross.bo"):
+            params[name].data[...] = rng.normal(size=params[name].shape)
         goals, anchor = rng.uniform(1, 14, size=lead + (n, 2)), rng.normal(size=2)
         names = [f"tpm.fusion.cross.{w}" for w in ("wv", "bv", "wo", "bo")]
         names += ["tpm.fusion.norm.gamma", "tpm.fusion.norm.beta"]
@@ -550,26 +559,35 @@ class TestRollout:
 
 
 # The rollout that re-embedded the whole sequence at every step, kept
-# verbatim as the reference of the rollout node, with three changes:
-# ``reference_fusion``'s goal term gains a reshape (``goal_feature`` now
-# returns (N, d)), each step decodes with the chain the node's decoder
-# replaced, and the steps join into one positions tensor. ``fusion`` and
-# ``goal_term`` swap in other per-step blocks.
+# verbatim as the reference of the rollout node, with four changes: the
+# fusion rebuilds the whole cross-attention to the goal token at every step,
+# its query and key projections from ``query_key`` (random by default), each
+# step decodes with the chain the node's decoder replaced, and the steps join
+# into one positions tensor.
 
 
-def reference_fusion(tokens, goal, params, config):
+def reference_fusion(tokens, goal_tokens, cross, params, config):
+    """Temporal attention of the last of the tokens (N, L, d) over all of
+    them, plus the layer-normed attention of its output to the goal tokens
+    (N, 1, d) through the ``cross_layer`` ``cross``."""
     n, length, d = tokens.shape
     query = narrow(tokens, (slice(None), slice(length - 1, length)))
     t_last, _ = multi_head_attention(
         query, tokens, tokens, config.n_heads, params, "tpm.fusion.self0"
     )
-    fused = t_last if goal is None else add(reshape(goal, (n, 1, d)), t_last)
-    return reshape(fused, (n, d))
+    if goal_tokens is None:
+        return reshape(t_last, (n, d))
+    z_last, _ = multi_head_attention(
+        t_last, goal_tokens, goal_tokens, config.n_heads, cross, "tpm.fusion.cross"
+    )
+    normed = add(
+        mul(layer_norm(z_last), params["tpm.fusion.norm.gamma"]), params["tpm.fusion.norm.beta"]
+    )
+    return add(reshape(normed, (n, d)), reshape(t_last, (n, d)))
 
 
 def reference_rollout(
-    scene, goals, params, config, capture_trace=False, n_steps=None,
-    fusion=reference_fusion, goal_term=goal_feature,
+    scene, goals, params, config, capture_trace=False, n_steps=None, query_key=None
 ):
     obs_all = scene.positions()
     if obs_all.shape[1] < config.t_obs:
@@ -598,10 +616,12 @@ def reference_rollout(
     obs_c = obs[order]
     anchor = obs_c[:, -1, :].mean(axis=0)  # shared by all agents, canonical order
 
-    goal = None
+    goal = cross = None
     if goals_arr is not None:
         goal_tok = embed_tokens(goals_arr[..., order, :], anchor, [config.t_total], params, config)
-        goal = goal_term(reshape(goal_tok, (rows, 1, config.d_model)), params)
+        goal = reshape(goal_tok, (rows, 1, config.d_model))
+        query_key = query_key_params(config.d_model) if query_key is None else query_key
+        cross = cross_layer(params, query_key)
 
     obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
     parts = [constant(obs_rows)]
@@ -611,7 +631,7 @@ def reference_rollout(
         seq = parts[0] if len(parts) == 1 else concat(parts, axis=1)
         length = config.t_obs + step - 1
         tokens = embed_tokens(seq, anchor, np.arange(length), params, config)
-        fused = fusion(tokens, goal, params, config)
+        fused = reference_fusion(tokens, goal, cross, params, config)
         if lead:
             fused = reshape(fused, lead + (n, config.d_model))
         social, attn = social_attention(fused, params, config)
