@@ -12,10 +12,9 @@ The node keeps each convolution's padded input, not its 9x larger im2col
 matrix, and its hand-written backward walks the layers in reverse: a weight
 gradient rebuilds its layer's matrix for one matmul, and an input gradient
 convolves the masked output gradient with the flipped kernel. No agent's
-logits depend on another's, so inference runs the whole network on blocks of
-whole agents of at least ``_BLOCK_ROWS`` cells and holds no whole-window
-layer; each logit equals the recorded forward's bit for bit. Grid cell (r, c)
-is centered at (x=c, y=r).
+logits depend on another's, so inference runs the network on blocks of whole
+agents and holds no whole-window layer. Grid cell (r, c) is centered at (x=c,
+y=r).
 """
 
 from __future__ import annotations
@@ -97,28 +96,27 @@ def _upsample2_concat(low: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return xp
 
 
-# Outside recording the encoder-decoder runs on blocks of whole agents of at
-# least this many input-grid cells, the last taking the remainder, so no
-# whole-window layer, padded input or im2col matrix exists. On OpenBLAS
-# 0.3.31 every layer's product over such a block (64+ rows at the bottleneck)
-# takes the whole product's path, so logits equal the recorded ones bit for bit.
+# The fewest input-grid cells in an inference block. On OpenBLAS 0.3.31 every
+# layer's product over such a block (64+ rows at the bottleneck) takes the
+# whole product's path, so logits equal the recorded ones bit for bit.
 _BLOCK_ROWS = 1024
 
 
 def _conv(xp: np.ndarray, w: np.ndarray, b=None, keep: list | None = None) -> np.ndarray:
     """The 3x3 convolution (n, h, w, c_out) of the zero-padded ``xp`` (n,
     h+2, w+2, c) with the kernel ``w`` (3, 3, c, c_out): one im2col matmul,
-    whose output then takes a bias ``b`` and relu in place. ``xp`` joins the
-    list ``keep`` unless that is None."""
-    if keep is not None:
-        keep.append(xp)
+    whose output then takes a bias ``b`` and relu in place. ``xp``, then the
+    output, join the list ``keep`` unless that is None."""
     n, hp, wp, _ = xp.shape
     out = np.empty((n * (hp - 2) * (wp - 2), w.shape[-1]))  # made before the matrix: lower peak RSS
     np.matmul(_columns(xp), w.reshape(-1, w.shape[-1]), out=out)
     if b is not None:
         out += b
         out[...] = _relu_data(out)
-    return out.reshape(n, hp - 2, wp - 2, -1)
+    out = out.reshape(n, hp - 2, wp - 2, -1)
+    if keep is not None:
+        keep += [xp, out]
+    return out
 
 
 def _conv_relu_grads(g, xp, out, w, input_grad=True):
@@ -175,16 +173,25 @@ def encode_gpm_input(
     check_raster(raster, config, source)
     if raster is None:
         raster = uniform_raster(config.grid, config.n_classes)
-    h, w = raster.height, raster.width
-    n = obs.shape[0]
-    channels = np.empty((n, h, w, raster.n_classes + config.t_obs))
-    channels[..., : raster.n_classes] = raster.scores
-    for i in range(n):
-        for t in range(config.t_obs):
-            channels[i, :, :, raster.n_classes + t] = rasterize_gaussian(
-                obs[i, t], (h, w), config.traj_sigma
-            )
+    h, w, d = raster.scores.shape
+    channels = np.empty((len(obs), h, w, d + config.t_obs))
+    channels[..., :d] = raster.scores
+    for i, t in np.ndindex(len(obs), config.t_obs):
+        channels[i, :, :, d + t] = rasterize_gaussian(obs[i, t], (h, w), config.traj_sigma)
     return channels
+
+
+def _block_logits(x: np.ndarray, data, keep: list | None) -> np.ndarray:
+    """The (n, H, W) logits of the channels ``x`` of a block of n agents
+    under the ``_LAYERS`` arrays ``data``; no layer outlives the call unless
+    ``keep`` is a list, which ``_conv`` fills."""
+    w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = data
+    c1 = _conv(_padded(x), w1, b1, keep)
+    c2 = _conv(_padded(_pool2(c1)), w2, b2, keep)
+    bott = _conv(_padded(_pool2(c2)), w3, b3, keep)
+    d2 = _conv(_upsample2_concat(bott, c2), w4, b4, keep)
+    d1 = _conv(_upsample2_concat(d2, c1), w5, b5, keep)
+    return (np.matmul(d1.reshape(-1, d1.shape[-1]), wo) + bo).reshape(d1.shape[:3])
 
 
 def gpm_forward_batch(channels: np.ndarray, params: ParamStore) -> Tensor:
@@ -195,31 +202,26 @@ def gpm_forward_batch(channels: np.ndarray, params: ParamStore) -> Tensor:
     of whole agents of at least ``_BLOCK_ROWS`` cells, the last taking the
     remainder, writes its logits into the output and keeps no intermediate."""
     weights = tuple(params[f"gpm.{layer}.{p}"] for layer in _LAYERS for p in "wb")
-    w1, b1, w2, b2, w3, b3, w4, b4, w5, b5, wo, bo = (p.data for p in weights)
-    record = _recording(weights)
+    data = [p.data for p in weights]
+    kept = [] if _recording(weights) else None  # each layer's padded input and output
     n, h, w, _ = channels.shape
     per_block = -(-_BLOCK_ROWS // (h * w))  # agents in each block but the last
-    starts = [0] if record else range(0, max(n // per_block, 1) * per_block, per_block)
+    starts = range(0, max(n // per_block, 1) * per_block, per_block) if kept is None else [0]
     logits = np.empty((n, h, w))
-    xp = [] if record else None  # padded inputs, kept only for backward
     for i, j in zip(starts, [*starts[1:], n]):
-        c1 = _conv(_padded(channels[i:j]), w1, b1, xp)
-        c2 = _conv(_padded(_pool2(c1)), w2, b2, xp)
-        bott = _conv(_padded(_pool2(c2)), w3, b3, xp)
-        d2 = _conv(_upsample2_concat(bott, c2), w4, b4, xp)
-        d1 = _conv(_upsample2_concat(d2, c1), w5, b5, xp)
-        cd = d1.shape[-1]
-        logits[i:j] = (np.matmul(d1.reshape(-1, cd), wo) + bo).reshape(j - i, h, w)
+        logits[i:j] = _block_logits(channels[i:j], data, kept)
 
     def bwd(g):
+        xp1, c1, xp2, c2, xp3, bott, xp4, d2, xp5, d1 = kept
+        w1, _, w2, _, w3, _, w4, _, w5, _, wo, _ = data
+        cd, cb = d1.shape[-1], bott.shape[-1]
         g = g.reshape(n * h * w, 1)
         g_out = (d1.reshape(n * h * w, cd).T @ g, g.sum(axis=0))
-        gx5, *g_dec1 = _conv_relu_grads(np.matmul(g, wo.T).reshape(d1.shape), xp[4], d1, w5)
-        gx4, *g_dec2 = _conv_relu_grads(_upsample2_grad(gx5[..., :cd]), xp[3], d2, w4)
-        cb = bott.shape[-1]
-        gx3, *g_bott = _conv_relu_grads(_upsample2_grad(gx4[..., :cb]), xp[2], bott, w3)
-        gx2, *g_enc2 = _conv_relu_grads(_pool2_grad(gx3, gx4[..., cb:]), xp[1], c2, w2)
-        _, *g_enc1 = _conv_relu_grads(_pool2_grad(gx2, gx5[..., cd:]), xp[0], c1, w1, False)
+        gx5, *g_dec1 = _conv_relu_grads(np.matmul(g, wo.T).reshape(d1.shape), xp5, d1, w5)
+        gx4, *g_dec2 = _conv_relu_grads(_upsample2_grad(gx5[..., :cd]), xp4, d2, w4)
+        gx3, *g_bott = _conv_relu_grads(_upsample2_grad(gx4[..., :cb]), xp3, bott, w3)
+        gx2, *g_enc2 = _conv_relu_grads(_pool2_grad(gx3, gx4[..., cb:]), xp2, c2, w2)
+        _, *g_enc1 = _conv_relu_grads(_pool2_grad(gx2, gx5[..., cd:]), xp1, c1, w1, False)
         return (*g_enc1, *g_enc2, *g_bott, *g_dec2, *g_dec1, *g_out)
 
     return _node(logits, weights, bwd, "gpm")
@@ -242,11 +244,9 @@ def ttst_sample(
     each agent draws ``n_raw`` cells from its heatmap with a generator seeded
     from ``seeds[i]``, and one batched K-means (farthest-point seeding, then
     at most ``kmeans_iters`` Lloyd iterations) reduces each agent's draws to
-    k goals, equal bit for bit to a dense per-agent K-means's. Each iteration
-    scores an agent's points against its centres, both centred on the
-    agent's mean, with one float32 BLAS product; a point whose best score
-    does not clear the float32 rounding bound (``_MARGIN32``) is scored again
-    in float64, and one that ties there too gets its squared distances.
+    k goals, equal bit for bit to a dense per-agent K-means's: each
+    assignment is one float32 screen of every point, then the squared
+    distances of the few points that the screen leaves unsettled.
 
     Returns goals (A, k, 2) and their cluster mass fractions (A, k), each
     agent's ordered by descending weight, then x, then y."""
@@ -255,10 +255,11 @@ def ttst_sample(
     a, h, w = np.shape(grids)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     points = np.empty((a, n_raw, 2))
-    for mass, rng, pts in zip(np.asarray(grids, dtype=np.float64), rngs, points, strict=True):
+    grids = np.asarray(grids, dtype=np.float64)
+    for i, (mass, rng, pts) in enumerate(zip(grids, rngs, points, strict=True)):
         total = mass.sum()
         if total <= 0:
-            raise DataError("ttst_sample: heatmap has no positive mass")
+            raise DataError(f"ttst_sample: the heatmap of agent row {i} has no positive mass")
         rows, cols = np.divmod(rng.choice(h * w, size=n_raw, p=(mass / total).reshape(-1)), w)
         pts[:] = np.stack([cols, rows], axis=1) + rng.uniform(-0.5, 0.5, size=(n_raw, 2))
 
@@ -267,12 +268,6 @@ def ttst_sample(
     order = np.stack([np.lexsort((c[:, 1], c[:, 0], -w)) for c, w in zip(centers, weights)])
     return np.take_along_axis(centers, order[..., None], 1), np.take_along_axis(weights, order, 1)
 
-
-# A point's label is read off its float64 scores when one centre's beats
-# every other's by more than _MARGIN x (1 + the set's largest |p-mu|^2 +
-# |c-mu|^2), mu the set's mean: far above the few ulps of rounding in a
-# score or a squared distance that size.
-_MARGIN = 1e-9
 
 # The margin of the float32 scores, on points p and centres c centred on
 # their set's mean mu. With u = 2^-24, each float32 input of a score
@@ -286,12 +281,13 @@ _MARGIN = 1e-9
 # rounds by at most u(2S + margin), and the float64 centring and the
 # reference's squared distances add about 1e-15 S: under 23u S = 1.4e-6 S in
 # all, inside 2e-6 (1 + S). A wider margin sends more points on to the
-# float64 scores: at 5e-6 to 1e-5 about one point per set-iteration, which
-# costs more than the float32 product saves.
+# squared distances. Where S reaches _MAX_SCALE32 (or is NaN) a score's terms
+# may overflow, so the margin is infinite and no point of that set passes.
 _MARGIN32 = 2e-6
+_MAX_SCALE32 = np.finfo(np.float32).max / 4
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the screens pass overflow on, unwarned
+@np.errstate(over="ignore", invalid="ignore")  # the screen passes overflow on, unwarned
 def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
     """Lloyd iterations with greedy farthest-point seeding on A point sets
     (A, n, 2) at once, one generator per set; a set stops once its labels do.
@@ -299,18 +295,16 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
     Ties in seeding and assignment resolve to the lowest index; empty clusters
     reseed to the point farthest from every current center.
 
-    The assignment ranks a set's centres by the score |c|^2 - 2c.p, the
-    squared distance less the |p|^2 that every centre shares, with points
-    and centres centred on the set's float64 mean, in three screens. First,
-    one float32 (k, 3) @ (3, n) product of (-2cx, -2cy, |c|^2) with (x, y, 1)
-    scores every point; a float32 product of the (1, j) of each centre j with
-    the mask of scores within ``_MARGIN32`` of the best gives each point the
-    count of those centres and the sum of their indices, and where the count
-    is 1, that sum is the label. The few other points are scored again in
-    float64 and counted the same way within ``_MARGIN``. A tie, a near tie, a
-    NaN or an overflow passes neither, and those points get their (k,)
-    squared distances in the dense loop's arithmetic, so labels and centres
-    equal that loop's bit for bit.
+    The assignment takes two steps. First, the screen ranks a set's centres
+    by the score |c|^2 - 2c.p (the squared distance less the shared |p|^2),
+    on points and centres centred on the set's float64 mean: one float32 (k,
+    3) @ (3, n) product of (-2cx, -2cy, |c|^2) with (x, y, 1), then a float32
+    product of the (1, j) of each centre j with the mask of scores within
+    ``_MARGIN32`` of the best, which counts those centres and sums their
+    indices. Where the count is 1, that sum is the label. Then every other
+    point (a tie, a near tie, a NaN or an overflow) gets its (k,) squared
+    distances and their lowest-index argmin in the dense loop's arithmetic,
+    so labels and centres equal that loop's bit for bit.
     """
     a, n, _ = points.shape
     px, py = np.moveaxis(points, 2, 0).copy()
@@ -336,23 +330,16 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
         m, old = len(live), centers[live]
         shifted = old - lmu[:, None]
         c2 = (shifted * shifted).sum(axis=2)
-        coef = np.concatenate([shifted * -2, c2[..., None]], axis=2)
-        coef32 = coef.astype(np.float32)
+        coef = np.concatenate([shifted * -2, c2[..., None]], axis=2).astype(np.float32)
         scale = 1 + lp2 + c2.max(axis=1)
-        margin32 = _margin(_MARGIN32, scale, np.float32)
-        margin = _margin(_MARGIN, scale, np.float64)
+        margin = np.where(scale < _MAX_SCALE32, _MARGIN32 * scale, np.inf).astype(np.float32)
         new_labels = np.empty((m, n), dtype=np.int64)
         for i in range(m):
-            count, new_labels[i] = _screen(coef32[i], xy1[i], margin32[i], tally)
+            count, new_labels[i] = _screen(coef[i], xy1[i], margin[i], tally)
             rows = np.flatnonzero(count != 1)
             if len(rows):
-                rx, ry = lx[i, rows], ly[i, rows]
-                xy = np.stack([rx - lmu[i, 0], ry - lmu[i, 1], np.ones(len(rows))])
-                count, new_labels[i, rows] = _screen(coef[i], xy, margin[i], tally)
-                tie = count != 1
-                if tie.any():
-                    d2 = _sq_dist(rx[tie], ry[tie], old[i])
-                    new_labels[i, rows[tie]] = np.argmin(d2, axis=0)
+                d2 = _sq_dist(lx[i, rows], ly[i, rows], old[i])
+                new_labels[i, rows] = np.argmin(d2, axis=0)
         # bincount sums each cluster in point order, as points[mask].mean(axis=0) does.
         flat = (new_labels + offsets[:m]).reshape(-1)
         counts = np.bincount(flat, minlength=m * k)
@@ -385,17 +372,10 @@ def _kmeans(points: np.ndarray, k: int, rngs, max_iters: int):
     return centers, labels
 
 
-def _margin(fraction: float, scale: np.ndarray, dtype) -> np.ndarray:
-    """``fraction`` x ``scale`` in ``dtype``, or inf where a set's scale is a
-    quarter of the dtype's largest float or more (or NaN): there a score's
-    terms may overflow, so no point of that set passes its screen."""
-    return np.where(scale < np.finfo(dtype).max / 4, fraction * scale, np.inf).astype(dtype)
-
-
 def _screen(coef: np.ndarray, xy1: np.ndarray, margin, tally: np.ndarray) -> np.ndarray:
-    """The count (row 0) and index sum (row 1) of the centres whose scores
-    ``coef`` @ ``xy1`` (k, r) come within ``margin`` of each point's best, in
-    the dtype of the inputs; ``tally`` holds (1, j) for each centre j."""
+    """The count (row 0) and index sum (row 1) of the centres whose float32
+    scores ``coef`` @ ``xy1`` (k, r) come within ``margin`` of each point's
+    best; ``tally`` holds (1, j) for each centre j."""
     score = coef @ xy1
     best = score.min(axis=0)
     best += margin

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .data import Scene, reject_off_grid
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .gpm import encode_gpm_input, gpm_forward_batch, heatmap_from_logits, init_gpm_params, ttst_sample
 from .params import ParamStore
 from .tensor import no_grad
@@ -53,11 +53,14 @@ class Model:
 
     def sample_goals(self, scene: Scene, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """TTST goals (N, k, 2) and weights (N, k); each agent's sampler is
-        seeded from (seed, scene key, agent_id)."""
+        seeded from (seed, scene key, agent_id). DataError names the window
+        when an agent's heatmap has no mass to sample."""
         seeds = [stable_seed(seed, scene.key(), agent_id) for agent_id in scene.agent_ids]
-        return ttst_sample(
-            self.heatmaps(scene), self.config.n_raw_samples, k, seeds, self.config.kmeans_iters
-        )
+        grids = self.heatmaps(scene)
+        try:
+            return ttst_sample(grids, self.config.n_raw_samples, k, seeds, self.config.kmeans_iters)
+        except DataError as exc:
+            raise DataError(f"{scene.source or scene.key()}: {exc}") from None
 
     def predict(
         self, scene: Scene, k: int, seed: int, capture_trace: bool = False
@@ -66,7 +69,8 @@ class Model:
         goal of every agent, and all k run as one batched rollout. Without
         goal conditioning the k samples coincide, so one rollout is repeated
         k times. Raises DataError on an observed position outside the grid,
-        and ``encode_gpm_input``'s on a window the goal module cannot read."""
+        ``encode_gpm_input``'s on a window the goal module cannot read, and
+        ``sample_goals``'s on a heatmap with no mass."""
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
         reject_off_grid(scene, self.config.t_obs, self.config.grid)

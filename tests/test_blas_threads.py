@@ -4,7 +4,8 @@ Two subprocesses, one with OpenBLAS at 1 thread and one at 2, each run a small
 CLI pipeline (synth, train for 2 epochs, predict ``--trace``, evaluate) and
 then, under pytest, the checks whose rules hold only on OpenBLAS's kernel
 paths: the goal module's blocked inference against the recorded forward, and
-the K-means screens against the dense reference. Every output file but the
+the K-means float32 screen and its squared-distance fallback against the dense
+reference. Every output file but the
 manifests must be byte-identical between the two runs.
 
 Run as a script, this file is one such subprocess:
@@ -30,7 +31,7 @@ CHECKS = [
     "tests/test_gpm.py::TestTTSTMatchesReference::test_score_assignment_matches_reference_bitwise",
     "tests/test_gpm.py::TestTTSTMatchesReference::test_near_ties_reach_every_screen",
     "tests/test_gpm.py::TestTTSTMatchesReference::test_float32_overflow_matches_reference",
-    "tests/test_gpm.py::TestTTSTMatchesReference::test_uniform_points_rarely_need_float64_scores",
+    "tests/test_gpm.py::TestTTSTMatchesReference::test_uniform_points_rarely_need_squared_distances",
 ]
 
 

@@ -512,6 +512,31 @@ class TestPredict:
         assert err["error"] == "CheckpointError"
         assert "'tpm.dec.b2'" in err["message"]
 
+    def test_heatmap_without_mass_exits_4_naming_window_and_agent(
+        self, synth_dir, quick_config, tmp_path, capsys
+    ):
+        # With the head's bias at -1e4 every sigmoid underflows to 0.
+        from vista.config import load_config
+        from vista.model import init_params
+
+        params = init_params(load_config(quick_config).model, seed=0)
+        params["gpm.out.b"].data[:] = -1e4
+        ckpt = tmp_path / "massless.bin"
+        params.save(ckpt)
+        out = tmp_path / "p"
+        code = main([
+            "predict", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+            "--config", str(quick_config), "--out", str(out),
+        ])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        window = synth_dir / "crossing__w000.txt"
+        assert err["message"] == (
+            f"{window}: ttst_sample: the heatmap of agent row 0 has no positive mass"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("how", ["name_not_utf8", "extents_wrap_int64"])
     def test_corrupt_checkpoint_header_exits_3(self, synth_dir, quick_config, tmp_path, capsys, how):
         from test_params import corrupt_first_entry

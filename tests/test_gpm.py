@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from reference_ops import (
 from vista import gpm
 from vista import model as model_module
 from vista.config import ModelConfig, TrainConfig
-from vista.data import ScenarioSpec, synth_generate, uniform_raster
+from vista.data import Scene, ScenarioSpec, synth_generate, uniform_raster
 from vista.errors import ConfigError, DataError
 from vista.experiments import overfit_config, overfit_dataset
 from vista.gpm import (
@@ -436,6 +437,21 @@ class TestGpmNode:
         model.heatmaps(scene)
         assert traced_peak(lambda: model.heatmaps(scene)) < 6e6
 
+    def test_heatmaps_peak_grows_by_the_extra_agents_inputs_and_logits(self):
+        # Each block's layers are freed before the next block makes its own,
+        # so ten one-agent blocks peak no higher than one, beside the extra
+        # agents' input channels and logits. Keeping the last block's layers
+        # alive while the next block runs adds about 130 kB.
+        scene, cfg = crowd_window()
+        model = Model(cfg, init_params(cfg, seed=0))
+        peaks = []
+        for n in (1, 10):
+            window = Scene(scene.scene_id, scene.tracks[:n], raster=scene.raster)
+            model.heatmaps(window)
+            peaks.append(traced_peak(lambda: model.heatmaps(window)))
+        per_agent = cfg.grid**2 * (cfg.n_classes + cfg.t_obs + 1) * 8
+        assert peaks[1] - peaks[0] <= 9 * per_agent + 32 * 1024
+
     def test_heatmaps_run_the_network_in_one_call(self, monkeypatch):
         # The ten one-agent blocks run as one loop inside one call, so the
         # benchmark's encodings per forward reads 1 on a crowd window.
@@ -505,6 +521,23 @@ class TestTTST:
     def test_all_zero_heatmap_errors(self):
         with pytest.raises(DataError, match="no positive mass"):
             ttst_sample(np.zeros((1, 4, 4)), 100, 2, seeds=[0])
+        grids = np.ones((3, 4, 4))
+        grids[1] = 0.0
+        with pytest.raises(DataError, match="agent row 1 has no positive mass"):
+            ttst_sample(grids, 100, 2, seeds=[0, 1, 2])
+
+    def test_predict_on_a_heatmap_without_mass_names_the_window(self, tiny_scene):
+        # With the head's bias at -1e4 every sigmoid underflows to 0.
+        cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
+        params = init_params(cfg, seed=0)
+        params["gpm.out.b"].data[:] = -1e4
+        model = Model(cfg, params)
+        assert not model.heatmaps(tiny_scene).any()
+        message = f"{tiny_scene.key()}: ttst_sample: the heatmap of agent row 0 has no positive mass"
+        with pytest.raises(DataError, match=re.escape(message)):
+            model.predict(tiny_scene, k=3, seed=0)
+        with pytest.raises(DataError, match=re.escape("w.txt: ttst_sample: the heatmap of agent row 0")):
+            model.predict(replace(tiny_scene, source="w.txt"), k=3, seed=0)
 
     def test_bad_counts(self):
         with pytest.raises(ConfigError):
@@ -710,9 +743,9 @@ class TestTTSTMatchesReference:
 
     @staticmethod
     def count_screens(monkeypatch, k):
-        """Points scored in float32 and in float64, and points given their
-        (k,) squared distances, by the ``_kmeans`` calls after this one."""
-        seen = {"float32": 0, "float64": 0, "exact": 0}
+        """Points scored by the float32 screen, and points given their (k,)
+        squared distances, by the ``_kmeans`` calls after this one."""
+        seen = {"float32": 0, "exact": 0}
         screen, sq_dist = gpm._screen, gpm._sq_dist
 
         def counting_screen(coef, xy1, margin, tally):
@@ -729,9 +762,9 @@ class TestTTSTMatchesReference:
 
     def test_near_ties_reach_every_screen(self, monkeypatch):
         # The lattice of test_lattice_ties_match_reference, plus a copy moved
-        # by up to 1e-7: its exact ties need the squared distances, its
-        # moved points fall inside the float32 margin but not the float64
-        # one, and the rest settle in float32.
+        # by up to 1e-7: its exact ties and the moved points that fall inside
+        # the float32 margin need the squared distances, and the rest settle
+        # in float32.
         k = 7
         xs, ys = np.meshgrid(np.arange(10) * 0.1 + 0.3, np.arange(10) * 0.7 + 0.1)
         lattice = np.stack([xs.ravel(), ys.ravel()], axis=1)
@@ -741,44 +774,29 @@ class TestTTSTMatchesReference:
         centers, labels = gpm._kmeans(
             points.copy(), k, [np.random.default_rng(s) for s in range(3)], 50
         )
-        assert seen["float32"] > seen["float64"] > seen["exact"] > 0
+        assert seen["float32"] > seen["exact"] > 0
         for i in range(3):
             ref_centers, ref_labels = reference_kmeans(points[i].copy(), k, np.random.default_rng(i), 50)
             np.testing.assert_array_equal(centers[i], ref_centers)
             np.testing.assert_array_equal(labels[i], ref_labels)
 
-    def test_uniform_points_never_need_squared_distances(self, monkeypatch):
-        # Uniform points have no ties: the margin must settle every label
-        # from the scores, or a margin widened by mistake would run the
-        # squared distances everywhere and still pass the bitwise tests.
-        k, exact = 20, []
-        real = gpm._sq_dist
-
-        def counting(px, py, centers):
-            exact.append(centers.shape == (k, 2))
-            return real(px, py, centers)
-
-        monkeypatch.setattr(gpm, "_sq_dist", counting)
+    def test_uniform_points_rarely_need_squared_distances(self, monkeypatch):
+        # The float32 margin must settle nearly every label, or a margin
+        # widened by mistake would run the squared distances everywhere and
+        # lose the speed while passing the bitwise tests. At 2e-6 the squared
+        # distances take 3 of these 144000 point-iterations.
+        k = 20
+        seen = self.count_screens(monkeypatch, k)
         points = np.random.default_rng(5).uniform(-0.5, 23.5, size=(3, 2000, 2))
         centers, labels = gpm._kmeans(
             points.copy(), k, [np.random.default_rng(s) for s in range(3)], 50
         )
-        assert exact and not any(exact)
+        assert seen["float32"] == 144000
+        assert seen["exact"] <= 1e-4 * seen["float32"]
         for i in range(3):
             ref_centers, ref_labels = reference_kmeans(points[i], k, np.random.default_rng(i), 50)
             np.testing.assert_array_equal(centers[i], ref_centers)
             np.testing.assert_array_equal(labels[i], ref_labels)
-
-    def test_uniform_points_rarely_need_float64_scores(self, monkeypatch):
-        # The float32 margin must settle nearly every label, or a margin
-        # widened by mistake would re-score in float64 and lose the speed
-        # while passing the bitwise tests. At 2e-6 the float64 scores take
-        # 3 of these 144000 point-iterations, at 1e-5 29 and at 1e-3 2344.
-        seen = self.count_screens(monkeypatch, 20)
-        points = np.random.default_rng(5).uniform(-0.5, 23.5, size=(3, 2000, 2))
-        gpm._kmeans(points, 20, [np.random.default_rng(s) for s in range(3)], 50)
-        assert seen["float32"] == 144000
-        assert seen["float64"] < 1e-4 * seen["float32"]
 
     def test_model_sample_goals_matches_reference(self, tiny_scene):
         cfg = ModelConfig(t_obs=4, t_fut=3, grid=16, n_raw_samples=400)
