@@ -52,7 +52,7 @@ from .metrics import (
 from .model import Model
 from .params import ParamStore
 from .render import render_scene_svg, render_trace_svg, write_svg
-from .tpm import PredictionSet, load_prediction_txt, save_prediction_txt, save_trace_json
+from .tpm import load_prediction_txt, save_prediction_txt, save_trace_json
 from .training import model_params, train
 
 EXIT_OK = 0
@@ -376,7 +376,7 @@ def _read_prediction(path, scene, t_obs):
     # diagonal bounds every distance between its positions.
     with np.errstate(over="ignore"):
         if not np.isfinite(np.square(np.ptp(scene.positions(), axis=(0, 1))).sum()):
-            raise DataError(f"{scene.source or scene.key()}: distances must be finite in float64")
+            raise DataError(f"{scene.name()}: distances must be finite in float64")
     return ev
 
 
@@ -497,9 +497,8 @@ def cmd_render(args):
     os.makedirs(args.out_svg, exist_ok=True)
     outputs = []
     for scene, ev in preds:
-        pred = PredictionSet(agent_ids=list(scene.agent_ids), trajectories=ev.predictions)
         out = os.path.join(args.out_svg, _window_file("scene_", scene, ".svg"))
-        write_svg(out, render_scene_svg(scene, pred, cfg.model.t_obs))
+        write_svg(out, render_scene_svg(scene, ev.predictions, cfg.model.t_obs))
         outputs.append(out)
 
     for stem, obj in traces:

@@ -112,6 +112,10 @@ class Scene:
     def key(self) -> str:
         return f"{self.scene_id}:w{self.window_index}"
 
+    def name(self) -> str:
+        """The window's name in errors: the file it was read from, else its key."""
+        return self.source or self.key()
+
 
 # -- trajectory text IO ---------------------------------------------------
 
@@ -279,7 +283,7 @@ def reject_off_grid(scene: Scene, n_frames: int, grid: int):
         i, t = np.argwhere(outside)[0]
         x, y = pos[i, t]
         raise DataError(
-            f"{scene.source or scene.key()}: agent {scene.agent_ids[i]} at frame "
+            f"{scene.name()}: agent {scene.agent_ids[i]} at frame "
             f"{int(scene.frame_ids[t])} is at ({float(x)!r}, {float(y)!r}), "
             f"outside the {h}x{w} raster"
         )

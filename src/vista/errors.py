@@ -29,9 +29,8 @@ class AlignmentError(VistaError):
 class DivergenceError(VistaError):
     """Non-finite values appeared during computation."""
 
-    def __init__(self, message, step=None, report=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
-        self.step = step
         self.report = report
 
 

@@ -114,12 +114,18 @@ def calibrate_epsilon(scenes) -> float:
     scene (full windows, observation and future alike), so one window with
     two coincident agents sets the threshold to 0 for all windows, and every
     collision rate then reads 0 whatever the predictions: pass an explicit
-    epsilon (``evaluate --epsilon``) on such data.
+    epsilon (``evaluate --epsilon``) on such data. A threshold of 0 warns.
     """
     best = min((min_pairwise_distance(scene) for scene in scenes), default=math.inf)
     if not math.isfinite(best):
         raise DataError("epsilon calibration needs at least one scene with two co-present agents")
-    return max(best - 1e-9, 0.0)
+    epsilon = max(best - 1e-9, 0.0)
+    if epsilon == 0.0:
+        warnings.warn(
+            "calibrated epsilon is 0 because two ground-truth agents coincide, so every "
+            "collision rate will read 0; --epsilon sets the threshold"
+        )
+    return epsilon
 
 
 def collision_rates(ev: EvalInput, epsilon: float) -> np.ndarray:

@@ -46,7 +46,7 @@ class Model:
         if not self.config.use_goal:
             raise ConfigError("goal conditioning is disabled in this configuration")
         obs = scene.positions()[:, : self.config.t_obs, :]
-        channels = encode_gpm_input(obs, scene.raster, self.config, scene.source or scene.key())
+        channels = encode_gpm_input(obs, scene.raster, self.config, scene.name())
         with no_grad():
             logits = gpm_forward_batch(channels, self.params)
         return heatmap_from_logits(logits.data)
@@ -60,7 +60,7 @@ class Model:
         try:
             return ttst_sample(grids, self.config.n_raw_samples, k, seeds, self.config.kmeans_iters)
         except DataError as exc:
-            raise DataError(f"{scene.source or scene.key()}: {exc}") from None
+            raise DataError(f"{scene.name()}: {exc}") from None
 
     def predict(
         self, scene: Scene, k: int, seed: int, capture_trace: bool = False
@@ -82,12 +82,13 @@ class Model:
             result = rollout(scene, goals, self.params, self.config, capture_trace)
         trajectories, traces = result.trajectories, result.traces
         if goals is None:
-            trajectories = np.repeat(trajectories[None], k, axis=0)
-            traces = None if traces is None else np.repeat(traces[None], k, axis=0)
+            trajectories = np.repeat(trajectories, k, axis=0)
+            traces = None if traces is None else np.repeat(traces, k, axis=0)
         return PredictionSet(
             list(scene.agent_ids), trajectories.transpose(1, 0, 2, 3), traces, weights
         )
 
     def rollout_with_goals(self, scene: Scene, goals):
+        """``tpm.rollout`` of the (B, N, 2) ``goals`` without a graph."""
         with no_grad():
             return rollout(scene, goals, self.params, self.config)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Scene, atomic_write
-from .tpm import PredictionSet
 
 
 def _polyline(points, color):
@@ -13,34 +12,30 @@ def _polyline(points, color):
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="0.15" />'
 
 
-def render_scene_svg(scene: Scene, pred: PredictionSet, t_obs: int) -> str:
+def render_scene_svg(scene: Scene, predictions: np.ndarray, t_obs: int) -> str:
     """Observed tracks (solid black), ground-truth futures (green), predicted
-    samples (red), and one goal marker per predicted endpoint."""
+    samples (red), and one goal marker per predicted endpoint, for the
+    (N, k, T_fut, 2) ``predictions`` in track order."""
     positions = scene.positions()
     pad = 2.0
-    lo = min(positions[..., 0].min(), pred.trajectories[..., 0].min()) - pad
-    hi = max(positions[..., 0].max(), pred.trajectories[..., 0].max()) + pad
-    lo_y = min(positions[..., 1].min(), pred.trajectories[..., 1].min()) - pad
-    hi_y = max(positions[..., 1].max(), pred.trajectories[..., 1].max()) + pad
+    lo = min(positions[..., 0].min(), predictions[..., 0].min()) - pad
+    hi = max(positions[..., 0].max(), predictions[..., 0].max()) + pad
+    lo_y = min(positions[..., 1].min(), predictions[..., 1].min()) - pad
+    hi_y = max(positions[..., 1].max(), predictions[..., 1].max()) + pad
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{lo:.2f} {lo_y:.2f} '
         f'{hi - lo:.2f} {hi_y - lo_y:.2f}" width="640" height="640">'
     ]
-    index = {a: i for i, a in enumerate(pred.agent_ids)}
-    for i, track in enumerate(scene.tracks):
+    for track, samples in zip(scene.tracks, predictions):
         obs = track.positions[:t_obs]
         fut = track.positions[t_obs - 1 :]
         parts.append(_polyline(obs, "black"))
         parts.append(_polyline(fut, "green"))
-        row = index[track.agent_id]
-        for j in range(pred.k):
-            sample = np.concatenate(
-                [track.positions[t_obs - 1 : t_obs], pred.trajectories[row, j]], axis=0
-            )
-            parts.append(_polyline(sample, "red"))
-        for j in range(pred.k):
-            gx, gy = pred.trajectories[row, j, -1]
+        for sample in samples:
+            parts.append(_polyline(np.concatenate([fut[:1], sample]), "red"))
+        for sample in samples:
+            gx, gy = sample[-1]
             parts.append(
                 f'<circle cx="{gx:.4f}" cy="{gy:.4f}" r="0.35" fill="none" '
                 f'stroke="red" stroke-width="0.1" />'

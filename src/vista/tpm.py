@@ -17,8 +17,8 @@ Agents are processed in a canonical order
 (sorted by agent_id) internally and restored to input order on output, which
 makes permutation equivariance exact at the bit level. Positions and goals
 are embedded relative to the mean of the agents' last observed positions,
-making predictions translation-equivariant. Results stay arrays: ([B,] N,
-T_fut, 2) positions and ([B,] T_fut, N, N) head-averaged social-attention
+making predictions translation-equivariant. Results stay arrays: (B, N,
+T_fut, 2) positions and (B, T_fut, N, N) head-averaged social-attention
 maps, one per batch row and step, which ``save_trace_json`` writes per row.
 """
 
@@ -48,16 +48,12 @@ class PredictionSet:
     # without goal conditioning.
     goal_weights: np.ndarray | None = None
 
-    @property
-    def k(self):
-        return self.trajectories.shape[1]
-
 
 @dataclass
 class RolloutResult:
-    trajectories: np.ndarray  # ([B,] N, T_fut, 2), input agent order
-    traces: np.ndarray | None  # ([B,] T_fut, N, N), input agent order
-    positions: Tensor  # the "rollout" node: ([B,] N, T_fut, 2), canonical agent order
+    trajectories: np.ndarray  # (B, N, T_fut, 2), input agent order
+    traces: np.ndarray | None  # (B, T_fut, N, N), input agent order
+    positions: Tensor  # the "rollout" node: (B, N, T_fut, 2), canonical agent order
     canonical_order: np.ndarray  # input index -> canonical row
 
 
@@ -208,14 +204,14 @@ def rollout(
 ) -> RolloutResult:
     """Recursive decoding of T_fut steps for all agents of one scene window.
 
-    ``goals`` is one (x, y) per agent in scene units, shape (N, 2), or a
-    stack of B such goal sets, shape (B, N, 2); each batch row is one joint
-    rollout of the same observations and the result gains a leading B axis.
-    Goals are ignored when the model is configured without goal
-    conditioning. The observation window is the first t_obs frames of the
-    scene. ``n_steps`` (None for T_fut, else 1..T_fut) truncates the
-    recursion; because step t+1 sees exactly the observations plus the
-    predictions of steps <= t, a truncated rollout is a bit-exact prefix.
+    ``goals`` is a stack of B goal sets, one (x, y) per agent in scene
+    units, shape (B, N, 2); each batch row is one joint rollout of the same
+    observations, and every result carries the leading B axis. Without goal
+    conditioning the goals are ignored and B is 1. The observation window
+    is the first t_obs frames of the scene. ``n_steps`` (None for T_fut,
+    else 1..T_fut) truncates the recursion; because step t+1 sees exactly
+    the observations plus the predictions of steps <= t, a truncated
+    rollout is a bit-exact prefix.
 
     Each step is temporal attention of the newest token over the agent's
     tokens plus the goal term, social attention across the agents of a
@@ -243,24 +239,21 @@ def rollout(
         raise ConfigError(f"n_steps must be None or in 1..{config.t_fut}, got {n_steps!r}")
     obs_all = scene.positions()
     if obs_all.shape[1] < config.t_obs:
-        raise DataError(
-            f"scene {scene.key()}: {obs_all.shape[1]} frames < t_obs {config.t_obs}"
-        )
+        raise DataError(f"{scene.name()}: {obs_all.shape[1]} frames < t_obs {config.t_obs}")
     agent_ids = np.asarray(scene.agent_ids)
     n = len(agent_ids)
     obs = obs_all[:, : config.t_obs, :]
     goals_arr = None
-    lead = ()  # (B,) for batched goals
+    b = 1
     if config.use_goal:
         if goals is None:
             raise DataError("rollout needs one goal per agent when goal conditioning is on")
         goals_arr = np.asarray(goals, dtype=np.float64)
-        if goals_arr.shape[-2:] != (n, 2) or goals_arr.ndim not in (2, 3):
-            raise DataError(f"goals must be (N, 2) or (B, N, 2), got {goals_arr.shape}")
+        if goals_arr.ndim != 3 or goals_arr.shape[1:] != (n, 2):
+            raise DataError(f"goals must be (B, N, 2), got {goals_arr.shape}")
         if not np.isfinite(goals_arr).all():
             raise DataError("goals must be finite")
-        lead = goals_arr.shape[:-2]
-    b = lead[0] if lead else 1
+        b = len(goals_arr)
     rows = b * n
     t_obs, d, heads = config.t_obs, config.d_model, config.n_heads
 
@@ -290,7 +283,7 @@ def rollout(
     if social:
         swq, sbq, swk, swv, sbv, swo, sbo = (p.data for p in social)
 
-    obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, t_obs, 2)
+    obs_rows = np.broadcast_to(obs_c, (b,) + obs_c.shape).reshape(rows, t_obs, 2)
     rel = obs_rows - anchor
     # Every token of the sequence, with its temporal key and value.
     n_tokens = t_obs + n_steps - 1
@@ -315,7 +308,7 @@ def rollout(
         fused = np.matmul(merged_t, wo) + bo
         if goal is not None:
             fused = goal.reshape(fused.shape) + fused
-        fused = fused.reshape(lead + (n, d))
+        fused = fused.reshape(b, n, d)
         feature, merged_s, saved_s = fused, None, None
         if social:
             merged_s, saved_s = attend(
@@ -327,17 +320,14 @@ def rollout(
             feature = np.matmul(merged_s, swo) + sbo
         nxt, pre, hidden = _decode(feature, last, decoder)
         if not np.isfinite(nxt).all():
-            raise DivergenceError(
-                f"non-finite prediction at step {step} of scene {scene.key()}",
-                step=step,
-            )
+            raise DivergenceError(f"{scene.name()}: non-finite prediction at step {step}")
         last = nxt
         steps.append(nxt)
         if record:
             tape.append((rel, saved_t, merged_t, fused, saved_s, merged_s, feature, pre, hidden))
         if capture_trace:
             attn = heads_first(saved_s[-1]).mean(axis=0) if social else np.eye(n)
-            trace_steps.append(np.broadcast_to(attn, lead + (n, n)).reshape(b, n, n))
+            trace_steps.append(np.broadcast_to(attn, (b, n, n)))
 
     def bwd(g):
         rel, saved_t, merged_t, fused, saved_s, merged_s, feature, pre, hidden = zip(*tape)
@@ -395,9 +385,8 @@ def rollout(
     traces = None
     if capture_trace:
         traces = np.stack(trace_steps, axis=1)[:, :, inverse][..., inverse]
-        traces = traces if lead else traces[0]
     return RolloutResult(
-        trajectories=np.take(positions, inverse, axis=-3),
+        trajectories=positions[:, inverse],
         traces=traces,
         positions=_node(positions, parents, bwd, "rollout"),
         canonical_order=order,

@@ -37,9 +37,8 @@ def window_constants(scene: Scene, model_cfg: ModelConfig):
     if not model_cfg.use_goal:
         return None
     positions = scene.positions()
-    channels = encode_gpm_input(
-        positions[:, : model_cfg.t_obs], scene.raster, model_cfg, scene.source or scene.key()
-    )
+    obs = positions[:, : model_cfg.t_obs]
+    channels = encode_gpm_input(obs, scene.raster, model_cfg, scene.name())
     targets = np.stack(
         [goal_target(g, channels.shape[1:3], model_cfg.goal_sigma) for g in positions[:, -1]]
     )
@@ -72,8 +71,8 @@ def window_loss_graph(
     gt_future = positions[:, model_cfg.t_obs :, :]
     lambda_goal, lambda_traj = train_cfg.lambda_goal, train_cfg.lambda_traj
 
-    result = rollout(scene, gt_goals if model_cfg.use_goal else None, params, model_cfg)
-    diff = result.positions.data - gt_future[result.canonical_order]
+    result = rollout(scene, gt_goals[None] if model_cfg.use_goal else None, params, model_cfg)
+    diff = result.positions.data[0] - gt_future[result.canonical_order]
     per_agent_traj = (diff * diff).sum(axis=2).mean(axis=1)
     traj_part = float(per_agent_traj.mean())
     total = per_agent_traj.sum() * lambda_traj
@@ -94,7 +93,7 @@ def window_loss_graph(
 
     def bwd(g):
         g_diff = ((g * lambda_traj) / diff.shape[1]) * diff
-        grads = [g_diff + g_diff]
+        grads = [(g_diff + g_diff)[None]]
         if len(parents) > 1:
             sigmoid = heatmap_from_logits(z)
             grads.append((sigmoid - targets) * ((g * lambda_goal) / (z.shape[1] * z.shape[2])))
@@ -224,8 +223,8 @@ def _validation_score(model: Model, scenes, k: int | None = None, seed: int = 0)
     total, count = 0.0, 0
     for scene in scenes:
         if k is None:
-            result = model.rollout_with_goals(scene, scene.positions()[:, -1])
-            trajectories = result.trajectories[:, None]
+            result = model.rollout_with_goals(scene, scene.positions()[None, :, -1])
+            trajectories = result.trajectories.transpose(1, 0, 2, 3)
         else:
             trajectories = model.predict(scene, k=k, seed=seed).trajectories
         ev = eval_from_scene(scene, trajectories, model.config.t_obs)
@@ -338,10 +337,11 @@ def train(train_scenes, val_scenes, config: Config, resume_from=None, state_out=
     if not train_scenes or not val_scenes:
         raise DataError("train and validation sets must be non-empty")
     for scene in (*train_scenes, *val_scenes):  # training reads every frame of a window
-        source = scene.source or scene.key()
         if scene.n_frames != mcfg.t_total:
-            raise DataError(f"{source}: {scene.n_frames} frames, not t_obs + t_fut = {mcfg.t_total}")
-        check_raster(scene.raster, mcfg, source)
+            raise DataError(
+                f"{scene.name()}: {scene.n_frames} frames, not t_obs + t_fut = {mcfg.t_total}"
+            )
+        check_raster(scene.raster, mcfg, scene.name())
         reject_off_grid(scene, scene.n_frames, mcfg.grid)
 
     if resume_from is not None:

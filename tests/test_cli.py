@@ -537,6 +537,29 @@ class TestPredict:
         )
         assert not out.exists()
 
+    def test_non_finite_rollout_exits_5_naming_the_trajectory_file(
+        self, synth_dir, quick_config, tmp_path, capsys
+    ):
+        # A decoder bias of 1e308 leaves step 1 finite and overflows step 2.
+        from vista.config import load_config
+        from vista.model import init_params
+
+        params = init_params(load_config(quick_config).model, seed=0)
+        params["tpm.dec.b2"].data[:] = 1e308
+        ckpt = tmp_path / "overflow.bin"
+        params.save(ckpt)
+        out = tmp_path / "p"
+        code = main([
+            "predict", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+            "--config", str(quick_config), "--out", str(out),
+        ])
+        assert code == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DivergenceError"
+        window = synth_dir / "crossing__w000.txt"
+        assert err["message"] == f"{window}: non-finite prediction at step 2"
+        assert not out.exists()
+
     @pytest.mark.parametrize("how", ["name_not_utf8", "extents_wrap_int64"])
     def test_corrupt_checkpoint_header_exits_3(self, synth_dir, quick_config, tmp_path, capsys, how):
         from test_params import corrupt_first_entry
@@ -647,7 +670,9 @@ class TestEvaluate:
         pred_dir = tmp_path / "preds"
         self.write_gt_as_predictions(data, pred_dir, t_obs=8, t_fut=12)
         out = tmp_path / "metrics"
-        assert main(["evaluate", "--pred", str(pred_dir), "--gt", str(data), "--out", str(out)]) == 0
+        argv = ["evaluate", "--pred", str(pred_dir), "--gt", str(data), "--out", str(out)]
+        with pytest.warns(UserWarning, match="every collision rate will read 0; --epsilon"):
+            assert main(argv) == 0
         report = json.loads((out / "metrics.json").read_text())
         assert report["epsilon"] == 0.0 and report["cr"] == 0.0
 
@@ -885,6 +910,32 @@ class TestRender:
         svg = (out / "scene_constant-velocity__w000.svg").read_text()
         assert svg.count("<polyline") == 3
         assert svg.count("<circle") == 1
+
+    def test_scene_svg_samples_follow_track_order(self):
+        # Row i of the (N, k, T_fut, 2) predictions is drawn from track i's
+        # last observed position, whatever the agent ids' order.
+        from vista.data import AgentTrack, Scene
+        from vista.render import render_scene_svg
+
+        t_obs, t_fut, k = 4, 3, 2
+        rng = np.random.default_rng(0)
+        pos = rng.uniform(1, 14, size=(2, t_obs + t_fut, 2))
+        frames = np.arange(t_obs + t_fut)
+        scene = Scene("s", [AgentTrack(a, pos[i], frames) for i, a in enumerate([7, 3])])
+        predictions = rng.uniform(1, 14, size=(2, k, t_fut, 2))
+        svg = render_scene_svg(scene, predictions, t_obs)
+        lines = re.findall(r'points="([^"]*)" fill="none" stroke="(\w+)"', svg)
+        ends = np.array(re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg), dtype=float)
+        assert len(lines) == 2 * (2 + k) and len(ends) == 2 * k
+        for i in range(2):
+            black, green, *red = lines[i * (2 + k) : (i + 1) * (2 + k)]
+            assert (black[1], green[1]) == ("black", "green")
+            for j, (points, color) in enumerate(red):
+                drawn = np.array([p.split(",") for p in points.split()], dtype=float)
+                want = np.concatenate([pos[i, t_obs - 1 : t_obs], predictions[i, j]])
+                assert color == "red"
+                np.testing.assert_allclose(drawn, want, rtol=0, atol=5e-5)
+            np.testing.assert_allclose(ends[i * k : (i + 1) * k], predictions[i, :, -1], atol=5e-5)
 
     def test_trace_grid_cells_and_shades(self, tmp_path, quick_config):
         trace = {

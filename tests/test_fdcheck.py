@@ -33,8 +33,8 @@ def test_goal_fusion_block_gradients(three_agent_scene):
     cfg = ModelConfig(t_obs=4, t_fut=3, grid=16)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
-    goals = three_agent_scene.positions()[:, -1] + rng.normal(size=(3, 2))
-    target = rng.normal(size=(3, cfg.t_fut, 2))
+    goals = three_agent_scene.positions()[None, :, -1] + rng.normal(size=(1, 3, 2))
+    target = rng.normal(size=(1, 3, cfg.t_fut, 2))
     names = [n for n in params.names() if n.startswith("tpm.fusion.")]
 
     def loss():

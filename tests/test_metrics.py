@@ -175,7 +175,8 @@ class TestCalibration:
         a = [(float(t), 0.0) for t in range(12)]
         b = [(float(t), 1.0) if t != 9 else (9.0, 0.0) for t in range(12)]
         scene = self.scene_from([a, b])
-        eps = calibrate_epsilon([scene])
+        with pytest.warns(UserWarning, match="every collision rate will read 0; --epsilon"):
+            eps = calibrate_epsilon([scene])
         assert eps == 0.0
         gt = scene.positions()[:, None, 8:]  # (N, k=1, T_fut, 2)
         assert collision_rates(EvalInput(gt, gt[:, 0]), eps).tolist() == [0.0]

@@ -1,4 +1,5 @@
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -201,13 +202,18 @@ class TestFusedNodes:
 
     @pytest.mark.parametrize("lead, n, d", [((), 1, 4), ((), 3, 32), ((1,), 2, 8), ((5,), 3, 6)])
     def test_decoder_matches_chain(self, lead, n, d):
-        # A one-step rollout against ``reference_rollout``, whose decoder is
-        # the linear-relu-linear chain.
+        # ``tpm._decode`` on features with any leading axes, then a one-step
+        # rollout of (B, N, 2) goals, against the linear-relu-linear chain of
+        # ``reference_rollout``; the rollout's B is 1 where ``lead`` is ().
         cfg = ModelConfig(t_obs=3, t_fut=2, grid=16, d_model=d, n_heads=2)
         params = init_params(cfg, seed=n * d)
         rng = np.random.default_rng(n * d)
+        feature, last = rng.normal(size=lead + (n, d)), rng.uniform(1, 14, size=lead + (n, 2))
+        decoded, _, _ = tpm._decode(feature, last, decoder_of(params))
+        ref = reference_decode_step(constant(feature), constant(last), params)
+        assert decoded.tobytes() == ref.data.tobytes()
         scene = scene_from_positions(rng.uniform(1, 14, size=(n, cfg.t_total, 2)))
-        goals = rng.uniform(1, 14, size=lead + (n, 2))
+        goals = rng.uniform(1, 14, size=(lead or (1,)) + (n, 2))
         with record_activations() as fused_trace:
             out, grads = rollout_and_grads(rollout, scene, goals, params, cfg, n_steps=1)
         with record_activations() as chain_trace:
@@ -350,7 +356,7 @@ class TestFusion:
         # The rollout node returns a gradient to its goal term, which reaches
         # every parameter the goal term reads.
         _, grads = rollout_and_grads(
-            rollout, tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg
+            rollout, tiny_scene, tiny_scene.positions()[None, :, -1, :], params, cfg
         )
         for name in ("wv", "bv", "wo", "bo"):
             assert np.abs(grads[f"tpm.fusion.cross.{name}"]).max() > 1e-8, name
@@ -377,14 +383,14 @@ class TestSocialAttention:
 
     def test_single_agent_identity_weight(self, cfg, params):
         pos = np.random.default_rng(6).uniform(1, 14, size=(1, cfg.t_total, 2))
-        result = rollout(scene_from_positions(pos), pos[:, -1], params, cfg, capture_trace=True)
-        np.testing.assert_array_equal(result.traces, np.ones((cfg.t_fut, 1, 1)))
-        assert result.trajectories.shape == (1, cfg.t_fut, 2)
+        result = rollout(scene_from_positions(pos), pos[None, :, -1], params, cfg, capture_trace=True)
+        np.testing.assert_array_equal(result.traces, np.ones((1, cfg.t_fut, 1, 1)))
+        assert result.trajectories.shape == (1, 1, cfg.t_fut, 2)
 
     def test_identical_agents_attend_half_half(self, cfg, params):
         pos = np.tile(np.random.default_rng(7).uniform(1, 14, size=(cfg.t_total, 2)), (2, 1, 1))
-        result = rollout(scene_from_positions(pos), pos[:, -1], params, cfg, capture_trace=True)
-        np.testing.assert_allclose(result.traces, np.full((cfg.t_fut, 2, 2), 0.5), atol=1e-12)
+        result = rollout(scene_from_positions(pos), pos[None, :, -1], params, cfg, capture_trace=True)
+        np.testing.assert_allclose(result.traces, np.full((1, cfg.t_fut, 2, 2), 0.5), atol=1e-12)
 
     def test_permutation_conjugates_attention(self, cfg, params):
         # The bare block is equivariant up to float summation order; rollout
@@ -401,10 +407,10 @@ class TestSocialAttention:
         cfg_ns = replace(cfg, use_social=False)
         params = init_params(cfg_ns, seed=0)
         result = rollout(
-            tiny_scene, tiny_scene.positions()[:, -1], params, cfg_ns, capture_trace=True
+            tiny_scene, tiny_scene.positions()[None, :, -1], params, cfg_ns, capture_trace=True
         )
         n = tiny_scene.n_agents
-        np.testing.assert_array_equal(result.traces, np.broadcast_to(np.eye(n), (cfg.t_fut, n, n)))
+        np.testing.assert_array_equal(result.traces, np.broadcast_to(np.eye(n), (1, cfg.t_fut, n, n)))
         assert not any(name.startswith("tpm.social0") for name in params.names())
 
 
@@ -451,12 +457,12 @@ class TestRollout:
             params[name].data[:] = 0
         pos = np.cumsum(np.ones((1, cfg.t_obs, 2)), axis=1)
         scene = scene_from_positions(np.concatenate([pos, np.zeros((1, cfg.t_fut, 2))], axis=1))
-        result = rollout(scene, pos[:, -1, :], params, cfg)
-        expected = np.tile(pos[:, -1, :][:, None, :], (1, cfg.t_fut, 1))
+        result = rollout(scene, pos[None, :, -1, :], params, cfg)
+        expected = np.tile(pos[None, :, -1, None, :], (1, 1, cfg.t_fut, 1))
         np.testing.assert_array_equal(result.trajectories, expected)
 
     def test_bitwise_deterministic(self, cfg, params, tiny_scene):
-        goals = tiny_scene.positions()[:, -1, :]
+        goals = tiny_scene.positions()[None, :, -1, :]
         a = rollout(tiny_scene, goals, params, cfg).trajectories
         b = rollout(tiny_scene, goals, params, cfg).trajectories
         np.testing.assert_array_equal(a, b)
@@ -468,7 +474,7 @@ class TestRollout:
         rng = np.random.default_rng(2)
         pos = rng.uniform(2, 10, size=(3, 8, 2))
         scene = scene_from_positions(pos)
-        goals = pos[:, -1, :] + rng.normal(scale=0.3, size=(3, 2))
+        goals = pos[None, :, -1, :] + rng.normal(scale=0.3, size=(1, 3, 2))
         base = rollout(scene, goals, params, cfg).trajectories
 
         delta = np.array([10.0, -3.0])
@@ -482,7 +488,7 @@ class TestRollout:
         rng = np.random.default_rng(3)
         for n_agents, goal_noise, delta in [(2, 0.0, (5.0, 7.0)), (3, 0.3, (10.0, -3.0))]:
             pos = rng.uniform(2, 10, size=(n_agents, 7, 2))
-            goals = pos[:, -1, :] + rng.normal(scale=goal_noise, size=(n_agents, 2))
+            goals = pos[None, :, -1, :] + rng.normal(scale=goal_noise, size=(1, n_agents, 2))
             base = rollout(scene_from_positions(pos), goals, params, cfg).trajectories
             delta = np.array(delta)
             shifted = rollout(
@@ -495,67 +501,61 @@ class TestRollout:
         pos = rng.uniform(1, 14, size=(5, 7, 2))
         goals = rng.uniform(1, 14, size=(5, 2))
         ids = [11, 3, 7, 20, 5]
-        base = rollout(scene_from_positions(pos, ids), goals, params, cfg, capture_trace=True)
         perm = rng.permutation(5)
-        permuted = rollout(
-            scene_from_positions(pos[perm], [ids[i] for i in perm]),
-            goals[perm], params, cfg, capture_trace=True,
-        )
-        np.testing.assert_array_equal(permuted.trajectories, base.trajectories[perm])
-        assert base.traces.shape == (cfg.t_fut, 5, 5)
-        np.testing.assert_array_equal(permuted.traces, base.traces[:, perm][:, :, perm])
-
-        batch_goals = goals + rng.normal(scale=0.5, size=(3, 5, 2))
-        base = rollout(scene_from_positions(pos, ids), batch_goals, params, cfg, capture_trace=True)
-        permuted = rollout(
-            scene_from_positions(pos[perm], [ids[i] for i in perm]),
-            batch_goals[:, perm], params, cfg, capture_trace=True,
-        )
-        assert base.trajectories.shape == (3, 5, cfg.t_fut, 2)
-        np.testing.assert_array_equal(permuted.trajectories, base.trajectories[:, perm])
-        assert base.traces.shape == permuted.traces.shape == (3, cfg.t_fut, 5, 5)
-        np.testing.assert_array_equal(permuted.traces, base.traces[:, :, perm][..., perm])
+        for batch_goals in (goals[None], goals + rng.normal(scale=0.5, size=(3, 5, 2))):
+            b = len(batch_goals)
+            base = rollout(scene_from_positions(pos, ids), batch_goals, params, cfg, capture_trace=True)
+            permuted = rollout(
+                scene_from_positions(pos[perm], [ids[i] for i in perm]),
+                batch_goals[:, perm], params, cfg, capture_trace=True,
+            )
+            assert base.trajectories.shape == (b, 5, cfg.t_fut, 2)
+            np.testing.assert_array_equal(permuted.trajectories, base.trajectories[:, perm])
+            assert base.traces.shape == permuted.traces.shape == (b, cfg.t_fut, 5, 5)
+            np.testing.assert_array_equal(permuted.traces, base.traces[:, :, perm][..., perm])
 
     def test_trace_shape_and_row_sums(self, cfg, params, tiny_scene):
-        goals = tiny_scene.positions()[:, -1, :]
+        goals = tiny_scene.positions()[None, :, -1, :]
         result = rollout(tiny_scene, goals, params, cfg, capture_trace=True)
         n = tiny_scene.n_agents
-        assert result.traces.shape == (cfg.t_fut, n, n)
-        np.testing.assert_allclose(result.traces.sum(axis=2), 1.0, atol=1e-6)
+        assert result.traces.shape == (1, cfg.t_fut, n, n)
+        np.testing.assert_allclose(result.traces.sum(axis=3), 1.0, atol=1e-6)
 
     def test_goal_sensitivity(self, cfg, params, tiny_scene):
-        goals = tiny_scene.positions()[:, -1, :]
+        goals = tiny_scene.positions()[None, :, -1, :]
         base = rollout(tiny_scene, goals, params, cfg).trajectories
         nudged = goals.copy()
-        nudged[0] += [2.0, -1.5]
+        nudged[0, 0] += [2.0, -1.5]
         moved = rollout(tiny_scene, nudged, params, cfg).trajectories
-        assert np.abs(moved[0] - base[0]).max() > 1e-8
+        assert np.abs(moved[0, 0] - base[0, 0]).max() > 1e-8
 
     def test_recursive_prefix_consistency(self, cfg, params, tiny_scene):
-        goals = tiny_scene.positions()[:, -1, :]
+        goals = tiny_scene.positions()[None, :, -1, :]
         full = rollout(tiny_scene, goals, params, cfg).trajectories
         short = rollout(tiny_scene, goals, params, cfg, n_steps=2).trajectories
-        np.testing.assert_array_equal(short, full[:, :2, :])
+        np.testing.assert_array_equal(short, full[:, :, :2, :])
 
     def test_nan_divergence_names_step(self, cfg, params, tiny_scene):
         params["tpm.dec.b2"].data[:] = np.nan
         with pytest.raises(DivergenceError, match="step 1"):
-            rollout(tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg)
+            rollout(tiny_scene, tiny_scene.positions()[None, :, -1, :], params, cfg)
 
     def test_missing_goals_rejected(self, cfg, params, tiny_scene):
         with pytest.raises(DataError, match="goal"):
             rollout(tiny_scene, None, params, cfg)
 
-    def test_goal_shape_rejected(self, cfg, params, tiny_scene):
-        with pytest.raises(DataError, match="goals must be"):
-            rollout(tiny_scene, np.zeros((2, 3, 2)), params, cfg)
+    # (2, 2) is one goal per agent of the 2-agent scene, without the B axis.
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2)], ids=str)
+    def test_goal_shape_rejected(self, cfg, params, tiny_scene, shape):
+        with pytest.raises(DataError, match=re.escape(f"goals must be (B, N, 2), got {shape}")):
+            rollout(tiny_scene, np.ones(shape), params, cfg)
 
     @pytest.mark.parametrize("n_steps", [-1, 0, 4, 5, 6, 2.5])
     def test_n_steps_outside_horizon_rejected(self, cfg, params, tiny_scene, n_steps):
         # t_fut is 3: 4 and 5 steps would decode past the horizon (the fifth
         # token taking the goal token's positional row) and 6 past the table.
         with pytest.raises(ConfigError, match="n_steps must be None or in 1..3"):
-            rollout(tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg, n_steps=n_steps)
+            rollout(tiny_scene, tiny_scene.positions()[None, :, -1, :], params, cfg, n_steps=n_steps)
 
 
 # The rollout that re-embedded the whole sequence at every step, kept
@@ -591,24 +591,21 @@ def reference_rollout(
 ):
     obs_all = scene.positions()
     if obs_all.shape[1] < config.t_obs:
-        raise DataError(
-            f"scene {scene.key()}: {obs_all.shape[1]} frames < t_obs {config.t_obs}"
-        )
+        raise DataError(f"{scene.name()}: {obs_all.shape[1]} frames < t_obs {config.t_obs}")
     agent_ids = np.asarray(scene.agent_ids)
     n = len(agent_ids)
     obs = obs_all[:, : config.t_obs, :]
     goals_arr = None
-    lead = ()  # (B,) for batched goals
+    b = 1
     if config.use_goal:
         if goals is None:
             raise DataError("rollout needs one goal per agent when goal conditioning is on")
         goals_arr = np.asarray(goals, dtype=np.float64)
-        if goals_arr.shape[-2:] != (n, 2) or goals_arr.ndim not in (2, 3):
-            raise DataError(f"goals must be (N, 2) or (B, N, 2), got {goals_arr.shape}")
+        if goals_arr.ndim != 3 or goals_arr.shape[1:] != (n, 2):
+            raise DataError(f"goals must be (B, N, 2), got {goals_arr.shape}")
         if not np.isfinite(goals_arr).all():
             raise DataError("goals must be finite")
-        lead = goals_arr.shape[:-2]
-    b = lead[0] if lead else 1
+        b = len(goals_arr)
     rows = b * n
 
     order = tpm._canonical_order(agent_ids)
@@ -623,7 +620,7 @@ def reference_rollout(
         query_key = query_key_params(config.d_model) if query_key is None else query_key
         cross = cross_layer(params, query_key)
 
-    obs_rows = np.broadcast_to(obs_c, lead + obs_c.shape).reshape(rows, config.t_obs, 2)
+    obs_rows = np.broadcast_to(obs_c, (b,) + obs_c.shape).reshape(rows, config.t_obs, 2)
     parts = [constant(obs_rows)]
     step_tensors = []
     trace_steps = [] if capture_trace else None
@@ -632,18 +629,14 @@ def reference_rollout(
         length = config.t_obs + step - 1
         tokens = embed_tokens(seq, anchor, np.arange(length), params, config)
         fused = reference_fusion(tokens, goal, cross, params, config)
-        if lead:
-            fused = reshape(fused, lead + (n, config.d_model))
+        fused = reshape(fused, (b, n, config.d_model))
         social, attn = social_attention(fused, params, config)
         last = narrow(seq, (slice(None), length - 1))
         nxt = reference_decode_step(social, last, params)
         if not np.isfinite(nxt.data).all():
-            raise DivergenceError(
-                f"non-finite prediction at step {step} of scene {scene.key()}",
-                step=step,
-            )
+            raise DivergenceError(f"{scene.name()}: non-finite prediction at step {step}")
         parts.append(reshape(nxt, (rows, 1, 2)))
-        step_tensors.append(reshape(nxt, lead + (n, 1, 2)))
+        step_tensors.append(reshape(nxt, (b, n, 1, 2)))
         if capture_trace:
             trace_steps.append(np.asarray(attn).reshape(b, n, n))
 
@@ -651,9 +644,8 @@ def reference_rollout(
     traces = None
     if capture_trace:
         traces = np.stack(trace_steps, axis=1)[:, :, inverse][..., inverse]
-        traces = traces if lead else traces[0]
     return RolloutResult(
-        trajectories=np.take(positions.data, inverse, axis=-3),
+        trajectories=positions.data[:, inverse],
         traces=traces,
         positions=positions,
         canonical_order=order,
@@ -665,29 +657,29 @@ class TestCachedRollout:
     traces bit for bit, gradients within 1e-12 of the largest."""
 
     @pytest.mark.parametrize(
-        "n, lead, n_steps, overrides",
+        "n, b, n_steps, overrides",
         [
-            (1, (), None, {}),
-            (3, (), None, {}),
-            (1, (3,), None, {}),
-            (3, (3,), None, {}),
-            (3, (), 5, {}),
-            (3, (3,), 2, {}),
-            (3, (), None, {"use_goal": False}),
-            (1, (), None, {"use_social": False}),
-            (3, (3,), None, {"use_social": False}),
+            (1, 1, None, {}),
+            (3, 1, None, {}),
+            (1, 3, None, {}),
+            (3, 3, None, {}),
+            (3, 1, 5, {}),
+            (3, 3, 2, {}),
+            (3, 1, None, {"use_goal": False}),
+            (1, 1, None, {"use_social": False}),
+            (3, 3, None, {"use_social": False}),
         ],
     )
-    def test_matches_reference_bitwise(self, n, lead, n_steps, overrides):
+    def test_matches_reference_bitwise(self, n, b, n_steps, overrides):
         cfg = ModelConfig(t_obs=6, t_fut=8, grid=16, **overrides)
-        params = init_params(cfg, seed=n + len(lead))
-        rng = np.random.default_rng(n * 10 + len(lead))
+        params = init_params(cfg, seed=n + b)
+        rng = np.random.default_rng(n * 10 + b)
         pos = rng.uniform(1, 14, size=(n, cfg.t_total, 2))
         scene = scene_from_positions(pos, list(rng.permutation(n) + 4))
-        goals = rng.uniform(1, 14, size=lead + (n, 2)) if cfg.use_goal else None
+        goals = rng.uniform(1, 14, size=(b, n, 2)) if cfg.use_goal else None
         got = rollout(scene, goals, params, cfg, capture_trace=True, n_steps=n_steps)
         ref = reference_rollout(scene, goals, params, cfg, capture_trace=True, n_steps=n_steps)
-        assert got.trajectories.shape == lead + (n, n_steps or cfg.t_fut, 2)
+        assert got.trajectories.shape == (b, n, n_steps or cfg.t_fut, 2)
         assert got.trajectories.tobytes() == ref.trajectories.tobytes()
         assert got.traces.shape == ref.traces.shape
         assert got.traces.tobytes() == ref.traces.tobytes()
@@ -731,9 +723,9 @@ class TestCachedRollout:
 
     def test_no_grad_records_no_node(self, cfg, params, tiny_scene):
         with no_grad():
-            result = rollout(tiny_scene, tiny_scene.positions()[:, -1], params, cfg)
+            result = rollout(tiny_scene, tiny_scene.positions()[None, :, -1], params, cfg)
         assert result.positions._parents == () and result.positions._bwd is None
-        result = rollout(tiny_scene, tiny_scene.positions()[:, -1], params, cfg)
+        result = rollout(tiny_scene, tiny_scene.positions()[None, :, -1], params, cfg)
         assert result.positions.op == "rollout"
 
 
@@ -743,11 +735,9 @@ class TestPredictMultimodal:
 
     def test_k1_reduces_to_rollout(self, cfg, params, tiny_scene):
         pred = predict_with_goals(tiny_scene, fixed_goals(tiny_scene, 1), params, cfg)
-        direct = rollout(
-            tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg
-        ).trajectories
-        assert pred.k == 1
-        np.testing.assert_array_equal(pred.trajectories[:, 0], direct)
+        direct = rollout(tiny_scene, tiny_scene.positions()[None, :, -1, :], params, cfg)
+        assert pred.trajectories.shape[1] == 1
+        np.testing.assert_array_equal(pred.trajectories[:, 0], direct.trajectories[0])
 
     def test_identical_goals_give_identical_samples(self, cfg, params, tiny_scene):
         pred = predict_with_goals(tiny_scene, fixed_goals(tiny_scene, 4), params, cfg)
@@ -765,21 +755,21 @@ class TestPredictMultimodal:
         assert pred.trajectories.shape == (n, k, cfg.t_fut, 2)
         assert pred.traces.shape == (k, cfg.t_fut, n, n)
         for j in range(k):
-            one = rollout(scene, goals[:, j], params, cfg, capture_trace=True)
+            one = rollout(scene, goals[None, :, j], params, cfg, capture_trace=True)
             np.testing.assert_allclose(
-                pred.trajectories[:, j], one.trajectories, rtol=0, atol=1e-12
+                pred.trajectories[:, j], one.trajectories[0], rtol=0, atol=1e-12
             )
-            np.testing.assert_allclose(pred.traces[j], one.traces, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pred.traces[j], one.traces[0], rtol=0, atol=1e-12)
 
     def test_goal_free_samples_repeat_one_rollout(self, cfg, tiny_scene):
         cfg_ng = replace(cfg, use_goal=False)
         params = init_params(cfg_ng, seed=0)
         pred = Model(cfg_ng, params).predict(tiny_scene, k=3, seed=0, capture_trace=True)
         one = rollout(tiny_scene, None, params, cfg_ng, capture_trace=True)
-        assert pred.k == 3 and len(pred.traces) == 3
+        assert pred.trajectories.shape[1] == 3 and len(pred.traces) == 3
         for j in range(3):
-            np.testing.assert_array_equal(pred.trajectories[:, j], one.trajectories)
-            np.testing.assert_array_equal(pred.traces[j], one.traces)
+            np.testing.assert_array_equal(pred.trajectories[:, j], one.trajectories[0])
+            np.testing.assert_array_equal(pred.traces[j], one.traces[0])
 
     def test_goal_weights_are_the_ttst_masses_in_sample_order(
         self, cfg, params, three_agent_scene
@@ -824,7 +814,7 @@ class TestExports:
         scene = scene_from_positions(three_agent_scene.positions(), [7, 2, 5])
         pred = predict_with_goals(scene, fixed_goals(scene, 4, spread=0.7), params, cfg)
         lines = []
-        for j in range(pred.k):
+        for j in range(4):
             for i, agent in enumerate(pred.agent_ids):
                 for f, (x, y) in zip(scene.frame_ids[cfg.t_obs :], pred.trajectories[i, j]):
                     lines.append(f"{j} {int(f)} {int(agent)} {float(x)!r} {float(y)!r}")
@@ -867,10 +857,11 @@ class TestExports:
         import json
 
         result = rollout(
-            tiny_scene, tiny_scene.positions()[:, -1, :], params, cfg, capture_trace=True
+            tiny_scene, tiny_scene.positions()[None, :, -1, :], params, cfg, capture_trace=True
         )
+        traces = result.traces[0]
         path = tmp_path / "trace.json"
-        save_trace_json(path, result.traces, tiny_scene.agent_ids, tiny_scene.key(), 0, cfg.t_obs)
+        save_trace_json(path, traces, tiny_scene.agent_ids, tiny_scene.key(), 0, cfg.t_obs)
         obj = json.loads(path.read_text())
         assert set(obj) == {"scene_id", "sample_index", "agent_ids", "steps"}
         assert obj["scene_id"] == tiny_scene.key()
@@ -882,7 +873,7 @@ class TestExports:
         mat = np.array(obj["steps"][0]["matrix"])
         assert mat.shape == (tiny_scene.n_agents, tiny_scene.n_agents)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-6)
-        np.testing.assert_array_equal([s["matrix"] for s in obj["steps"]], result.traces)
+        np.testing.assert_array_equal([s["matrix"] for s in obj["steps"]], traces)
 
         # render reads the trace back and draws one N x N grid per step.
         scene_dir, pred_dir, out = tmp_path / "scene", tmp_path / "pred", tmp_path / "svg"

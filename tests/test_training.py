@@ -13,6 +13,7 @@ from reference_ops import (
     bce_with_logits_mean,
     constant,
     mul,
+    narrow,
     reduce_mean,
     reduce_sum,
     reference_adam_step,
@@ -208,8 +209,8 @@ def reference_window_loss(params, model_cfg, train_cfg, scene):
         goal_sum = reduce_sum(per_agent)
         goal_part = float(per_agent.data.mean())
 
-    result = rollout(scene, gt_goals if model_cfg.use_goal else None, params, model_cfg)
-    diff = sub(result.positions, constant(gt_future[result.canonical_order]))
+    result = rollout(scene, gt_goals[None] if model_cfg.use_goal else None, params, model_cfg)
+    diff = sub(narrow(result.positions, 0), constant(gt_future[result.canonical_order]))
     sq = reduce_sum(mul(diff, diff), axis=2)  # (N, T_fut)
     per_agent_traj = reduce_mean(sq, axis=1)
     traj_sum = reduce_sum(per_agent_traj)
@@ -385,8 +386,8 @@ def reference_validation_ade(model, scenes):
     total, count = 0.0, 0
     for scene in scenes:
         gt = scene.positions()[:, model.config.t_obs :, :]
-        result = model.rollout_with_goals(scene, scene.positions()[:, -1])
-        err = np.sqrt(((result.trajectories - gt) ** 2).sum(-1)).mean(axis=1)
+        result = model.rollout_with_goals(scene, scene.positions()[None, :, -1])
+        err = np.sqrt(((result.trajectories[0] - gt) ** 2).sum(-1)).mean(axis=1)
         total += err.sum()
         count += len(err)
     return total / count
